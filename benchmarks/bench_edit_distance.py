@@ -1,66 +1,101 @@
 #!/usr/bin/env python3
-"""Benchmark the edit-distance kernels: numba @njit vs pure-numpy wavefront
-(vs the plain Python loop, optionally).
+"""Benchmark the bit-parallel Levenshtein kernel against the plain DP recurrence.
 
-Run after installing the package:
+Both run on the same seeded pairs of random token tuples at each length; the
+plain two-row dynamic programme is the "before" and ``levenshtein`` the
+"after". Their distances must agree. Per-call times, the core count and the
+Python version are written to a JSON file.
 
-    python benchmarks/bench_edit_distance.py
-    python benchmarks/bench_edit_distance.py --sizes 200,1000,4000 --repeats 5
+    PYTHONPATH=src python benchmarks/bench_edit_distance.py
+    PYTHONPATH=src python benchmarks/bench_edit_distance.py --sizes 200,1000 --repeats 5
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import platform
+import random
 import time
 
-import numpy as np
-
-from ocrkit import _kernels
+from ocrkit._kernels import levenshtein
 
 
-def time_one(fn, a, b, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
+def plain_dp(a, b) -> int:
+    """Two-row Levenshtein recurrence, one cell at a time."""
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, 1):
+        cur = [i]
+        for j, y in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y)))
+        prev = cur
+    return prev[-1]
+
+
+def per_call_s(fn, a, b, repeats: int, min_batch_s: float = 0.05) -> float:
+    """Best over ``repeats`` batches of the mean time per call."""
+    number = 1
+    while True:
         t0 = time.perf_counter()
-        fn(a, b)
-        best = min(best, time.perf_counter() - t0)
+        for _ in range(number):
+            fn(a, b)
+        elapsed = time.perf_counter() - t0
+        if elapsed >= min_batch_s:
+            break
+        number *= 2
+    best = elapsed / number
+    for _ in range(repeats - 1):
+        t0 = time.perf_counter()
+        for _ in range(number):
+            fn(a, b)
+        best = min(best, (time.perf_counter() - t0) / number)
     return best
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sizes", default="100,500,2000", help="comma list of sequence lengths")
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("--sizes", default="10,200,1000,5000", help="comma list of sequence lengths")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--alphabet", type=int, default=64, help="distinct token codes")
-    parser.add_argument("--python", action="store_true", help="also time the plain Python loop")
+    parser.add_argument("--alphabet", type=int, default=64, help="distinct tokens")
+    parser.add_argument("--out", default="BENCH_edit_distance.json")
     args = parser.parse_args()
 
-    sizes = [int(s) for s in args.sizes.split(",")]
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
+    vocab = [f"t{k}" for k in range(args.alphabet)]
+    rows = []
+    print(f"{'length':>8}{'plain DP':>14}{'levenshtein':>14}{'speedup':>10}")
+    for size in (int(s) for s in args.sizes.split(",")):
+        a = tuple(rng.choice(vocab) for _ in range(size))
+        b = tuple(rng.choice(vocab) for _ in range(size))
+        distance = levenshtein(a, b)
+        if distance != plain_dp(a, b):
+            raise SystemExit(f"kernel disagrees with the plain DP at length {size}")
+        before = per_call_s(plain_dp, a, b, args.repeats)
+        after = per_call_s(levenshtein, a, b, args.repeats)
+        rows.append({"length": size, "distance": distance,
+                     "before_ms": before * 1e3, "after_ms": after * 1e3})
+        print(f"{size:>8}{before * 1e3:>12.3f}ms{after * 1e3:>12.3f}ms{before / after:>9.1f}x")
 
-    backends = [("numpy", _kernels.levenshtein_numpy)]
-    if _kernels.levenshtein_numba is not None:
-        warm = rng.integers(0, args.alphabet, 16)
-        _kernels.levenshtein_numba(warm, warm)  # compile outside the timing
-        backends.insert(0, ("numba", _kernels.levenshtein_numba))
-    else:
-        print("numba backend unavailable (OCRKIT_NO_NUMBA set or numba missing)")
-    if args.python:
-        backends.append(("python", _kernels.levenshtein_py))
-
-    print(f"active backend: {_kernels.BACKEND}")
-    header = "size".rjust(8) + "".join(name.rjust(14) for name, _ in backends)
-    print(header)
-    for size in sizes:
-        a = rng.integers(0, args.alphabet, size)
-        b = rng.integers(0, args.alphabet, size)
-        results = [next(f for n, f in backends if n == name)(a, b) for name, _ in backends]
-        if len(set(results)) != 1:
-            raise SystemExit(f"backends disagree at size {size}: {results}")
-        row = f"{size:>8}"
-        for _, fn in backends:
-            row += f"{time_one(fn, a, b, args.repeats) * 1000:>12.2f}ms"
-        print(row)
+    report = {
+        "before": (
+            "plain two-row DP reference (plain_dp), not the numpy kernel it replaced"
+        ),
+        "after": "ocrkit._kernels.levenshtein (bit-parallel)",
+        "alphabet": args.alphabet,
+        "seed": 0,
+        "repeats": args.repeats,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "results": rows,
+    }
+    with open(args.out, "w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=2)
+        handle.write("\n")
+    print(f"wrote {args.out}")
     return 0
 
 

@@ -1,104 +1,45 @@
-"""Edit-distance kernels over integer token codes.
+"""Exact bit-parallel Levenshtein distance over token sequences.
 
-The inner DP loop dominates corpus scoring, so it is JIT-compiled with numba
-by default. A pure-numpy anti-diagonal implementation serves as the fallback;
-set ``OCRKIT_NO_NUMBA=1`` to force it (or it is picked automatically when
-numba is unavailable). ``benchmarks/bench_edit_distance.py`` compares both.
+Myers (1999, "A fast bit-vector algorithm for approximate string matching",
+JACM 46(3)) in Hyyrö's (2003) edit-distance form. One column of the DP matrix
+is held as vertical +1/-1 delta bit vectors over the pattern (the shorter
+sequence), and each text token advances the whole column with a constant
+number of word operations. Python ints serve as bit vectors of any width, so
+there is no 64-token block limit, and the pattern-match table is keyed by the
+tokens themselves.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
+from collections.abc import Hashable, Sequence
 
 
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes")
-
-
-def levenshtein_py(a: np.ndarray, b: np.ndarray) -> int:
-    """Two-row Levenshtein DP in plain Python (reference, also numba source)."""
-    n = a.size
-    m = b.size
-    if n == 0:
-        return m
+def levenshtein(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
+    """Unit-cost edit distance between two token sequences."""
+    if len(a) < len(b):
+        a, b = b, a
+    m = len(b)
     if m == 0:
-        return n
-    prev = np.arange(m + 1)
-    cur = np.empty(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        cur[0] = i
-        ai = a[i - 1]
-        for j in range(1, m + 1):
-            best = prev[j - 1] + (0 if ai == b[j - 1] else 1)
-            dele = prev[j] + 1
-            if dele < best:
-                best = dele
-            ins = cur[j - 1] + 1
-            if ins < best:
-                best = ins
-            cur[j] = best
-        prev, cur = cur, prev
-    return int(prev[m])
-
-
-def levenshtein_numpy(a: np.ndarray, b: np.ndarray) -> int:
-    """Levenshtein DP vectorized over anti-diagonals.
-
-    Cells on diagonal k = i + j depend only on diagonals k-1 and k-2, so each
-    wavefront is one vectorized minimum. The popular single-pass row
-    relaxation is not exact (the deletion term needs a prefix scan); this
-    formulation has no intra-step dependency and is.
-    """
-    n = int(a.size)
-    m = int(b.size)
-    if n == 0:
-        return m
-    if m == 0:
-        return n
-    prev2 = np.zeros(1, dtype=np.int64)  # diagonal k-2, i ascending
-    prev1 = np.ones(2, dtype=np.int64)   # diagonal k-1
-    for k in range(2, n + m + 1):
-        i_lo = max(0, k - m)
-        i_hi = min(n, k)
-        i = np.arange(i_lo, i_hi + 1, dtype=np.int64)
-        cur = np.empty(i.size, dtype=np.int64)
-        p1_lo = max(0, k - 1 - m)
-        p2_lo = max(0, k - 2 - m)
-        inner = (i >= 1) & (i <= n) & (k - i >= 1) & (k - i <= m)
-        ii = i[inner]
-        up = prev1[ii - 1 - p1_lo] + 1
-        left = prev1[ii - p1_lo] + 1
-        sub = prev2[ii - 1 - p2_lo] + (a[ii - 1] != b[k - ii - 1])
-        cur[inner] = np.minimum(np.minimum(up, left), sub)
-        if i_lo == 0:
-            cur[0] = k
-        if i_hi == k:
-            cur[-1] = k
-        prev2, prev1 = prev1, cur
-    return int(prev1[0])
-
-
-_FORCE_NUMPY = _env_flag("OCRKIT_NO_NUMBA")
-
-levenshtein_numba = None
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-
-        levenshtein_numba = njit(cache=True, nogil=True)(levenshtein_py)
-    except ImportError:
-        levenshtein_numba = None
-
-if levenshtein_numba is not None:
-    BACKEND = "numba"
-    _active = levenshtein_numba
-else:
-    BACKEND = "numpy"
-    _active = levenshtein_numpy
-
-
-def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
-    """Unit-cost edit distance between two int64 code arrays."""
-    return int(_active(a, b))
+        return len(a)
+    peq: dict[Hashable, int] = {}
+    bit = 1
+    for tok in b:
+        peq[tok] = peq.get(tok, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    vp, vn, dist = mask, 0, m
+    for tok in a:
+        eq = peq.get(tok, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | ~(d0 | vp)
+        hn = d0 & vp
+        if hp & last:
+            dist += 1
+        elif hn & last:
+            dist -= 1
+        hp = (hp << 1) | 1
+        # Bits above the pattern never carry into it; the mask keeps them bounded.
+        vp = ((hn << 1) | ~(d0 | hp)) & mask
+        vn = hp & d0
+    return dist

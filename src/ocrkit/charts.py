@@ -346,23 +346,25 @@ def serialize_chart_struct(struct: ChartStruct, form: str = "dict") -> str:
         return "{" + ", ".join(parts) + "}"
     if form == "table":
         label_lists = [tuple(label for label, _ in s.points) for s in struct.series]
-        if label_lists and any(ll != label_lists[0] for ll in label_lists):
+        if not label_lists:
+            raise ValueError("table form needs at least one series")
+        if any(ll != label_lists[0] for ll in label_lists):
             raise ValueError("table form requires identical labels across series")
-        for name in [s.name for s in struct.series] + list(label_lists[0] if label_lists else ()):
+        for name in [s.name for s in struct.series] + list(label_lists[0]):
             if "|" in name or "\n" in name:
                 raise ValueError(f"table form cannot hold {name!r}")
         lines = []
         for key in ("title", "source", "x_title", "y_title"):
             value = getattr(struct, key)
             if value is not None:
-                if "\n" in value or value.lstrip().startswith("|"):
+                # the parser strips metadata values, so edge whitespace cannot survive
+                if "\n" in value or value.startswith("|") or value != value.strip():
                     raise ValueError(f"table form cannot hold {key}={value!r}")
                 lines.append(f"{key}: {value}")
         header = ["label"] + [s.name for s in struct.series]
         lines.append("| " + " | ".join(header) + " |")
         lines.append("|" + "|".join(" --- " for _ in header) + "|")
-        labels = label_lists[0] if label_lists else ()
-        for row_idx, label in enumerate(labels):
+        for row_idx, label in enumerate(label_lists[0]):
             cells = [label] + [format_number(s.points[row_idx][1]) for s in struct.series]
             lines.append("| " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
@@ -449,7 +451,7 @@ class ChartGenConfig:
         if not self.kinds:
             raise ValueError("kinds must be non-empty")
         for word in self.text_pool:
-            if "|" in word or "\n" in word or not word:
+            if "|" in word or "\n" in word or not word or word != word.strip():
                 raise ValueError(f"pool text {word!r} not usable in every chart form")
 
 

@@ -23,8 +23,6 @@ from .corpus import Corpus, Sample, TaskKind
 from .metrics import MetricReport, score_corpus
 from .tiling import ImageDims
 
-WORKERS_ENV = "OCRKIT_WORKERS"
-
 METRIC_COLUMNS = (
     ("Edit Distance", "edit_distance"),
     ("F1-score", "f1"),
@@ -102,7 +100,7 @@ def _dims_list(text: str) -> list[ImageDims]:
 def cmd_score(args) -> int:
     refs = corpus.load_records(args.gt)
     hyps = corpus.load_records(args.pred)
-    report = score_corpus(refs, hyps, args.granularity, workers=args.workers)
+    report = score_corpus(refs, hyps, args.granularity)
     _emit_report(report, args)
     return 0
 
@@ -386,12 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--granularity", choices=("word", "char"), default="word")
     p.add_argument("--style", choices=("text", "markdown"), default="text")
     p.add_argument("--json", default=None, help="also write a machine-readable report here")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=int(os.environ.get(WORKERS_ENV, "1")),
-        help=f"parallel scoring workers (env {WORKERS_ENV})",
-    )
 
     p = add("chart-score", cmd_chart_score, "score chart structured outputs with AP@tolerance")
     p.add_argument("--gt", required=True)

@@ -13,11 +13,8 @@ import math
 import re
 import unicodedata
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Literal
-
-import numpy as np
 
 from ._kernels import levenshtein
 
@@ -119,24 +116,12 @@ def _check_pair(ref: TokenSeq, hyp: TokenSeq) -> None:
         )
 
 
-def _encode_pair(ref: TokenSeq, hyp: TokenSeq) -> tuple[np.ndarray, np.ndarray]:
-    codes: dict[str, int] = {}
-    ref_ids = np.fromiter(
-        (codes.setdefault(t, len(codes)) for t in ref.tokens), dtype=np.int64, count=len(ref)
-    )
-    hyp_ids = np.fromiter(
-        (codes.setdefault(t, len(codes)) for t in hyp.tokens), dtype=np.int64, count=len(hyp)
-    )
-    return ref_ids, hyp_ids
-
-
 def edit_distance_norm(ref: TokenSeq, hyp: TokenSeq) -> float:
     """Levenshtein distance over tokens divided by max(len(ref), len(hyp))."""
     _check_pair(ref, hyp)
     if not ref.tokens and not hyp.tokens:
         return 0.0
-    ref_ids, hyp_ids = _encode_pair(ref, hyp)
-    return levenshtein(ref_ids, hyp_ids) / max(len(ref), len(hyp))
+    return levenshtein(ref.tokens, hyp.tokens) / max(len(ref), len(hyp))
 
 
 def prf(ref: TokenSeq, hyp: TokenSeq) -> tuple[float, float, float]:
@@ -266,13 +251,12 @@ def score_corpus(
     hyps: "Corpus",
     granularity: Granularity,
     tokenizer: Tokenizer = tokenize,
-    workers: int = 1,
 ) -> MetricReport:
     """Macro-average the six metrics over paired-by-id corpora.
 
     ``hyps`` must carry exactly one record per reference id, with the
-    predicted text in its ground_truth field. Aggregation always sums in
-    sorted id order, so results do not depend on the worker count.
+    predicted text in its ground_truth field. Aggregation sums in sorted id
+    order, so the result does not depend on record order.
     """
     _check_granularity(granularity)
     ref_by_id = {s.id: s for s in refs.samples}
@@ -287,16 +271,12 @@ def score_corpus(
     if not ids:
         raise ValueError("cannot score an empty corpus")
 
-    def one(sid: str) -> MetricReport:
-        return score_texts(
+    reports = [
+        score_texts(
             ref_by_id[sid].ground_truth, hyp_by_id[sid].ground_truth, granularity, tokenizer
         )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(one, ids))
-    else:
-        reports = [one(sid) for sid in ids]
+        for sid in ids
+    ]
 
     n = len(reports)
     return MetricReport(

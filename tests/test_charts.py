@@ -121,6 +121,50 @@ def test_round_trip_both_forms():
             assert parse_chart_output(serialize_chart_struct(struct, form)) == struct
 
 
+_CHART_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",)) | st.sampled_from(" \t\n|:'\"\\"), max_size=6
+)
+
+
+@st.composite
+def _chart_texts(draw):
+    # dict-form text of a chart with shared labels, so the table form can apply
+    labels = draw(st.lists(_CHART_TEXT, max_size=4, unique=True))
+    names = draw(st.lists(_CHART_TEXT, max_size=3, unique=True))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    series = tuple(Series(n, tuple((label, draw(values)) for label in labels)) for n in names)
+    meta = {k: draw(st.none() | _CHART_TEXT) for k in ("title", "source", "x_title", "y_title")}
+    return serialize_chart_struct(ChartStruct(series, **meta), "dict")
+
+
+@given(_chart_texts(), st.sampled_from(["dict", "table"]))
+@settings(max_examples=300, deadline=None)
+def test_round_trip_property_parse_serialize_parse(text, form):
+    try:
+        struct = parse_chart_output(text)
+    except ChartParseError:
+        return  # names or labels that collide once stripped
+    try:
+        out = serialize_chart_struct(struct, form)
+    except ValueError:
+        assert form == "table"  # the dict form holds every chart
+        return
+    assert parse_chart_output(out) == struct
+
+
+def test_serialize_table_rejects_edge_whitespace_metadata():
+    struct = _struct([("a", 1.0)], title="region ")
+    assert parse_chart_output(serialize_chart_struct(struct, "dict")) == struct
+    for value in ("region ", "\tregion", " "):
+        with pytest.raises(ValueError, match="title"):
+            serialize_chart_struct(_struct([("a", 1.0)], title=value), "table")
+
+
+def test_serialize_table_rejects_no_series():
+    with pytest.raises(ValueError, match="at least one series"):
+        serialize_chart_struct(ChartStruct(title="t"), "table")
+
+
 def test_serialize_table_requires_uniform_labels():
     struct = ChartStruct(
         series=(Series("a", (("x", 1.0),)), Series("b", (("y", 2.0),)))
@@ -253,6 +297,8 @@ def test_gen_config_validation():
         ChartGenConfig(value_range=(5.0, 1.0))
     with pytest.raises(ValueError):
         ChartGenConfig(text_pool=("bad|pipe",))
+    with pytest.raises(ValueError):
+        ChartGenConfig(text_pool=("padded ",))
 
 
 def test_render_spec_format():

@@ -196,6 +196,16 @@ def test_dedup_keeps_abcd_vs_abcf():
     assert len(dedup_filter(test, train, 0.75)) == 0
 
 
+def test_dedup_similarity_equal_to_threshold_drops():
+    # one substitution in ten chars gives similarity 1 - 1/10, which is 0.9
+    # exactly; a sample survives only if every similarity is strictly below
+    train = _corpus(Sample(id="t", task_kind=TaskKind.PLAIN_DOC, ground_truth="abcdefghij"))
+    test = _corpus(_sample(1, "abcdefghiz"), _sample(2, "abcdefgyiz"))
+    assert 1.0 - 1 / 10 == 0.9
+    assert [s.id for s in dedup_filter(test, train, 0.9).samples] == ["s2"]
+    assert [s.id for s in dedup_filter(test, train, 0.8).samples] == []
+
+
 def test_dedup_empty_train_keeps_all():
     test = _corpus(_sample(1), _sample(2))
     assert dedup_filter(test, _corpus(), 0.5) == test

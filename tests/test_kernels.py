@@ -1,11 +1,11 @@
-"""Kernel equivalence: numba, numpy wavefront and plain-Python paths agree."""
+"""The bit-parallel Levenshtein kernel against two independent oracles."""
 
 import random
 
-import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ocrkit import _kernels
+from ocrkit._kernels import levenshtein
 
 
 def _naive(a, b):
@@ -19,46 +19,85 @@ def _naive(a, b):
     return 1 + min(_naive(a[1:], b), _naive(a, b[1:]), _naive(a[1:], b[1:]))
 
 
-def _random_pair(rng, max_len=12, alphabet=4):
-    a = np.array([rng.randrange(alphabet) for _ in range(rng.randrange(max_len + 1))], dtype=np.int64)
-    b = np.array([rng.randrange(alphabet) for _ in range(rng.randrange(max_len + 1))], dtype=np.int64)
-    return a, b
+def _plain_dp(a, b):
+    # two-row dynamic programme, one cell at a time
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, 1):
+        cur = [i]
+        for j, y in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y)))
+        prev = cur
+    return prev[-1]
+
+
+def _random_pair(rng, max_len, alphabet):
+    def one():
+        return tuple(str(rng.randrange(alphabet)) for _ in range(rng.randrange(max_len + 1)))
+
+    return one(), one()
+
+
+# multi-char, CJK, empty and whitespace tokens, few enough to force matches
+TOKENS = st.sampled_from(["a", "b", "ab", "the", "你", "好", "", " ", "𠀀"])
+LONG_SEQS = st.lists(TOKENS, max_size=320).map(tuple)
 
 
 def test_empty_cases():
-    empty = np.array([], dtype=np.int64)
-    three = np.array([1, 2, 3], dtype=np.int64)
-    for fn in (_kernels.levenshtein_numpy, _kernels.levenshtein_py, _kernels.levenshtein):
-        assert fn(empty, empty) == 0
-        assert fn(empty, three) == 3
-        assert fn(three, empty) == 3
-        assert fn(three, three) == 0
+    three = ("x", "yy", "你")
+    assert levenshtein((), ()) == 0
+    assert levenshtein((), three) == 3
+    assert levenshtein(three, ()) == 3
+    assert levenshtein(three, three) == 0
+    assert levenshtein(("",), ()) == 1
+    assert levenshtein(("",), ("",)) == 0
 
 
-def test_numpy_wavefront_matches_naive():
+def test_tokens_compare_whole():
+    # "ab" is one token, never the pair "a", "b"
+    assert levenshtein(("ab",), ("a", "b")) == 2
+    assert levenshtein(("ab", "c"), ("abc",)) == 2
+
+
+def test_matches_naive_on_short_pairs():
     rng = random.Random(1)
     for _ in range(400):
-        a, b = _random_pair(rng, max_len=8)
-        assert _kernels.levenshtein_numpy(a, b) == _naive(list(a), list(b))
+        a, b = _random_pair(rng, max_len=8, alphabet=4)
+        assert levenshtein(a, b) == _naive(a, b)
 
 
-def test_python_loop_matches_naive():
+def test_matches_plain_dp_across_word_boundaries():
+    # pattern lengths around 64 and 128 bits, with tiny and large alphabets
     rng = random.Random(2)
-    for _ in range(400):
-        a, b = _random_pair(rng, max_len=8)
-        assert _kernels.levenshtein_py(a, b) == _naive(list(a), list(b))
+    for _ in range(300):
+        a, b = _random_pair(rng, max_len=140, alphabet=rng.choice((1, 2, 7, 50)))
+        assert levenshtein(a, b) == _plain_dp(a, b)
 
 
-@pytest.mark.skipif(_kernels.levenshtein_numba is None, reason="numba backend unavailable")
-def test_numba_matches_numpy_on_longer_inputs():
-    rng = random.Random(3)
-    for _ in range(100):
-        a, b = _random_pair(rng, max_len=80, alphabet=10)
-        assert _kernels.levenshtein_numba(a, b) == _kernels.levenshtein_numpy(a, b)
+@settings(max_examples=150, deadline=None)
+@given(LONG_SEQS, LONG_SEQS)
+def test_property_matches_plain_dp_and_is_symmetric(a, b):
+    d = levenshtein(a, b)
+    assert d == _plain_dp(a, b)
+    assert d == levenshtein(b, a)
+    assert abs(len(a) - len(b)) <= d <= max(len(a), len(b))
 
 
-def test_active_backend_is_consistent():
-    assert _kernels.BACKEND in ("numba", "numpy")
-    rng = random.Random(4)
-    a, b = _random_pair(rng, max_len=30, alphabet=6)
-    assert _kernels.levenshtein(a, b) == _kernels.levenshtein_numpy(a, b)
+@settings(max_examples=20, deadline=None)
+@given(st.lists(TOKENS, min_size=300, max_size=330).map(tuple), st.data())
+def test_property_long_pattern_few_edits(a, data):
+    # bit vectors far wider than 64 bits, with a known upper bound on distance
+    b = list(a)
+    edits = data.draw(st.integers(0, 5))
+    for _ in range(edits):
+        i = data.draw(st.integers(0, len(b) - 1))
+        op = data.draw(st.sampled_from(("sub", "del", "ins")))
+        if op == "sub":
+            b[i] = "zz"
+        elif op == "del":
+            del b[i]
+        else:
+            b.insert(i, "zz")
+    b = tuple(b)
+    d = levenshtein(a, b)
+    assert d <= edits
+    assert d == _plain_dp(a, b) == levenshtein(b, a)
