@@ -1,74 +1,87 @@
-"""ocrkit: scoring and synthetic data engines for multi-format OCR benchmarks."""
+"""ocrkit: scoring and synthetic data engines for multi-format OCR benchmarks.
 
-from .charts import (
-    ApReport,
-    ChartGenConfig,
-    ChartParseError,
-    ChartStruct,
-    Series,
-    ap_report,
-    chart_ap,
-    gen_chart_struct,
-    parse_chart_output,
-    serialize_chart_struct,
-)
-from .corpus import (
-    Corpus,
-    CorpusFormatError,
-    Sample,
-    TaskKind,
-    dedup_filter,
-    load_records,
-    mix_stages,
-    save_records,
-)
-from .finegrained import (
-    BBox,
-    ColorPrompt,
-    CropSpec,
-    FrameSpec,
-    NormBox,
-    color_frame_spec,
-    crop_regions,
-    denormalize_box,
-    normalize_box,
-    reading_order_serialize,
-)
-from .geometry import (
-    GeomScene,
-    SceneConfig,
-    TikzDoc,
-    TikzParseError,
-    emit_tikz,
-    gen_scene,
-    parse_tikz_subset,
-)
-from .metrics import (
-    MetricReport,
-    TokenSeq,
-    bleu,
-    edit_distance_norm,
-    meteor,
-    prf,
-    score_corpus,
-    score_texts,
-    tokenize,
-)
-from .pagecompose import (
-    MultiPageSample,
-    PageSpec,
-    PasteLayout,
-    compose_multipage,
-    paste_handwriting_lines,
-    token_count,
-)
-from .tiling import ImageDims, StitchSpec, TilePlan, plan_tiles, stitch_pages
-from .validators import (
-    ValidationReport,
-    validate_kern,
-    validate_mathpix_markdown,
-    validate_smiles,
-    validate_tikz,
-)
+The public names below are loaded on first access (PEP 562), so importing
+the package, or running one CLI subcommand, loads only the submodules that
+are actually used.
+"""
+
+import importlib
+
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    "ApReport": "charts",
+    "ChartGenConfig": "charts",
+    "ChartParseError": "charts",
+    "ChartStruct": "charts",
+    "Series": "charts",
+    "ap_report": "charts",
+    "chart_ap": "charts",
+    "gen_chart_struct": "charts",
+    "parse_chart_output": "charts",
+    "serialize_chart_struct": "charts",
+    "Corpus": "corpus",
+    "CorpusFormatError": "corpus",
+    "Sample": "corpus",
+    "TaskKind": "corpus",
+    "dedup_filter": "corpus",
+    "load_records": "corpus",
+    "mix_stages": "corpus",
+    "save_records": "corpus",
+    "BBox": "finegrained",
+    "ColorPrompt": "finegrained",
+    "CropSpec": "finegrained",
+    "FrameSpec": "finegrained",
+    "NormBox": "finegrained",
+    "color_frame_spec": "finegrained",
+    "crop_regions": "finegrained",
+    "denormalize_box": "finegrained",
+    "normalize_box": "finegrained",
+    "reading_order_serialize": "finegrained",
+    "GeomScene": "geometry",
+    "SceneConfig": "geometry",
+    "TikzDoc": "geometry",
+    "TikzParseError": "geometry",
+    "emit_tikz": "geometry",
+    "gen_scene": "geometry",
+    "parse_tikz_subset": "geometry",
+    "MetricReport": "metrics",
+    "TokenSeq": "metrics",
+    "bleu": "metrics",
+    "edit_distance_norm": "metrics",
+    "meteor": "metrics",
+    "prf": "metrics",
+    "score_corpus": "metrics",
+    "score_texts": "metrics",
+    "tokenize": "metrics",
+    "MultiPageSample": "pagecompose",
+    "PageSpec": "pagecompose",
+    "PasteLayout": "pagecompose",
+    "compose_multipage": "pagecompose",
+    "paste_handwriting_lines": "pagecompose",
+    "token_count": "pagecompose",
+    "ImageDims": "tiling",
+    "StitchSpec": "tiling",
+    "TilePlan": "tiling",
+    "plan_tiles": "tiling",
+    "stitch_pages": "tiling",
+    "ValidationReport": "validators",
+    "validate_kern": "validators",
+    "validate_mathpix_markdown": "validators",
+    "validate_smiles": "validators",
+    "validate_tikz": "validators",
+}
+_SUBMODULES = frozenset(_EXPORTS.values())
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -378,8 +378,9 @@ def _escape(text: str) -> str:
 def chart_ap(preds: list[ChartStruct], gts: list[ChartStruct], tolerance: float) -> float:
     """Mean per-sample match rate of (series, label, value) triples.
 
-    A prediction matches an unused ground-truth item when series and label
-    agree exactly and |v_p - v_g| <= tolerance * max(|v_g|, 1e-9); each sample
+    A prediction matches the ground-truth item with the same series and label
+    when |v_p - v_g| <= tolerance * max(|v_g|, 1e-9); (series, label) keys are
+    unique within a chart, so each item matches at most once. Each sample
     scores matches / max(#pred, #gt), and 1.0 when both sides are empty.
     """
     if len(preds) != len(gts):
@@ -395,14 +396,12 @@ def chart_ap(preds: list[ChartStruct], gts: list[ChartStruct], tolerance: float)
         if not gt_items and not pred_items:
             total += 1.0
             continue
-        used: set[tuple[str, str]] = set()
         matches = 0
         for name, label, value in pred_items:
             key = (name, label)
-            if key in gt_items and key not in used:
+            if key in gt_items:
                 gt_value = gt_items[key]
                 if abs(value - gt_value) <= tolerance * max(abs(gt_value), AP_VALUE_FLOOR):
-                    used.add(key)
                     matches += 1
         total += matches / max(len(pred_items), len(gt_items))
     return total / len(preds)

@@ -16,12 +16,17 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import charts, corpus, finegrained, geometry, pagecompose, tiling, validators
-from .charts import ApReport, ChartGenConfig
+# Engine modules are imported by the subcommands that run them, so each
+# invocation loads only what it uses.
+from . import corpus
 from .corpus import Corpus, Sample, TaskKind
 from .metrics import MetricReport, score_corpus
-from .tiling import ImageDims
+
+if TYPE_CHECKING:
+    from .charts import ApReport
+    from .tiling import ImageDims
 
 METRIC_COLUMNS = (
     ("Edit Distance", "edit_distance"),
@@ -36,6 +41,9 @@ AP_COLUMNS = (
     ("AP@slight", "ap_slight"),
     ("AP@high", "ap_high"),
 )
+# The keys of validators.VALIDATORS, sorted; spelled out so building the
+# parser does not import the validators.
+VALIDATE_KINDS = ("kern", "markdown", "smiles", "tikz")
 
 GEOMETRY_PROMPT = "Transcribe the figure as TikZ:"
 CHART_PROMPT_DICT = "Convert the chart to a Python dict:"
@@ -83,6 +91,8 @@ def _emit_report(report: MetricReport | ApReport, args) -> None:
 
 
 def _dims(text: str) -> ImageDims:
+    from .tiling import ImageDims
+
     try:
         w, h = text.lower().split("x")
         return ImageDims(int(w), int(h))
@@ -106,30 +116,26 @@ def cmd_score(args) -> int:
 
 
 def cmd_chart_score(args) -> int:
-    refs = corpus.load_records(args.gt).by_id()
-    hyps = corpus.load_records(args.pred).by_id()
-    for sid in refs:
-        if sid not in hyps:
-            raise ValueError(f"missing prediction for id {sid!r}")
-    for sid in hyps:
-        if sid not in refs:
-            raise ValueError(f"unexpected prediction id {sid!r}")
-    ids = sorted(refs)
+    from . import charts
+
+    pairs = corpus.pair_by_id(corpus.load_records(args.gt), corpus.load_records(args.pred))
     gt_structs, pred_structs = [], []
-    for sid in ids:
+    for ref, hyp in pairs:
         try:
-            gt_structs.append(charts.parse_chart_output(refs[sid].ground_truth))
-            pred_structs.append(charts.parse_chart_output(hyps[sid].ground_truth))
+            gt_structs.append(charts.parse_chart_output(ref.ground_truth))
+            pred_structs.append(charts.parse_chart_output(hyp.ground_truth))
         except charts.ChartParseError as exc:
-            raise ValueError(f"sample {sid!r}: {exc}") from exc
+            raise ValueError(f"sample {ref.id!r}: {exc}") from exc
     report = charts.ap_report(pred_structs, gt_structs)
     _emit_report(report, args)
     return 0
 
 
 def cmd_tile_plan(args) -> int:
+    from . import tiling
+
     plan = tiling.plan_tiles(
-        ImageDims(args.width, args.height), args.max_tiles, thumbnail=not args.no_thumbnail
+        tiling.ImageDims(args.width, args.height), args.max_tiles, thumbnail=not args.no_thumbnail
     )
     suffix = " (+thumbnail)" if plan.include_thumbnail else ""
     print(f"{plan.grid_cols}x{plan.grid_rows}{suffix}")
@@ -146,6 +152,8 @@ def cmd_tile_plan(args) -> int:
 
 
 def cmd_stitch(args) -> int:
+    from . import tiling
+
     spec = tiling.stitch_pages(args.pages, args.orientation)
     print(f"{spec.canvas.width}x{spec.canvas.height}")
     for p in spec.placements:
@@ -177,6 +185,9 @@ def _load_jsonl(path: str) -> list[dict]:
 
 def cmd_make_finegrained(args) -> int:
     import random
+
+    from . import finegrained
+    from .tiling import ImageDims
 
     rng = random.Random(args.seed)
     samples = []
@@ -227,6 +238,8 @@ def cmd_make_finegrained(args) -> int:
 
 
 def cmd_compose_pages(args) -> int:
+    from . import pagecompose
+
     pool = []
     for row in _load_jsonl(args.pool):
         if "page_id" not in row or "text" not in row:
@@ -261,6 +274,8 @@ def cmd_compose_pages(args) -> int:
 
 
 def cmd_paste_layout(args) -> int:
+    from . import pagecompose
+
     layout = pagecompose.paste_handwriting_lines(args.slices, args.canvas, args.seed)
     obj = {
         "canvas": [layout.canvas.width, layout.canvas.height],
@@ -276,6 +291,8 @@ def cmd_paste_layout(args) -> int:
 
 
 def cmd_gen_geometry(args) -> int:
+    from . import geometry
+
     config = geometry.SceneConfig(
         n_elements=(args.min_elements, args.max_elements),
         bounds=(args.bound_lo, args.bound_hi),
@@ -300,11 +317,13 @@ def cmd_gen_geometry(args) -> int:
 
 
 def cmd_gen_chart(args) -> int:
-    pool = ChartGenConfig().text_pool
+    from . import charts
+
+    pool = charts.ChartGenConfig().text_pool
     if args.pool_file:
         words = [w.strip() for w in Path(args.pool_file).read_text(encoding="utf-8").splitlines()]
         pool = tuple(w for w in words if w)
-    config = ChartGenConfig(
+    config = charts.ChartGenConfig(
         value_range=(args.value_lo, args.value_hi), decimals=args.decimals, text_pool=pool
     )
     prompt = CHART_PROMPT_DICT if args.form == "dict" else CHART_PROMPT_TABLE
@@ -334,6 +353,8 @@ def cmd_gen_chart(args) -> int:
 
 
 def cmd_validate_format(args) -> int:
+    from . import validators
+
     if args.file == "-":
         text = sys.stdin.read()
     else:
@@ -445,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--specs-dir", default=None, help="write render specs under this directory")
 
     p = add("validate-format", cmd_validate_format, "validate a structured output file")
-    p.add_argument("--kind", choices=sorted(validators.VALIDATORS), required=True)
+    p.add_argument("--kind", choices=VALIDATE_KINDS, required=True)
     p.add_argument("file", nargs="?", default="-", help="input path, or - for stdin")
 
     p = add("dedup", cmd_dedup, "filter test samples too similar to training text")

@@ -176,6 +176,23 @@ def save_records(corpus: Corpus, path: str | Path) -> None:
     Path(path).write_text(dump_records(corpus), encoding="utf-8")
 
 
+def pair_by_id(refs: Corpus, hyps: Corpus) -> list[tuple[Sample, Sample]]:
+    """(reference, prediction) pairs matched by id, in sorted-id order.
+
+    ``hyps`` must carry exactly one record per reference id; a reference
+    without a prediction, or a prediction without a reference, is an error.
+    """
+    ref_by_id = refs.by_id()
+    hyp_by_id = hyps.by_id()
+    for sid in ref_by_id:
+        if sid not in hyp_by_id:
+            raise ValueError(f"missing prediction for id {sid!r}")
+    for sid in hyp_by_id:
+        if sid not in ref_by_id:
+            raise ValueError(f"unexpected prediction id {sid!r}")
+    return [(ref_by_id[sid], hyp_by_id[sid]) for sid in sorted(ref_by_id)]
+
+
 def dedup_filter(test: Corpus, train: Corpus, threshold: float) -> Corpus:
     """Drop test samples too similar to any training ground truth.
 

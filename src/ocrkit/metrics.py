@@ -258,24 +258,16 @@ def score_corpus(
     predicted text in its ground_truth field. Aggregation sums in sorted id
     order, so the result does not depend on record order.
     """
+    from .corpus import pair_by_id  # corpus imports this module
+
     _check_granularity(granularity)
-    ref_by_id = {s.id: s for s in refs.samples}
-    hyp_by_id = {s.id: s for s in hyps.samples}
-    for sid in ref_by_id:
-        if sid not in hyp_by_id:
-            raise ValueError(f"missing prediction for id {sid!r}")
-    for sid in hyp_by_id:
-        if sid not in ref_by_id:
-            raise ValueError(f"unexpected prediction id {sid!r}")
-    ids = sorted(ref_by_id)
-    if not ids:
+    pairs = pair_by_id(refs, hyps)
+    if not pairs:
         raise ValueError("cannot score an empty corpus")
 
     reports = [
-        score_texts(
-            ref_by_id[sid].ground_truth, hyp_by_id[sid].ground_truth, granularity, tokenizer
-        )
-        for sid in ids
+        score_texts(ref.ground_truth, hyp.ground_truth, granularity, tokenizer)
+        for ref, hyp in pairs
     ]
 
     n = len(reports)

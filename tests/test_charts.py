@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocrkit.charts import (
+    AP_TOLERANCES,
+    AP_VALUE_FLOOR,
     ApReport,
     ChartGenConfig,
     ChartParseError,
@@ -262,6 +264,49 @@ def test_chart_ap_sample_permutation_symmetric():
     assert chart_ap([preds[i] for i in order], [gts[i] for i in order], 0.05) == pytest.approx(
         base, abs=1e-12
     )
+
+
+def _brute_force_ap(preds, gts, tolerance):
+    """chart_ap's definition, comparing every predicted triple with every true one."""
+    if not preds:
+        return 0.0
+    total = 0.0
+    for pred, gt in zip(preds, gts):
+        pred_items, gt_items = pred.items(), gt.items()
+        if not pred_items and not gt_items:
+            total += 1.0
+            continue
+        matches = sum(
+            any(
+                (name, label) == (gt_name, gt_label)
+                and abs(value - gt_value) <= tolerance * max(abs(gt_value), AP_VALUE_FLOOR)
+                for gt_name, gt_label, gt_value in gt_items
+            )
+            for name, label, value in pred_items
+        )
+        total += matches / max(len(pred_items), len(gt_items))
+    return total / len(preds)
+
+
+# Few keys and a few values near each other, so matches and near misses are common.
+_AP_KEY = st.sampled_from(("a", "b", "c"))
+_AP_VALUE = st.sampled_from((0.0, 1e-10, 1.0, -1.0, 95.0, 100.0, 104.0, 105.0, 110.0))
+_AP_CHART = st.dictionaries(_AP_KEY, st.dictionaries(_AP_KEY, _AP_VALUE), max_size=3).map(
+    lambda series: ChartStruct(
+        tuple(Series(name, tuple(points.items())) for name, points in series.items())
+    )
+)
+
+
+@given(
+    st.lists(st.tuples(_AP_CHART, _AP_CHART), max_size=4),
+    st.sampled_from(tuple(AP_TOLERANCES.values())),
+)
+@settings(max_examples=300, deadline=None)
+def test_chart_ap_equals_brute_force_count(pairs, tolerance):
+    preds = [pred for pred, _ in pairs]
+    gts = [gt for _, gt in pairs]
+    assert chart_ap(preds, gts, tolerance) == _brute_force_ap(preds, gts, tolerance)
 
 
 # --- generator --------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """CLI behaviour: exit codes, report shapes, atomic output, determinism."""
 
+import argparse
 import json
 
 import pytest
 
+from ocrkit import validators
 from ocrkit.charts import ApReport
-from ocrkit.cli import main, render_report
+from ocrkit.cli import VALIDATE_KINDS, build_parser, main, render_report
 from ocrkit.corpus import Corpus, Sample, TaskKind, load_records, save_records
 from ocrkit.metrics import MetricReport
 
@@ -88,6 +90,15 @@ def test_chart_score_cli(tmp_path, capsys):
     rc = main(["chart-score", "--gt", str(gt), "--pred", str(gt)])
     assert rc == 0
     assert "AP@strict" in capsys.readouterr().out
+
+
+def test_chart_score_empty_files_score_zero(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert main(["chart-score", "--gt", str(empty), "--pred", str(empty)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["AP@strict", "0.000"]
+    assert lines[-1].split() == ["samples", "0"]
 
 
 def test_chart_score_parse_error_names_sample(tmp_path, capsys):
@@ -245,3 +256,29 @@ def test_unreadable_input_is_reported(tmp_path, capsys):
                "--pred", str(tmp_path / "ghost.jsonl")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+# --- import surface ----------------------------------------------------------------------
+
+
+def test_cli_import_loads_only_the_scoring_modules(ocrkit_modules_after):
+    assert ocrkit_modules_after("import ocrkit.cli") == [
+        "ocrkit", "ocrkit._kernels", "ocrkit.cli", "ocrkit.corpus", "ocrkit.metrics",
+    ]
+
+
+def _subcommands():
+    [action] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sorted(action.choices)
+
+
+@pytest.mark.parametrize("sub", _subcommands())
+def test_every_subcommand_help_exits_zero(sub, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: ocrkit {sub} ")
+
+
+def test_validate_kinds_are_the_validators():
+    assert VALIDATE_KINDS == tuple(sorted(validators.VALIDATORS))

@@ -15,6 +15,7 @@ from ocrkit.corpus import (
     dump_records,
     load_records,
     mix_stages,
+    pair_by_id,
     save_records,
 )
 
@@ -177,6 +178,25 @@ def test_round_trip_property(rows):
         )
     )
     assert reparsed == corpus
+
+
+# --- pairing by id ------------------------------------------------------------------
+
+
+def test_pair_by_id_in_sorted_id_order():
+    refs = _corpus(_sample(2, "ref two"), _sample(1, "ref one"))
+    hyps = _corpus(_sample(1, "hyp one"), _sample(2, "hyp two"))
+    pairs = [(ref.ground_truth, hyp.ground_truth) for ref, hyp in pair_by_id(refs, hyps)]
+    assert pairs == [("ref one", "hyp one"), ("ref two", "hyp two")]
+    assert pair_by_id(_corpus(), _corpus()) == []
+
+
+def test_pair_by_id_rejects_missing_and_unexpected_ids():
+    refs = _corpus(_sample(1), _sample(2))
+    with pytest.raises(ValueError, match="^missing prediction for id 's2'$"):
+        pair_by_id(refs, _corpus(_sample(1)))
+    with pytest.raises(ValueError, match="^unexpected prediction id 's3'$"):
+        pair_by_id(refs, _corpus(_sample(1), _sample(2), _sample(3)))
 
 
 # --- dedup ------------------------------------------------------------------------
