@@ -15,11 +15,12 @@ import math
 import random
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 AP_TOLERANCES = {"strict": 0.0, "slight": 0.05, "high": 0.10}
 AP_VALUE_FLOOR = 1e-9
 
-_META_KEYS = {"title", "source", "x_title", "y_title"}
+_META_KEYS = ("title", "source", "x_title", "y_title")
 
 
 class ChartParseError(ValueError):
@@ -151,92 +152,54 @@ class _DictScanner:
         self.pos = m.end()
         return float(m.group())
 
+    def read_map(
+        self, what: str, value: Callable[[str, int], object], strip: bool = True
+    ) -> dict[str, object]:
+        """Read ``{ "key": value, ... }`` (trailing comma allowed) into an ordered dict.
+
+        ``value(key, key_pos)`` reads each value after its ``:``; a repeated
+        key is reported at its position before the ``:`` is looked for.
+        """
+        out: dict[str, object] = {}
+        self.expect("{")
+        while self.peek() != "}":
+            key_pos = self.pos
+            key = self.string()
+            if strip:
+                key = key.strip()
+            if key in out:
+                raise self.error(f"duplicate {what} {key!r}", key_pos)
+            self.expect(":")
+            out[key] = value(key, key_pos)
+            if self.peek() == ",":
+                self.pos += 1
+            elif self.peek() != "}":
+                raise self.error("expected ',' or '}'")
+        self.pos += 1
+        return out
+
 
 def _parse_dict_form(text: str) -> ChartStruct:
     scanner = _DictScanner(text)
-    meta: dict[str, str] = {}
-    series: list[Series] = []
-    seen_values = False
-    scanner.expect("{")
-    while True:
-        if scanner.peek() == "}":
-            scanner.pos += 1
-            break
-        scanner.skip_ws()
-        key_pos = scanner.pos
-        key = scanner.string()
-        scanner.expect(":")
+
+    def points(name: str, pos: int) -> Series:
+        values = scanner.read_map("label", lambda label, pos: scanner.number())
+        return Series(name, tuple(values.items()))
+
+    def field(key: str, pos: int) -> str | tuple[Series, ...]:
         if key == "values":
-            if seen_values:
-                raise scanner.error("duplicate key 'values'", key_pos)
-            series = _parse_values(scanner)
-            seen_values = True
-        elif key in _META_KEYS:
-            if key in meta:
-                raise scanner.error(f"duplicate key {key!r}", key_pos)
-            meta[key] = scanner.string()
-        else:
-            raise scanner.error(f"unknown key {key!r}", key_pos)
-        ch = scanner.peek()
-        if ch == ",":
-            scanner.pos += 1
-        elif ch != "}":
-            raise scanner.error("expected ',' or '}'")
+            return tuple(scanner.read_map("series name", points).values())
+        if key in _META_KEYS:
+            return scanner.string()
+        raise scanner.error(f"unknown key {key!r}", pos)
+
+    meta = scanner.read_map("key", field, strip=False)
     scanner.skip_ws()
     if scanner.pos != len(scanner.text):
         raise scanner.error("unexpected text after the closing '}'")
-    if not seen_values:
+    if "values" not in meta:
         raise scanner.error("missing 'values' map", 0)
-    return ChartStruct(
-        series=tuple(series),
-        title=meta.get("title"),
-        source=meta.get("source"),
-        x_title=meta.get("x_title"),
-        y_title=meta.get("y_title"),
-    )
-
-
-def _parse_values(scanner: _DictScanner) -> list[Series]:
-    series: list[Series] = []
-    names: set[str] = set()
-    scanner.expect("{")
-    while True:
-        if scanner.peek() == "}":
-            scanner.pos += 1
-            return series
-        scanner.skip_ws()
-        name_pos = scanner.pos
-        name = scanner.string().strip()
-        if name in names:
-            raise scanner.error(f"duplicate series name {name!r}", name_pos)
-        names.add(name)
-        scanner.expect(":")
-        points: list[tuple[str, float]] = []
-        labels: set[str] = set()
-        scanner.expect("{")
-        while True:
-            if scanner.peek() == "}":
-                scanner.pos += 1
-                break
-            scanner.skip_ws()
-            label_pos = scanner.pos
-            label = scanner.string().strip()
-            if label in labels:
-                raise scanner.error(f"duplicate label {label!r}", label_pos)
-            labels.add(label)
-            scanner.expect(":")
-            points.append((label, scanner.number()))
-            ch = scanner.peek()
-            if ch == ",":
-                scanner.pos += 1
-            elif ch != "}":
-                raise scanner.error("expected ',' or '}'")
-        series.append(Series(name, tuple(points)))
-        ch = scanner.peek()
-        if ch == ",":
-            scanner.pos += 1
-        elif ch != "}":
-            raise scanner.error("expected ',' or '}'")
+    return ChartStruct(series=meta.pop("values"), **meta)
 
 
 def _split_row(line: str) -> list[str]:
@@ -297,29 +260,18 @@ def _parse_table_form(text: str) -> ChartStruct:
                 raise ChartParseError(idx + 1, 1, f"non-numeric value cell {cell!r}")
             columns[col].append((label, float(cell)))
     return ChartStruct(
-        series=tuple(Series(name, tuple(col)) for name, col in zip(names, columns)),
-        title=meta.get("title"),
-        source=meta.get("source"),
-        x_title=meta.get("x_title"),
-        y_title=meta.get("y_title"),
+        series=tuple(Series(name, tuple(col)) for name, col in zip(names, columns)), **meta
     )
 
 
 def parse_chart_output(text: str) -> ChartStruct:
     """Parse either documented chart form into a canonical ChartStruct."""
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        try:
-            return _parse_dict_form(text)
-        except ValueError as exc:
-            if isinstance(exc, ChartParseError):
-                raise
-            raise ChartParseError(1, 1, str(exc)) from exc
+    parse = _parse_dict_form if text.lstrip().startswith("{") else _parse_table_form
     try:
-        return _parse_table_form(text)
+        return parse(text)
+    except ChartParseError:
+        raise
     except ValueError as exc:
-        if isinstance(exc, ChartParseError):
-            raise
         raise ChartParseError(1, 1, str(exc)) from exc
 
 
@@ -332,7 +284,7 @@ def serialize_chart_struct(struct: ChartStruct, form: str = "dict") -> str:
     """Canonical text for a ChartStruct; parse_chart_output inverts it."""
     if form == "dict":
         parts = []
-        for key in ("title", "source", "x_title", "y_title"):
+        for key in _META_KEYS:
             value = getattr(struct, key)
             if value is not None:
                 parts.append(f'"{key}": "{_escape(value)}"')
@@ -354,7 +306,7 @@ def serialize_chart_struct(struct: ChartStruct, form: str = "dict") -> str:
             if "|" in name or "\n" in name:
                 raise ValueError(f"table form cannot hold {name!r}")
         lines = []
-        for key in ("title", "source", "x_title", "y_title"):
+        for key in _META_KEYS:
             value = getattr(struct, key)
             if value is not None:
                 # the parser strips metadata values, so edge whitespace cannot survive
@@ -425,30 +377,24 @@ DEFAULT_TEXT_POOL = (
 )
 
 
+N_SERIES = (1, 3)
+N_POINTS = (2, 6)
+CHART_KINDS = ("bar", "line")
+
+
 @dataclass(frozen=True)
 class ChartGenConfig:
-    n_series: tuple[int, int] = (1, 3)
-    n_points: tuple[int, int] = (2, 6)
     value_range: tuple[float, float] = (0.0, 1000.0)
     decimals: int = 2
     text_pool: tuple[str, ...] = DEFAULT_TEXT_POOL
-    kinds: tuple[str, ...] = ("bar", "line")
 
     def __post_init__(self):
         if not self.text_pool:
             raise ValueError("text_pool must be non-empty")
-        for lo, hi, what in (
-            (*self.n_series, "n_series"),
-            (*self.n_points, "n_points"),
-        ):
-            if lo < 1 or lo > hi:
-                raise ValueError(f"bad {what} range ({lo}, {hi})")
         if self.value_range[0] > self.value_range[1]:
             raise ValueError(f"bad value_range {self.value_range}")
         if self.decimals < 0:
             raise ValueError("decimals must be >= 0")
-        if not self.kinds:
-            raise ValueError("kinds must be non-empty")
         for word in self.text_pool:
             if "|" in word or "\n" in word or not word or word != word.strip():
                 raise ValueError(f"pool text {word!r} not usable in every chart form")
@@ -483,10 +429,10 @@ def gen_chart_struct(
     plotting tools.
     """
     rng = random.Random(seed)
-    kind = rng.choice(config.kinds)
+    kind = rng.choice(CHART_KINDS)
     title, source, x_title, y_title = (rng.choice(config.text_pool) for _ in range(4))
-    n_series = rng.randint(*config.n_series)
-    n_points = rng.randint(*config.n_points)
+    n_series = rng.randint(*N_SERIES)
+    n_points = rng.randint(*N_POINTS)
     names = _distinct_names(rng, config.text_pool, n_series)
     labels = _distinct_names(rng, config.text_pool, n_points)
     lo, hi = config.value_range

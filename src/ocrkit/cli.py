@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -53,9 +54,18 @@ MULTIPAGE_PROMPT = "OCR the pages in order:"
 
 def _write_text_atomic(path: str | Path, text: str) -> None:
     path = Path(path)
+    # mkstemp creates the file 0600; give it the mode open(path, "w") would leave:
+    # an existing file's own mode, else 0666 less the umask
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            os.fchmod(fd, mode)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -177,10 +187,23 @@ def _load_jsonl(path: str) -> list[dict]:
         if not raw.strip():
             continue
         try:
-            rows.append(json.loads(raw))
+            row = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(row, dict):
+            raise ValueError(f"{path}: line {lineno}: expected a JSON object")
+        rows.append(row)
     return rows
+
+
+def _check_text_fields(path: str, what: str, row: dict) -> None:
+    """Reject a row whose text is not a string or whose image_ref is neither
+    a string nor null, before it reaches a record."""
+    if not isinstance(row["text"], str):
+        raise ValueError(f"{path}: {what}: 'text' must be a string")
+    image_ref = row.get("image_ref")
+    if image_ref is not None and not isinstance(image_ref, str):
+        raise ValueError(f"{path}: {what}: 'image_ref' must be a string or null")
 
 
 def cmd_make_finegrained(args) -> int:
@@ -197,8 +220,12 @@ def cmd_make_finegrained(args) -> int:
                 raise ValueError(f"{args.input}: annotation {row.get('id', '?')!r} missing {field!r}")
         if not isinstance(row["box"], list) or len(row["box"]) != 4:
             raise ValueError(f"{args.input}: annotation {row['id']!r}: box must be [x1, y1, x2, y2]")
-        dims = ImageDims(int(row["width"]), int(row["height"]))
-        box = finegrained.BBox(*(float(v) for v in row["box"]))
+        _check_text_fields(args.input, f"annotation {row['id']!r}", row)
+        try:
+            dims = ImageDims(int(row["width"]), int(row["height"]))
+            box = finegrained.BBox(*(float(v) for v in row["box"]))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{args.input}: annotation {row['id']!r}: {exc}") from exc
         meta = {
             "source_box": ",".join(str(v) for v in row["box"]),
             "image_width": str(dims.width),
@@ -244,6 +271,7 @@ def cmd_compose_pages(args) -> int:
     for row in _load_jsonl(args.pool):
         if "page_id" not in row or "text" not in row:
             raise ValueError(f"{args.pool}: pool records need page_id and text fields")
+        _check_text_fields(args.pool, f"page {row['page_id']!r}", row)
         pool.append(
             pagecompose.PageSpec.from_text(str(row["page_id"]), row["text"], row.get("image_ref", ""))
         )

@@ -453,7 +453,6 @@ class SceneConfig:
     n_elements: tuple[int, int] = (1, 6)
     bounds: tuple[int, int] = (-10, 10)
     kinds: tuple[str, ...] = ALL_KINDS
-    combined: bool = True
 
     def __post_init__(self):
         if not self.kinds:
@@ -484,12 +483,7 @@ class _SceneBuilder:
         return canon_decimal(Decimal(self.rng.randint(25, hi * 100)) / 100)
 
     def point(self, fresh: bool = False) -> Point:
-        if (
-            not fresh
-            and self.config.combined
-            and self.pool
-            and self.rng.random() < 0.5
-        ):
+        if not fresh and self.pool and self.rng.random() < 0.5:
             return self.rng.choice(self.pool)
         p = Point(self.coord(), self.coord())
         self.pool.append(p)

@@ -38,8 +38,9 @@ _CJK_RANGES = (
 )
 
 _CJK_CLASS = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_RANGES)
-_WORD_RE = re.compile(f"[{_CJK_CLASS}]|[^\\s{_CJK_CLASS}]+")
-_CHAR_RE = re.compile(r"\S")
+# A run of non-space, non-CJK characters, else one non-space (thus CJK)
+# character; the class appears once, which halves the compile time.
+_WORD_RE = re.compile(f"[^\\s{_CJK_CLASS}]+|\\S")
 
 # METEOR parameters (fixed): F-mean weight, penalty exponent, penalty weight.
 METEOR_ALPHA = 0.9
@@ -98,7 +99,7 @@ def tokenize(text: str, granularity: Granularity) -> TokenSeq:
     _check_granularity(granularity)
     text = unicodedata.normalize("NFC", text)
     if granularity == "char":
-        tokens = _CHAR_RE.findall(text)
+        tokens = "".join(text.split())
     elif text.isascii():
         tokens = text.split()
     else:

@@ -65,26 +65,24 @@ def compose_multipage(
     pool: list[PageSpec],
     n_pages: int,
     seed: int,
-    separator: str = PAGE_SEPARATOR,
-    max_page_tokens: int = MAX_PAGE_TOKENS,
     budget: int = TOTAL_TOKEN_BUDGET,
 ) -> MultiPageSample:
     """Deterministically sample pages and join them under the token budget.
 
     Pool indices are shuffled under the seed and walked in order; a page is
-    accepted if it is eligible (token_count < max_page_tokens, no separator
+    accepted if it is eligible (token_count < MAX_PAGE_TOKENS, no separator
     line inside) and keeps the running joined-text total within the budget.
     """
     if not MIN_PAGES <= n_pages <= MAX_PAGES:
         raise ValueError(f"n_pages must be in [{MIN_PAGES}, {MAX_PAGES}], got {n_pages}")
     eligible = [
-        p for p in pool if p.token_count < max_page_tokens and separator not in p.text
+        p for p in pool if p.token_count < MAX_PAGE_TOKENS and PAGE_SEPARATOR not in p.text
     ]
     if len(eligible) < n_pages:
         raise ValueError(
             f"insufficient eligible pages: need {n_pages}, pool has {len(eligible)}"
         )
-    sep_tokens = token_count(separator)
+    sep_tokens = token_count(PAGE_SEPARATOR)
     indices = list(range(len(eligible)))
     random.Random(seed).shuffle(indices)
     chosen: list[PageSpec] = []
@@ -100,26 +98,20 @@ def compose_multipage(
             break
     if len(chosen) < n_pages:
         raise ValueError(f"token budget {budget} cannot be satisfied with {n_pages} pages")
-    joined = f"\n{separator}\n".join(p.text for p in chosen)
+    joined = f"\n{PAGE_SEPARATOR}\n".join(p.text for p in chosen)
     return MultiPageSample(tuple(chosen), joined, token_count(joined))
 
 
-def split_multipage(joined_text: str, separator: str = PAGE_SEPARATOR) -> list[str]:
+def split_multipage(joined_text: str) -> list[str]:
     """Recover the page texts of a composed sample."""
-    return joined_text.split(f"\n{separator}\n")
+    return joined_text.split(f"\n{PAGE_SEPARATOR}\n")
 
 
-def paste_handwriting_lines(
-    slices: list[ImageDims],
-    canvas: ImageDims,
-    seed: int,
-    margin: int = PASTE_MARGIN,
-    gap_range: tuple[int, int] = PASTE_GAP_RANGE,
-) -> PasteLayout:
+def paste_handwriting_lines(slices: list[ImageDims], canvas: ImageDims, seed: int) -> PasteLayout:
     """Stack 6-8 slices top to bottom with seeded jitter, no overlaps.
 
     Each slice keeps its input-order position; the x offset is drawn uniformly
-    within the margins and a gap in gap_range precedes every slice after the
+    within the margins and a gap in PASTE_GAP_RANGE precedes every slice after the
     first. Fails if the column does not fit the canvas height.
     """
     if not MIN_SLICES <= len(slices) <= MAX_SLICES:
@@ -127,20 +119,20 @@ def paste_handwriting_lines(
             f"slice count must be in [{MIN_SLICES}, {MAX_SLICES}], got {len(slices)}"
         )
     for s in slices:
-        if s.width > canvas.width - 2 * margin:
+        if s.width > canvas.width - 2 * PASTE_MARGIN:
             raise ValueError(
                 f"slice {s.width}x{s.height} exceeds canvas width {canvas.width} minus margins"
             )
     rng = random.Random(seed)
     placements = []
-    y = margin
+    y = PASTE_MARGIN
     for i, s in enumerate(slices):
         if i > 0:
-            y += rng.randint(*gap_range)
-        x = rng.randint(margin, canvas.width - margin - s.width)
+            y += rng.randint(*PASTE_GAP_RANGE)
+        x = rng.randint(PASTE_MARGIN, canvas.width - PASTE_MARGIN - s.width)
         placements.append((i, x, y, s.width, s.height))
         y += s.height
-    if y > canvas.height - margin:
+    if y > canvas.height - PASTE_MARGIN:
         raise ValueError(
             f"cumulative slice height {y} exceeds canvas height {canvas.height} minus margin"
         )

@@ -49,9 +49,6 @@ def _make_issue(lines: list[str], line: int, column: int, code: str, message: st
 
 # --- Mathpix-flavoured markdown -------------------------------------------
 
-# Delimiter families checked by default; pass a subset to narrow them.
-DEFAULT_MATH_DELIMS = frozenset({"paren", "bracket", "dollar", "double_dollar"})
-
 _ENV_RE = re.compile(r"\\(begin|end)\{([^}]*)\}")
 _OPEN_FOR = {"\\)": "\\(", "\\]": "\\["}
 
@@ -60,9 +57,7 @@ def _split_cells(line: str) -> list[str]:
     return [c.strip() for c in line.strip().strip("|").split("|")]
 
 
-def validate_mathpix_markdown(
-    text: str, math_delims: frozenset[str] = DEFAULT_MATH_DELIMS
-) -> ValidationReport:
+def validate_mathpix_markdown(text: str) -> ValidationReport:
     """Check math delimiter balance, environment pairing, table arity and
     code-fence termination."""
     lines = _lines_of(text)
@@ -125,9 +120,9 @@ def validate_mathpix_markdown(
             ch = line[j]
             if ch == "\\" and j + 1 < len(line):
                 tok = line[j : j + 2]
-                if tok in ("\\(", "\\[") and _family(tok) in math_delims:
+                if tok in ("\\(", "\\["):
                     bracket_stack.append((tok, i + 1, j + 1))
-                elif tok in ("\\)", "\\]") and _family(tok) in math_delims:
+                elif tok in ("\\)", "\\]"):
                     if bracket_stack and bracket_stack[-1][0] == _OPEN_FOR[tok]:
                         bracket_stack.pop()
                     else:
@@ -140,12 +135,10 @@ def validate_mathpix_markdown(
                 continue
             if ch == "$":
                 if line.startswith("$$", j):
-                    if "double_dollar" in math_delims:
-                        ddollar_open = None if ddollar_open else (i + 1, j + 1)
+                    ddollar_open = None if ddollar_open else (i + 1, j + 1)
                     j += 2
                     continue
-                if "dollar" in math_delims:
-                    dollar_open = None if dollar_open else (i + 1, j + 1)
+                dollar_open = None if dollar_open else (i + 1, j + 1)
             j += 1
     for tok, line_no, col in bracket_stack:
         issues.append(_make_issue(lines, line_no, col, "MATH_UNBALANCED", f"unclosed {tok}"))
@@ -173,10 +166,6 @@ def validate_mathpix_markdown(
                 )
             )
     return ValidationReport.from_issues(issues)
-
-
-def _family(tok: str) -> str:
-    return "paren" if tok in ("\\(", "\\)") else "bracket"
 
 
 # --- SMILES -----------------------------------------------------------------

@@ -81,6 +81,12 @@ def test_parse_dict_duplicate_label():
         parse_chart_output('{"values": {"s": {"a": 1, "a": 2}}}')
 
 
+def test_parse_dict_duplicate_top_level_key_reported_before_colon():
+    with pytest.raises(ChartParseError) as exc:
+        parse_chart_output('{"title": "a", "title": "b", "values": {}}')
+    assert str(exc.value) == "1:16: duplicate key 'title'"
+
+
 def test_parse_dict_unknown_key():
     with pytest.raises(ChartParseError, match="unknown key"):
         parse_chart_output('{"subtitle": "x", "values": {}}')
@@ -336,8 +342,6 @@ def test_gen_uses_text_pool():
 def test_gen_config_validation():
     with pytest.raises(ValueError):
         ChartGenConfig(text_pool=())
-    with pytest.raises(ValueError):
-        ChartGenConfig(n_series=(0, 2))
     with pytest.raises(ValueError):
         ChartGenConfig(value_range=(5.0, 1.0))
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import stat
 
 import pytest
 
@@ -194,6 +195,59 @@ def test_make_finegrained_color_mode(tmp_path, capsys):
     assert sample.task_kind == TaskKind.FINE_GRAINED_COLOR
     assert sample.meta["frame_color"] in ("red", "green", "blue")
     assert sample.meta["frame_color"] in sample.prompt
+
+
+_ANNOTATION = {"id": "a1", "width": 1000, "height": 500, "box": [10, 20, 400, 100], "text": "hi"}
+
+
+@pytest.mark.parametrize(
+    "line, where",
+    [
+        ("[1, 2]", "line 2: expected a JSON object"),
+        (json.dumps({**_ANNOTATION, "width": None}), "annotation 'a1': "),
+        (json.dumps({**_ANNOTATION, "text": 7}), "annotation 'a1': 'text' must be a string"),
+        (json.dumps({**_ANNOTATION, "image_ref": 7}), "annotation 'a1': 'image_ref' must be"),
+    ],
+    ids=["array-line", "null-width", "int-text", "int-image-ref"],
+)
+def test_make_finegrained_rejects_bad_annotation(tmp_path, capsys, line, where):
+    anno = tmp_path / "anno.jsonl"
+    anno.write_text(json.dumps({**_ANNOTATION, "id": "a0"}) + "\n" + line + "\n")
+    out = tmp_path / "fg.jsonl"
+    assert main(["make-finegrained", "--input", str(anno), "--out", str(out)]) == 1
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"error: {anno}: {where}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line, where",
+    [
+        ("5", "line 2: expected a JSON object"),
+        (json.dumps({"page_id": "p1", "text": 5}), "page 'p1': 'text' must be a string"),
+    ],
+    ids=["number-line", "int-text"],
+)
+def test_compose_pages_rejects_bad_pool_record(tmp_path, capsys, line, where):
+    pool = tmp_path / "pool.jsonl"
+    pool.write_text(json.dumps({"page_id": "p0", "text": "one page"}) + "\n" + line + "\n")
+    out = tmp_path / "mp.jsonl"
+    assert main(["compose-pages", "--pool", str(pool), "--n", "2", "--out", str(out)]) == 1
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"error: {pool}: {where}")
+    assert not out.exists()
+
+
+def test_output_files_get_the_plain_open_mode(tmp_path, capsys):
+    plain = tmp_path / "plain.jsonl"
+    _write_corpus(plain, ["some text"])
+    out = tmp_path / "geom.jsonl"
+    assert main(["gen-geometry", "--n", "1", "--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    # rewriting keeps the file's own mode, as open(path, "w") does
+    out.chmod(0o640)
+    assert main(["gen-geometry", "--n", "1", "--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
 
 
 def test_dedup_and_mix_cli(tmp_path, capsys):

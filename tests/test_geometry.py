@@ -192,7 +192,7 @@ def test_emit_injective_on_sample():
 
 
 def test_combined_scenes_share_points():
-    config = SceneConfig(n_elements=(6, 6), kinds=("segment", "triangle"), combined=True)
+    config = SceneConfig(n_elements=(6, 6), kinds=("segment", "triangle"))
     shared = False
     for seed in range(50):
         scene = gen_scene(seed, config)

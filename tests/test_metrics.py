@@ -7,6 +7,7 @@ METEOR from a hand alignment walk.
 
 import itertools
 import math
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from ocrkit._kernels import levenshtein
 from ocrkit.corpus import Corpus, Sample, TaskKind
 from ocrkit.metrics import (
+    _CJK_RANGES,
     MetricReport,
     TokenSeq,
     bleu,
@@ -66,6 +68,37 @@ def test_tokenize_nfc_normalization():
 def test_tokenize_ideographic_space_is_whitespace():
     assert tokenize("你　好。", "word").tokens == ("你", "好", "。")
     assert all(not any(c.isspace() for c in t) for t in tokenize("a　b", "word").tokens)
+
+
+def _oracle_tokens(text, granularity):
+    """Per-character walk: whitespace ends a token; in char mode every other
+    character, and in word mode every CJK-range character, is its own token."""
+    tokens, word = [], ""
+    for ch in unicodedata.normalize("NFC", text):
+        cjk = any(lo <= ord(ch) <= hi for lo, hi in _CJK_RANGES)
+        if ch.isspace() or cjk or granularity == "char":
+            if word:
+                tokens.append(word)
+            word = ""
+            if not ch.isspace():
+                tokens.append(ch)
+        else:
+            word += ch
+    return tuple(tokens + [word] if word else tokens)
+
+
+# the edges of the CJK ranges, U+3000 (ideographic space), U+001C (a
+# separator str.isspace counts) and U+00A0 (no-break space)
+_TOKENIZER_EDGES = "\u2e7f\u2e80\u3000\u3001\uffef\ufff0\U0002ebef\U0002ebf0\x1c\xa0"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(alphabet=st.one_of(st.sampled_from(_TOKENIZER_EDGES + " \nab你"), st.characters())),
+    st.sampled_from(["word", "char"]),
+)
+def test_tokenize_matches_per_character_oracle(text, granularity):
+    assert tokenize(text, granularity).tokens == _oracle_tokens(text, granularity)
 
 
 # --- edit distance -------------------------------------------------------------
