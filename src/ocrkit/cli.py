@@ -17,7 +17,7 @@ import stat
 import sys
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 # Engine modules are imported by the subcommands that run them, so each
 # invocation loads only what it uses.
@@ -73,6 +73,14 @@ def _write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
+def _load(path: str) -> Corpus:
+    """corpus.load_records, with the file named in its errors."""
+    try:
+        return corpus.load_records(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _save_corpus_atomic(c: Corpus, path: str | Path) -> None:
     _write_text_atomic(path, corpus.dump_records(c))
 
@@ -118,8 +126,8 @@ def _dims_list(text: str) -> list[ImageDims]:
 
 
 def cmd_score(args) -> int:
-    refs = corpus.load_records(args.gt)
-    hyps = corpus.load_records(args.pred)
+    refs = _load(args.gt)
+    hyps = _load(args.pred)
     report = score_corpus(refs, hyps, args.granularity)
     _emit_report(report, args)
     return 0
@@ -128,7 +136,7 @@ def cmd_score(args) -> int:
 def cmd_chart_score(args) -> int:
     from . import charts
 
-    pairs = corpus.pair_by_id(corpus.load_records(args.gt), corpus.load_records(args.pred))
+    pairs = corpus.pair_by_id(_load(args.gt), _load(args.pred))
     gt_structs, pred_structs = [], []
     for ref, hyp in pairs:
         try:
@@ -180,30 +188,27 @@ def cmd_stitch(args) -> int:
     return 0
 
 
-def _load_jsonl(path: str) -> list[dict]:
-    rows = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            row = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-        if not isinstance(row, dict):
-            raise ValueError(f"{path}: line {lineno}: expected a JSON object")
-        rows.append(row)
+# Field kinds (see corpus.check_fields) shared by the auxiliary JSONL inputs.
+_TEXT_KINDS = {"text": (str,), "image_ref": (str, type(None))}
+
+
+def _read_aux(path: str, kinds: dict, required: tuple, build: Callable) -> list:
+    """build(obj) per line of an auxiliary JSONL file; required[0] is a unique id.
+    An error from any line, build's included, reads ``<path>: line N: ...``."""
+    rows, seen = [], set()
+    try:
+        for line, obj in corpus.read_jsonl(path):
+            try:
+                corpus.check_fields(obj, kinds, required)
+                if obj[required[0]] in seen:
+                    raise ValueError(f"duplicate {required[0]} {obj[required[0]]!r}")
+                seen.add(obj[required[0]])
+                rows.append(build(obj))
+            except (ValueError, OverflowError) as exc:
+                raise corpus.CorpusFormatError(line, str(exc)) from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return rows
-
-
-def _check_text_fields(path: str, what: str, row: dict) -> None:
-    """Reject a row whose text is not a string or whose image_ref is neither
-    a string nor null, before it reaches a record."""
-    if not isinstance(row["text"], str):
-        raise ValueError(f"{path}: {what}: 'text' must be a string")
-    image_ref = row.get("image_ref")
-    if image_ref is not None and not isinstance(image_ref, str):
-        raise ValueError(f"{path}: {what}: 'image_ref' must be a string or null")
 
 
 def cmd_make_finegrained(args) -> int:
@@ -213,21 +218,15 @@ def cmd_make_finegrained(args) -> int:
     from .tiling import ImageDims
 
     rng = random.Random(args.seed)
-    samples = []
-    for row in _load_jsonl(args.input):
-        for field in ("id", "width", "height", "box", "text"):
-            if field not in row:
-                raise ValueError(f"{args.input}: annotation {row.get('id', '?')!r} missing {field!r}")
-        if not isinstance(row["box"], list) or len(row["box"]) != 4:
-            raise ValueError(f"{args.input}: annotation {row['id']!r}: box must be [x1, y1, x2, y2]")
-        _check_text_fields(args.input, f"annotation {row['id']!r}", row)
-        try:
-            dims = ImageDims(int(row["width"]), int(row["height"]))
-            box = finegrained.BBox(*(float(v) for v in row["box"]))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{args.input}: annotation {row['id']!r}: {exc}") from exc
+
+    def build(row: dict) -> Sample:
+        xy = row["box"]
+        if type(xy) is not list or len(xy) != 4 or any(type(v) not in (int, float) for v in xy):
+            raise ValueError("field 'box' must be four numbers [x1, y1, x2, y2]")
+        dims = ImageDims(row["width"], row["height"])
+        box = finegrained.BBox(*(float(v) for v in xy))
         meta = {
-            "source_box": ",".join(str(v) for v in row["box"]),
+            "source_box": ",".join(str(v) for v in xy),
             "image_width": str(dims.width),
             "image_height": str(dims.height),
         }
@@ -248,17 +247,18 @@ def cmd_make_finegrained(args) -> int:
             meta["frame_rgb"] = ",".join(str(v) for v in frame.rgb)
             meta["frame_thickness"] = str(frame.thickness)
             kind = TaskKind.FINE_GRAINED_COLOR
-        samples.append(
-            Sample(
-                id=str(row["id"]),
-                task_kind=kind,
-                ground_truth=row["text"],
-                prompt=prompt,
-                lang=row.get("lang", "en"),
-                image_ref=row.get("image_ref"),
-                meta=meta,
-            )
+        return Sample(
+            id=row["id"],
+            task_kind=kind,
+            ground_truth=row["text"],
+            prompt=prompt,
+            lang=row.get("lang", "en"),
+            image_ref=row.get("image_ref"),
+            meta=meta,
         )
+
+    kinds = {"id": (str,), "width": (int,), "height": (int,), "lang": (str,), **_TEXT_KINDS}
+    samples = _read_aux(args.input, kinds, ("id", "width", "height", "box", "text"), build)
     _save_corpus_atomic(Corpus(tuple(samples)), args.out)
     print(f"wrote {len(samples)} {args.mode}-guided records to {args.out}")
     return 0
@@ -267,14 +267,10 @@ def cmd_make_finegrained(args) -> int:
 def cmd_compose_pages(args) -> int:
     from . import pagecompose
 
-    pool = []
-    for row in _load_jsonl(args.pool):
-        if "page_id" not in row or "text" not in row:
-            raise ValueError(f"{args.pool}: pool records need page_id and text fields")
-        _check_text_fields(args.pool, f"page {row['page_id']!r}", row)
-        pool.append(
-            pagecompose.PageSpec.from_text(str(row["page_id"]), row["text"], row.get("image_ref", ""))
-        )
+    def page(row: dict) -> pagecompose.PageSpec:
+        return pagecompose.PageSpec.from_text(row["page_id"], row["text"], row.get("image_ref", ""))
+
+    pool = _read_aux(args.pool, {"page_id": (str,), **_TEXT_KINDS}, ("page_id", "text"), page)
     samples = []
     for i in range(args.count):
         seed = args.seed + i
@@ -394,8 +390,8 @@ def cmd_validate_format(args) -> int:
 
 
 def cmd_dedup(args) -> int:
-    test = corpus.load_records(args.test)
-    train = corpus.load_records(args.train)
+    test = _load(args.test)
+    train = _load(args.train)
     kept = corpus.dedup_filter(test, train, args.threshold)
     _save_corpus_atomic(kept, args.out)
     print(f"kept {len(kept)} of {len(test)} samples (threshold {args.threshold})")
@@ -403,8 +399,8 @@ def cmd_dedup(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    previous = corpus.load_records(args.previous)
-    new = corpus.load_records(args.new)
+    previous = _load(args.previous)
+    new = _load(args.new)
     mixed = corpus.mix_stages(previous, new, args.ratio, args.seed)
     _save_corpus_atomic(mixed, args.out)
     print(f"mixed {len(new)} new + {len(mixed) - len(new)} previous -> {args.out}")

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Iterator
 
 from .metrics import edit_distance_norm, tokenize
 
@@ -33,7 +34,14 @@ class TaskKind(str, Enum):
 
 LANGS = ("en", "zh", "other")
 
-_FIELDS = ("id", "task_kind", "image_ref", "prompt", "ground_truth", "lang", "meta")
+# A field kind is the tuple of JSON value types the field may hold; the test is
+# type(value) in kind, so a bool is never an int.
+_TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object", type(None): "null"}
+_FIELDS = {  # every record field and its kind, in check order
+    "id": (str,), "task_kind": (str,), "ground_truth": (str,), "prompt": (str,), "lang": (str,),
+    "image_ref": (str, type(None)), "meta": (dict,),
+}
+_REQUIRED = ("id", "task_kind", "ground_truth")
 
 
 class CorpusFormatError(ValueError):
@@ -89,63 +97,57 @@ class Corpus:
         return {s.id: s for s in self.samples}
 
 
-def _sample_from_obj(obj: dict, line: int) -> Sample:
-    if not isinstance(obj, dict):
-        raise CorpusFormatError(line, "record is not an object")
-    unknown = set(obj) - set(_FIELDS)
-    if unknown:
-        raise CorpusFormatError(line, f"unknown field(s): {', '.join(sorted(unknown))}")
-    for name in ("id", "task_kind", "ground_truth"):
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) per line, split on LF only (so U+2028 stays
+    in its string); a blank line, bad JSON or a non-object is a CorpusFormatError."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    for lineno, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            raise CorpusFormatError(lineno, "blank line")
+        try:  # ValueError also covers an int past the digit limit
+            obj = json.loads(raw)
+        except (ValueError, RecursionError) as exc:
+            raise CorpusFormatError(lineno, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+        if not isinstance(obj, dict):
+            raise CorpusFormatError(lineno, "record is not an object")
+        yield lineno, obj
+
+
+def check_fields(obj: dict, kinds: dict[str, tuple[type, ...]], required: tuple[str, ...]) -> None:
+    """Raise ValueError unless the required fields are present and every field
+    of ``kinds`` that is present holds a value of its kind."""
+    for name in required:
         if name not in obj:
-            raise CorpusFormatError(line, f"missing field {name!r}")
-    for name in ("id", "task_kind", "ground_truth", "prompt", "lang"):
-        if name in obj and not isinstance(obj[name], str):
-            raise CorpusFormatError(line, f"field {name!r} must be a string")
-    image_ref = obj.get("image_ref")
-    if image_ref is not None and not isinstance(image_ref, str):
-        raise CorpusFormatError(line, "field 'image_ref' must be a string or null")
-    meta = obj.get("meta", {})
-    if not isinstance(meta, dict):
-        raise CorpusFormatError(line, "field 'meta' must be an object")
-    try:
-        return Sample(
-            id=obj["id"],
-            task_kind=obj["task_kind"],
-            ground_truth=obj["ground_truth"],
-            prompt=obj.get("prompt", ""),
-            lang=obj.get("lang", "en"),
-            image_ref=image_ref,
-            meta=dict(meta),
-        )
-    except ValueError as exc:
-        raise CorpusFormatError(line, str(exc)) from exc
+            raise ValueError(f"missing field {name!r}")
+    for name, kind in kinds.items():
+        if name in obj and type(obj[name]) not in kind:
+            raise ValueError(f"field {name!r} must be {' or '.join(map(_TYPE_NAMES.get, kind))}")
 
 
 def load_records(path: str | Path) -> Corpus:
     """Read a record file, preserving file order; raises CorpusFormatError."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
     samples: list[Sample] = []
     seen: set[str] = set()
     schema_version = 1
-    for lineno, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            raise CorpusFormatError(lineno, "blank line")
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(lineno, f"invalid JSON ({exc.msg})") from exc
-        if lineno == 1 and isinstance(obj, dict) and set(obj) == {"schema_version"}:
+    for lineno, obj in read_jsonl(path):
+        if lineno == 1 and set(obj) == {"schema_version"}:
             version = obj["schema_version"]
-            if isinstance(version, bool) or not isinstance(version, int) or version < 1:
+            if type(version) is not int or version < 1:
                 raise CorpusFormatError(lineno, "schema_version must be a positive integer")
             schema_version = version
             continue
-        sample = _sample_from_obj(obj, lineno)
-        if sample.id in seen:
-            raise CorpusFormatError(lineno, f"duplicate sample id {sample.id!r}")
+        try:
+            unknown = obj.keys() - _FIELDS.keys()
+            if unknown:
+                raise ValueError(f"unknown field(s): {', '.join(sorted(unknown))}")
+            check_fields(obj, _FIELDS, _REQUIRED)
+            sample = Sample(**obj)  # record fields are Sample's fields
+            if sample.id in seen:
+                raise ValueError(f"duplicate sample id {sample.id!r}")
+        except ValueError as exc:
+            raise CorpusFormatError(lineno, str(exc)) from exc
         seen.add(sample.id)
         samples.append(sample)
     return Corpus(tuple(samples), schema_version)

@@ -1,10 +1,17 @@
 """CLI behaviour: exit codes, report shapes, atomic output, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
+import re
 import stat
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocrkit import validators
 from ocrkit.charts import ApReport
@@ -203,12 +210,28 @@ _ANNOTATION = {"id": "a1", "width": 1000, "height": 500, "box": [10, 20, 400, 10
 @pytest.mark.parametrize(
     "line, where",
     [
-        ("[1, 2]", "line 2: expected a JSON object"),
-        (json.dumps({**_ANNOTATION, "width": None}), "annotation 'a1': "),
-        (json.dumps({**_ANNOTATION, "text": 7}), "annotation 'a1': 'text' must be a string"),
-        (json.dumps({**_ANNOTATION, "image_ref": 7}), "annotation 'a1': 'image_ref' must be"),
+        ("[1, 2]", "line 2: record is not an object"),
+        (json.dumps({**_ANNOTATION, "width": None}), "line 2: field 'width' must be an integer"),
+        (json.dumps({**_ANNOTATION, "text": 7}), "line 2: field 'text' must be a string"),
+        (json.dumps({**_ANNOTATION, "image_ref": 7}), "line 2: field 'image_ref' must be"),
+        (json.dumps({**_ANNOTATION, "width": 640.9}), "line 2: field 'width' must be an integer"),
+        (json.dumps({**_ANNOTATION, "height": True}), "line 2: field 'height' must be an integer"),
+        (json.dumps({**_ANNOTATION, "box": [True, 20, 400, 100]}), "line 2: field 'box' must be"),
+        ('{"id": "a1", "width": 1000, "height": 500, "text": "hi"}', "line 2: missing field 'box'"),
+        (json.dumps({**_ANNOTATION, "id": "a0"}), "line 2: duplicate id 'a0'"),
+        (json.dumps({**_ANNOTATION, "lang": 5}), "line 2: field 'lang' must be a string"),
+        (json.dumps({**_ANNOTATION, "lang": "xx"}), "line 2: sample 'a1': lang must be one of"),
+        (json.dumps({**_ANNOTATION, "text": ""}), "line 2: sample 'a1': ground_truth must be"),
+        (
+            json.dumps({**_ANNOTATION, "box": [10, 20, 4000, 100]}),
+            "line 2: box BBox(x1=10.0, y1=20.0, x2=4000.0, y2=100.0) outside image 1000x500",
+        ),
     ],
-    ids=["array-line", "null-width", "int-text", "int-image-ref"],
+    ids=[
+        "array-line", "null-width", "int-text", "int-image-ref", "float-width", "bool-height",
+        "bool-in-box", "missing-box", "duplicate-id", "int-lang", "unknown-lang", "empty-text",
+        "box-outside-image",
+    ],
 )
 def test_make_finegrained_rejects_bad_annotation(tmp_path, capsys, line, where):
     anno = tmp_path / "anno.jsonl"
@@ -220,22 +243,157 @@ def test_make_finegrained_rejects_bad_annotation(tmp_path, capsys, line, where):
     assert not out.exists()
 
 
+def _page(page_id):
+    return json.dumps({"page_id": page_id, "text": "one page"})
+
+
 @pytest.mark.parametrize(
     "line, where",
     [
-        ("5", "line 2: expected a JSON object"),
-        (json.dumps({"page_id": "p1", "text": 5}), "page 'p1': 'text' must be a string"),
+        ("5", "line 2: record is not an object"),
+        (json.dumps({"page_id": "p1", "text": 5}), "line 2: field 'text' must be a string"),
+        (_page(None), "line 2: field 'page_id' must be a string"),
+        (_page("None") + "\n" + _page(None), "line 3: field 'page_id' must be a string"),
+        (_page("p1") + "\n" + _page("p1"), "line 3: duplicate page_id 'p1'"),
+        ("", "line 2: blank line"),
     ],
-    ids=["number-line", "int-text"],
+    ids=["number-line", "int-text", "null-id", "none-string-then-null-id", "repeated-id", "blank"],
 )
 def test_compose_pages_rejects_bad_pool_record(tmp_path, capsys, line, where):
     pool = tmp_path / "pool.jsonl"
-    pool.write_text(json.dumps({"page_id": "p0", "text": "one page"}) + "\n" + line + "\n")
+    pool.write_text(_page("p0") + "\n" + line + "\n")
     out = tmp_path / "mp.jsonl"
     assert main(["compose-pages", "--pool", str(pool), "--n", "2", "--out", str(out)]) == 1
     [err] = capsys.readouterr().err.splitlines()
     assert err.startswith(f"error: {pool}: {where}")
     assert not out.exists()
+
+
+def test_aux_texts_keep_line_separator_characters(tmp_path, capsys):
+    # json.dumps(ensure_ascii=False) writes U+2028 and U+0085 raw, as ocrkit's
+    # own corpora do; only LF ends a line
+    texts = ["one\u2028page", "two\u0085page"]
+    pool = tmp_path / "pool.jsonl"
+    pool.write_text(
+        "".join(json.dumps({"page_id": f"p{i}", "text": t}, ensure_ascii=False) + "\n"
+                for i, t in enumerate(texts)),
+        encoding="utf-8",
+    )
+    anno = tmp_path / "anno.jsonl"
+    anno.write_text(
+        "".join(json.dumps({**_ANNOTATION, "id": f"a{i}", "text": t}, ensure_ascii=False) + "\n"
+                for i, t in enumerate(texts)),
+        encoding="utf-8",
+    )
+    mp, fg = tmp_path / "mp.jsonl", tmp_path / "fg.jsonl"
+    assert main(["compose-pages", "--pool", str(pool), "--n", "2", "--out", str(mp)]) == 0
+    assert main(["make-finegrained", "--input", str(anno), "--out", str(fg)]) == 0
+    [composed] = load_records(mp).samples
+    assert all(t in composed.ground_truth for t in texts)
+    assert [s.ground_truth for s in load_records(fg).samples] == texts
+
+
+@pytest.mark.parametrize(
+    "command, good_flag, bad_flag",
+    [
+        ("score", "--gt", "--pred"),
+        ("chart-score", "--gt", "--pred"),
+        ("dedup", "--train", "--test"),
+        ("mix", "--previous", "--new"),
+    ],
+)
+def test_record_file_errors_name_the_file(tmp_path, capsys, command, good_flag, bad_flag):
+    good = tmp_path / "good.jsonl"
+    _write_corpus(good, ["text"])
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("{oops\n")
+    argv = [command, good_flag, str(good), bad_flag, str(bad)]
+    if command in ("dedup", "mix"):
+        argv += ["--out", str(tmp_path / "out.jsonl")]
+    assert main(argv) == 1
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"error: {bad}: line 1: invalid JSON (")
+
+
+# Values of every JSON type, for the fields of the auxiliary inputs.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_HUGE = st.just(10**400)  # too large for a float
+_SIZE = st.integers(-2, 2000) | _HUGE | _JSON
+_COORD = st.integers(-5, 2000) | st.floats() | _HUGE
+_DROP = object()  # the field is left out
+_FIELD_VALUES = {
+    "id": st.sampled_from(["a0", "a1"]) | _JSON,
+    "page_id": st.sampled_from(["f0", "p0", "p1"]) | _JSON,
+    "width": _SIZE,
+    "height": _SIZE,
+    "box": st.lists(_COORD, min_size=4, max_size=4) | _JSON,
+    "text": st.text(max_size=5) | _JSON,
+    "lang": st.sampled_from(["en", "zh", "other", "xx"]) | _JSON,
+    "image_ref": st.none() | st.text(max_size=3) | _JSON,
+}
+# Lines that are not objects, or not JSON to the parser: nested past the recursion
+# limit, or holding an integer past the str-conversion digit limit.
+_RAW_LINES = st.sampled_from(
+    ["5", "[]", "", "null", "{oops", "[" * 5000, '{"id": ' + "1" * 5000 + "}"]
+)
+
+
+def _edited_lines(fields):
+    """Per line, a raw line or up to two of ``fields`` replaced by any value or left out."""
+    edit = st.lists(st.sampled_from(fields), max_size=2, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries({k: _FIELD_VALUES[k] | st.just(_DROP) for k in keys})
+    )
+    return st.lists(_RAW_LINES | edit, max_size=4)
+
+
+def _jsonl(edited, base):
+    lines = []
+    for i, edit in enumerate(edited):
+        if isinstance(edit, dict):
+            row = {k: v for k, v in {**base(i), **edit}.items() if v is not _DROP}
+            edit = json.dumps(row, ensure_ascii=False)
+        lines.append(edit + "\n")
+    return "".join(lines)
+
+
+@given(
+    st.sampled_from(["box", "color"]),
+    _edited_lines(["id", "width", "height", "box", "text", "lang", "image_ref"]),
+    _edited_lines(["page_id", "text", "image_ref"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_aux_commands_exit_cleanly_on_any_line(mode, annotations, pages):
+    # two good pages up front, so a pool without line errors always composes
+    pool = "".join(_page(f"f{i}") + "\n" for i in range(2))
+    runs = [
+        (
+            ["make-finegrained", "--mode", mode, "--input"],
+            _jsonl(annotations, lambda i: {**_ANNOTATION, "id": f"a{i}"}),
+        ),
+        (
+            ["compose-pages", "--n", "2", "--pool"],
+            pool + _jsonl(pages, lambda i: {"page_id": f"p{i}", "text": "one page"}),
+        ),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv, text in runs:
+            path, out = Path(tmp) / "in.jsonl", Path(tmp) / "out.jsonl"
+            path.write_text(text, encoding="utf-8")
+            out.unlink(missing_ok=True)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(argv + [str(path), "--out", str(out)])
+            if rc == 0:
+                assert out.exists() and not err.getvalue()
+            else:
+                assert rc == 1 and not out.exists()
+                pattern = rf"error: {re.escape(str(path))}: line \d+: [^\n]*\n"
+                assert re.fullmatch(pattern, err.getvalue())
 
 
 def test_output_files_get_the_plain_open_mode(tmp_path, capsys):

@@ -21,6 +21,12 @@ from ocrkit.corpus import (
 
 TEXT = st.text(min_size=1, max_size=30)
 META = st.dictionaries(st.text(max_size=8), st.text(max_size=12), max_size=3)
+# any code point but a surrogate, drawing the ones that end a line somewhere often
+ANY_TEXT = st.text(
+    st.characters(codec="utf-8") | st.sampled_from("\u2028\u2029\u0085\r\n\x1c你"),
+    min_size=1,
+    max_size=12,
+)
 
 
 def _sample(i, text="some text", kind=TaskKind.PLAIN_DOC, **kwargs):
@@ -117,6 +123,77 @@ def test_unknown_top_level_field_rejected(tmp_path):
     )
     with pytest.raises(CorpusFormatError, match="extra"):
         load_records(path)
+
+
+_OK = {"id": "a", "task_kind": "PlainDoc", "ground_truth": "x"}
+
+
+def _line(**fields):
+    return json.dumps({**_OK, **fields}) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("\n", "line 1: blank line"),
+        ("{oops\n", "line 1: invalid JSON (Expecting property name enclosed in double quotes)"),
+        ("[1]\n", "line 1: record is not an object"),
+        (_line(extra=1, b=2), "line 1: unknown field(s): b, extra"),
+        ('{"id": "a", "task_kind": "PlainDoc"}\n', "line 1: missing field 'ground_truth'"),
+        (_line(id=1), "line 1: field 'id' must be a string"),
+        (_line(task_kind=None), "line 1: field 'task_kind' must be a string"),
+        (_line(lang=True), "line 1: field 'lang' must be a string"),
+        (_line(image_ref=3), "line 1: field 'image_ref' must be a string or null"),
+        (_line(meta=[]), "line 1: field 'meta' must be an object"),
+        (_line(meta={"k": 1}), "line 1: sample 'a': meta must map strings to strings"),
+        (_line(ground_truth=""), "line 1: sample 'a': ground_truth must be non-empty"),
+        (_line(task_kind="Nope"), "line 1: 'Nope' is not a valid TaskKind"),
+        ('{"schema_version": true}\n', "line 1: schema_version must be a positive integer"),
+        (_line() + _line(), "line 2: duplicate sample id 'a'"),
+    ],
+)
+def test_format_error_messages(tmp_path, text, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text)
+    with pytest.raises(CorpusFormatError) as exc:
+        load_records(path)
+    assert str(exc.value) == message
+
+
+def test_overlong_integer_is_a_format_error(tmp_path):
+    # past the int str-conversion digit limit json.loads raises a plain ValueError
+    path = tmp_path / "long.jsonl"
+    path.write_text(_line()[:-2] + ', "meta": ' + "9" * 5000 + "}\n")
+    with pytest.raises(CorpusFormatError) as exc:
+        load_records(path)
+    assert exc.value.line == 1
+
+
+@given(
+    st.lists(
+        st.tuples(
+            ANY_TEXT,
+            st.sampled_from(list(TaskKind)),
+            ANY_TEXT,
+            st.none() | ANY_TEXT,
+            st.dictionaries(ANY_TEXT, ANY_TEXT, max_size=3),
+        ),
+        max_size=8,
+        unique_by=lambda row: row[0],
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_dump_load_dump_byte_stable(tmp_path_factory, rows):
+    corpus = Corpus(
+        tuple(
+            Sample(id=i, task_kind=k, ground_truth=t, prompt=t[::-1], image_ref=r, meta=m)
+            for i, k, t, r, m in rows
+        )
+    )
+    path = tmp_path_factory.getbasetemp() / "round_trip.jsonl"
+    save_records(corpus, path)
+    assert load_records(path) == corpus
+    assert dump_records(load_records(path)) == path.read_text(encoding="utf-8")
 
 
 def test_cjk_round_trip_byte_identical(tmp_path):
