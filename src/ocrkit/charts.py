@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 AP_TOLERANCES = {"strict": 0.0, "slight": 0.05, "high": 0.10}
@@ -80,12 +80,7 @@ class ApReport:
             raise ValueError("AP values must be non-decreasing with tolerance")
 
     def as_dict(self) -> dict[str, float | int]:
-        return {
-            "ap_strict": self.ap_strict,
-            "ap_slight": self.ap_slight,
-            "ap_high": self.ap_high,
-            "n_samples": self.n_samples,
-        }
+        return asdict(self)
 
 
 _NUMBER_RE = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
@@ -360,12 +355,8 @@ def chart_ap(preds: list[ChartStruct], gts: list[ChartStruct], tolerance: float)
 
 
 def ap_report(preds: list[ChartStruct], gts: list[ChartStruct]) -> ApReport:
-    return ApReport(
-        ap_strict=chart_ap(preds, gts, AP_TOLERANCES["strict"]),
-        ap_slight=chart_ap(preds, gts, AP_TOLERANCES["slight"]),
-        ap_high=chart_ap(preds, gts, AP_TOLERANCES["high"]),
-        n_samples=len(preds),
-    )
+    aps = {f"ap_{name}": chart_ap(preds, gts, tol) for name, tol in AP_TOLERANCES.items()}
+    return ApReport(**aps, n_samples=len(preds))
 
 
 DEFAULT_TEXT_POOL = (

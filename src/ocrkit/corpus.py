@@ -99,7 +99,8 @@ class Corpus:
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) per line, split on LF only (so U+2028 stays
-    in its string); a blank line, bad JSON or a non-object is a CorpusFormatError."""
+    in its string); a blank line, bad JSON, a non-object or a lone surrogate
+    is a CorpusFormatError."""
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -112,6 +113,12 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             raise CorpusFormatError(lineno, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
         if not isinstance(obj, dict):
             raise CorpusFormatError(lineno, "record is not an object")
+        if "\\u" in raw:  # only an escape decodes to a lone surrogate, which UTF-8 cannot hold
+            try:
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                code = ord(exc.object[exc.start])
+                raise CorpusFormatError(lineno, f"lone surrogate U+{code:04X} in a string") from exc
         yield lineno, obj
 
 

@@ -13,7 +13,7 @@ import math
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, Callable, Literal
 
 from ._kernels import levenshtein
@@ -74,15 +74,7 @@ class MetricReport:
     n_samples: int
 
     def as_dict(self) -> dict[str, float | int]:
-        return {
-            "edit_distance": self.edit_distance,
-            "f1": self.f1,
-            "precision": self.precision,
-            "recall": self.recall,
-            "bleu": self.bleu,
-            "meteor": self.meteor,
-            "n_samples": self.n_samples,
-        }
+        return asdict(self)
 
 
 def _check_granularity(granularity: str) -> None:
@@ -182,17 +174,16 @@ def _align(ref: tuple[str, ...], hyp: tuple[str, ...]) -> tuple[int, int]:
         positions.setdefault(tok, []).append(i)
     used = [False] * len(ref)
     nexts: dict[str, int] = {tok: 0 for tok in positions}
-    matches: list[tuple[int, int]] = []
+    matches = chunks = 0
+    last_ref = last_hyp = -2
     for j, tok in enumerate(hyp):
         cands = positions.get(tok)
         if cands is None:
             continue
-        pick = -1
-        if matches and matches[-1][1] == j - 1:
-            cont = matches[-1][0] + 1
-            if cont < len(ref) and not used[cont] and ref[cont] == tok:
-                pick = cont
-        if pick < 0:
+        pick = last_ref + 1
+        if last_hyp != j - 1 or pick == len(ref) or used[pick] or ref[pick] != tok:
+            # No continuation, so the leftmost pick cannot be contiguous with
+            # the last match (if it were, it would be the continuation).
             k = nexts[tok]
             while k < len(cands) and used[cands[k]]:
                 k += 1
@@ -200,22 +191,16 @@ def _align(ref: tuple[str, ...], hyp: tuple[str, ...]) -> tuple[int, int]:
             if k == len(cands):
                 continue
             pick = cands[k]
-        used[pick] = True
-        matches.append((pick, j))
-    chunks = 0
-    prev = (-2, -2)
-    for pair in matches:
-        if pair[0] != prev[0] + 1 or pair[1] != prev[1] + 1:
             chunks += 1
-        prev = pair
-    return len(matches), chunks
+        used[pick] = True
+        matches += 1
+        last_ref, last_hyp = pick, j
+    return matches, chunks
 
 
 def meteor(ref: TokenSeq, hyp: TokenSeq) -> float:
     """Exact-match METEOR (no stemming or synonyms) with fixed parameters."""
     _check_pair(ref, hyp)
-    if not ref.tokens or not hyp.tokens:
-        return 0.0
     m, chunks = _align(ref.tokens, hyp.tokens)
     if m == 0:
         return 0.0
@@ -272,12 +257,9 @@ def score_corpus(
     ]
 
     n = len(reports)
-    return MetricReport(
-        edit_distance=sum(r.edit_distance for r in reports) / n,
-        f1=sum(r.f1 for r in reports) / n,
-        precision=sum(r.precision for r in reports) / n,
-        recall=sum(r.recall for r in reports) / n,
-        bleu=sum(r.bleu for r in reports) / n,
-        meteor=sum(r.meteor for r in reports) / n,
-        n_samples=n,
-    )
+    means = {
+        f.name: sum(getattr(r, f.name) for r in reports) / n
+        for f in fields(MetricReport)
+        if f.name != "n_samples"
+    }
+    return MetricReport(**means, n_samples=n)

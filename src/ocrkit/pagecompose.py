@@ -99,7 +99,9 @@ def compose_multipage(
     if len(chosen) < n_pages:
         raise ValueError(f"token budget {budget} cannot be satisfied with {n_pages} pages")
     joined = f"\n{PAGE_SEPARATOR}\n".join(p.text for p in chosen)
-    return MultiPageSample(tuple(chosen), joined, token_count(joined))
+    # "\n" is whitespace that NFC never composes across, so page and separator
+    # token counts add up to the joined text's count
+    return MultiPageSample(tuple(chosen), joined, running)
 
 
 def split_multipage(joined_text: str) -> list[str]:

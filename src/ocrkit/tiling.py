@@ -42,10 +42,6 @@ class TilePlan:
     tile_rects: tuple[Rect, ...]
     tile_px: int = TILE_PX
 
-    @property
-    def n_tiles(self) -> int:
-        return self.grid_cols * self.grid_rows
-
     def to_meta(self) -> dict[str, str]:
         return {
             "tile_grid": f"{self.grid_cols}x{self.grid_rows}",

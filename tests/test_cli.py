@@ -315,6 +315,41 @@ def test_record_file_errors_name_the_file(tmp_path, capsys, command, good_flag, 
     assert err.startswith(f"error: {bad}: line 1: invalid JSON (")
 
 
+def _record_row(sid, text):
+    return json.dumps({"id": sid, "task_kind": "PlainDoc", "ground_truth": text})
+
+
+def _annotation_row(sid, text):
+    return json.dumps({**_ANNOTATION, "id": sid, "text": text})
+
+
+def _page_row(sid, text):
+    return json.dumps({"page_id": sid, "text": text})
+
+
+@pytest.mark.parametrize(
+    "argv, row",
+    [
+        (["score", "--gt", "{good}", "--pred", "{bad}", "--json", "{out}"], _record_row),
+        (["chart-score", "--gt", "{bad}", "--pred", "{good}", "--json", "{out}"], _record_row),
+        (["dedup", "--train", "{good}", "--test", "{bad}", "--out", "{out}"], _record_row),
+        (["mix", "--previous", "{bad}", "--new", "{good}", "--out", "{out}"], _record_row),
+        (["make-finegrained", "--input", "{bad}", "--out", "{out}"], _annotation_row),
+        (["compose-pages", "--n", "2", "--pool", "{bad}", "--out", "{out}"], _page_row),
+    ],
+    ids=["score", "chart-score", "dedup", "mix", "make-finegrained", "compose-pages"],
+)
+def test_lone_surrogate_is_rejected_where_it_is_read(tmp_path, capsys, argv, row):
+    good, bad, out = tmp_path / "good.jsonl", tmp_path / "bad.jsonl", tmp_path / "out"
+    _write_corpus(good, ["text"])
+    # json.dumps writes the lone surrogate as the escape \\ud800, which json.loads reads
+    bad.write_text(row("s0", "text") + "\n" + row("s1", "x\ud800") + "\n")
+    assert main([arg.format(good=good, bad=bad, out=out) for arg in argv]) == 1
+    [err] = capsys.readouterr().err.splitlines()
+    assert err == f"error: {bad}: line 2: lone surrogate U+D800 in a string"
+    assert not out.exists()
+
+
 # Values of every JSON type, for the fields of the auxiliary inputs.
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),

@@ -150,6 +150,9 @@ def _line(**fields):
         (_line(task_kind="Nope"), "line 1: 'Nope' is not a valid TaskKind"),
         ('{"schema_version": true}\n', "line 1: schema_version must be a positive integer"),
         (_line() + _line(), "line 2: duplicate sample id 'a'"),
+        (_line(ground_truth="x\ud800"), "line 1: lone surrogate U+D800 in a string"),
+        (_line(meta={"\udfff": "v"}), "line 1: lone surrogate U+DFFF in a string"),
+        (_line(meta={"k": "\ude00\ud83d"}), "line 1: lone surrogate U+DE00 in a string"),
     ],
 )
 def test_format_error_messages(tmp_path, text, message):
@@ -158,6 +161,15 @@ def test_format_error_messages(tmp_path, text, message):
     with pytest.raises(CorpusFormatError) as exc:
         load_records(path)
     assert str(exc.value) == message
+
+
+def test_surrogate_pairs_and_escaped_backslashes_load(tmp_path):
+    # json.dumps escapes U+1F600 as a surrogate pair, and the backslash before "ud800"
+    # as a backslash: neither decodes to a lone surrogate
+    path = tmp_path / "ok.jsonl"
+    path.write_text(_line(ground_truth="\U0001F600 \\ud800"))
+    [sample] = load_records(path).samples
+    assert sample.ground_truth == "\U0001F600 \\ud800"
 
 
 def test_overlong_integer_is_a_format_error(tmp_path):

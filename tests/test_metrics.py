@@ -17,8 +17,12 @@ from ocrkit._kernels import levenshtein
 from ocrkit.corpus import Corpus, Sample, TaskKind
 from ocrkit.metrics import (
     _CJK_RANGES,
+    METEOR_ALPHA,
+    METEOR_BETA,
+    METEOR_GAMMA,
     MetricReport,
     TokenSeq,
+    _align,
     bleu,
     edit_distance_norm,
     meteor,
@@ -261,6 +265,50 @@ def test_meteor_bounds(ref_tokens, hyp_tokens):
     assert 0.0 <= value <= 1.0
 
 
+def _two_pass_align(ref, hyp):
+    """Oracle: the same leftmost-greedy alignment, listing every match first and
+    counting the chunks (runs contiguous in both sequences) in a second walk."""
+    positions = {}
+    for i, tok in enumerate(ref):
+        positions.setdefault(tok, []).append(i)
+    used = [False] * len(ref)
+    matches = []
+    for j, tok in enumerate(hyp):
+        if matches and matches[-1][1] == j - 1:
+            cont = matches[-1][0] + 1
+            if cont < len(ref) and not used[cont] and ref[cont] == tok:
+                used[cont] = True
+                matches.append((cont, j))
+                continue
+        free = [i for i in positions.get(tok, []) if not used[i]]
+        if free:
+            used[free[0]] = True
+            matches.append((free[0], j))
+    chunks = sum(
+        1
+        for k, (i, j) in enumerate(matches)
+        if k == 0 or (i, j) != (matches[k - 1][0] + 1, matches[k - 1][1] + 1)
+    )
+    return len(matches), chunks
+
+
+# Few distinct tokens, so repeats and contiguous runs are common.
+ALIGN_SEQS = st.lists(st.sampled_from(["a", "b", "c", "ab", "你", "好", ""]), max_size=20)
+
+
+@given(ALIGN_SEQS, ALIGN_SEQS)
+@settings(max_examples=500)
+def test_align_counts_chunks_like_the_two_pass_oracle(ref_tokens, hyp_tokens):
+    m, chunks = _two_pass_align(ref_tokens, hyp_tokens)
+    assert _align(tuple(ref_tokens), tuple(hyp_tokens)) == (m, chunks)
+    expected = 0.0
+    if m:
+        p, r = m / len(hyp_tokens), m / len(ref_tokens)
+        f_mean = p * r / (METEOR_ALPHA * p + (1.0 - METEOR_ALPHA) * r)
+        expected = f_mean * (1.0 - METEOR_GAMMA * (chunks / m) ** METEOR_BETA)
+    assert meteor(_seq(ref_tokens), _seq(hyp_tokens)) == expected
+
+
 # --- corpus scoring --------------------------------------------------------------
 
 
@@ -308,3 +356,43 @@ def test_score_corpus_missing_and_extra_ids():
     )
     with pytest.raises(ValueError, match="s9"):
         score_corpus(refs, extra, "word")
+
+
+_WORDS = st.sampled_from(["one", "two", "three", "你", "好"])
+_TEXTS = st.lists(_WORDS, min_size=1, max_size=6).map(" ".join)
+_PAIRS = st.lists(st.tuples(_TEXTS, _TEXTS), min_size=2, max_size=6)
+
+
+def _pair_corpora(pairs, ids):
+    refs = Corpus(tuple(Sample(i, TaskKind.PLAIN_DOC, ref) for i, (ref, _) in zip(ids, pairs)))
+    hyps = Corpus(tuple(Sample(i, TaskKind.PLAIN_DOC, hyp) for i, (_, hyp) in zip(ids, pairs)))
+    return refs, hyps
+
+
+@given(_PAIRS, st.sampled_from(["word", "char"]))
+@settings(max_examples=100, deadline=None)
+def test_score_corpus_is_the_per_field_mean_of_score_texts(pairs, granularity):
+    ids = [f"s{k:02d}" for k in range(len(pairs))]
+    refs, hyps = _pair_corpora(pairs, ids)
+    reports = [score_texts(ref, hyp, granularity) for ref, hyp in pairs]
+    n = len(reports)
+    assert score_corpus(refs, hyps, granularity) == MetricReport(
+        edit_distance=sum(r.edit_distance for r in reports) / n,
+        f1=sum(r.f1 for r in reports) / n,
+        precision=sum(r.precision for r in reports) / n,
+        recall=sum(r.recall for r in reports) / n,
+        bleu=sum(r.bleu for r in reports) / n,
+        meteor=sum(r.meteor for r in reports) / n,
+        n_samples=n,
+    )
+
+
+@given(_PAIRS, st.lists(st.text(min_size=1, max_size=4), min_size=6, max_size=6, unique=True))
+@settings(max_examples=100, deadline=None)
+def test_score_corpus_unchanged_under_id_renaming(pairs, new_ids):
+    # the renaming keeps the sorted id order, which is the summation order, so
+    # even the last float bit must hold
+    old_ids = [f"s{k:02d}" for k in range(len(pairs))]
+    renamed = sorted(new_ids)[: len(pairs)]
+    before = score_corpus(*_pair_corpora(pairs, old_ids), "word")
+    assert score_corpus(*_pair_corpora(pairs, renamed), "word") == before

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocrkit.pagecompose import (
     PAGE_SEPARATOR,
@@ -82,6 +84,24 @@ def test_compose_deterministic():
 def test_joined_text_splits_back():
     sample = compose_multipage(POOL, 6, seed=5)
     assert split_multipage(sample.joined_text) == [p.text for p in sample.pages]
+
+
+# Any scalar, weighted towards the ones NFC and the word splitter treat specially:
+# combining marks, Hangul jamo, CJK, U+3000 and U+001C (both whitespace).
+_PAGE_TEXT = st.text(
+    st.sampled_from(["a", " ", "\n", "\u0301", "\u1100", "\u1161", "\u11a8", "中", "\u3000"])
+    | st.just("\x1c")
+    | st.characters(),
+    max_size=12,
+)
+
+
+@given(st.lists(_PAGE_TEXT, min_size=8, max_size=10), st.integers(2, 8), st.integers(0, 2**31))
+@settings(max_examples=200, deadline=None)
+def test_total_tokens_is_the_joined_text_count(texts, n_pages, seed):
+    pool = [PageSpec.from_text(f"p{i}", t) for i, t in enumerate(texts)]
+    sample = compose_multipage(pool, n_pages, seed)
+    assert sample.total_tokens == token_count(sample.joined_text)
 
 
 def test_separator_inside_page_is_ineligible():
