@@ -62,15 +62,19 @@ def _write_text_atomic(path: str | Path, text: str) -> None:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            os.fchmod(fd, mode)
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                os.fchmod(fd, mode)
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # name the file asked for, not the random temp file beside it
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def _load(path: str) -> Corpus:
@@ -120,6 +124,16 @@ def _dims(text: str) -> ImageDims:
 
 def _dims_list(text: str) -> list[ImageDims]:
     return [_dims(part) for part in text.split(",") if part]
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 # --- subcommand implementations ----------------------------------------------
@@ -453,7 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=("box", "color"), default="box")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--thickness", type=int, default=3, help="frame thickness for color mode")
+    p.add_argument(
+        "--thickness", type=_positive_int, default=3, help="frame thickness for color mode"
+    )
 
     p = add("compose-pages", cmd_compose_pages, "compose multi-page OCR samples")
     p.add_argument("--pool", required=True, help="JSONL page pool (page_id, text, image_ref)")

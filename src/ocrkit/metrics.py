@@ -14,6 +14,7 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Literal
 
 from ._kernels import levenshtein
@@ -39,8 +40,10 @@ _CJK_RANGES = (
 
 _CJK_CLASS = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_RANGES)
 # A run of non-space, non-CJK characters, else one non-space (thus CJK)
-# character; the class appears once, which halves the compile time.
-_WORD_RE = re.compile(f"[^\\s{_CJK_CLASS}]+|\\S")
+# character; the class appears once, which halves the compile time. Kept as
+# a string: re's cache compiles it on the first non-ASCII word-mode call, so
+# processes that never tokenize such text do not pay for the compile.
+_WORD_PATTERN = f"[^\\s{_CJK_CLASS}]+|\\S"
 
 # METEOR parameters (fixed): F-mean weight, penalty exponent, penalty weight.
 METEOR_ALPHA = 0.9
@@ -95,7 +98,7 @@ def tokenize(text: str, granularity: Granularity) -> TokenSeq:
     elif text.isascii():
         tokens = text.split()
     else:
-        tokens = _WORD_RE.findall(text)
+        tokens = re.findall(_WORD_PATTERN, text)
     return TokenSeq(tuple(tokens), granularity)
 
 
@@ -117,10 +120,15 @@ def edit_distance_norm(ref: TokenSeq, hyp: TokenSeq) -> float:
     return levenshtein(ref.tokens, hyp.tokens) / max(len(ref), len(hyp))
 
 
+def _clipped(hyp_counts: Counter, ref_counts: Counter) -> int:
+    """Sum over hypothesis items of min(hypothesis count, reference count)."""
+    return sum(map(min, hyp_counts.values(), map(ref_counts.get, hyp_counts, repeat(0))))
+
+
 def prf(ref: TokenSeq, hyp: TokenSeq) -> tuple[float, float, float]:
     """Multiset token precision, recall and F1."""
     _check_pair(ref, hyp)
-    matched = sum((Counter(ref.tokens) & Counter(hyp.tokens)).values())
+    matched = _clipped(Counter(hyp.tokens), Counter(ref.tokens))
     precision = matched / len(hyp) if hyp.tokens else 0.0
     recall = matched / len(ref) if ref.tokens else 0.0
     if precision + recall == 0.0:
@@ -129,7 +137,10 @@ def prf(ref: TokenSeq, hyp: TokenSeq) -> tuple[float, float, float]:
 
 
 def _ngram_counts(tokens: tuple[str, ...], n: int) -> Counter:
-    return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
+    # Counter and zip run in C; unigrams are counted as bare tokens.
+    if n == 1:
+        return Counter(tokens)
+    return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
 def bleu(ref: TokenSeq, hyp: TokenSeq) -> float:
@@ -149,7 +160,7 @@ def bleu(ref: TokenSeq, hyp: TokenSeq) -> float:
         if len(h) < n:
             break
         total = len(h) - n + 1
-        clipped = sum((_ngram_counts(h, n) & _ngram_counts(r, n)).values())
+        clipped = _clipped(_ngram_counts(h, n), _ngram_counts(r, n))
         p = clipped / total
         if p == 0.0:
             if n == 1:

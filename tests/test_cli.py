@@ -207,6 +207,22 @@ def test_make_finegrained_color_mode(tmp_path, capsys):
 _ANNOTATION = {"id": "a1", "width": 1000, "height": 500, "box": [10, 20, 400, 100], "text": "hi"}
 
 
+@pytest.mark.parametrize("mode", ["box", "color"])
+@pytest.mark.parametrize("value", ["0", "-2", "1.5", "x"])
+def test_make_finegrained_rejects_bad_thickness_before_reading(tmp_path, capsys, mode, value):
+    anno = tmp_path / "anno.jsonl"
+    anno.write_text("")
+    out = tmp_path / "fg.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["make-finegrained", "--input", str(anno), "--out", str(out),
+              "--mode", mode, "--thickness", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.endswith(f"error: argument --thickness: expected a positive integer, got {value!r}")
+    assert not out.exists()
+
+
+
 @pytest.mark.parametrize(
     "line, where",
     [
@@ -496,6 +512,20 @@ def test_error_leaves_no_partial_output(tmp_path, capsys):
     assert rc == 1
     assert not missing_dir_out.exists()
     assert not list(tmp_path.glob("nope*"))
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "adir"], ids=["no-parent", "directory"])
+def test_failed_write_names_the_requested_path(tmp_path, capsys, target):
+    gt = tmp_path / "gt.jsonl"
+    _write_corpus(gt, ["text"])
+    (tmp_path / "adir").mkdir()
+    path = tmp_path / target
+    assert main(["score", "--gt", str(gt), "--pred", str(gt), "--json", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: \[Errno \d+\] [^:\n]+: '{re.escape(str(path))}'\n", err)
+    # no temp file left beside the target
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "gt.jsonl"]
+    assert not any((tmp_path / "adir").iterdir())
 
 
 def test_unreadable_input_is_reported(tmp_path, capsys):

@@ -8,9 +8,10 @@ METEOR from a hand alignment walk.
 import itertools
 import math
 import unicodedata
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ocrkit._kernels import levenshtein
@@ -234,6 +235,81 @@ def test_bleu_no_unigram_overlap_is_zero():
 def test_bleu_bounds(ref_tokens, hyp_tokens):
     value = bleu(_seq(ref_tokens), _seq(hyp_tokens))
     assert 0.0 <= value <= 1.0
+
+
+def _slice_ngram_counts(tokens, n):
+    return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
+
+
+def _intersection_prf(ref, hyp):
+    """Oracle: P/R/F1 with the overlap taken as a Counter intersection."""
+    matched = sum((Counter(ref.tokens) & Counter(hyp.tokens)).values())
+    precision = matched / len(hyp) if hyp.tokens else 0.0
+    recall = matched / len(ref) if ref.tokens else 0.0
+    if precision + recall == 0.0:
+        return precision, recall, 0.0
+    return precision, recall, 2.0 * precision * recall / (precision + recall)
+
+
+def _intersection_bleu(ref, hyp):
+    """Oracle: the same BLEU-4 over slice-built n-gram Counters, clipped by
+    Counter intersection."""
+    r, h = ref.tokens, hyp.tokens
+    if not h:
+        return 0.0
+    precisions = []
+    for n in range(1, 5):
+        if len(h) < n:
+            break
+        total = len(h) - n + 1
+        clipped = sum((_slice_ngram_counts(h, n) & _slice_ngram_counts(r, n)).values())
+        p = clipped / total
+        if p == 0.0:
+            if n == 1:
+                return 0.0
+            p = 1.0 / (2.0 * total)
+        precisions.append(p)
+    weight = 1.0 / len(precisions)
+    geo_mean = math.exp(sum(weight * math.log(p) for p in precisions))
+    brevity = 1.0 if len(h) >= len(r) else math.exp(1.0 - len(r) / len(h))
+    return brevity * geo_mean
+
+
+@st.composite
+def _clipping_pairs(draw):
+    """Token pairs over a 1-4 token alphabet, so n-grams repeat and clipping
+    binds; one hypothesis in three is shorter than BLEU's top order."""
+    alphabet = draw(st.lists(st.sampled_from(["a", "b", "ab", "你", ""]), min_size=1,
+                             max_size=4, unique=True))
+    tokens = st.sampled_from(alphabet)
+    ref = draw(st.lists(tokens, max_size=300))
+    hyp = draw(st.one_of(st.lists(tokens, max_size=3), st.lists(tokens, max_size=300),
+                         st.lists(tokens, max_size=300)))
+    return _seq(ref), _seq(hyp)
+
+
+@given(_clipping_pairs())
+@example((_seq([]), _seq([])))
+@example((_seq(["a", "b"]), _seq([])))
+@example((_seq([]), _seq(["a", "b", "a"])))
+@settings(max_examples=400, deadline=None)
+def test_clipped_counts_match_the_intersection_oracles(pair):
+    ref, hyp = pair
+    assert prf(ref, hyp) == _intersection_prf(ref, hyp)
+    assert bleu(ref, hyp) == _intersection_bleu(ref, hyp)
+
+
+CLIPPING_TEXTS = st.text(alphabet="ab 你好\n", max_size=200)
+
+
+@given(CLIPPING_TEXTS, CLIPPING_TEXTS, st.sampled_from(["word", "char"]))
+@example("the cat sat on the mat", "the cat the cat on the mat", "word")
+@example("你好你好世界", "你好世界你好", "word")
+@settings(max_examples=300, deadline=None)
+def test_clipped_counts_match_the_intersection_oracles_on_text(ref_text, hyp_text, granularity):
+    ref, hyp = tokenize(ref_text, granularity), tokenize(hyp_text, granularity)
+    assert prf(ref, hyp) == _intersection_prf(ref, hyp)
+    assert bleu(ref, hyp) == _intersection_bleu(ref, hyp)
 
 
 # --- METEOR --------------------------------------------------------------------
