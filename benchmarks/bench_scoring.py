@@ -9,13 +9,16 @@ of both sides, then ``edit_distance_norm``, ``prf``, ``bleu`` and ``meteor``
 on the tokenized pairs) and of one ``score_corpus`` call, given per sample.
 It does so once for this checkout's ``src`` ("after") and once for the
 ``src`` of the git revision given by ``--before``, exported to a temporary
-directory. Each measurement is a fresh process; the rounds interleave the
-two trees, alternating which goes first, and every figure is the median
-over rounds. Both trees must return the same corpus report. The core count
-and the Python version are recorded with the results.
+directory. Each measurement is a fresh process that tokenizes the corpus
+once untimed first, so the word-mode pattern is compiled outside the timed
+block in both trees. The ROUNDS rounds interleave the two trees, alternating
+which goes first; every figure is recorded as the median over rounds with
+the interquartile range between rounds next to it. Both trees must return
+the same corpus report. The core count and the Python version are recorded
+with the results.
 
     python benchmarks/bench_scoring.py --before HEAD       # uncommitted work vs HEAD
-    python benchmarks/bench_scoring.py --before HEAD~1 --rounds 3 --out /tmp/scoring.json
+    python benchmarks/bench_scoring.py --before HEAD~1 --out /tmp/scoring.json
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SEED = 0
 DOCS = 300
 DOC_WORDS = 400
+ROUNDS = 5
 GRANULARITIES = ("word", "char")
 LAYERS = ("tokenize", "edit_distance_norm", "prf", "bleu", "meteor")
 
@@ -52,6 +56,8 @@ folder, granularity = sys.argv[1:]
 refs = load_records(folder + "/gt.jsonl")
 hyps = load_records(folder + "/pred.jsonl")
 texts = [(r.ground_truth, h.ground_truth) for r, h in pair_by_id(refs, hyps)]
+for r, h in texts:
+    metrics.tokenize(r, granularity), metrics.tokenize(h, granularity)
 
 start = time.perf_counter()
 pairs = [(metrics.tokenize(r, granularity), metrics.tokenize(h, granularity)) for r, h in texts]
@@ -89,14 +95,19 @@ def run_child(src: Path, folder: Path, granularity: str) -> dict:
     return json.loads(done.stdout)
 
 
-def measure(before: Path, after: Path, folder: Path, rounds: int) -> dict:
-    """Median per-layer times of both trees, runs interleaved round by round."""
+def spread(values: list[float]) -> dict:
+    quartiles = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "iqr": quartiles[2] - quartiles[0]}
+
+
+def measure(before: Path, after: Path, folder: Path) -> dict:
+    """Per-layer median and IQR of both trees, runs interleaved round by round."""
     trees = [("before", before), ("after", after)]
     results = {}
     for granularity in GRANULARITIES:
         runs: dict[str, list[dict]] = {"before": [], "after": []}
         reports = {}
-        for k in range(rounds):
+        for k in range(ROUNDS):
             for label, src in trees if k % 2 == 0 else trees[::-1]:
                 out = run_child(src, folder, granularity)
                 runs[label].append(out["ms"])
@@ -104,14 +115,14 @@ def measure(before: Path, after: Path, folder: Path, rounds: int) -> dict:
         if reports["before"] != reports["after"]:
             raise SystemExit(f"{granularity}: the trees disagree: {reports}")
         results[granularity] = {
-            label: {key: statistics.median(ms[key] for ms in runs[label]) for key in runs[label][0]}
+            label: {key: spread([ms[key] for ms in runs[label]]) for key in runs[label][0]}
             for label in runs
         }
-        print(f"{granularity} granularity, ms over {DOCS} pairs (median of {rounds})")
-        print(f"  {'layer':<26}{'before':>10}{'after':>10}")
+        print(f"{granularity} granularity, ms over {DOCS} pairs (median ± IQR of {ROUNDS})")
+        print(f"  {'layer':<26}{'before':>20}{'after':>20}")
         for key in (*LAYERS, "score_corpus_per_sample"):
-            row = results[granularity]
-            print(f"  {key:<26}{row['before'][key]:>10.2f}{row['after'][key]:>10.2f}")
+            cells = [results[granularity][label][key] for label in ("before", "after")]
+            print(f"  {key:<26}" + "".join(f"{c['median']:>11.2f} ± {c['iqr']:<6.2f}" for c in cells))
     return results
 
 
@@ -120,22 +131,22 @@ def main() -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("--before", required=True, help="git revision to compare with")
-    parser.add_argument("--rounds", type=int, default=5, help="runs of each tree")
     parser.add_argument("--out", default="BENCH_scoring.json")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
         folder = Path(tmp) / "corpus"
         write_corpus(folder)
-        results = measure(export_src(args.before, Path(tmp)), ROOT / "src", folder, args.rounds)
+        results = measure(export_src(args.before, Path(tmp)), ROOT / "src", folder)
     sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.before],
                          capture_output=True, text=True, check=True).stdout.strip()
     report = {
         "before": f"src at {args.before} ({sha})",
         "after": "src of this checkout",
         "corpus": f"perfbench score-docs generator, seed {SEED}, {DOCS} docs of {DOC_WORDS} words",
-        "units": "ms over the whole corpus; score_corpus_per_sample in ms per sample",
-        "rounds": args.rounds,
+        "units": "ms over the whole corpus; score_corpus_per_sample in ms per sample; "
+                 "median and interquartile range over rounds",
+        "rounds": ROUNDS,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "machine": platform.machine(),
