@@ -175,21 +175,174 @@ def test_tikz_validator_rejects_junk():
     assert report.issues[0].line == 1
 
 
+# --- exact issue lists --------------------------------------------------------------
+
+_MD_MULTI = "\\end{x} \\)\r\n| a | b |\r\n| 1 |\r\n\\begin{y} $ \\[\r\n$$\r\n```\r\n\\end{z}\r\n"
+_SMILES_MULTI = "C(C)%aE1[@]C)(%12C2\nX"
+_KERN_MULTI = "!! c\n**kern\t**dynam\n4c\t4x 4y\n=1\t.\n*^\t*\n4c\n*a\t4c\n8dd\t=2\n"
+_RING_1 = "ring closure '1' appears 1 time(s), expected exactly 2"
+
+# One input per issue code, then one multi-issue input per validator that pins
+# the order: check by check, each check in scan order.
+EXACT_ISSUES = [
+    ("markdown", "```\ncode\n", [(1, 1, "FENCE_UNCLOSED", "code fence never closed")]),
+    ("markdown", "x \\end{array}", [(1, 3, "ENV_UNOPENED", "\\end{array} without begin")]),
+    (
+        "markdown",
+        "\\begin{a}\\end{b}",
+        [(1, 10, "ENV_MISMATCH", "\\end{b} closes \\begin{a} (1:1)")],
+    ),
+    ("markdown", "ok\n  \\begin{array} x", [(2, 3, "ENV_UNCLOSED", "\\begin{array} never closed")]),
+    ("markdown", "x = \\(a+b", [(1, 5, "MATH_UNBALANCED", "unclosed \\(")]),
+    (
+        "markdown",
+        "| a | b | c |\n| 1 | 2 | 3 |\n| 4 | 5 |\n",
+        [(3, 1, "TABLE_ARITY", "row has 2 cells, header has 3")],
+    ),
+    (
+        "markdown",
+        _MD_MULTI,
+        [
+            (6, 1, "FENCE_UNCLOSED", "code fence never closed"),
+            (1, 1, "ENV_UNOPENED", "\\end{x} without begin"),
+            (4, 1, "ENV_UNCLOSED", "\\begin{y} never closed"),
+            (1, 9, "MATH_UNBALANCED", "unmatched \\)"),
+            (4, 13, "MATH_UNBALANCED", "unclosed \\["),
+            (5, 1, "MATH_UNBALANCED", "unclosed $$"),
+            (4, 11, "MATH_UNBALANCED", "unclosed $"),
+            (3, 1, "TABLE_ARITY", "row has 1 cells, header has 2"),
+        ],
+    ),
+    # the column one past the end of line 1
+    ("smiles", "CC\nCC", [(1, 3, "MULTILINE", "SMILES must be a single line")]),
+    ("smiles", "CC)C", [(1, 3, "PAREN_UNBALANCED", "unmatched ')'")]),
+    ("smiles", "C[NH2", [(1, 2, "BRACKET_UNCLOSED", "unclosed bracket atom")]),
+    (
+        "smiles",
+        "[@]C",
+        [(1, 1, "BRACKET_MALFORMED", "bracket atom '[@]' does not match the bracket grammar")],
+    ),
+    ("smiles", "C%C", [(1, 2, "RING_MALFORMED", "'%' needs two digits")]),
+    ("smiles", "CEC", [(1, 2, "ATOM_ILLEGAL", "character 'E' not in the SMILES subset")]),
+    ("smiles", "C1CC", [(1, 2, "RING_UNPAIRED", _RING_1)]),
+    (
+        "smiles",
+        _SMILES_MULTI,
+        [
+            (1, 20, "MULTILINE", "SMILES must be a single line"),
+            (1, 5, "RING_MALFORMED", "'%' needs two digits"),
+            (1, 6, "ATOM_ILLEGAL", "character 'a' not in the SMILES subset"),
+            (1, 7, "ATOM_ILLEGAL", "character 'E' not in the SMILES subset"),
+            (1, 9, "BRACKET_MALFORMED", "bracket atom '[@]' does not match the bracket grammar"),
+            (1, 13, "PAREN_UNBALANCED", "unmatched ')'"),
+            (1, 14, "PAREN_UNBALANCED", "unclosed '('"),
+            (1, 8, "RING_UNPAIRED", _RING_1),
+            (1, 15, "RING_UNPAIRED", "ring closure '%12' appears 1 time(s), expected exactly 2"),
+            (1, 19, "RING_UNPAIRED", "ring closure '2' appears 1 time(s), expected exactly 2"),
+        ],
+    ),
+    ("kern", "", [(1, 1, "EMPTY_INPUT", "no records in input")]),
+    ("kern", "4c\n*-", [(1, 1, "SPINE_DECL", "first record must declare **kern spines")]),
+    ("kern", "!! only a comment\n", [(1, 1, "SPINE_DECL", "no spine declaration found")]),
+    ("kern", "**kern\n4c\n*-\n4d", [(4, 1, "SPINE_TERMINATED", "record after spine terminator")]),
+    (
+        "kern",
+        "**kern\t**kern\n4c\n*-\t*-",
+        [(2, 1, "SPINE_ARITY", "record has 1 field(s), spine count is 2")],
+    ),
+    (
+        "kern",
+        "**kern\n*^\n*-",
+        [(2, 1, "UNSUPPORTED", "spine splits/merges and multi-system constructs are unsupported")],
+    ),
+    (
+        "kern",
+        "**kern\t**kern\n*clefG2\t4c\n*-\t*-",
+        [(2, 1, "MIXED_RECORD", "interpretation mixed with data fields")],
+    ),
+    (
+        "kern",
+        "**kern\t**kern\n=1\t4c\n*-\t*-",
+        [(2, 4, "BARLINE_MIXED", "barline record mixes non-barline fields")],
+    ),
+    (
+        "kern",
+        "**kern\t**kern\n4c\t4h\n*-\t*-",
+        [(2, 4, "TOKEN_MALFORMED", "token '4h' does not match the kern token pattern")],
+    ),
+    ("kern", "**kern\n4c", [(2, 1, "SPINE_UNTERMINATED", "spines never terminated by *-")]),
+    (
+        "kern",
+        _KERN_MULTI,
+        [
+            (3, 4, "TOKEN_MALFORMED", "token '4x' does not match the kern token pattern"),
+            (4, 4, "BARLINE_MIXED", "barline record mixes non-barline fields"),
+            (5, 1, "UNSUPPORTED", "spine splits/merges and multi-system constructs are unsupported"),
+            (6, 1, "SPINE_ARITY", "record has 1 field(s), spine count is 2"),
+            (7, 1, "MIXED_RECORD", "interpretation mixed with data fields"),
+            (8, 1, "BARLINE_MIXED", "barline record mixes non-barline fields"),
+            (8, 1, "SPINE_UNTERMINATED", "spines never terminated by *-"),
+        ],
+    ),
+    ("tikz", "\\drow (0,0) circle (1);\n", [(1, 1, "TIKZ_SYNTAX", "unknown command (expected \\draw)")]),
+    # the parser stops at the first error, so a second line pins its line number
+    (
+        "tikz",
+        "\\draw (0,0) circle (1);\n\\draw (0,0) circle (0);\n",
+        [(2, 21, "TIKZ_SYNTAX", "circle radius must be positive")],
+    ),
+    # one trailing newline is dropped, a second one is a blank line
+    ("tikz", "\\draw (0,0) circle (1);\n\n", [(2, 1, "TIKZ_SYNTAX", "blank line inside drawing")]),
+]
+
+
+def issue_tuples(report):
+    return [(i.line, i.column, i.code, i.message) for i in report.issues]
+
+
+@pytest.mark.parametrize(
+    "kind,text,expected",
+    EXACT_ISSUES,
+    ids=[f"{kind}-{exp[0][2] if len(exp) == 1 else 'multi'}" for kind, _, exp in EXACT_ISSUES],
+)
+def test_exact_issue_list(kind, text, expected):
+    report = VALIDATORS[kind](text)
+    assert issue_tuples(report) == expected
+    assert report.ok is False
+
+
+def test_exact_issue_table_covers_every_code():
+    covered = {issue[2] for _, _, expected in EXACT_ISSUES for issue in expected}
+    assert len(covered) == 23
+
+
 # --- shared behavior ----------------------------------------------------------------
 
 
+def _noise_texts(n=500):
+    rng = random.Random(99)
+    alphabet = "abcXYZ019 \t\n(){}[]|$\\*=#%-.:;\"'你好é€"
+    for _ in range(n):
+        yield "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 120)))
+
+
+_STABILITY_SAMPLES = [
+    "some \\(math\\) and a | table |",
+    "C1CCCCC1",
+    "**kern\n4c\n*-",
+    "\\draw (0,0) circle (1);",
+    *(text for _, text, _ in EXACT_ISSUES),
+]
+
+
 def test_ok_stable_under_trailing_newline_and_crlf():
-    samples = {
-        "markdown": "some \\(math\\) and a | table |\n",
-        "smiles": "C1CCCCC1",
-        "kern": "**kern\n4c\n*-",
-        "tikz": "\\draw (0,0) circle (1);",
-    }
-    for kind, text in samples.items():
-        validator = VALIDATORS[kind]
-        base = validator(text).ok
-        assert validator(text + "\n").ok == base
-        assert validator(text.replace("\n", "\r\n")).ok == base
+    texts = [*_STABILITY_SAMPLES, *_noise_texts()]
+    texts = [t for t in texts if t and not t.endswith("\n")]
+    for text in texts:
+        for validator in VALIDATORS.values():
+            base = issue_tuples(validator(text))
+            assert issue_tuples(validator(text + "\n")) == base, text
+            assert issue_tuples(validator(text.replace("\n", "\r\n"))) == base, text
 
 
 def test_markdown_validator_accepts_chart_engine_output():
@@ -200,10 +353,7 @@ def test_markdown_validator_accepts_chart_engine_output():
 
 
 def test_validators_total_on_noise():
-    rng = random.Random(99)
-    alphabet = "abcXYZ019 \t\n(){}[]|$\\*=#%-.:;\"'你好é€"
-    for _ in range(500):
-        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 120)))
+    for text in _noise_texts():
         for validator in VALIDATORS.values():
             report = validator(text)
             assert report.ok == (not report.issues)
