@@ -23,25 +23,26 @@ from typing import TYPE_CHECKING, Callable
 # invocation loads only what it uses.
 from . import corpus
 from .corpus import Corpus, Sample, TaskKind
-from .metrics import MetricReport, score_corpus
+from .metrics import score_corpus
 
 if TYPE_CHECKING:
     from .charts import ApReport
+    from .metrics import MetricReport
     from .tiling import ImageDims
 
-METRIC_COLUMNS = (
-    ("Edit Distance", "edit_distance"),
-    ("F1-score", "f1"),
-    ("Precision", "precision"),
-    ("Recall", "recall"),
-    ("BLEU", "bleu"),
-    ("METEOR", "meteor"),
-)
-AP_COLUMNS = (
-    ("AP@strict", "ap_strict"),
-    ("AP@slight", "ap_slight"),
-    ("AP@high", "ap_high"),
-)
+# Report field -> column name. A report's fields are in column order, so its
+# as_dict() picks and orders the columns; n_samples is shown apart.
+COLUMN_NAMES = {
+    "edit_distance": "Edit Distance",
+    "f1": "F1-score",
+    "precision": "Precision",
+    "recall": "Recall",
+    "bleu": "BLEU",
+    "meteor": "METEOR",
+    "ap_strict": "AP@strict",
+    "ap_slight": "AP@slight",
+    "ap_high": "AP@high",
+}
 # The keys of validators.VALIDATORS, sorted; spelled out so building the
 # parser does not import the validators.
 VALIDATE_KINDS = ("kern", "markdown", "smiles", "tikz")
@@ -91,16 +92,17 @@ def _save_corpus_atomic(c: Corpus, path: str | Path) -> None:
 
 def render_report(report: MetricReport | ApReport, style: str = "text") -> str:
     """Report text with the benchmark column names, 3-decimal values."""
-    columns = METRIC_COLUMNS if isinstance(report, MetricReport) else AP_COLUMNS
-    values = report.as_dict()
+    columns = [
+        (COLUMN_NAMES[key], value) for key, value in report.as_dict().items() if key != "n_samples"
+    ]
     if style == "markdown":
         head = "| " + " | ".join(name for name, _ in columns) + " |"
         sep = "|" + "|".join(" --- " for _ in columns) + "|"
-        row = "| " + " | ".join(f"{values[key]:.3f}" for _, key in columns) + " |"
+        row = "| " + " | ".join(f"{value:.3f}" for _, value in columns) + " |"
         return "\n".join((head, sep, row)) + "\n"
     if style == "text":
         width = max(len(name) for name, _ in columns)
-        lines = [f"{name:<{width}}  {values[key]:.3f}" for name, key in columns]
+        lines = [f"{name:<{width}}  {value:.3f}" for name, value in columns]
         lines.append(f"{'samples':<{width}}  {report.n_samples}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown style {style!r}")
@@ -124,6 +126,14 @@ def _dims(text: str) -> ImageDims:
 
 def _dims_list(text: str) -> list[ImageDims]:
     return [_dims(part) for part in text.split(",") if part]
+
+
+def _decode(data: bytes, source: str) -> str:
+    """data as strict UTF-8; a bad byte reads ``<source>: ...``."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{source}: {exc}") from exc
 
 
 def _positive_int(text: str) -> int:
@@ -359,7 +369,8 @@ def cmd_gen_chart(args) -> int:
 
     pool = charts.ChartGenConfig().text_pool
     if args.pool_file:
-        words = [w.strip() for w in Path(args.pool_file).read_text(encoding="utf-8").splitlines()]
+        text = _decode(Path(args.pool_file).read_bytes(), args.pool_file)
+        words = [w.strip() for w in text.splitlines()]
         pool = tuple(w for w in words if w)
     config = charts.ChartGenConfig(
         value_range=(args.value_lo, args.value_hi), decimals=args.decimals, text_pool=pool
@@ -394,9 +405,9 @@ def cmd_validate_format(args) -> int:
     from . import validators
 
     if args.file == "-":
-        text = sys.stdin.read()
+        text = _decode(sys.stdin.buffer.read(), "<stdin>")
     else:
-        text = Path(args.file).read_text(encoding="utf-8")
+        text = _decode(Path(args.file).read_bytes(), args.file)
     report = validators.VALIDATORS[args.kind](text)
     for issue in report.issues:
         print(f"{issue.line}:{issue.column} {issue.code} {issue.message}")
@@ -474,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("compose-pages", cmd_compose_pages, "compose multi-page OCR samples")
     p.add_argument("--pool", required=True, help="JSONL page pool (page_id, text, image_ref)")
     p.add_argument("--n", type=int, required=True, help="pages per sample, 2-8")
-    p.add_argument("--count", type=int, default=1, help="samples to generate")
+    p.add_argument("--count", type=_positive_int, default=1, help="samples to generate")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -486,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("gen-geometry", cmd_gen_geometry, "generate TikZ geometry records")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--n", type=_positive_int, default=10)
     p.add_argument("--out", required=True)
     p.add_argument("--min-elements", type=int, default=1)
     p.add_argument("--max-elements", type=int, default=6)
@@ -496,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("gen-chart", cmd_gen_chart, "generate chart ground-truth records")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--n", type=_positive_int, default=10)
     p.add_argument("--out", required=True)
     p.add_argument("--form", choices=("dict", "table"), default="dict")
     p.add_argument("--value-lo", type=float, default=0.0)

@@ -28,10 +28,6 @@ class ValidationReport:
     ok: bool
     issues: tuple[Issue, ...]
 
-    @classmethod
-    def from_issues(cls, issues: list[Issue]) -> "ValidationReport":
-        return cls(not issues, tuple(issues))
-
 
 def _lines_of(text: str) -> list[str]:
     text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -41,10 +37,22 @@ def _lines_of(text: str) -> list[str]:
     return lines
 
 
-def _make_issue(lines: list[str], line: int, column: int, code: str, message: str) -> Issue:
-    line = min(max(line, 1), max(len(lines), 1))
-    width = len(lines[line - 1]) + 1 if lines else 1
-    return Issue(line, min(max(column, 1), width), code, message)
+class _Issues:
+    """The issues found in one text, in the order they are added; each
+    position is clamped into the text (a column may be one past the end)."""
+
+    def __init__(self, text: str):
+        self.lines = _lines_of(text)
+        self.found: list[Issue] = []
+
+    def add(self, line: int, column: int, code: str, message: str) -> None:
+        lines = self.lines
+        line = min(max(line, 1), max(len(lines), 1))
+        width = len(lines[line - 1]) + 1 if lines else 1
+        self.found.append(Issue(line, min(max(column, 1), width), code, message))
+
+    def report(self) -> ValidationReport:
+        return ValidationReport(not self.found, tuple(self.found))
 
 
 # --- Mathpix-flavoured markdown -------------------------------------------
@@ -60,8 +68,8 @@ def _split_cells(line: str) -> list[str]:
 def validate_mathpix_markdown(text: str) -> ValidationReport:
     """Check math delimiter balance, environment pairing, table arity and
     code-fence termination."""
-    lines = _lines_of(text)
-    issues: list[Issue] = []
+    found = _Issues(text)
+    lines = found.lines
 
     fenced = [False] * len(lines)
     fence_open: tuple[int, int] | None = None
@@ -76,7 +84,7 @@ def validate_mathpix_markdown(text: str) -> ValidationReport:
         elif fence_open is not None:
             fenced[i] = True
     if fence_open is not None:
-        issues.append(_make_issue(lines, *fence_open, "FENCE_UNCLOSED", "code fence never closed"))
+        found.add(*fence_open, "FENCE_UNCLOSED", "code fence never closed")
 
     env_stack: list[tuple[str, int, int]] = []
     for i, line in enumerate(lines):
@@ -87,27 +95,18 @@ def validate_mathpix_markdown(text: str) -> ValidationReport:
             if kind == "begin":
                 env_stack.append((name, i + 1, m.start() + 1))
             elif not env_stack:
-                issues.append(
-                    _make_issue(
-                        lines, i + 1, m.start() + 1, "ENV_UNOPENED", f"\\end{{{name}}} without begin"
-                    )
-                )
+                found.add(i + 1, m.start() + 1, "ENV_UNOPENED", f"\\end{{{name}}} without begin")
             else:
                 open_name, oline, ocol = env_stack.pop()
                 if open_name != name:
-                    issues.append(
-                        _make_issue(
-                            lines,
-                            i + 1,
-                            m.start() + 1,
-                            "ENV_MISMATCH",
-                            f"\\end{{{name}}} closes \\begin{{{open_name}}} ({oline}:{ocol})",
-                        )
+                    found.add(
+                        i + 1,
+                        m.start() + 1,
+                        "ENV_MISMATCH",
+                        f"\\end{{{name}}} closes \\begin{{{open_name}}} ({oline}:{ocol})",
                     )
     for name, oline, ocol in env_stack:
-        issues.append(
-            _make_issue(lines, oline, ocol, "ENV_UNCLOSED", f"\\begin{{{name}}} never closed")
-        )
+        found.add(oline, ocol, "ENV_UNCLOSED", f"\\begin{{{name}}} never closed")
 
     bracket_stack: list[tuple[str, int, int]] = []
     dollar_open: tuple[int, int] | None = None
@@ -126,11 +125,7 @@ def validate_mathpix_markdown(text: str) -> ValidationReport:
                     if bracket_stack and bracket_stack[-1][0] == _OPEN_FOR[tok]:
                         bracket_stack.pop()
                     else:
-                        issues.append(
-                            _make_issue(
-                                lines, i + 1, j + 1, "MATH_UNBALANCED", f"unmatched {tok}"
-                            )
-                        )
+                        found.add(i + 1, j + 1, "MATH_UNBALANCED", f"unmatched {tok}")
                 j += 2
                 continue
             if ch == "$":
@@ -141,11 +136,11 @@ def validate_mathpix_markdown(text: str) -> ValidationReport:
                 dollar_open = None if dollar_open else (i + 1, j + 1)
             j += 1
     for tok, line_no, col in bracket_stack:
-        issues.append(_make_issue(lines, line_no, col, "MATH_UNBALANCED", f"unclosed {tok}"))
+        found.add(line_no, col, "MATH_UNBALANCED", f"unclosed {tok}")
     if ddollar_open:
-        issues.append(_make_issue(lines, *ddollar_open, "MATH_UNBALANCED", "unclosed $$"))
+        found.add(*ddollar_open, "MATH_UNBALANCED", "unclosed $$")
     if dollar_open:
-        issues.append(_make_issue(lines, *dollar_open, "MATH_UNBALANCED", "unclosed $"))
+        found.add(*dollar_open, "MATH_UNBALANCED", "unclosed $")
 
     header_arity: int | None = None
     for i, line in enumerate(lines):
@@ -156,16 +151,10 @@ def validate_mathpix_markdown(text: str) -> ValidationReport:
         if header_arity is None:
             header_arity = len(cells)
         elif len(cells) != header_arity:
-            issues.append(
-                _make_issue(
-                    lines,
-                    i + 1,
-                    1,
-                    "TABLE_ARITY",
-                    f"row has {len(cells)} cells, header has {header_arity}",
-                )
+            found.add(
+                i + 1, 1, "TABLE_ARITY", f"row has {len(cells)} cells, header has {header_arity}"
             )
-    return ValidationReport.from_issues(issues)
+    return found.report()
 
 
 # --- SMILES -----------------------------------------------------------------
@@ -183,12 +172,10 @@ _BOND_CHARS = set("-=#$:/\\")
 def validate_smiles(text: str) -> ValidationReport:
     """Check parenthesis balance, bracket-atom syntax, ring-closure pairing
     and that every atom/bond token belongs to the organic subset."""
-    lines = _lines_of(text)
-    issues: list[Issue] = []
+    found = _Issues(text)
+    lines = found.lines
     if len(lines) > 1:
-        issues.append(
-            _make_issue(lines, 1, len(lines[0]) + 1, "MULTILINE", "SMILES must be a single line")
-        )
+        found.add(1, len(lines[0]) + 1, "MULTILINE", "SMILES must be a single line")
     s = lines[0] if lines else ""
     paren_stack: list[int] = []
     ring_first: dict[str, int] = {}
@@ -203,7 +190,7 @@ def validate_smiles(text: str) -> ValidationReport:
             if paren_stack:
                 paren_stack.pop()
             else:
-                issues.append(_make_issue(lines, 1, i + 1, "PAREN_UNBALANCED", "unmatched ')'"))
+                found.add(1, i + 1, "PAREN_UNBALANCED", "unmatched ')'")
             i += 1
         elif ch == "[":
             m = _BRACKET_ATOM_RE.match(s, i)
@@ -212,19 +199,14 @@ def validate_smiles(text: str) -> ValidationReport:
             else:
                 end = s.find("]", i)
                 if end < 0:
-                    issues.append(
-                        _make_issue(lines, 1, i + 1, "BRACKET_UNCLOSED", "unclosed bracket atom")
-                    )
+                    found.add(1, i + 1, "BRACKET_UNCLOSED", "unclosed bracket atom")
                     i = len(s)
                 else:
-                    issues.append(
-                        _make_issue(
-                            lines,
-                            1,
-                            i + 1,
-                            "BRACKET_MALFORMED",
-                            f"bracket atom {s[i:end + 1]!r} does not match the bracket grammar",
-                        )
+                    found.add(
+                        1,
+                        i + 1,
+                        "BRACKET_MALFORMED",
+                        f"bracket atom {s[i:end + 1]!r} does not match the bracket grammar",
                     )
                     i = end + 1
         elif ch == "%":
@@ -234,9 +216,7 @@ def validate_smiles(text: str) -> ValidationReport:
                 ring_counts[label] = ring_counts.get(label, 0) + 1
                 i += 3
             else:
-                issues.append(
-                    _make_issue(lines, 1, i + 1, "RING_MALFORMED", "'%' needs two digits")
-                )
+                found.add(1, i + 1, "RING_MALFORMED", "'%' needs two digits")
                 i += 1
         elif ch.isdigit():
             ring_first.setdefault(ch, i)
@@ -249,26 +229,19 @@ def validate_smiles(text: str) -> ValidationReport:
         elif ch in _BOND_CHARS or ch == ".":
             i += 1
         else:
-            issues.append(
-                _make_issue(
-                    lines, 1, i + 1, "ATOM_ILLEGAL", f"character {ch!r} not in the SMILES subset"
-                )
-            )
+            found.add(1, i + 1, "ATOM_ILLEGAL", f"character {ch!r} not in the SMILES subset")
             i += 1
     for pos in paren_stack:
-        issues.append(_make_issue(lines, 1, pos + 1, "PAREN_UNBALANCED", "unclosed '('"))
+        found.add(1, pos + 1, "PAREN_UNBALANCED", "unclosed '('")
     for label, count in ring_counts.items():
         if count != 2:
-            issues.append(
-                _make_issue(
-                    lines,
-                    1,
-                    ring_first[label] + 1,
-                    "RING_UNPAIRED",
-                    f"ring closure {label!r} appears {count} time(s), expected exactly 2",
-                )
+            found.add(
+                1,
+                ring_first[label] + 1,
+                "RING_UNPAIRED",
+                f"ring closure {label!r} appears {count} time(s), expected exactly 2",
             )
-    return ValidationReport.from_issues(issues)
+    return found.report()
 
 
 # --- Humdrum **kern ----------------------------------------------------------
@@ -287,12 +260,11 @@ _KERN_NOTE_RE = re.compile(
 def validate_kern(text: str) -> ValidationReport:
     """Check spine declaration/termination, per-record field arity, barline
     consistency and the documented duration-pitch token pattern."""
-    lines = _lines_of(text)
-    issues: list[Issue] = []
+    found = _Issues(text)
+    lines = found.lines
     if not lines:
-        return ValidationReport.from_issues(
-            [Issue(1, 1, "EMPTY_INPUT", "no records in input")]
-        )
+        found.add(1, 1, "EMPTY_INPUT", "no records in input")
+        return found.report()
     spine_count: int | None = None
     terminated = False
     for idx, line in enumerate(lines):
@@ -301,30 +273,19 @@ def validate_kern(text: str) -> ValidationReport:
             continue
         fields = line.split("\t")
         if spine_count is None:
-            if all(f.startswith("**") and len(f) > 2 for f in fields) and "**kern" in fields:
-                pass
-            else:
-                issues.append(
-                    _make_issue(
-                        lines, ln, 1, "SPINE_DECL", "first record must declare **kern spines"
-                    )
-                )
+            if not (all(f.startswith("**") and len(f) > 2 for f in fields) and "**kern" in fields):
+                found.add(ln, 1, "SPINE_DECL", "first record must declare **kern spines")
             spine_count = len(fields)
             continue
         if terminated:
-            issues.append(
-                _make_issue(lines, ln, 1, "SPINE_TERMINATED", "record after spine terminator")
-            )
+            found.add(ln, 1, "SPINE_TERMINATED", "record after spine terminator")
             continue
         if len(fields) != spine_count:
-            issues.append(
-                _make_issue(
-                    lines,
-                    ln,
-                    1,
-                    "SPINE_ARITY",
-                    f"record has {len(fields)} field(s), spine count is {spine_count}",
-                )
+            found.add(
+                ln,
+                1,
+                "SPINE_ARITY",
+                f"record has {len(fields)} field(s), spine count is {spine_count}",
             )
             continue
         if line.startswith("!"):
@@ -333,56 +294,40 @@ def validate_kern(text: str) -> ValidationReport:
             if all(f == "*-" for f in fields):
                 terminated = True
             elif any(f in ("*^", "*v") or f.startswith("**") for f in fields):
-                issues.append(
-                    _make_issue(
-                        lines,
-                        ln,
-                        1,
-                        "UNSUPPORTED",
-                        "spine splits/merges and multi-system constructs are unsupported",
-                    )
+                found.add(
+                    ln,
+                    1,
+                    "UNSUPPORTED",
+                    "spine splits/merges and multi-system constructs are unsupported",
                 )
             continue
         if any(f.startswith("*") for f in fields):
-            issues.append(
-                _make_issue(
-                    lines, ln, 1, "MIXED_RECORD", "interpretation mixed with data fields"
-                )
-            )
+            found.add(ln, 1, "MIXED_RECORD", "interpretation mixed with data fields")
             continue
         is_barline = [f.startswith("=") for f in fields]
         if any(is_barline):
             if not all(is_barline):
                 col = 1 + sum(len(f) + 1 for f in fields[: is_barline.index(False)])
-                issues.append(
-                    _make_issue(
-                        lines, ln, col, "BARLINE_MIXED", "barline record mixes non-barline fields"
-                    )
-                )
+                found.add(ln, col, "BARLINE_MIXED", "barline record mixes non-barline fields")
             continue
         col = 1
         for f in fields:
             if f != ".":
                 for sub in f.split(" "):
                     if not _KERN_NOTE_RE.match(sub):
-                        issues.append(
-                            _make_issue(
-                                lines,
-                                ln,
-                                col,
-                                "TOKEN_MALFORMED",
-                                f"token {sub!r} does not match the kern token pattern",
-                            )
+                        found.add(
+                            ln,
+                            col,
+                            "TOKEN_MALFORMED",
+                            f"token {sub!r} does not match the kern token pattern",
                         )
                         break
             col += len(f) + 1
     if spine_count is None:
-        issues.append(_make_issue(lines, 1, 1, "SPINE_DECL", "no spine declaration found"))
+        found.add(1, 1, "SPINE_DECL", "no spine declaration found")
     elif not terminated:
-        issues.append(
-            _make_issue(lines, len(lines), 1, "SPINE_UNTERMINATED", "spines never terminated by *-")
-        )
-    return ValidationReport.from_issues(issues)
+        found.add(len(lines), 1, "SPINE_UNTERMINATED", "spines never terminated by *-")
+    return found.report()
 
 
 # --- TikZ (delegates to the geometry parser) ---------------------------------
@@ -390,17 +335,17 @@ def validate_kern(text: str) -> ValidationReport:
 
 def validate_tikz(text: str) -> ValidationReport:
     """Accept exactly the geometry engine's TikZ subset."""
-    normalized = "\n".join(_lines_of(text))
+    found = _Issues(text)
+    source = "\n".join(found.lines)
     try:
-        parse_tikz_subset(normalized + "\n" if normalized else "")
+        # the parser drops one trailing empty line: without the added "\n",
+        # a last line of the input that is blank would go unreported
+        parse_tikz_subset(source + "\n" if source else "")
     except TikzParseError as exc:
-        lines = _lines_of(text)
-        return ValidationReport.from_issues(
-            [_make_issue(lines, exc.line, exc.column, "TIKZ_SYNTAX", exc.message)]
-        )
+        found.add(exc.line, exc.column, "TIKZ_SYNTAX", exc.message)
     except ValueError as exc:
-        return ValidationReport.from_issues([Issue(1, 1, "TIKZ_SYNTAX", str(exc))])
-    return ValidationReport.from_issues([])
+        found.add(1, 1, "TIKZ_SYNTAX", str(exc))
+    return found.report()
 
 
 VALIDATORS = {

@@ -14,18 +14,36 @@ _LIST_OCRKIT_MODULES = (
 )
 
 
+def _child_env() -> dict[str, str]:
+    """The environment for a fresh interpreter that imports this ocrkit."""
+    env = dict(os.environ)
+    src = str(Path(ocrkit.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 @pytest.fixture
 def ocrkit_modules_after():
     """Run statements in a fresh interpreter; return the ocrkit modules it loaded."""
 
     def run(statements: str) -> list[str]:
-        env = dict(os.environ)
-        src = str(Path(ocrkit.__file__).parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         done = subprocess.run(
             [sys.executable, "-c", f"{statements}\n{_LIST_OCRKIT_MODULES}"],
-            env=env, capture_output=True, text=True, check=True,
+            env=_child_env(), capture_output=True, text=True, check=True,
         )
         return done.stdout.split()
+
+    return run
+
+
+@pytest.fixture
+def ocrkit_cli():
+    """Run the CLI in a fresh interpreter under the POSIX locale, stdin given as bytes."""
+
+    def run(argv: list[str], stdin: bytes) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "ocrkit.cli", *argv],
+            input=stdin, env={**_child_env(), "LC_ALL": "C"}, capture_output=True,
+        )
 
     return run

@@ -207,18 +207,28 @@ def test_make_finegrained_color_mode(tmp_path, capsys):
 _ANNOTATION = {"id": "a1", "width": 1000, "height": 500, "box": [10, 20, 400, 100], "text": "hi"}
 
 
-@pytest.mark.parametrize("mode", ["box", "color"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["make-finegrained", "--input", "{input}", "--mode", "box"], "--thickness"),
+        (["make-finegrained", "--input", "{input}", "--mode", "color"], "--thickness"),
+        (["gen-geometry"], "--n"),
+        (["gen-chart"], "--n"),
+        (["compose-pages", "--pool", "{input}", "--n", "2"], "--count"),
+    ],
+    ids=["thickness-box", "thickness-color", "gen-geometry-n", "gen-chart-n", "compose-count"],
+)
 @pytest.mark.parametrize("value", ["0", "-2", "1.5", "x"])
-def test_make_finegrained_rejects_bad_thickness_before_reading(tmp_path, capsys, mode, value):
-    anno = tmp_path / "anno.jsonl"
-    anno.write_text("")
-    out = tmp_path / "fg.jsonl"
+def test_positive_int_flags_reject_bad_values_before_reading(tmp_path, capsys, argv, flag, value):
+    # exit 2 from argparse: nothing is read or written
+    source = tmp_path / "in.jsonl"
+    source.write_text("")
+    out = tmp_path / "out.jsonl"
     with pytest.raises(SystemExit) as exc:
-        main(["make-finegrained", "--input", str(anno), "--out", str(out),
-              "--mode", mode, "--thickness", value])
+        main([a.format(input=source) for a in argv] + ["--out", str(out), flag, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()[-1]
-    assert err.endswith(f"error: argument --thickness: expected a positive integer, got {value!r}")
+    assert err.endswith(f"error: argument {flag}: expected a positive integer, got {value!r}")
     assert not out.exists()
 
 
@@ -487,6 +497,49 @@ def test_validate_format_exit_codes(tmp_path, capsys):
     assert main(["validate-format", "--kind", "smiles", str(bad)]) == 1
     out = capsys.readouterr().out
     assert out.startswith("1:2 RING_UNPAIRED")
+
+
+@pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+def test_validate_format_rejects_bad_utf8_naming_the_source(tmp_path, ocrkit_cli, from_stdin):
+    data = b"C\xffC\n"
+    path = tmp_path / "bad.smi"
+    path.write_bytes(data)
+    source = "<stdin>" if from_stdin else str(path)
+    done = ocrkit_cli(
+        ["validate-format", "--kind", "smiles", "-" if from_stdin else str(path)],
+        data if from_stdin else b"",
+    )
+    assert done.returncode == 1
+    assert done.stdout == b""
+    assert done.stderr.decode() == (
+        f"error: {source}: 'utf-8' codec can't decode byte 0xff in position 1: "
+        "invalid start byte\n"
+    )
+
+
+def test_validate_format_crlf_gives_the_same_issues_from_file_and_stdin(tmp_path, ocrkit_cli):
+    text = "é \\(x\n| a | b |\n| 1 |\n"
+    crlf = text.replace("\n", "\r\n").encode()
+    path = tmp_path / "page.md"
+    path.write_bytes(crlf)
+    argv = ["validate-format", "--kind", "markdown"]
+    from_file = ocrkit_cli([*argv, str(path)], b"")
+    from_stdin = ocrkit_cli([*argv, "-"], crlf)
+    expected = "1:3 MATH_UNBALANCED unclosed \\(\n3:1 TABLE_ARITY row has 1 cells, header has 2\n"
+    for done in (from_file, from_stdin):
+        assert (done.returncode, done.stdout.decode(), done.stderr) == (1, expected, b"")
+
+
+def test_gen_chart_pool_file_decode_error_names_the_file(tmp_path, capsys):
+    pool = tmp_path / "pool.txt"
+    pool.write_bytes(b"alpha\nbe\xfata\n")
+    out = tmp_path / "charts.jsonl"
+    assert main(["gen-chart", "--pool-file", str(pool), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {pool}: 'utf-8' codec can't decode byte 0xfa in position 8: "
+        "invalid start byte\n"
+    )
+    assert not out.exists()
 
 
 def test_validate_format_issue_line_format(tmp_path, capsys):

@@ -181,6 +181,7 @@ _MD_MULTI = "\\end{x} \\)\r\n| a | b |\r\n| 1 |\r\n\\begin{y} $ \\[\r\n$$\r\n```
 _SMILES_MULTI = "C(C)%aE1[@]C)(%12C2\nX"
 _KERN_MULTI = "!! c\n**kern\t**dynam\n4c\t4x 4y\n=1\t.\n*^\t*\n4c\n*a\t4c\n8dd\t=2\n"
 _RING_1 = "ring closure '1' appears 1 time(s), expected exactly 2"
+_UNSUPPORTED = "spine splits/merges and multi-system constructs are unsupported"
 
 # One input per issue code, then one multi-issue input per validator that pins
 # the order: check by check, each check in scan order.
@@ -253,7 +254,7 @@ EXACT_ISSUES = [
     (
         "kern",
         "**kern\n*^\n*-",
-        [(2, 1, "UNSUPPORTED", "spine splits/merges and multi-system constructs are unsupported")],
+        [(2, 1, "UNSUPPORTED", _UNSUPPORTED)],
     ),
     (
         "kern",
@@ -277,14 +278,18 @@ EXACT_ISSUES = [
         [
             (3, 4, "TOKEN_MALFORMED", "token '4x' does not match the kern token pattern"),
             (4, 4, "BARLINE_MIXED", "barline record mixes non-barline fields"),
-            (5, 1, "UNSUPPORTED", "spine splits/merges and multi-system constructs are unsupported"),
+            (5, 1, "UNSUPPORTED", _UNSUPPORTED),
             (6, 1, "SPINE_ARITY", "record has 1 field(s), spine count is 2"),
             (7, 1, "MIXED_RECORD", "interpretation mixed with data fields"),
             (8, 1, "BARLINE_MIXED", "barline record mixes non-barline fields"),
             (8, 1, "SPINE_UNTERMINATED", "spines never terminated by *-"),
         ],
     ),
-    ("tikz", "\\drow (0,0) circle (1);\n", [(1, 1, "TIKZ_SYNTAX", "unknown command (expected \\draw)")]),
+    (
+        "tikz",
+        "\\drow (0,0) circle (1);\n",
+        [(1, 1, "TIKZ_SYNTAX", "unknown command (expected \\draw)")],
+    ),
     # the parser stops at the first error, so a second line pins its line number
     (
         "tikz",
