@@ -7,6 +7,12 @@ sequence), and each text token advances the whole column with a constant
 number of word operations. Python ints serve as bit vectors of any width, so
 there is no 64-token block limit, and the pattern-match table is keyed by the
 tokens themselves.
+
+An optional distance limit adds Ukkonen's (1985, "Algorithms for approximate
+string matching", Information and Control 64) cutoff in its last-row form: a
+text token changes the last DP row by at most one, so the final distance is
+at least ``dist - tokens_left``. Once that bound exceeds the limit the answer
+is settled and the kernel stops reading the text.
 """
 
 from __future__ import annotations
@@ -14,13 +20,20 @@ from __future__ import annotations
 from collections.abc import Hashable, Sequence
 
 
-def levenshtein(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
-    """Unit-cost edit distance between two token sequences."""
+def levenshtein(a: Sequence[Hashable], b: Sequence[Hashable], limit: int | None = None) -> int:
+    """Unit-cost edit distance between two token sequences, capped at ``limit + 1``.
+
+    ``levenshtein(a, b, k) == min(distance, k + 1)`` for every ``k >= 0``, so
+    any result above ``k`` means only "more than k"; ``limit=None`` returns
+    the exact distance.
+    """
     if len(a) < len(b):
         a, b = b, a
-    m = len(b)
+    n, m = len(a), len(b)
+    if limit is None:
+        limit = n  # the distance never exceeds the longer length: no cutoff
     if m == 0:
-        return len(a)
+        return min(n, limit + 1)
     peq: dict[Hashable, int] = {}
     bit = 1
     for tok in b:
@@ -29,6 +42,7 @@ def levenshtein(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     mask = bit - 1
     last = bit >> 1
     vp, vn, dist = mask, 0, m
+    reach = limit + n  # limit + tokens left: past it, dist can no longer fall to the limit
     for tok in a:
         eq = peq.get(tok, 0)
         d0 = (((eq & vp) + vp) ^ vp) | eq | vn
@@ -38,6 +52,9 @@ def levenshtein(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
             dist += 1
         elif hn & last:
             dist -= 1
+        reach -= 1
+        if dist > reach:
+            return limit + 1
         hp = (hp << 1) | 1
         # Bits above the pattern never carry into it; the mask keeps them bounded.
         vp = ((hn << 1) | ~(d0 | hp)) & mask

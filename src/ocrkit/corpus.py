@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from pathlib import Path
 from typing import Iterator
 
@@ -101,7 +103,8 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) per line, split on LF only (so U+2028 stays
     in its string); a blank line, bad JSON, a non-object or a lone surrogate
     is a CorpusFormatError."""
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    # bytes, not read_text: universal-newline mode would turn a bare CR into a line break
+    lines = Path(path).read_bytes().decode("utf-8").split("\n")
     if lines[-1] == "":
         lines.pop()
     for lineno, raw in enumerate(lines, start=1):
@@ -207,15 +210,26 @@ def dedup_filter(test: Corpus, train: Corpus, threshold: float) -> Corpus:
 
     Similarity is 1 - normalized character-level edit distance; a test sample
     survives only if its maximum similarity over the training corpus is below
-    the threshold.
+    the threshold. Each pair's distance is computed only up to the largest
+    distance that still drops the sample, so the kernel can stop early; the
+    decision is the one the exact distance gives.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be within [0, 1]")
+
+    @cache
+    def limit(n: int) -> int:
+        # The largest d in [0, n] with 1.0 - d / n < threshold false, found by
+        # evaluating that predicate (monotone in d), so its rounding decides.
+        return bisect_left(range(1, n + 1), True, key=lambda d: 1.0 - d / n < threshold)
+
     train_toks = [tokenize(s.ground_truth, "char") for s in train.samples]
     kept = []
     for sample in test.samples:
         toks = tokenize(sample.ground_truth, "char")
-        if all(1.0 - edit_distance_norm(t, toks) < threshold for t in train_toks):
+        m = len(toks.tokens)
+        if all(1.0 - edit_distance_norm(t, toks, limit(max(len(t.tokens), m))) < threshold
+               for t in train_toks):
             kept.append(sample)
     return Corpus(tuple(kept), test.schema_version)
 

@@ -112,12 +112,17 @@ def _check_pair(ref: TokenSeq, hyp: TokenSeq) -> None:
         )
 
 
-def edit_distance_norm(ref: TokenSeq, hyp: TokenSeq) -> float:
-    """Levenshtein distance over tokens divided by max(len(ref), len(hyp))."""
+def edit_distance_norm(ref: TokenSeq, hyp: TokenSeq, limit: int | None = None) -> float:
+    """Levenshtein distance over tokens divided by max(len(ref), len(hyp)).
+
+    With a ``limit`` the distance is capped first: the result is
+    ``min(distance, limit + 1) / max_len``, which is exact whenever the
+    distance is at most ``limit``.
+    """
     _check_pair(ref, hyp)
     if not ref.tokens and not hyp.tokens:
         return 0.0
-    return levenshtein(ref.tokens, hyp.tokens) / max(len(ref), len(hyp))
+    return levenshtein(ref.tokens, hyp.tokens, limit) / max(len(ref), len(hyp))
 
 
 def _clipped(hyp_counts: Counter, ref_counts: Counter) -> int:

@@ -18,6 +18,7 @@ from ocrkit.corpus import (
     pair_by_id,
     save_records,
 )
+from ocrkit.metrics import edit_distance_norm, tokenize
 
 TEXT = st.text(min_size=1, max_size=30)
 META = st.dictionaries(st.text(max_size=8), st.text(max_size=12), max_size=3)
@@ -181,6 +182,30 @@ def test_overlong_integer_is_a_format_error(tmp_path):
     assert exc.value.line == 1
 
 
+def test_bare_cr_between_json_tokens_loads(tmp_path):
+    # CR is JSON whitespace, and only LF ends a line
+    path = tmp_path / "cr.jsonl"
+    path.write_bytes(b'{"id":"s1","task_kind":"PlainDoc",\r"ground_truth":"a"}')
+    [sample] = load_records(path).samples
+    assert (sample.id, sample.ground_truth) == ("s1", "a")
+
+
+@pytest.mark.parametrize("last", ["{oops\n", "\n", _line(id="a"), _line(lang="xx")])
+def test_crlf_corpus_loads_and_errors_name_the_same_line(tmp_path, last):
+    good = _line(id="a") + _line(id="b")
+    path = tmp_path / "crlf.jsonl"
+    path.write_bytes(good.replace("\n", "\r\n").encode())
+    assert [s.id for s in load_records(path).samples] == ["a", "b"]
+    errors = []
+    for newline in ("\n", "\r\n"):
+        path.write_bytes((good + last).replace("\n", newline).encode())
+        with pytest.raises(CorpusFormatError) as exc:
+            load_records(path)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("line 3: ")
+
+
 @given(
     st.lists(
         st.tuples(
@@ -313,6 +338,30 @@ def test_dedup_similarity_equal_to_threshold_drops():
     assert 1.0 - 1 / 10 == 0.9
     assert [s.id for s in dedup_filter(test, train, 0.9).samples] == ["s2"]
     assert [s.id for s in dedup_filter(test, train, 0.8).samples] == []
+
+
+# short texts over few characters, whitespace-only ones (no char tokens) included
+DEDUP_TEXTS = st.lists(st.text(st.sampled_from("ab \n"), min_size=1, max_size=9), max_size=6)
+# 0, 1 and thresholds equal to an achievable similarity 1 - k/n, where rounding decides
+THRESHOLDS = (
+    st.sampled_from([0.0, 1.0])
+    | st.integers(1, 9).flatmap(lambda n: st.integers(0, n).map(lambda k: 1.0 - k / n))
+    | st.floats(0.0, 1.0)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(DEDUP_TEXTS, DEDUP_TEXTS, THRESHOLDS)
+def test_property_dedup_matches_exact_distance_reference(test_texts, train_texts, threshold):
+    test = _corpus(*[_sample(i, t) for i, t in enumerate(test_texts)])
+    train = _corpus(*[_sample(i, t) for i, t in enumerate(train_texts)])
+    train_toks = [tokenize(s.ground_truth, "char") for s in train.samples]
+    expected = [
+        s.id for s in test.samples
+        if all(1.0 - edit_distance_norm(t, tokenize(s.ground_truth, "char")) < threshold
+               for t in train_toks)
+    ]
+    assert [s.id for s in dedup_filter(test, train, threshold).samples] == expected
 
 
 def test_dedup_empty_train_keeps_all():

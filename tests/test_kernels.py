@@ -1,4 +1,5 @@
-"""The bit-parallel Levenshtein kernel against two independent oracles."""
+"""The bit-parallel Levenshtein kernel against two independent oracles, with and
+without a distance limit."""
 
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocrkit._kernels import levenshtein
+from ocrkit.metrics import TokenSeq, edit_distance_norm
 
 
 def _naive(a, b):
@@ -35,6 +37,11 @@ def _random_pair(rng, max_len, alphabet):
         return tuple(str(rng.randrange(alphabet)) for _ in range(rng.randrange(max_len + 1)))
 
     return one(), one()
+
+
+def _limits_around(d, a, b):
+    # limits below, at and above the true distance d, and the no-cutoff bound
+    return sorted({k for k in (0, d - 1, d, d + 1, max(len(a), len(b))) if k >= 0})
 
 
 # multi-char, CJK, empty and whitespace tokens, few enough to force matches
@@ -101,3 +108,34 @@ def test_property_long_pattern_few_edits(a, data):
     d = levenshtein(a, b)
     assert d <= edits
     assert d == _plain_dp(a, b) == levenshtein(b, a)
+    for k in _limits_around(d, a, b):
+        assert levenshtein(a, b, k) == min(d, k + 1)
+
+
+def test_limit_caps_at_limit_plus_one():
+    assert levenshtein("kitten", "sitting", 3) == 3
+    assert levenshtein("kitten", "sitting", 2) == 3
+    assert levenshtein("kitten", "sitting", 0) == 1
+    assert levenshtein("abc", "", 1) == 2
+    assert levenshtein("", "", 0) == 0
+    assert levenshtein("abc", "abc", 0) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(TOKENS, max_size=80).map(tuple), st.lists(TOKENS, max_size=80).map(tuple))
+def test_property_limit_is_min_of_distance_and_limit_plus_one(a, b):
+    d = _plain_dp(a, b)
+    for k in _limits_around(d, a, b):
+        assert levenshtein(a, b, k) == min(d, k + 1)
+        assert levenshtein(b, a, k) == min(d, k + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(TOKENS, max_size=40).map(tuple), st.lists(TOKENS, max_size=40).map(tuple))
+def test_property_edit_distance_norm_limit(r, h):
+    ref, hyp = TokenSeq(r, "word"), TokenSeq(h, "word")
+    d = _plain_dp(r, h)
+    max_len = max(len(r), len(h))
+    assert edit_distance_norm(ref, hyp) == (d / max_len if max_len else 0.0)
+    for k in _limits_around(d, r, h):
+        assert edit_distance_norm(ref, hyp, k) == (min(d, k + 1) / max_len if max_len else 0.0)
