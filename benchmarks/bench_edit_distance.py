@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Benchmark the bit-parallel Levenshtein kernel against the plain DP recurrence.
 
-Both run on the same seeded pairs of random token tuples at each length; the
-plain two-row dynamic programme is the "before" and ``levenshtein`` the
+Both run on the same seeded pairs of random token tuples at each length: one
+pair of equal lengths and one whose short side has ``length // 20`` tokens,
+where the kernel reads the short side against the long side as its pattern.
+The plain two-row dynamic programme is the "before" and ``levenshtein`` the
 "after". Their distances must agree. Per-call times, the core count and the
 Python version are written to a JSON file.
 
@@ -66,24 +68,27 @@ def main() -> int:
     rng = random.Random(0)
     vocab = [f"t{k}" for k in range(args.alphabet)]
     rows = []
-    print(f"{'length':>8}{'plain DP':>14}{'levenshtein':>14}{'speedup':>10}")
+    print(f"{'length':>8}{'short':>8}{'plain DP':>14}{'levenshtein':>14}{'speedup':>10}")
     for size in (int(s) for s in args.sizes.split(",")):
-        a = tuple(rng.choice(vocab) for _ in range(size))
-        b = tuple(rng.choice(vocab) for _ in range(size))
-        distance = levenshtein(a, b)
-        if distance != plain_dp(a, b):
-            raise SystemExit(f"kernel disagrees with the plain DP at length {size}")
-        before = per_call_s(plain_dp, a, b, args.repeats)
-        after = per_call_s(levenshtein, a, b, args.repeats)
-        rows.append({"length": size, "distance": distance,
-                     "before_ms": before * 1e3, "after_ms": after * 1e3})
-        print(f"{size:>8}{before * 1e3:>12.3f}ms{after * 1e3:>12.3f}ms{before / after:>9.1f}x")
+        for short in (size, size // 20):
+            a = tuple(rng.choice(vocab) for _ in range(short))
+            b = tuple(rng.choice(vocab) for _ in range(size))
+            distance = levenshtein(a, b)
+            if distance != plain_dp(a, b):
+                raise SystemExit(f"kernel disagrees with the plain DP at {short} x {size}")
+            before = per_call_s(plain_dp, a, b, args.repeats)
+            after = per_call_s(levenshtein, a, b, args.repeats)
+            rows.append({"length": size, "short": short, "distance": distance,
+                         "before_ms": before * 1e3, "after_ms": after * 1e3})
+            print(f"{size:>8}{short:>8}{before * 1e3:>12.3f}ms{after * 1e3:>12.3f}ms"
+                  f"{before / after:>9.1f}x")
 
     report = {
         "before": (
             "plain two-row DP reference (plain_dp), not the numpy kernel it replaced"
         ),
         "after": "ocrkit._kernels.levenshtein (bit-parallel)",
+        "shapes": "per length: equal lengths, then a short side of length // 20",
         "alphabet": args.alphabet,
         "seed": 0,
         "repeats": args.repeats,

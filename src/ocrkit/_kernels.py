@@ -2,17 +2,20 @@
 
 Myers (1999, "A fast bit-vector algorithm for approximate string matching",
 JACM 46(3)) in Hyyrö's (2003) edit-distance form. One column of the DP matrix
-is held as vertical +1/-1 delta bit vectors over the pattern (the shorter
-sequence), and each text token advances the whole column with a constant
-number of word operations. Python ints serve as bit vectors of any width, so
-there is no 64-token block limit, and the pattern-match table is keyed by the
-tokens themselves.
+is held as vertical +1/-1 delta bit vectors over the pattern (the longer
+sequence), and each text token (of the shorter sequence) advances the whole
+column with a constant number of word operations. Python ints serve as bit
+vectors of any width, so there is no 64-token block limit, and the
+pattern-match table is keyed by the tokens themselves. The longer side is
+the pattern because a step's cost grows far more slowly than the pattern's
+width, so reading the shorter side is the cheaper orientation.
 
 An optional distance limit adds Ukkonen's (1985, "Algorithms for approximate
 string matching", Information and Control 64) cutoff in its last-row form: a
 text token changes the last DP row by at most one, so the final distance is
 at least ``dist - tokens_left``. Once that bound exceeds the limit the answer
-is settled and the kernel stops reading the text.
+is settled and the kernel stops reading the text. The last row starts at the
+longer length, so a length gap above the limit is settled at the first token.
 """
 
 from __future__ import annotations
@@ -36,14 +39,14 @@ def levenshtein(a: Sequence[Hashable], b: Sequence[Hashable], limit: int | None 
         return min(n, limit + 1)
     peq: dict[Hashable, int] = {}
     bit = 1
-    for tok in b:
+    for tok in a:
         peq[tok] = peq.get(tok, 0) | bit
         bit <<= 1
     mask = bit - 1
     last = bit >> 1
-    vp, vn, dist = mask, 0, m
-    reach = limit + n  # limit + tokens left: past it, dist can no longer fall to the limit
-    for tok in a:
+    vp, vn, dist = mask, 0, n
+    reach = limit + m  # limit + tokens left: past it, dist can no longer fall to the limit
+    for tok in b:
         eq = peq.get(tok, 0)
         d0 = (((eq & vp) + vp) ^ vp) | eq | vn
         hp = vn | ~(d0 | vp)

@@ -382,6 +382,8 @@ class ChartGenConfig:
     def __post_init__(self):
         if not self.text_pool:
             raise ValueError("text_pool must be non-empty")
+        if not all(math.isfinite(bound) for bound in self.value_range):
+            raise ValueError(f"value_range bounds must be finite, got {self.value_range}")
         if self.value_range[0] > self.value_range[1]:
             raise ValueError(f"bad value_range {self.value_range}")
         if self.decimals < 0:

@@ -1,5 +1,6 @@
 """Chart parsing, AP scoring and synthesis."""
 
+import math
 import random
 
 import pytest
@@ -348,6 +349,14 @@ def test_gen_config_validation():
         ChartGenConfig(text_pool=("bad|pipe",))
     with pytest.raises(ValueError):
         ChartGenConfig(text_pool=("padded ",))
+
+
+@pytest.mark.parametrize(
+    "bounds", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)]
+)
+def test_gen_config_rejects_non_finite_value_range(bounds):
+    with pytest.raises(ValueError, match="value_range bounds must be finite"):
+        ChartGenConfig(value_range=bounds)
 
 
 def test_render_spec_format():

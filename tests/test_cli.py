@@ -542,6 +542,16 @@ def test_gen_chart_pool_file_decode_error_names_the_file(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, shown", [(["--value-hi", "inf"], "(0.0, inf)"), (["--value-lo", "nan"], "(nan, 1000.0)")]
+)
+def test_gen_chart_non_finite_value_bound_names_value_range(tmp_path, capsys, flags, shown):
+    out = tmp_path / "charts.jsonl"
+    assert main(["gen-chart", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: value_range bounds must be finite, got {shown}\n"
+    assert not out.exists()
+
+
 def test_validate_format_issue_line_format(tmp_path, capsys):
     bad = tmp_path / "bad.kern"
     bad.write_text("**kern\n4c\n")

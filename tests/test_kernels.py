@@ -112,6 +112,20 @@ def test_property_long_pattern_few_edits(a, data):
         assert levenshtein(a, b, k) == min(d, k + 1)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(TOKENS, max_size=24).map(tuple),
+    st.lists(TOKENS, min_size=200, max_size=330).map(tuple),
+)
+def test_property_short_against_long_with_limits(short, long):
+    # the long side is the pattern (wider than 64 bits), the short side is read
+    d = _plain_dp(short, long)
+    gap = len(long) - len(short)
+    for k in {*_limits_around(d, short, long), gap, gap - 1}:
+        assert levenshtein(short, long, k) == min(d, k + 1)
+        assert levenshtein(long, short, k) == min(d, k + 1)
+
+
 def test_limit_caps_at_limit_plus_one():
     assert levenshtein("kitten", "sitting", 3) == 3
     assert levenshtein("kitten", "sitting", 2) == 3
@@ -119,6 +133,9 @@ def test_limit_caps_at_limit_plus_one():
     assert levenshtein("abc", "", 1) == 2
     assert levenshtein("", "", 0) == 0
     assert levenshtein("abc", "abc", 0) == 0
+    # a length gap above the limit is settled at the first token read
+    assert levenshtein("ab", "ab" * 50, 97) == 98
+    assert levenshtein("ab" * 50, "b", 3) == 4
 
 
 @settings(max_examples=150, deadline=None)
