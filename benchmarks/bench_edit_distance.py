@@ -9,7 +9,7 @@ The plain two-row dynamic programme is the "before" and ``levenshtein`` the
 Python version are written to a JSON file.
 
     PYTHONPATH=src python benchmarks/bench_edit_distance.py
-    PYTHONPATH=src python benchmarks/bench_edit_distance.py --sizes 200,1000 --repeats 5
+    PYTHONPATH=src python benchmarks/bench_edit_distance.py --out /tmp/edit_distance.json
 """
 
 from __future__ import annotations
@@ -23,6 +23,10 @@ import time
 
 from ocrkit._kernels import levenshtein
 
+SIZES = (10, 200, 1000, 5000)  # sequence lengths
+REPEATS = 3  # timed batches per call, best kept
+ALPHABET = 64  # distinct tokens
+
 
 def plain_dp(a, b) -> int:
     """Two-row Levenshtein recurrence, one cell at a time."""
@@ -35,8 +39,8 @@ def plain_dp(a, b) -> int:
     return prev[-1]
 
 
-def per_call_s(fn, a, b, repeats: int, min_batch_s: float = 0.05) -> float:
-    """Best over ``repeats`` batches of the mean time per call."""
+def per_call_s(fn, a, b, min_batch_s: float = 0.05) -> float:
+    """Best over REPEATS batches of the mean time per call."""
     number = 1
     while True:
         t0 = time.perf_counter()
@@ -47,7 +51,7 @@ def per_call_s(fn, a, b, repeats: int, min_batch_s: float = 0.05) -> float:
             break
         number *= 2
     best = elapsed / number
-    for _ in range(repeats - 1):
+    for _ in range(REPEATS - 1):
         t0 = time.perf_counter()
         for _ in range(number):
             fn(a, b)
@@ -59,25 +63,22 @@ def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    parser.add_argument("--sizes", default="10,200,1000,5000", help="comma list of sequence lengths")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--alphabet", type=int, default=64, help="distinct tokens")
     parser.add_argument("--out", default="BENCH_edit_distance.json")
     args = parser.parse_args()
 
     rng = random.Random(0)
-    vocab = [f"t{k}" for k in range(args.alphabet)]
+    vocab = [f"t{k}" for k in range(ALPHABET)]
     rows = []
     print(f"{'length':>8}{'short':>8}{'plain DP':>14}{'levenshtein':>14}{'speedup':>10}")
-    for size in (int(s) for s in args.sizes.split(",")):
+    for size in SIZES:
         for short in (size, size // 20):
             a = tuple(rng.choice(vocab) for _ in range(short))
             b = tuple(rng.choice(vocab) for _ in range(size))
             distance = levenshtein(a, b)
             if distance != plain_dp(a, b):
                 raise SystemExit(f"kernel disagrees with the plain DP at {short} x {size}")
-            before = per_call_s(plain_dp, a, b, args.repeats)
-            after = per_call_s(levenshtein, a, b, args.repeats)
+            before = per_call_s(plain_dp, a, b)
+            after = per_call_s(levenshtein, a, b)
             rows.append({"length": size, "short": short, "distance": distance,
                          "before_ms": before * 1e3, "after_ms": after * 1e3})
             print(f"{size:>8}{short:>8}{before * 1e3:>12.3f}ms{after * 1e3:>12.3f}ms"
@@ -89,9 +90,9 @@ def main() -> int:
         ),
         "after": "ocrkit._kernels.levenshtein (bit-parallel)",
         "shapes": "per length: equal lengths, then a short side of length // 20",
-        "alphabet": args.alphabet,
+        "alphabet": ALPHABET,
         "seed": 0,
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "machine": platform.machine(),

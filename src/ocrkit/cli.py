@@ -118,10 +118,13 @@ def _dims(text: str) -> ImageDims:
     from .tiling import ImageDims
 
     try:
-        w, h = text.lower().split("x")
-        return ImageDims(int(w), int(h))
+        w, h = (int(side) for side in text.lower().split("x"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected WIDTHxHEIGHT, got {text!r}") from exc
+    try:
+        return ImageDims(w, h)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _dims_list(text: str) -> list[ImageDims]:

@@ -143,10 +143,8 @@ class Curve:
                 f"{self.kind} curve takes {CURVE_ARITY[self.kind]} parameters, "
                 f"got {len(params)}"
             )
-        if self.kind == "ellipse" and (params[2] <= 0 or params[3] <= 0):
-            raise ValueError("ellipse semi-axes must be positive")
-        if self.kind == "hyperbola" and (params[2] <= 0 or params[3] <= 0):
-            raise ValueError("hyperbola semi-axes must be positive")
+        if self.kind in ("ellipse", "hyperbola") and (params[2] <= 0 or params[3] <= 0):
+            raise ValueError(f"{self.kind} semi-axes must be positive")
         if self.kind in ("line", "parabola", "hyperbola"):
             lo, hi = params[-2], params[-1]
             if lo >= hi:

@@ -142,6 +142,23 @@ def test_stitch_output(capsys):
     assert main(["stitch", "--pages", "800x1100", "--orientation", "vertical"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, flag, text, message",
+    [
+        (["stitch", "--pages"], "--pages", "0x5,10x10", "image dims must be positive, got 0x5"),
+        (["paste-layout", "--canvas"], "--canvas", "0x5", "image dims must be positive, got 0x5"),
+        (["stitch", "--pages"], "--pages", "10x10,-3x4", "image dims must be positive, got -3x4"),
+        (["stitch", "--pages"], "--pages", "800by600", "expected WIDTHxHEIGHT, got '800by600'"),
+        (["paste-layout", "--canvas"], "--canvas", "1x2x3", "expected WIDTHxHEIGHT, got '1x2x3'"),
+    ],
+)
+def test_dims_flags_tell_a_bad_shape_from_a_non_positive_size(capsys, argv, flag, text, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [text])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: argument {flag}: {message}")
+
+
 # --- generators ---------------------------------------------------------------------
 
 

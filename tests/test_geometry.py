@@ -51,6 +51,17 @@ def test_element_invariants():
         Curve("spiral", ("1",))
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("ellipse", ("0", "0", "{a}", "{b}")),
+    ("hyperbola", ("0", "0", "{a}", "{b}", "-1", "1")),
+])
+@pytest.mark.parametrize("a, b", [("0", "1"), ("1", "-2")])
+def test_curve_semi_axes_must_be_positive(kind, params, a, b):
+    with pytest.raises(ValueError) as exc:
+        Curve(kind, tuple(p.format(a=a, b=b) for p in params))
+    assert str(exc.value) == f"{kind} semi-axes must be positive"
+
+
 def test_emit_templates():
     assert emit_tikz(GeomScene((Circle(Point(0, 0), Decimal(2)),))).source == (
         "\\draw (0,0) circle (2);\n"
