@@ -97,27 +97,30 @@ SUBCOMMANDS = (
     "paste-layout", "gen-geometry", "gen-chart", "validate-format", "dedup", "mix",
 )
 
-# Runs the CLI the way the installed ``ocrkit`` script does, then lists the
-# ocrkit modules that were loaded, on stderr, when the process exits.
+# Runs the CLI the way the installed ``ocrkit`` script does, then lists every
+# loaded module, on stderr, when the process exits.
 PROBE = """\
 import atexit, sys
-atexit.register(lambda: print(
-    *sorted(m for m in sys.modules if m.partition(".")[0] == "ocrkit"), file=sys.stderr))
+atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))
 sys.argv[0] = "ocrkit"
 from ocrkit.cli import main
 sys.exit(main())
 """
+# Lists the modules a bare interpreter has loaded.
+FLOOR_MODULES = "import sys; print(*sys.modules)"
 
 
 def startup(trees: dict[str, Path], tmp: Path) -> tuple[dict, list]:
     """CLI startup: fresh ``python -m ocrkit.cli <sub> --help`` processes.
 
     For every subcommand this records the median wall time of RUNS fresh
-    processes per tree and the ocrkit modules such a process loads. The
-    median wall time of ``python -c pass`` is recorded as the interpreter's
-    own floor. Without cached bytecode (``PYTHONDONTWRITEBYTECODE`` set and no
-    ``__pycache__``) every imported module is compiled from source in every
-    process; the setting is recorded with the results.
+    processes per tree, the ocrkit modules such a process loads, and the
+    standard library modules it loads beyond those of ``python -c pass``.
+    The median wall time of ``python -c pass`` is recorded as the
+    interpreter's own floor. Without cached bytecode
+    (``PYTHONDONTWRITEBYTECODE`` set and no ``__pycache__``) every imported
+    module is compiled from source in every process; the setting is
+    recorded with the results.
     """
     def wall_s(src: Path, *args: str) -> float:
         start = time.perf_counter()
@@ -129,15 +132,22 @@ def startup(trees: dict[str, Path], tmp: Path) -> tuple[dict, list]:
         return {"floor": wall_s(src, "-c", "pass"), **times}, None
 
     figures, _ = interleave(trees, RUNS, measure)
+    floors = {label: set(run(src, "-c", FLOOR_MODULES).stdout.split())
+              for label, src in trees.items()}
     rows = []
-    print(f"{'subcommand':<18}{'before':>10}{'after':>10}  ocrkit modules after")
+    print(f"{'subcommand':<18}{'before':>10}{'after':>10}{'stdlib +':>10}  ocrkit modules after")
     for sub in SUBCOMMANDS:
         row = {"subcommand": sub}
         for label, src in trees.items():
             row[f"{label}_ms"] = statistics.median(f[sub] for f in figures[label]) * 1e3
-            row[f"{label}_modules"] = run(src, "-c", PROBE, sub, "--help").stderr.split()
+            loaded = run(src, "-c", PROBE, sub, "--help").stderr.split()
+            row[f"{label}_modules"] = [m for m in loaded if m.partition(".")[0] == "ocrkit"]
+            row[f"{label}_stdlib_modules"] = [
+                m for m in loaded if m.partition(".")[0] != "ocrkit" and m not in floors[label]
+            ]
         rows.append(row)
-        print(f"{sub:<18}{row['before_ms']:>8.1f}ms{row['after_ms']:>8.1f}ms  "
+        stdlib = f"{len(row['before_stdlib_modules'])}/{len(row['after_stdlib_modules'])}"
+        print(f"{sub:<18}{row['before_ms']:>8.1f}ms{row['after_ms']:>8.1f}ms{stdlib:>10}  "
               f"{' '.join(row['after_modules'])}")
     floor_ms = statistics.median(f["floor"] for f in figures["after"]) * 1e3
     print(f"python -c pass: {floor_ms:.1f}ms")

@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import asdict, dataclass
 from typing import Callable
+
+from ._record import Record
 
 AP_TOLERANCES = {"strict": 0.0, "slight": 0.05, "high": 0.10}
 AP_VALUE_FLOOR = 1e-9
@@ -33,54 +34,58 @@ class ChartParseError(ValueError):
         self.message = message
 
 
-@dataclass(frozen=True)
-class Series:
-    name: str
-    points: tuple[tuple[str, float], ...]
+class Series(Record):
+    __slots__ = ("name", "points")
 
-    def __post_init__(self):
+    def __init__(self, name: str, points: tuple[tuple[str, float], ...]):
         seen = set()
-        for label, value in self.points:
+        for label, value in points:
             if label in seen:
-                raise ValueError(f"series {self.name!r}: duplicate label {label!r}")
+                raise ValueError(f"series {name!r}: duplicate label {label!r}")
             seen.add(label)
             if not math.isfinite(value):
-                raise ValueError(f"series {self.name!r}: value for {label!r} not finite")
+                raise ValueError(f"series {name!r}: value for {label!r} not finite")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "points", points)
 
 
-@dataclass(frozen=True)
-class ChartStruct:
-    series: tuple[Series, ...] = ()
-    title: str | None = None
-    source: str | None = None
-    x_title: str | None = None
-    y_title: str | None = None
+class ChartStruct(Record):
+    __slots__ = ("series", "title", "source", "x_title", "y_title")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        series: tuple[Series, ...] = (),
+        title: str | None = None,
+        source: str | None = None,
+        x_title: str | None = None,
+        y_title: str | None = None,
+    ):
         seen = set()
-        for s in self.series:
+        for s in series:
             if s.name in seen:
                 raise ValueError(f"duplicate series name {s.name!r}")
             seen.add(s.name)
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "title", title)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "x_title", x_title)
+        object.__setattr__(self, "y_title", y_title)
 
     def items(self) -> list[tuple[str, str, float]]:
         """All (series, label, value) triples."""
         return [(s.name, label, value) for s in self.series for label, value in s.points]
 
 
-@dataclass(frozen=True)
-class ApReport:
-    ap_strict: float
-    ap_slight: float
-    ap_high: float
-    n_samples: int
+class ApReport(Record):
+    __slots__ = ("ap_strict", "ap_slight", "ap_high", "n_samples")
 
-    def __post_init__(self):
-        if not self.ap_strict <= self.ap_slight <= self.ap_high:
+    def __init__(self, ap_strict: float, ap_slight: float, ap_high: float, n_samples: int):
+        if not ap_strict <= ap_slight <= ap_high:
             raise ValueError("AP values must be non-decreasing with tolerance")
-
-    def as_dict(self) -> dict[str, float | int]:
-        return asdict(self)
+        object.__setattr__(self, "ap_strict", ap_strict)
+        object.__setattr__(self, "ap_slight", ap_slight)
+        object.__setattr__(self, "ap_high", ap_high)
+        object.__setattr__(self, "n_samples", n_samples)
 
 
 _NUMBER_RE = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
@@ -373,24 +378,29 @@ N_POINTS = (2, 6)
 CHART_KINDS = ("bar", "line")
 
 
-@dataclass(frozen=True)
-class ChartGenConfig:
-    value_range: tuple[float, float] = (0.0, 1000.0)
-    decimals: int = 2
-    text_pool: tuple[str, ...] = DEFAULT_TEXT_POOL
+class ChartGenConfig(Record):
+    __slots__ = ("value_range", "decimals", "text_pool")
 
-    def __post_init__(self):
-        if not self.text_pool:
+    def __init__(
+        self,
+        value_range: tuple[float, float] = (0.0, 1000.0),
+        decimals: int = 2,
+        text_pool: tuple[str, ...] = DEFAULT_TEXT_POOL,
+    ):
+        if not text_pool:
             raise ValueError("text_pool must be non-empty")
-        if not all(math.isfinite(bound) for bound in self.value_range):
-            raise ValueError(f"value_range bounds must be finite, got {self.value_range}")
-        if self.value_range[0] > self.value_range[1]:
-            raise ValueError(f"bad value_range {self.value_range}")
-        if self.decimals < 0:
+        if not all(math.isfinite(bound) for bound in value_range):
+            raise ValueError(f"value_range bounds must be finite, got {value_range}")
+        if value_range[0] > value_range[1]:
+            raise ValueError(f"bad value_range {value_range}")
+        if decimals < 0:
             raise ValueError("decimals must be >= 0")
-        for word in self.text_pool:
+        for word in text_pool:
             if "|" in word or "\n" in word or not word or word != word.strip():
                 raise ValueError(f"pool text {word!r} not usable in every chart form")
+        object.__setattr__(self, "value_range", value_range)
+        object.__setattr__(self, "decimals", decimals)
+        object.__setattr__(self, "text_pool", text_pool)
 
 
 RENDER_SPEC_VERSION = "chartspec v1"

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
+from itertools import product
 from pathlib import Path
 from typing import Iterator
 
+from ._record import Record
 from .metrics import edit_distance_norm, tokenize
 
 
@@ -44,6 +46,8 @@ _FIELDS = {  # every record field and its kind, in check order
     "image_ref": (str, type(None)), "meta": (dict,),
 }
 _REQUIRED = ("id", "task_kind", "ground_truth")
+# Every tuple of value types a record may hold, in field order (Sample's order).
+_FIELD_TYPES = frozenset(product(*_FIELDS.values()))
 
 
 class CorpusFormatError(ValueError):
@@ -54,43 +58,71 @@ class CorpusFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Sample:
-    id: str
-    task_kind: TaskKind
-    ground_truth: str
-    prompt: str = ""
-    lang: str = "en"
-    image_ref: str | None = None
-    meta: dict[str, str] = field(default_factory=dict)
+_NO_META = object()  # Sample's meta default: a fresh {} per sample
+_SURROGATE = re.compile("[\ud800-\udfff]")  # a code point UTF-8 cannot hold
 
-    def __post_init__(self):
-        if not self.id:
+
+class Sample(Record):
+    """One record; construction applies every check the record loader applies."""
+
+    __slots__ = ("id", "task_kind", "ground_truth", "prompt", "lang", "image_ref", "meta")
+
+    def __init__(
+        self,
+        id: str,
+        task_kind: TaskKind | str,
+        ground_truth: str,
+        prompt: str = "",
+        lang: str = "en",
+        image_ref: str | None = None,
+        meta: dict[str, str] = _NO_META,
+    ):
+        if meta is _NO_META:
+            meta = {}
+        kind = task_kind.value if type(task_kind) is TaskKind else task_kind
+        fields = (id, kind, ground_truth, prompt, lang, image_ref, meta)
+        if tuple(map(type, fields)) not in _FIELD_TYPES:
+            check_fields(dict(zip(_FIELDS, fields)), _FIELDS, ())  # names the first bad field
+        if not id:
             raise ValueError("sample id must be non-empty")
-        object.__setattr__(self, "task_kind", TaskKind(self.task_kind))
-        if not self.ground_truth:
-            raise ValueError(f"sample {self.id!r}: ground_truth must be non-empty")
-        if self.lang not in LANGS:
-            raise ValueError(f"sample {self.id!r}: lang must be one of {LANGS}")
-        for k, v in self.meta.items():
+        task_kind = TaskKind(kind)
+        if not ground_truth:
+            raise ValueError(f"sample {id!r}: ground_truth must be non-empty")
+        if lang not in LANGS:
+            raise ValueError(f"sample {id!r}: lang must be one of {LANGS}")
+        for k, v in meta.items():
             if not isinstance(k, str) or not isinstance(v, str):
-                raise ValueError(f"sample {self.id!r}: meta must map strings to strings")
+                raise ValueError(f"sample {id!r}: meta must map strings to strings")
+        for text in (id, ground_truth, prompt, image_ref or "", *meta, *meta.values()):
+            if not text.isascii() and (found := _SURROGATE.search(text)):
+                code = ord(found.group())
+                raise ValueError(f"sample {id!r}: lone surrogate U+{code:04X} in a string")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "task_kind", task_kind)
+        object.__setattr__(self, "ground_truth", ground_truth)
+        object.__setattr__(self, "prompt", prompt)
+        object.__setattr__(self, "lang", lang)
+        object.__setattr__(self, "image_ref", image_ref)
+        object.__setattr__(self, "meta", meta)
 
 
-@dataclass(frozen=True)
-class Corpus:
-    samples: tuple[Sample, ...] = ()
-    schema_version: int = 1
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if self.schema_version < 1:
+class Corpus(Record):
+    __slots__ = ("samples", "schema_version")
+
+    def __init__(self, samples: tuple[Sample, ...] = (), schema_version: int = 1):
+        samples = tuple(samples)
+        if type(schema_version) is not int:
+            raise ValueError("schema_version must be an integer")
+        if schema_version < 1:
             raise ValueError("schema_version must be >= 1")
         seen = set()
-        for s in self.samples:
+        for s in samples:
             if s.id in seen:
                 raise ValueError(f"duplicate sample id {s.id!r}")
             seen.add(s.id)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "schema_version", schema_version)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -152,8 +184,8 @@ def load_records(path: str | Path) -> Corpus:
             unknown = obj.keys() - _FIELDS.keys()
             if unknown:
                 raise ValueError(f"unknown field(s): {', '.join(sorted(unknown))}")
-            check_fields(obj, _FIELDS, _REQUIRED)
-            sample = Sample(**obj)  # record fields are Sample's fields
+            check_fields(obj, {}, _REQUIRED)
+            sample = Sample(**obj)  # record fields are Sample's fields; it checks their kinds
             if sample.id in seen:
                 raise ValueError(f"duplicate sample id {sample.id!r}")
         except ValueError as exc:

@@ -9,8 +9,8 @@ All outputs are declarative; no pixels are touched here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .tiling import ImageDims
 
 NORM_SCALE = 1000
@@ -26,65 +26,71 @@ BOX_PROMPT_TEMPLATE = "OCR the text in region {box}:"
 COLOR_PROMPT_TEMPLATE = "OCR the text in the {color} box:"
 
 
-@dataclass(frozen=True)
-class BBox:
+class BBox(Record):
     """Axis-aligned box in source pixels; coordinates may be fractional."""
 
-    x1: float
-    y1: float
-    x2: float
-    y2: float
+    __slots__ = ("x1", "y1", "x2", "y2")
+
+    def __init__(self, x1: float, y1: float, x2: float, y2: float):
+        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "y1", y1)
+        object.__setattr__(self, "x2", x2)
+        object.__setattr__(self, "y2", y2)
 
 
-@dataclass(frozen=True)
-class NormBox:
+class NormBox(Record):
     """Box quantized to the [0, 1000] grid used inside prompts."""
 
-    x1: int
-    y1: int
-    x2: int
-    y2: int
+    __slots__ = ("x1", "y1", "x2", "y2")
 
-    def __post_init__(self):
-        for v in (self.x1, self.y1, self.x2, self.y2):
+    def __init__(self, x1: int, y1: int, x2: int, y2: int):
+        for v in (x1, y1, x2, y2):
             if not 0 <= v <= NORM_SCALE:
                 raise ValueError(f"normalized coordinate {v} outside [0, {NORM_SCALE}]")
-        if self.x1 > self.x2 or self.y1 > self.y2:
+        if x1 > x2 or y1 > y2:
             raise ValueError("normalized box is inverted")
+        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "y1", y1)
+        object.__setattr__(self, "x2", x2)
+        object.__setattr__(self, "y2", y2)
 
     def prompt_text(self) -> str:
         return f"[{self.x1},{self.y1},{self.x2},{self.y2}]"
 
 
-@dataclass(frozen=True)
-class ColorPrompt:
-    color: str
-    frame_thickness: int = 3
+class ColorPrompt(Record):
+    __slots__ = ("color", "frame_thickness")
 
-    def __post_init__(self):
-        if self.color not in COLOR_RGB:
-            raise ValueError(f"color must be one of {sorted(COLOR_RGB)}, got {self.color!r}")
-        if self.frame_thickness < 1:
+    def __init__(self, color: str, frame_thickness: int = 3):
+        if color not in COLOR_RGB:
+            raise ValueError(f"color must be one of {sorted(COLOR_RGB)}, got {color!r}")
+        if frame_thickness < 1:
             raise ValueError("frame_thickness must be positive")
+        object.__setattr__(self, "color", color)
+        object.__setattr__(self, "frame_thickness", frame_thickness)
 
 
-@dataclass(frozen=True)
-class FrameSpec:
+class FrameSpec(Record):
     """Rectangle-outline draw instruction for an external rasterizer."""
 
-    box: BBox
-    rgb: tuple[int, int, int]
-    thickness: int
+    __slots__ = ("box", "rgb", "thickness")
+
+    def __init__(self, box: BBox, rgb: tuple[int, int, int], thickness: int):
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "rgb", rgb)
+        object.__setattr__(self, "thickness", thickness)
 
 
-@dataclass(frozen=True)
-class CropSpec:
+class CropSpec(Record):
     """Integer pixel crop, min edges floored and max edges ceiled."""
 
-    x1: int
-    y1: int
-    x2: int
-    y2: int
+    __slots__ = ("x1", "y1", "x2", "y2")
+
+    def __init__(self, x1: int, y1: int, x2: int, y2: int):
+        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "y1", y1)
+        object.__setattr__(self, "x2", x2)
+        object.__setattr__(self, "y2", y2)
 
 
 def check_box(box: BBox, dims: ImageDims | None = None) -> None:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+
+from ._record import Record
 
 MAX_FRACTION_DIGITS = 2
 
@@ -76,98 +77,96 @@ def canon_decimal(value: Decimal | int | str | float) -> Decimal:
     return d
 
 
-@dataclass(frozen=True)
-class Point:
-    x: Decimal
-    y: Decimal
+class Point(Record):
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", canon_decimal(self.x))
-        object.__setattr__(self, "y", canon_decimal(self.y))
+    def __init__(self, x: Decimal, y: Decimal):
+        object.__setattr__(self, "x", canon_decimal(x))
+        object.__setattr__(self, "y", canon_decimal(y))
 
 
-@dataclass(frozen=True)
-class Segment:
-    p1: Point
-    p2: Point
+class Segment(Record):
+    __slots__ = ("p1", "p2")
+
+    def __init__(self, p1: Point, p2: Point):
+        object.__setattr__(self, "p1", p1)
+        object.__setattr__(self, "p2", p2)
 
 
-@dataclass(frozen=True)
-class Circle:
-    center: Point
-    radius: Decimal
+class Circle(Record):
+    __slots__ = ("center", "radius")
 
-    def __post_init__(self):
-        object.__setattr__(self, "radius", canon_decimal(self.radius))
-        if self.radius <= 0:
-            raise ValueError(f"circle radius must be positive, got {self.radius}")
+    def __init__(self, center: Point, radius: Decimal):
+        radius = canon_decimal(radius)
+        if radius <= 0:
+            raise ValueError(f"circle radius must be positive, got {radius}")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
 
 
-@dataclass(frozen=True)
-class Rectangle:
-    corner1: Point
-    corner2: Point
+class Rectangle(Record):
+    __slots__ = ("corner1", "corner2")
 
-    def __post_init__(self):
-        if self.corner1.x == self.corner2.x or self.corner1.y == self.corner2.y:
+    def __init__(self, corner1: Point, corner2: Point):
+        if corner1.x == corner2.x or corner1.y == corner2.y:
             raise ValueError("rectangle corners must differ in both axes")
+        object.__setattr__(self, "corner1", corner1)
+        object.__setattr__(self, "corner2", corner2)
 
 
-@dataclass(frozen=True)
-class Triangle:
-    p1: Point
-    p2: Point
-    p3: Point
+class Triangle(Record):
+    __slots__ = ("p1", "p2", "p3")
 
-    def __post_init__(self):
+    def __init__(self, p1: Point, p2: Point, p3: Point):
         # exact Decimal cross product, no float round-off
-        cross = (self.p2.x - self.p1.x) * (self.p3.y - self.p1.y) - (
-            self.p2.y - self.p1.y
-        ) * (self.p3.x - self.p1.x)
+        cross = (p2.x - p1.x) * (p3.y - p1.y) - (p2.y - p1.y) * (p3.x - p1.x)
         if cross == 0:
             raise ValueError("triangle vertices are collinear")
+        object.__setattr__(self, "p1", p1)
+        object.__setattr__(self, "p2", p2)
+        object.__setattr__(self, "p3", p3)
 
 
-@dataclass(frozen=True)
-class Curve:
-    kind: str
-    params: tuple[Decimal, ...]
+class Curve(Record):
+    __slots__ = ("kind", "params")
 
-    def __post_init__(self):
-        if self.kind not in CURVE_KINDS:
-            raise ValueError(f"unknown curve kind {self.kind!r}")
-        params = tuple(canon_decimal(p) for p in self.params)
-        object.__setattr__(self, "params", params)
-        if len(params) != CURVE_ARITY[self.kind]:
+    def __init__(self, kind: str, params: tuple[Decimal, ...]):
+        if kind not in CURVE_KINDS:
+            raise ValueError(f"unknown curve kind {kind!r}")
+        params = tuple(canon_decimal(p) for p in params)
+        if len(params) != CURVE_ARITY[kind]:
             raise ValueError(
-                f"{self.kind} curve takes {CURVE_ARITY[self.kind]} parameters, "
-                f"got {len(params)}"
+                f"{kind} curve takes {CURVE_ARITY[kind]} parameters, got {len(params)}"
             )
-        if self.kind in ("ellipse", "hyperbola") and (params[2] <= 0 or params[3] <= 0):
-            raise ValueError(f"{self.kind} semi-axes must be positive")
-        if self.kind in ("line", "parabola", "hyperbola"):
+        if kind in ("ellipse", "hyperbola") and (params[2] <= 0 or params[3] <= 0):
+            raise ValueError(f"{kind} semi-axes must be positive")
+        if kind in ("line", "parabola", "hyperbola"):
             lo, hi = params[-2], params[-1]
             if lo >= hi:
                 raise ValueError(f"plot domain must be increasing, got {lo}:{hi}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
 
 
 Element = Point | Segment | Circle | Rectangle | Triangle | Curve
 
 
-@dataclass(frozen=True)
-class GeomScene:
-    elements: tuple[Element, ...] = ()
+class GeomScene(Record):
+    __slots__ = ("elements",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        for el in self.elements:
+    def __init__(self, elements: tuple[Element, ...] = ()):
+        elements = tuple(elements)
+        for el in elements:
             if not isinstance(el, (Point, Segment, Circle, Rectangle, Triangle, Curve)):
                 raise ValueError(f"not a scene element: {el!r}")
+        object.__setattr__(self, "elements", elements)
 
 
-@dataclass(frozen=True)
-class TikzDoc:
-    source: str
+class TikzDoc(Record):
+    __slots__ = ("source",)
+
+    def __init__(self, source: str):
+        object.__setattr__(self, "source", source)
 
 
 def _coord(p: Point) -> str:
@@ -446,22 +445,27 @@ def wrap_document(doc: TikzDoc) -> str:
     return DOCUMENT_TEMPLATE % doc.source
 
 
-@dataclass(frozen=True)
-class SceneConfig:
-    n_elements: tuple[int, int] = (1, 6)
-    bounds: tuple[int, int] = (-10, 10)
-    kinds: tuple[str, ...] = ALL_KINDS
+class SceneConfig(Record):
+    __slots__ = ("n_elements", "bounds", "kinds")
 
-    def __post_init__(self):
-        if not self.kinds:
+    def __init__(
+        self,
+        n_elements: tuple[int, int] = (1, 6),
+        bounds: tuple[int, int] = (-10, 10),
+        kinds: tuple[str, ...] = ALL_KINDS,
+    ):
+        if not kinds:
             raise ValueError("kinds must be non-empty")
-        unknown = set(self.kinds) - set(ALL_KINDS)
+        unknown = set(kinds) - set(ALL_KINDS)
         if unknown:
             raise ValueError(f"unknown kinds: {', '.join(sorted(unknown))}")
-        if self.n_elements[0] < 1 or self.n_elements[0] > self.n_elements[1]:
-            raise ValueError(f"bad n_elements range {self.n_elements}")
-        if self.bounds[0] >= self.bounds[1]:
-            raise ValueError(f"bad coordinate bounds {self.bounds}")
+        if n_elements[0] < 1 or n_elements[0] > n_elements[1]:
+            raise ValueError(f"bad n_elements range {n_elements}")
+        if bounds[0] >= bounds[1]:
+            raise ValueError(f"bad coordinate bounds {bounds}")
+        object.__setattr__(self, "n_elements", n_elements)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "kinds", kinds)
 
 
 def _hundredths(rng: random.Random, lo: int, hi: int) -> Decimal:

@@ -13,11 +13,11 @@ import math
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
 from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Literal
 
 from ._kernels import levenshtein
+from ._record import Record
 
 if TYPE_CHECKING:
     from .corpus import Corpus
@@ -53,31 +53,41 @@ METEOR_GAMMA = 0.5
 BLEU_MAX_ORDER = 4
 
 
-@dataclass(frozen=True)
-class TokenSeq:
+class TokenSeq(Record):
     """An ordered token sequence tagged with its tokenization granularity."""
 
-    tokens: tuple[str, ...]
-    granularity: Granularity
+    __slots__ = ("tokens", "granularity")
+
+    def __init__(self, tokens: tuple[str, ...], granularity: Granularity):
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "granularity", granularity)
 
     def __len__(self) -> int:
         return len(self.tokens)
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(Record):
     """Per-sample or macro-averaged metric values, in report column order."""
 
-    edit_distance: float
-    f1: float
-    precision: float
-    recall: float
-    bleu: float
-    meteor: float
-    n_samples: int
+    __slots__ = ("edit_distance", "f1", "precision", "recall", "bleu", "meteor", "n_samples")
 
-    def as_dict(self) -> dict[str, float | int]:
-        return asdict(self)
+    def __init__(
+        self,
+        edit_distance: float,
+        f1: float,
+        precision: float,
+        recall: float,
+        bleu: float,
+        meteor: float,
+        n_samples: int,
+    ):
+        object.__setattr__(self, "edit_distance", edit_distance)
+        object.__setattr__(self, "f1", f1)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "recall", recall)
+        object.__setattr__(self, "bleu", bleu)
+        object.__setattr__(self, "meteor", meteor)
+        object.__setattr__(self, "n_samples", n_samples)
 
 
 def _check_granularity(granularity: str) -> None:
@@ -275,8 +285,8 @@ def score_corpus(
 
     n = len(reports)
     means = {
-        f.name: sum(getattr(r, f.name) for r in reports) / n
-        for f in fields(MetricReport)
-        if f.name != "n_samples"
+        name: sum(getattr(r, name) for r in reports) / n
+        for name in MetricReport.__slots__
+        if name != "n_samples"
     }
     return MetricReport(**means, n_samples=n)

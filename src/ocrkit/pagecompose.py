@@ -9,8 +9,8 @@ horizontal jitter and vertical gaps, never overlapping.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
+from ._record import Record
 from .metrics import tokenize
 from .tiling import ImageDims
 
@@ -32,33 +32,41 @@ def token_count(text: str) -> int:
     return len(tokenize(text, "word").tokens)
 
 
-@dataclass(frozen=True)
-class PageSpec:
-    page_id: str
-    text: str
-    token_count: int
-    image_ref: str = ""
+class PageSpec(Record):
+    __slots__ = ("page_id", "text", "token_count", "image_ref")
+
+    def __init__(self, page_id: str, text: str, token_count: int, image_ref: str = ""):
+        object.__setattr__(self, "page_id", page_id)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "token_count", token_count)
+        object.__setattr__(self, "image_ref", image_ref)
 
     @classmethod
     def from_text(cls, page_id: str, text: str, image_ref: str = "") -> "PageSpec":
         return cls(page_id, text, token_count(text), image_ref)
 
 
-@dataclass(frozen=True)
-class MultiPageSample:
-    pages: tuple[PageSpec, ...]
-    joined_text: str
-    total_tokens: int
+class MultiPageSample(Record):
+    __slots__ = ("pages", "joined_text", "total_tokens")
 
-    def __post_init__(self):
-        if not MIN_PAGES <= len(self.pages) <= MAX_PAGES:
+    def __init__(self, pages: tuple[PageSpec, ...], joined_text: str, total_tokens: int):
+        if not MIN_PAGES <= len(pages) <= MAX_PAGES:
             raise ValueError(f"page count must be in [{MIN_PAGES}, {MAX_PAGES}]")
+        object.__setattr__(self, "pages", pages)
+        object.__setattr__(self, "joined_text", joined_text)
+        object.__setattr__(self, "total_tokens", total_tokens)
 
 
-@dataclass(frozen=True)
-class PasteLayout:
-    canvas: ImageDims
-    placements: tuple[tuple[int, int, int, int, int], ...]  # (slice_index, x, y, w, h)
+class PasteLayout(Record):
+    __slots__ = ("canvas", "placements")
+
+    def __init__(
+        self,
+        canvas: ImageDims,
+        placements: tuple[tuple[int, int, int, int, int], ...],  # (slice_index, x, y, w, h)
+    ):
+        object.__setattr__(self, "canvas", canvas)
+        object.__setattr__(self, "placements", placements)
 
 
 def compose_multipage(

@@ -8,39 +8,51 @@ are pure geometry and serialize into corpus record meta maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal
+
+from ._record import Record
 
 TILE_PX = 1024
 
 Orientation = Literal["horizontal", "vertical"]
 
 
-@dataclass(frozen=True)
-class ImageDims:
-    width: int
-    height: int
+class ImageDims(Record):
+    __slots__ = ("width", "height")
 
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"image dims must be positive, got {self.width}x{self.height}")
-
-
-@dataclass(frozen=True)
-class Rect:
-    x: int
-    y: int
-    w: int
-    h: int
+    def __init__(self, width: int, height: int):
+        if width < 1 or height < 1:
+            raise ValueError(f"image dims must be positive, got {width}x{height}")
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
 
 
-@dataclass(frozen=True)
-class TilePlan:
-    grid_cols: int
-    grid_rows: int
-    include_thumbnail: bool
-    tile_rects: tuple[Rect, ...]
-    tile_px: int = TILE_PX
+class Rect(Record):
+    __slots__ = ("x", "y", "w", "h")
+
+    def __init__(self, x: int, y: int, w: int, h: int):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "h", h)
+
+
+class TilePlan(Record):
+    __slots__ = ("grid_cols", "grid_rows", "include_thumbnail", "tile_rects", "tile_px")
+
+    def __init__(
+        self,
+        grid_cols: int,
+        grid_rows: int,
+        include_thumbnail: bool,
+        tile_rects: tuple[Rect, ...],
+        tile_px: int = TILE_PX,
+    ):
+        object.__setattr__(self, "grid_cols", grid_cols)
+        object.__setattr__(self, "grid_rows", grid_rows)
+        object.__setattr__(self, "include_thumbnail", include_thumbnail)
+        object.__setattr__(self, "tile_rects", tile_rects)
+        object.__setattr__(self, "tile_px", tile_px)
 
     def to_meta(self) -> dict[str, str]:
         return {
@@ -61,19 +73,25 @@ class TilePlan:
         return cls(cols, rows, meta["tile_thumbnail"] == "1", rects, int(meta["tile_px"]))
 
 
-@dataclass(frozen=True)
-class Placement:
-    page_index: int
-    x: int
-    y: int
-    dims: ImageDims
+class Placement(Record):
+    __slots__ = ("page_index", "x", "y", "dims")
+
+    def __init__(self, page_index: int, x: int, y: int, dims: ImageDims):
+        object.__setattr__(self, "page_index", page_index)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "dims", dims)
 
 
-@dataclass(frozen=True)
-class StitchSpec:
-    orientation: Orientation
-    canvas: ImageDims
-    placements: tuple[Placement, ...]
+class StitchSpec(Record):
+    __slots__ = ("orientation", "canvas", "placements")
+
+    def __init__(
+        self, orientation: Orientation, canvas: ImageDims, placements: tuple[Placement, ...]
+    ):
+        object.__setattr__(self, "orientation", orientation)
+        object.__setattr__(self, "canvas", canvas)
+        object.__setattr__(self, "placements", placements)
 
     def to_meta(self) -> dict[str, str]:
         parts = ";".join(

@@ -10,23 +10,27 @@ and a trailing newline never changes the outcome.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
+from ._record import Record
 from .geometry import TikzParseError, parse_tikz_subset
 
 
-@dataclass(frozen=True)
-class Issue:
-    line: int
-    column: int
-    code: str
-    message: str
+class Issue(Record):
+    __slots__ = ("line", "column", "code", "message")
+
+    def __init__(self, line: int, column: int, code: str, message: str):
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "message", message)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    issues: tuple[Issue, ...]
+class ValidationReport(Record):
+    __slots__ = ("ok", "issues")
+
+    def __init__(self, ok: bool, issues: tuple[Issue, ...]):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "issues", issues)
 
 
 def _lines_of(text: str) -> list[str]:

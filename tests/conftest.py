@@ -37,6 +37,22 @@ def ocrkit_modules_after():
 
 
 @pytest.fixture
+def stdlib_modules_after():
+    """Run statements in a fresh interpreter; return the modules outside ocrkit
+    it loaded that a bare ``python -c pass`` has not."""
+
+    def modules(statements: str) -> set[str]:
+        done = subprocess.run(
+            [sys.executable, "-c", f"{statements}\nimport sys; print(*sys.modules)"],
+            env=_child_env(), capture_output=True, text=True, check=True,
+        )
+        return {m for m in done.stdout.split() if m.partition(".")[0] != "ocrkit"}
+
+    floor = modules("pass")
+    return lambda statements: modules(statements) - floor
+
+
+@pytest.fixture
 def ocrkit_cli():
     """Run the CLI in a fresh interpreter under the POSIX locale, stdin given as bytes."""
 

@@ -620,7 +620,8 @@ def test_unreadable_input_is_reported(tmp_path, capsys):
 
 def test_cli_import_loads_only_the_scoring_modules(ocrkit_modules_after):
     assert ocrkit_modules_after("import ocrkit.cli") == [
-        "ocrkit", "ocrkit._kernels", "ocrkit.cli", "ocrkit.corpus", "ocrkit.metrics",
+        "ocrkit", "ocrkit._kernels", "ocrkit._record", "ocrkit.cli", "ocrkit.corpus",
+        "ocrkit.metrics",
     ]
 
 

@@ -62,6 +62,31 @@ def test_corpus_rejects_duplicate_ids_and_bad_version():
         _corpus(schema_version=0)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Sample(5, TaskKind.CHART, "x"), "field 'id' must be a string"),
+        (lambda: Sample("a", None, "x"), "field 'task_kind' must be a string"),
+        (lambda: Sample("a", TaskKind.CHART, b"x"), "field 'ground_truth' must be a string"),
+        (lambda: Sample("a", TaskKind.CHART, "x", prompt=3), "field 'prompt' must be a string"),
+        (lambda: Sample("a", TaskKind.CHART, "x", lang=True), "field 'lang' must be a string"),
+        (lambda: Sample("a", TaskKind.CHART, "x", image_ref=0),
+         "field 'image_ref' must be a string or null"),
+        (lambda: Sample("a", TaskKind.CHART, "x", meta=None), "field 'meta' must be an object"),
+        (lambda: Sample("a", TaskKind.CHART, "x\ud800"), "sample 'a': lone surrogate U+D800 in a string"),
+        (lambda: Sample("a", TaskKind.CHART, "x", meta={"k": "\udfff"}),
+         "sample 'a': lone surrogate U+DFFF in a string"),
+        (lambda: Corpus((), 2.5), "schema_version must be an integer"),
+        (lambda: Corpus((), True), "schema_version must be an integer"),
+        (lambda: Corpus((), 0), "schema_version must be >= 1"),
+    ],
+)
+def test_constructors_reject_what_the_loader_rejects(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 # --- load/save ------------------------------------------------------------------
 
 
@@ -231,6 +256,65 @@ def test_dump_load_dump_byte_stable(tmp_path_factory, rows):
     save_records(corpus, path)
     assert load_records(path) == corpus
     assert dump_records(load_records(path)) == path.read_text(encoding="utf-8")
+
+
+# Record fields drawn valid, then at most one of them replaced by an odd value:
+# another JSON type, a type JSON lacks, a lone surrogate, an empty string.
+_SURROGATES = st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, categories=["Cs"])
+_JUNK = (st.integers() | st.booleans() | st.none() | st.floats() | st.binary(max_size=2)
+         | st.lists(st.integers(), max_size=2) | st.just(""))
+_ODD_TEXT = st.text(st.characters(codec="utf-8") | _SURROGATES, max_size=6) | _JUNK
+_VALID_FIELDS = {
+    "id": ANY_TEXT,
+    "task_kind": st.sampled_from([*TaskKind, *(k.value for k in TaskKind)]),
+    "ground_truth": ANY_TEXT,
+    "prompt": st.text(max_size=6),
+    "lang": st.sampled_from(["en", "zh", "other"]),
+    "image_ref": st.none() | ANY_TEXT,
+    "meta": st.dictionaries(ANY_TEXT, ANY_TEXT, max_size=3),
+}
+_ODD_FIELDS = {
+    **dict.fromkeys(["id", "task_kind", "ground_truth", "prompt", "lang", "image_ref"], _ODD_TEXT),
+    "meta": _JUNK | st.dictionaries(_ODD_TEXT.filter(lambda key: type(key) is not list),
+                                    _ODD_TEXT, min_size=1, max_size=2),
+}
+
+
+def _mostly(valid, odd):
+    """Draws from ``valid``, or from ``odd`` half as often."""
+    return st.integers(0, 2).flatmap(lambda k: odd if k == 0 else valid)
+
+
+@st.composite
+def _sample_kwargs(draw) -> dict:
+    kwargs = draw(st.fixed_dictionaries(
+        {name: _VALID_FIELDS[name] for name in ("id", "task_kind", "ground_truth")},
+        optional={name: _VALID_FIELDS[name] for name in ("prompt", "lang", "image_ref", "meta")},
+    ))
+    name = draw(_mostly(st.none(), st.sampled_from(sorted(_ODD_FIELDS))))
+    if name is not None:
+        kwargs[name] = draw(_ODD_FIELDS[name])
+    return kwargs
+
+
+def _constructed(make):
+    try:
+        return make()
+    except ValueError:
+        return None
+
+
+@given(st.lists(_sample_kwargs(), max_size=6), _mostly(st.integers(1, 3), _JUNK))
+@settings(max_examples=150, deadline=None)
+def test_every_constructible_corpus_saves_and_loads_unchanged(tmp_path_factory, rows, version):
+    """Whatever the constructors accept, the loader reads back as the same corpus."""
+    samples = [s for s in (_constructed(lambda: Sample(**kwargs)) for kwargs in rows) if s]
+    corpus = _constructed(lambda: Corpus(tuple(samples), version))
+    if corpus is None:
+        return
+    path = tmp_path_factory.getbasetemp() / "constructible.jsonl"
+    save_records(corpus, path)
+    assert load_records(path) == corpus
 
 
 def test_cjk_round_trip_byte_identical(tmp_path):

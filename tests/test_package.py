@@ -39,4 +39,14 @@ def test_submodule_attribute_without_explicit_import(ocrkit_modules_after):
     loaded = ocrkit_modules_after(
         "import ocrkit\nassert ocrkit.charts.chart_ap is ocrkit.chart_ap"
     )
-    assert loaded == ["ocrkit", "ocrkit.charts"]
+    assert loaded == ["ocrkit", "ocrkit._record", "ocrkit.charts"]
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["ocrkit.cli", "ocrkit.charts", "ocrkit.finegrained", "ocrkit.geometry", "ocrkit.pagecompose",
+     "ocrkit.tiling", "ocrkit.validators"],
+)
+def test_import_loads_neither_dataclasses_nor_inspect(stdlib_modules_after, module):
+    loaded = stdlib_modules_after(f"import {module}")
+    assert loaded and not loaded & {"dataclasses", "inspect"}
