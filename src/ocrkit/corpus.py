@@ -15,7 +15,6 @@ import re
 from bisect import bisect_left
 from enum import Enum
 from functools import cache
-from itertools import product
 from pathlib import Path
 from typing import Iterator
 
@@ -46,8 +45,6 @@ _FIELDS = {  # every record field and its kind, in check order
     "image_ref": (str, type(None)), "meta": (dict,),
 }
 _REQUIRED = ("id", "task_kind", "ground_truth")
-# Every tuple of value types a record may hold, in field order (Sample's order).
-_FIELD_TYPES = frozenset(product(*_FIELDS.values()))
 
 
 class CorpusFormatError(ValueError):
@@ -81,8 +78,7 @@ class Sample(Record):
             meta = {}
         kind = task_kind.value if type(task_kind) is TaskKind else task_kind
         fields = (id, kind, ground_truth, prompt, lang, image_ref, meta)
-        if tuple(map(type, fields)) not in _FIELD_TYPES:
-            check_fields(dict(zip(_FIELDS, fields)), _FIELDS, ())  # names the first bad field
+        check_fields(dict(zip(_FIELDS, fields)), _FIELDS, ())
         if not id:
             raise ValueError("sample id must be non-empty")
         task_kind = TaskKind(kind)
@@ -104,7 +100,6 @@ class Sample(Record):
         object.__setattr__(self, "lang", lang)
         object.__setattr__(self, "image_ref", image_ref)
         object.__setattr__(self, "meta", meta)
-
 
 
 class Corpus(Record):
