@@ -11,6 +11,7 @@ the Python version, is written as JSON to ``--out`` (``BENCH_<sub>.json``).
     python benchmarks/compare.py startup --before HEAD       # uncommitted work vs HEAD
     python benchmarks/compare.py scoring --before HEAD~1 --out /tmp/scoring.json
     python benchmarks/compare.py dedup --before HEAD~1
+    python benchmarks/compare.py kernel --before HEAD~1
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SEED = 0   # of the perfbench/inputs.py corpora
-ROUNDS = 5  # of scoring and dedup
+SEED = 0   # of the perfbench/inputs.py corpora and the kernel's token pairs
+ROUNDS = 5  # of scoring, dedup and kernel
 
 
 def export_src(rev: str, dest: Path) -> Path:
@@ -296,7 +297,76 @@ def dedup(trees: dict[str, Path], tmp: Path) -> tuple[dict, dict]:
     }, results
 
 
-BENCHES = {"startup": startup, "scoring": scoring, "dedup": dedup}
+# --- kernel --------------------------------------------------------------------------
+
+SIZES = (10, 200, 1000, 5000)  # sequence lengths
+ALPHABET = 64  # distinct tokens
+REPEATS = 3  # timed batches per pair, best kept
+
+# Times ``levenshtein`` on every pair of the JSON file in argv[1] and prints
+# the per-call times, in ms, with the distances as one JSON object.
+KERNEL_CHILD = """\
+import json, sys, timeit
+from ocrkit._kernels import levenshtein
+
+ms, distances = [], []
+for a, b in json.load(open(sys.argv[1], encoding="utf-8")):
+    a, b = tuple(a), tuple(b)
+    timer = timeit.Timer(lambda: levenshtein(a, b))
+    number, _ = timer.autorange()
+    ms.append(min(timer.repeat(int(sys.argv[2]), number)) / number * 1e3)
+    distances.append(levenshtein(a, b))
+print(json.dumps({"ms": ms, "distances": distances}))
+"""
+
+
+def kernel(trees: dict[str, Path], tmp: Path) -> tuple[dict, list]:
+    """``_kernels.levenshtein`` on seeded pairs of random token tuples.
+
+    At each length in SIZES there are two pairs over ALPHABET distinct
+    tokens: one of equal lengths, and one whose short side has
+    ``length // 20`` tokens, where the kernel reads the short side against
+    the long side as its pattern. Each process times every pair: ``timeit``
+    picks a batch of at least 0.2 s, and the best of REPEATS batches gives
+    the time per call. Every figure is the median over ROUNDS rounds with
+    the interquartile range next to it. Both trees must return the same
+    distances.
+    """
+    rng = random.Random(SEED)
+    vocab = [f"t{k}" for k in range(ALPHABET)]
+    shapes = [(size, short) for size in SIZES for short in (size, size // 20)]
+    pairs = [[[rng.choice(vocab) for _ in range(short)], [rng.choice(vocab) for _ in range(size)]]
+             for size, short in shapes]
+    path = tmp / "pairs.json"
+    path.write_text(json.dumps(pairs), encoding="utf-8")
+
+    def measure(src: Path) -> tuple[list, list]:
+        out = json.loads(run(src, "-c", KERNEL_CHILD, str(path), str(REPEATS)).stdout)
+        return out["ms"], out["distances"]
+
+    figures, distances = interleave(trees, ROUNDS, measure)
+    rows = []
+    print(f"ms per call (median ± IQR of {ROUNDS})")
+    print(f"  {'length':>8}{'short':>8}{'before':>20}{'after':>20}")
+    for k, (size, short) in enumerate(shapes):
+        row = {"length": size, "short": short, "distance": distances[k]}
+        for label, runs in figures.items():
+            row[f"{label}_ms"] = spread([ms[k] for ms in runs])
+        rows.append(row)
+        cells = [row[f"{label}_ms"] for label in ("before", "after")]
+        print(f"  {size:>8}{short:>8}"
+              + "".join(f"{c['median']:>11.3f} ± {c['iqr']:<6.3f}" for c in cells))
+    return {
+        "pairs": f"seed {SEED}, lengths {list(SIZES)}, each at equal length and with a short "
+                 f"side of length // 20, {ALPHABET} distinct tokens",
+        "units": "ms per levenshtein call, best of repeats; median and interquartile range "
+                 "over rounds",
+        "rounds": ROUNDS,
+        "repeats": REPEATS,
+    }, rows
+
+
+BENCHES = {"startup": startup, "scoring": scoring, "dedup": dedup, "kernel": kernel}
 
 
 def main() -> int:

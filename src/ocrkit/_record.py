@@ -3,10 +3,11 @@
 ``Record`` gives its subclasses the value semantics of a frozen dataclass
 without the stdlib dataclass module, whose import loads ``inspect`` and
 ``ast``, and which compiles six generated methods per decorated class. A
-subclass lists its fields, in order, in ``__slots__`` and sets each one in
-its own ``__init__`` with ``object.__setattr__``; equality, hashing, repr,
-immutability, pickling, positional ``match`` patterns and ``as_dict()`` all
-read that field tuple.
+subclass lists its fields, in order, in ``__slots__``; its own ``__init__``
+checks and canonicalises the arguments, then passes one value per field, in
+that order, to ``Record.__init__``, which stores them. Equality, hashing,
+repr, immutability, pickling, positional ``match`` patterns and
+``as_dict()`` all read the same field tuple.
 """
 
 from operator import attrgetter
@@ -20,6 +21,10 @@ class Record:
         get = attrgetter(*cls.__slots__)  # a tuple only for two or more names
         cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda obj: (get(obj),))
         cls.__match_args__ = cls.__slots__
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

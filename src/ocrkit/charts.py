@@ -45,8 +45,7 @@ class Series(Record):
             seen.add(label)
             if not math.isfinite(value):
                 raise ValueError(f"series {name!r}: value for {label!r} not finite")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "points", points)
+        super().__init__(name, points)
 
 
 class ChartStruct(Record):
@@ -65,11 +64,7 @@ class ChartStruct(Record):
             if s.name in seen:
                 raise ValueError(f"duplicate series name {s.name!r}")
             seen.add(s.name)
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "title", title)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "x_title", x_title)
-        object.__setattr__(self, "y_title", y_title)
+        super().__init__(series, title, source, x_title, y_title)
 
     def items(self) -> list[tuple[str, str, float]]:
         """All (series, label, value) triples."""
@@ -82,10 +77,7 @@ class ApReport(Record):
     def __init__(self, ap_strict: float, ap_slight: float, ap_high: float, n_samples: int):
         if not ap_strict <= ap_slight <= ap_high:
             raise ValueError("AP values must be non-decreasing with tolerance")
-        object.__setattr__(self, "ap_strict", ap_strict)
-        object.__setattr__(self, "ap_slight", ap_slight)
-        object.__setattr__(self, "ap_high", ap_high)
-        object.__setattr__(self, "n_samples", n_samples)
+        super().__init__(ap_strict, ap_slight, ap_high, n_samples)
 
 
 _NUMBER_RE = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
@@ -398,9 +390,7 @@ class ChartGenConfig(Record):
         for word in text_pool:
             if "|" in word or "\n" in word or not word or word != word.strip():
                 raise ValueError(f"pool text {word!r} not usable in every chart form")
-        object.__setattr__(self, "value_range", value_range)
-        object.__setattr__(self, "decimals", decimals)
-        object.__setattr__(self, "text_pool", text_pool)
+        super().__init__(value_range, decimals, text_pool)
 
 
 RENDER_SPEC_VERSION = "chartspec v1"

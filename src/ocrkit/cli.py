@@ -394,10 +394,11 @@ def cmd_gen_chart(args) -> int:
             )
         )
         specs.append((sample_id, render_spec))
-    _save_corpus_atomic(Corpus(tuple(samples)), args.out)
-    if args.specs_dir:
-        specs_dir = Path(args.specs_dir)
+    specs_dir = Path(args.specs_dir) if args.specs_dir else None
+    if specs_dir:  # made first, so a bad --specs-dir leaves no --out behind
         specs_dir.mkdir(parents=True, exist_ok=True)
+    _save_corpus_atomic(Corpus(tuple(samples)), args.out)
+    if specs_dir:
         for sample_id, render_spec in specs:
             _write_text_atomic(specs_dir / f"{sample_id}.spec.txt", render_spec)
     print(f"wrote {len(samples)} chart records to {args.out}")

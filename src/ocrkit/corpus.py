@@ -93,13 +93,7 @@ class Sample(Record):
             if not text.isascii() and (found := _SURROGATE.search(text)):
                 code = ord(found.group())
                 raise ValueError(f"sample {id!r}: lone surrogate U+{code:04X} in a string")
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "task_kind", task_kind)
-        object.__setattr__(self, "ground_truth", ground_truth)
-        object.__setattr__(self, "prompt", prompt)
-        object.__setattr__(self, "lang", lang)
-        object.__setattr__(self, "image_ref", image_ref)
-        object.__setattr__(self, "meta", meta)
+        super().__init__(id, task_kind, ground_truth, prompt, lang, image_ref, meta)
 
 
 class Corpus(Record):
@@ -116,8 +110,7 @@ class Corpus(Record):
             if s.id in seen:
                 raise ValueError(f"duplicate sample id {s.id!r}")
             seen.add(s.id)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "schema_version", schema_version)
+        super().__init__(samples, schema_version)
 
     def __len__(self) -> int:
         return len(self.samples)

@@ -32,10 +32,7 @@ class BBox(Record):
     __slots__ = ("x1", "y1", "x2", "y2")
 
     def __init__(self, x1: float, y1: float, x2: float, y2: float):
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "y1", y1)
-        object.__setattr__(self, "x2", x2)
-        object.__setattr__(self, "y2", y2)
+        super().__init__(x1, y1, x2, y2)
 
 
 class NormBox(Record):
@@ -49,10 +46,7 @@ class NormBox(Record):
                 raise ValueError(f"normalized coordinate {v} outside [0, {NORM_SCALE}]")
         if x1 > x2 or y1 > y2:
             raise ValueError("normalized box is inverted")
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "y1", y1)
-        object.__setattr__(self, "x2", x2)
-        object.__setattr__(self, "y2", y2)
+        super().__init__(x1, y1, x2, y2)
 
     def prompt_text(self) -> str:
         return f"[{self.x1},{self.y1},{self.x2},{self.y2}]"
@@ -66,8 +60,7 @@ class ColorPrompt(Record):
             raise ValueError(f"color must be one of {sorted(COLOR_RGB)}, got {color!r}")
         if frame_thickness < 1:
             raise ValueError("frame_thickness must be positive")
-        object.__setattr__(self, "color", color)
-        object.__setattr__(self, "frame_thickness", frame_thickness)
+        super().__init__(color, frame_thickness)
 
 
 class FrameSpec(Record):
@@ -76,9 +69,7 @@ class FrameSpec(Record):
     __slots__ = ("box", "rgb", "thickness")
 
     def __init__(self, box: BBox, rgb: tuple[int, int, int], thickness: int):
-        object.__setattr__(self, "box", box)
-        object.__setattr__(self, "rgb", rgb)
-        object.__setattr__(self, "thickness", thickness)
+        super().__init__(box, rgb, thickness)
 
 
 class CropSpec(Record):
@@ -87,10 +78,7 @@ class CropSpec(Record):
     __slots__ = ("x1", "y1", "x2", "y2")
 
     def __init__(self, x1: int, y1: int, x2: int, y2: int):
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "y1", y1)
-        object.__setattr__(self, "x2", x2)
-        object.__setattr__(self, "y2", y2)
+        super().__init__(x1, y1, x2, y2)
 
 
 def check_box(box: BBox, dims: ImageDims | None = None) -> None:

@@ -81,16 +81,14 @@ class Point(Record):
     __slots__ = ("x", "y")
 
     def __init__(self, x: Decimal, y: Decimal):
-        object.__setattr__(self, "x", canon_decimal(x))
-        object.__setattr__(self, "y", canon_decimal(y))
+        super().__init__(canon_decimal(x), canon_decimal(y))
 
 
 class Segment(Record):
     __slots__ = ("p1", "p2")
 
     def __init__(self, p1: Point, p2: Point):
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p2", p2)
+        super().__init__(p1, p2)
 
 
 class Circle(Record):
@@ -100,8 +98,7 @@ class Circle(Record):
         radius = canon_decimal(radius)
         if radius <= 0:
             raise ValueError(f"circle radius must be positive, got {radius}")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", radius)
+        super().__init__(center, radius)
 
 
 class Rectangle(Record):
@@ -110,8 +107,7 @@ class Rectangle(Record):
     def __init__(self, corner1: Point, corner2: Point):
         if corner1.x == corner2.x or corner1.y == corner2.y:
             raise ValueError("rectangle corners must differ in both axes")
-        object.__setattr__(self, "corner1", corner1)
-        object.__setattr__(self, "corner2", corner2)
+        super().__init__(corner1, corner2)
 
 
 class Triangle(Record):
@@ -122,9 +118,7 @@ class Triangle(Record):
         cross = (p2.x - p1.x) * (p3.y - p1.y) - (p2.y - p1.y) * (p3.x - p1.x)
         if cross == 0:
             raise ValueError("triangle vertices are collinear")
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p2", p2)
-        object.__setattr__(self, "p3", p3)
+        super().__init__(p1, p2, p3)
 
 
 class Curve(Record):
@@ -144,8 +138,7 @@ class Curve(Record):
             lo, hi = params[-2], params[-1]
             if lo >= hi:
                 raise ValueError(f"plot domain must be increasing, got {lo}:{hi}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", params)
+        super().__init__(kind, params)
 
 
 Element = Point | Segment | Circle | Rectangle | Triangle | Curve
@@ -159,14 +152,14 @@ class GeomScene(Record):
         for el in elements:
             if not isinstance(el, (Point, Segment, Circle, Rectangle, Triangle, Curve)):
                 raise ValueError(f"not a scene element: {el!r}")
-        object.__setattr__(self, "elements", elements)
+        super().__init__(elements)
 
 
 class TikzDoc(Record):
     __slots__ = ("source",)
 
     def __init__(self, source: str):
-        object.__setattr__(self, "source", source)
+        super().__init__(source)
 
 
 def _coord(p: Point) -> str:
@@ -458,14 +451,12 @@ class SceneConfig(Record):
             raise ValueError("kinds must be non-empty")
         unknown = set(kinds) - set(ALL_KINDS)
         if unknown:
-            raise ValueError(f"unknown kinds: {', '.join(sorted(unknown))}")
+            raise ValueError(f"unknown kinds: {', '.join(map(repr, sorted(unknown)))}")
         if n_elements[0] < 1 or n_elements[0] > n_elements[1]:
             raise ValueError(f"bad n_elements range {n_elements}")
         if bounds[0] >= bounds[1]:
             raise ValueError(f"bad coordinate bounds {bounds}")
-        object.__setattr__(self, "n_elements", n_elements)
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "kinds", kinds)
+        super().__init__(n_elements, bounds, kinds)
 
 
 def _hundredths(rng: random.Random, lo: int, hi: int) -> Decimal:

@@ -59,8 +59,7 @@ class TokenSeq(Record):
     __slots__ = ("tokens", "granularity")
 
     def __init__(self, tokens: tuple[str, ...], granularity: Granularity):
-        object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "granularity", granularity)
+        super().__init__(tokens, granularity)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -81,13 +80,7 @@ class MetricReport(Record):
         meteor: float,
         n_samples: int,
     ):
-        object.__setattr__(self, "edit_distance", edit_distance)
-        object.__setattr__(self, "f1", f1)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "recall", recall)
-        object.__setattr__(self, "bleu", bleu)
-        object.__setattr__(self, "meteor", meteor)
-        object.__setattr__(self, "n_samples", n_samples)
+        super().__init__(edit_distance, f1, precision, recall, bleu, meteor, n_samples)
 
 
 def _check_granularity(granularity: str) -> None:

@@ -36,10 +36,7 @@ class PageSpec(Record):
     __slots__ = ("page_id", "text", "token_count", "image_ref")
 
     def __init__(self, page_id: str, text: str, token_count: int, image_ref: str = ""):
-        object.__setattr__(self, "page_id", page_id)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "token_count", token_count)
-        object.__setattr__(self, "image_ref", image_ref)
+        super().__init__(page_id, text, token_count, image_ref)
 
     @classmethod
     def from_text(cls, page_id: str, text: str, image_ref: str = "") -> "PageSpec":
@@ -52,9 +49,7 @@ class MultiPageSample(Record):
     def __init__(self, pages: tuple[PageSpec, ...], joined_text: str, total_tokens: int):
         if not MIN_PAGES <= len(pages) <= MAX_PAGES:
             raise ValueError(f"page count must be in [{MIN_PAGES}, {MAX_PAGES}]")
-        object.__setattr__(self, "pages", pages)
-        object.__setattr__(self, "joined_text", joined_text)
-        object.__setattr__(self, "total_tokens", total_tokens)
+        super().__init__(pages, joined_text, total_tokens)
 
 
 class PasteLayout(Record):
@@ -65,8 +60,7 @@ class PasteLayout(Record):
         canvas: ImageDims,
         placements: tuple[tuple[int, int, int, int, int], ...],  # (slice_index, x, y, w, h)
     ):
-        object.__setattr__(self, "canvas", canvas)
-        object.__setattr__(self, "placements", placements)
+        super().__init__(canvas, placements)
 
 
 def compose_multipage(

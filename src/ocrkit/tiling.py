@@ -23,18 +23,14 @@ class ImageDims(Record):
     def __init__(self, width: int, height: int):
         if width < 1 or height < 1:
             raise ValueError(f"image dims must be positive, got {width}x{height}")
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "height", height)
+        super().__init__(width, height)
 
 
 class Rect(Record):
     __slots__ = ("x", "y", "w", "h")
 
     def __init__(self, x: int, y: int, w: int, h: int):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "h", h)
+        super().__init__(x, y, w, h)
 
 
 class TilePlan(Record):
@@ -48,11 +44,7 @@ class TilePlan(Record):
         tile_rects: tuple[Rect, ...],
         tile_px: int = TILE_PX,
     ):
-        object.__setattr__(self, "grid_cols", grid_cols)
-        object.__setattr__(self, "grid_rows", grid_rows)
-        object.__setattr__(self, "include_thumbnail", include_thumbnail)
-        object.__setattr__(self, "tile_rects", tile_rects)
-        object.__setattr__(self, "tile_px", tile_px)
+        super().__init__(grid_cols, grid_rows, include_thumbnail, tile_rects, tile_px)
 
     def to_meta(self) -> dict[str, str]:
         return {
@@ -77,10 +69,7 @@ class Placement(Record):
     __slots__ = ("page_index", "x", "y", "dims")
 
     def __init__(self, page_index: int, x: int, y: int, dims: ImageDims):
-        object.__setattr__(self, "page_index", page_index)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "dims", dims)
+        super().__init__(page_index, x, y, dims)
 
 
 class StitchSpec(Record):
@@ -89,9 +78,7 @@ class StitchSpec(Record):
     def __init__(
         self, orientation: Orientation, canvas: ImageDims, placements: tuple[Placement, ...]
     ):
-        object.__setattr__(self, "orientation", orientation)
-        object.__setattr__(self, "canvas", canvas)
-        object.__setattr__(self, "placements", placements)
+        super().__init__(orientation, canvas, placements)
 
     def to_meta(self) -> dict[str, str]:
         parts = ";".join(

@@ -19,18 +19,14 @@ class Issue(Record):
     __slots__ = ("line", "column", "code", "message")
 
     def __init__(self, line: int, column: int, code: str, message: str):
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "column", column)
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "message", message)
+        super().__init__(line, column, code, message)
 
 
 class ValidationReport(Record):
     __slots__ = ("ok", "issues")
 
     def __init__(self, ok: bool, issues: tuple[Issue, ...]):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "issues", issues)
+        super().__init__(ok, issues)
 
 
 def _lines_of(text: str) -> list[str]:

@@ -16,14 +16,9 @@ def _help(*argv):
                           text=True, cwd=ROOT)
 
 
-@pytest.mark.parametrize("sub", ["startup", "scoring", "dedup"])
+@pytest.mark.parametrize("sub", ["startup", "scoring", "dedup", "kernel"])
 def test_compare_subcommand_help_exits_zero(sub):
     done = _help(str(ROOT / "benchmarks" / "compare.py"), sub)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith(f"usage: compare.py {sub} [-h] --before BEFORE [--out OUT]")
 
-
-def test_bench_edit_distance_help_exits_zero():
-    done = _help(str(ROOT / "benchmarks" / "bench_edit_distance.py"))
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("usage: bench_edit_distance.py [-h] [--out OUT]")

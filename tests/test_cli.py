@@ -185,6 +185,26 @@ def test_gen_chart_with_specs(tmp_path, capsys):
     assert spec_files[0].read_text().startswith("chartspec v1")
 
 
+def test_gen_chart_bad_specs_dir_leaves_no_out(tmp_path, capsys):
+    out, specs = tmp_path / "charts.jsonl", tmp_path / "specs"
+    specs.write_text("a file, not a directory")
+    assert main(["gen-chart", "--n", "2", "--out", str(out), "--specs-dir", str(specs)]) == 1
+    assert "File exists" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kinds, shown",
+    [("point,,segment", "''"), ("point, segment", "' segment'"), ("zig,point,arc", "'arc', 'zig'")],
+    ids=["empty", "spaced", "sorted"],
+)
+def test_gen_geometry_unknown_kinds_are_quoted(tmp_path, capsys, kinds, shown):
+    out = tmp_path / "geom.jsonl"
+    assert main(["gen-geometry", "--kinds", kinds, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: unknown kinds: {shown}\n"
+    assert not out.exists()
+
+
 def test_compose_pages_cli(tmp_path, capsys):
     pool = tmp_path / "pool.jsonl"
     pool.write_text(

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from ocrkit._record import Record
 from ocrkit.charts import ApReport, ChartGenConfig, ChartStruct, DEFAULT_TEXT_POOL, Series
 from ocrkit.corpus import Corpus, Sample, TaskKind
 from ocrkit.finegrained import BBox, ColorPrompt, CropSpec, FrameSpec, NormBox
@@ -219,3 +220,30 @@ def test_report_dicts_are_in_column_order():
     assert list(ApReport(0.25, 0.5, 0.5, 4).as_dict().items()) == [
         ("ap_strict", 0.25), ("ap_slight", 0.5), ("ap_high", 0.5), ("n_samples", 4),
     ]
+
+
+class _Pair(Record):
+    __slots__ = ("first", "second")
+
+
+def test_record_init_stores_values_in_slot_order():
+    pair = _Pair("one", 2)
+    assert list(pair.as_dict().items()) == [("first", "one"), ("second", 2)]
+    assert (pair.first, pair.second) == ("one", 2)
+
+
+@pytest.mark.parametrize("values", [(), ("one",), ("one", 2, 3)], ids=["none", "few", "many"])
+def test_record_init_takes_exactly_one_value_per_field(values):
+    with pytest.raises(ValueError, match="zip"):
+        _Pair(*values)
+
+
+def test_record_init_leaves_the_record_immutable():
+    pair = _Pair("one", 2)
+    with pytest.raises(AttributeError):
+        pair.first = "two"
+    with pytest.raises(AttributeError):
+        del pair.second
+    with pytest.raises(AttributeError):
+        pair.third = 3
+    assert pair == _Pair("one", 2)
