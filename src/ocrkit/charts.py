@@ -115,7 +115,7 @@ class _DictScanner:
 
     def string(self) -> str:
         quote = self.peek()
-        if quote not in "'\"":
+        if quote not in ("'", '"'):  # a tuple: "" at the end of the text is no quote
             raise self.error("expected a quoted string")
         self.pos += 1
         out = []

@@ -394,13 +394,12 @@ def cmd_gen_chart(args) -> int:
             )
         )
         specs.append((sample_id, render_spec))
-    specs_dir = Path(args.specs_dir) if args.specs_dir else None
-    if specs_dir:  # made first, so a bad --specs-dir leaves no --out behind
+    if args.specs_dir:  # spec files first and --out last, so a failed spec leaves no --out
+        specs_dir = Path(args.specs_dir)
         specs_dir.mkdir(parents=True, exist_ok=True)
-    _save_corpus_atomic(Corpus(tuple(samples)), args.out)
-    if specs_dir:
         for sample_id, render_spec in specs:
             _write_text_atomic(specs_dir / f"{sample_id}.spec.txt", render_spec)
+    _save_corpus_atomic(Corpus(tuple(samples)), args.out)
     print(f"wrote {len(samples)} chart records to {args.out}")
     return 0
 
@@ -544,7 +543,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,22 +17,12 @@ from ._record import Record
 
 MAX_FRACTION_DIGITS = 2
 
-CURVE_KINDS = ("line", "parabola", "ellipse", "hyperbola")
 # params per kind: line (m, b, lo, hi); parabola (a, b, c, lo, hi);
 # ellipse (cx, cy, rx, ry); hyperbola (cx, cy, a, b, lo, hi)
 CURVE_ARITY = {"line": 4, "parabola": 5, "ellipse": 4, "hyperbola": 6}
+CURVE_KINDS = tuple(CURVE_ARITY)
 
-ALL_KINDS = (
-    "point",
-    "segment",
-    "circle",
-    "rectangle",
-    "triangle",
-    "line",
-    "parabola",
-    "ellipse",
-    "hyperbola",
-)
+ALL_KINDS = ("point", "segment", "circle", "rectangle", "triangle", *CURVE_KINDS)
 
 # Documented wrapper for external compilation (compilation itself is out of scope).
 DOCUMENT_TEMPLATE = (
@@ -150,7 +140,7 @@ class GeomScene(Record):
     def __init__(self, elements: tuple[Element, ...] = ()):
         elements = tuple(elements)
         for el in elements:
-            if not isinstance(el, (Point, Segment, Circle, Rectangle, Triangle, Curve)):
+            if not isinstance(el, Element):
                 raise ValueError(f"not a scene element: {el!r}")
         super().__init__(elements)
 
@@ -463,6 +453,13 @@ def _hundredths(rng: random.Random, lo: int, hi: int) -> Decimal:
     return canon_decimal(Decimal(rng.randint(lo * 100, hi * 100)) / 100)
 
 
+# kind -> (shape, points per draw, what to report when no draw is accepted)
+_REDRAWN = {
+    "rectangle": (Rectangle, 2, "distinct rectangle corners"),
+    "triangle": (Triangle, 3, "a non-degenerate triangle"),
+}
+
+
 class _SceneBuilder:
     def __init__(self, rng: random.Random, config: SceneConfig):
         self.rng = rng
@@ -472,8 +469,8 @@ class _SceneBuilder:
     def coord(self) -> Decimal:
         return _hundredths(self.rng, *self.config.bounds)
 
-    def positive(self, hi: int = 3) -> Decimal:
-        return canon_decimal(Decimal(self.rng.randint(25, hi * 100)) / 100)
+    def positive(self) -> Decimal:
+        return canon_decimal(Decimal(self.rng.randint(25, 300)) / 100)
 
     def point(self, fresh: bool = False) -> Point:
         if not fresh and self.pool and self.rng.random() < 0.5:
@@ -499,20 +496,15 @@ class _SceneBuilder:
             raise RuntimeError("could not draw distinct segment endpoints")
         if kind == "circle":
             return Circle(self.point(), self.positive())
-        if kind == "rectangle":
+        if kind in _REDRAWN:
+            shape, n_points, what = _REDRAWN[kind]
             for attempt in range(100):
-                p1, p2 = self.point(attempt > 20), self.point(attempt > 20)
-                if p1.x != p2.x and p1.y != p2.y:
-                    return Rectangle(p1, p2)
-            raise RuntimeError("could not draw distinct rectangle corners")
-        if kind == "triangle":
-            for attempt in range(100):
-                pts = [self.point(attempt > 20) for _ in range(3)]
+                points = [self.point(attempt > 20) for _ in range(n_points)]
                 try:
-                    return Triangle(*pts)
-                except ValueError:
+                    return shape(*points)
+                except ValueError:  # the shape rejects a degenerate draw
                     continue
-            raise RuntimeError("could not draw a non-degenerate triangle")
+            raise RuntimeError(f"could not draw {what}")
         if kind == "line":
             slope = _hundredths(self.rng, -3, 3)
             lo, hi = self.domain()

@@ -59,6 +59,8 @@ class _Issues:
 
 _ENV_RE = re.compile(r"\\(begin|end)\{([^}]*)\}")
 _OPEN_FOR = {"\\)": "\\(", "\\]": "\\["}
+# an escape pair (consumed whole, so "\\$" is no delimiter), "$$" or "$"
+_MATH_TOKEN_RE = re.compile(r"\\.|\$\$|\$")
 
 
 def _split_cells(line: str) -> list[str]:
@@ -71,18 +73,13 @@ def validate_mathpix_markdown(text: str) -> ValidationReport:
     found = _Issues(text)
     lines = found.lines
 
-    fenced = [False] * len(lines)
+    fenced: list[bool] = []
     fence_open: tuple[int, int] | None = None
     for i, line in enumerate(lines):
-        stripped = line.lstrip()
-        if stripped.startswith("```"):
-            fenced[i] = True
-            if fence_open is None:
-                fence_open = (i + 1, line.index("```") + 1)
-            else:
-                fence_open = None
-        elif fence_open is not None:
-            fenced[i] = True
+        is_fence = line.lstrip().startswith("```")
+        fenced.append(is_fence or fence_open is not None)
+        if is_fence:
+            fence_open = None if fence_open else (i + 1, line.index("```") + 1)
     if fence_open is not None:
         found.add(*fence_open, "FENCE_UNCLOSED", "code fence never closed")
 
@@ -114,27 +111,19 @@ def validate_mathpix_markdown(text: str) -> ValidationReport:
     for i, line in enumerate(lines):
         if fenced[i]:
             continue
-        j = 0
-        while j < len(line):
-            ch = line[j]
-            if ch == "\\" and j + 1 < len(line):
-                tok = line[j : j + 2]
-                if tok in ("\\(", "\\["):
-                    bracket_stack.append((tok, i + 1, j + 1))
-                elif tok in ("\\)", "\\]"):
-                    if bracket_stack and bracket_stack[-1][0] == _OPEN_FOR[tok]:
-                        bracket_stack.pop()
-                    else:
-                        found.add(i + 1, j + 1, "MATH_UNBALANCED", f"unmatched {tok}")
-                j += 2
-                continue
-            if ch == "$":
-                if line.startswith("$$", j):
-                    ddollar_open = None if ddollar_open else (i + 1, j + 1)
-                    j += 2
-                    continue
-                dollar_open = None if dollar_open else (i + 1, j + 1)
-            j += 1
+        for m in _MATH_TOKEN_RE.finditer(line):
+            tok, at = m.group(), (i + 1, m.start() + 1)
+            if tok in ("\\(", "\\["):
+                bracket_stack.append((tok, *at))
+            elif tok in _OPEN_FOR:
+                if bracket_stack and bracket_stack[-1][0] == _OPEN_FOR[tok]:
+                    bracket_stack.pop()
+                else:
+                    found.add(*at, "MATH_UNBALANCED", f"unmatched {tok}")
+            elif tok == "$$":
+                ddollar_open = None if ddollar_open else at
+            elif tok == "$":
+                dollar_open = None if dollar_open else at
     for tok, line_no, col in bracket_stack:
         found.add(line_no, col, "MATH_UNBALANCED", f"unclosed {tok}")
     if ddollar_open:
@@ -178,8 +167,7 @@ def validate_smiles(text: str) -> ValidationReport:
         found.add(1, len(lines[0]) + 1, "MULTILINE", "SMILES must be a single line")
     s = lines[0] if lines else ""
     paren_stack: list[int] = []
-    ring_first: dict[str, int] = {}
-    ring_counts: dict[str, int] = {}
+    rings: dict[str, list[int]] = {}  # label -> positions, in order of first use
     i = 0
     while i < len(s):
         ch = s[i]
@@ -211,16 +199,13 @@ def validate_smiles(text: str) -> ValidationReport:
                     i = end + 1
         elif ch == "%":
             if i + 2 < len(s) and s[i + 1].isdigit() and s[i + 2].isdigit():
-                label = s[i : i + 3]
-                ring_first.setdefault(label, i)
-                ring_counts[label] = ring_counts.get(label, 0) + 1
+                rings.setdefault(s[i : i + 3], []).append(i)
                 i += 3
             else:
                 found.add(1, i + 1, "RING_MALFORMED", "'%' needs two digits")
                 i += 1
         elif ch.isdigit():
-            ring_first.setdefault(ch, i)
-            ring_counts[ch] = ring_counts.get(ch, 0) + 1
+            rings.setdefault(ch, []).append(i)
             i += 1
         elif s.startswith(_TWO_LETTER_ATOMS, i):
             i += 2
@@ -233,13 +218,13 @@ def validate_smiles(text: str) -> ValidationReport:
             i += 1
     for pos in paren_stack:
         found.add(1, pos + 1, "PAREN_UNBALANCED", "unclosed '('")
-    for label, count in ring_counts.items():
-        if count != 2:
+    for label, positions in rings.items():
+        if len(positions) != 2:
             found.add(
                 1,
-                ring_first[label] + 1,
+                positions[0] + 1,
                 "RING_UNPAIRED",
-                f"ring closure {label!r} appears {count} time(s), expected exactly 2",
+                f"ring closure {label!r} appears {len(positions)} time(s), expected exactly 2",
             )
     return found.report()
 

@@ -65,6 +65,23 @@ def test_parse_dict_unterminated_string():
         parse_chart_output('{"values": {"s: {"a": 1}}}')
 
 
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("{", 1, 2),
+        ('{"values": {', 1, 13),
+        ('{"title": ', 1, 11),
+        ('{\n"values": {"s": {"x": 1,\n', 3, 1),
+    ],
+)
+def test_parse_dict_text_ending_where_a_string_is_due(text, line, column):
+    # reported one past the end of the text, not past that
+    with pytest.raises(ChartParseError) as exc:
+        parse_chart_output(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert exc.value.message == "expected a quoted string"
+
+
 def test_parse_dict_non_numeric_value():
     with pytest.raises(ChartParseError, match="number"):
         parse_chart_output('{"values": {"s": {"a": "one"}}}')

@@ -193,6 +193,17 @@ def test_gen_chart_bad_specs_dir_leaves_no_out(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_chart_unwritable_spec_file_leaves_no_out(tmp_path, capsys):
+    out, specs = tmp_path / "charts.jsonl", tmp_path / "specs"
+    blocked = specs / "chart-00000001.spec.txt"
+    blocked.mkdir(parents=True)
+    assert main(["gen-chart", "--n", "2", "--out", str(out), "--specs-dir", str(specs)]) == 1
+    assert str(blocked) in capsys.readouterr().err
+    assert not out.exists()
+    # spec files written before the failure stay
+    assert (specs / "chart-00000000.spec.txt").is_file()
+
+
 @pytest.mark.parametrize(
     "kinds, shown",
     [("point,,segment", "''"), ("point, segment", "' segment'"), ("zig,point,arc", "'arc', 'zig'")],

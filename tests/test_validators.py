@@ -184,7 +184,7 @@ _RING_1 = "ring closure '1' appears 1 time(s), expected exactly 2"
 _UNSUPPORTED = "spine splits/merges and multi-system constructs are unsupported"
 
 # One input per issue code, then one multi-issue input per validator that pins
-# the order: check by check, each check in scan order.
+# the order: check by check, each check in scan order; then scanner edge cases.
 EXACT_ISSUES = [
     ("markdown", "```\ncode\n", [(1, 1, "FENCE_UNCLOSED", "code fence never closed")]),
     ("markdown", "x \\end{array}", [(1, 3, "ENV_UNOPENED", "\\end{array} without begin")]),
@@ -214,6 +214,16 @@ EXACT_ISSUES = [
             (3, 1, "TABLE_ARITY", "row has 1 cells, header has 2"),
         ],
     ),
+    # an escape pair is consumed whole: "\\$" and "\\\\" are no delimiters
+    ("markdown", "a \\$ b $c", [(1, 8, "MATH_UNBALANCED", "unclosed $")]),
+    ("markdown", "\\\\(x \\)", [(1, 6, "MATH_UNBALANCED", "unmatched \\)")]),
+    (
+        "markdown",
+        "$$$",
+        [(1, 1, "MATH_UNBALANCED", "unclosed $$"), (1, 3, "MATH_UNBALANCED", "unclosed $")],
+    ),
+    # a lone backslash at the end of a line is skipped
+    ("markdown", "\\(x\\", [(1, 1, "MATH_UNBALANCED", "unclosed \\(")]),
     # the column one past the end of line 1
     ("smiles", "CC\nCC", [(1, 3, "MULTILINE", "SMILES must be a single line")]),
     ("smiles", "CC)C", [(1, 3, "PAREN_UNBALANCED", "unmatched ')'")]),
@@ -242,6 +252,14 @@ EXACT_ISSUES = [
             (1, 19, "RING_UNPAIRED", "ring closure '2' appears 1 time(s), expected exactly 2"),
         ],
     ),
+    # reported at the label's first position
+    (
+        "smiles",
+        "C1CC1C1",
+        [(1, 2, "RING_UNPAIRED", "ring closure '1' appears 3 time(s), expected exactly 2")],
+    ),
+    # any character str.isdigit accepts is a ring label, so the two '²' pair up
+    ("smiles", "C²CC²C1", [(1, 7, "RING_UNPAIRED", _RING_1)]),
     ("kern", "", [(1, 1, "EMPTY_INPUT", "no records in input")]),
     ("kern", "4c\n*-", [(1, 1, "SPINE_DECL", "first record must declare **kern spines")]),
     ("kern", "!! only a comment\n", [(1, 1, "SPINE_DECL", "no spine declaration found")]),
