@@ -12,6 +12,7 @@ the Python version, is written as JSON to ``--out`` (``BENCH_<sub>.json``).
     python benchmarks/compare.py scoring --before HEAD~1 --out /tmp/scoring.json
     python benchmarks/compare.py dedup --before HEAD~1
     python benchmarks/compare.py kernel --before HEAD~1
+    python benchmarks/compare.py parse --before HEAD~1
 """
 
 from __future__ import annotations
@@ -366,7 +367,143 @@ def kernel(trees: dict[str, Path], tmp: Path) -> tuple[dict, list]:
     }, rows
 
 
-BENCHES = {"startup": startup, "scoring": scoring, "dedup": dedup, "kernel": kernel}
+# --- parse ---------------------------------------------------------------------------
+
+PARSE_TEXTS = 200  # valid seeded texts per form, timed
+MUTATED = 10_000  # seeded mutated texts per reader, parsed for the answer
+PARSE_REPEATS = 20  # timed passes over the valid texts, best kept
+PARSE_ROUNDS = 11  # a parse pass is short, so more rounds than the other benches
+# The characters the two grammars give meaning to, plus a few that neither uses,
+# as in tests/test_parser_fuzz.py, which also has the four edit operations.
+SYNTAX = "{}[]()'\":,;|=*.-+eE0123456789 \t\n\\drawplotcycle中é"
+EDITS = ("insert", "delete", "replace", "truncate")
+READERS = {"chart": ("dict", "table"), "tikz": ("tikz",)}  # the forms each reader times
+
+# Times reader argv[2] ("chart" or "tikz") on each valid form in the JSON file
+# in argv[1] (best of argv[3] passes, in us per text), then parses every valid
+# and mutated text, and prints the times with the count of rejected texts and a
+# digest of every result or error as one JSON object.
+PARSE_CHILD = """\
+import hashlib, json, sys, time
+from ocrkit.charts import ChartParseError, parse_chart_output
+from ocrkit.geometry import TikzParseError, parse_tikz_subset
+
+texts = json.load(open(sys.argv[1], encoding="utf-8"))
+parse = parse_chart_output if sys.argv[2] == "chart" else parse_tikz_subset
+us = {}
+for form, batch in texts["valid"].items():
+    best = float("inf")
+    for _ in range(int(sys.argv[3])):
+        start = time.perf_counter()
+        for text in batch:
+            parse(text)
+        best = min(best, time.perf_counter() - start)
+    us[form] = best / len(batch) * 1e6
+digest, rejected = hashlib.sha256(), 0
+for text in [*(t for batch in texts["valid"].values() for t in batch), *texts["mutated"]]:
+    try:
+        got = repr(parse(text))
+    except (ChartParseError, TikzParseError) as exc:
+        got = repr((type(exc).__name__, exc.line, exc.column, exc.message, str(exc)))
+        rejected += 1
+    digest.update(got.encode() + b"\\0")
+print(json.dumps({"us": us, "answer": {"rejected": rejected, "sha256": digest.hexdigest()}}))
+"""
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """``text`` after one to four seeded edits of ``tests/test_parser_fuzz.py``."""
+    for _ in range(rng.randint(1, 4)):
+        op, i = rng.choice(EDITS), rng.randrange(len(text) + 1)
+        pick = rng.random()
+        char = (rng.choice(SYNTAX) if pick < 0.5 else
+                chr(rng.randrange(0x80) if pick < 0.75 else rng.randrange(0x80, 0xD800)))
+        if op == "insert":
+            text = text[:i] + char + text[i:]
+        elif op == "delete":
+            text = text[:i] + text[i + 1 :]
+        elif op == "truncate":
+            text = text[:i]
+        else:
+            text = text[:i] + char + text[i + 1 :]
+    return text
+
+
+def parse(trees: dict[str, Path], tmp: Path) -> tuple[dict, dict]:
+    """The chart and TikZ readers on seeded valid and mutated texts.
+
+    The valid texts are PARSE_TEXTS charts of ``gen_chart_struct`` in the
+    dict form and in the table form, and PARSE_TEXTS scenes of ``gen_scene``
+    emitted as TikZ, all from this checkout's generators. Each reader runs
+    in its own process, as it does in the CLI: one times
+    ``parse_chart_output`` on each chart form, the other
+    ``parse_tikz_subset`` on the scenes, and the best of PARSE_REPEATS
+    passes gives the time per text. Every figure is the median over
+    PARSE_ROUNDS rounds with the interquartile range next to it. Each
+    process then parses its valid texts and MUTATED texts of its kind (the
+    charts in the dict or the table form, at random), each edited one to
+    four times by inserting, deleting or replacing a character or by
+    cutting the text short. Both trees must return the same result, or the
+    same error class, line, column and message, for every text.
+    """
+    sys.path[:0] = [str(ROOT / "src")]
+    from ocrkit.charts import gen_chart_struct, serialize_chart_struct
+    from ocrkit.geometry import emit_tikz, gen_scene
+
+    def chart(seed: int, form: str) -> str:
+        return serialize_chart_struct(gen_chart_struct(seed)[0], form)
+
+    def scene(seed: int) -> str:
+        return emit_tikz(gen_scene(seed)).source
+
+    rng = random.Random(f"parse:{SEED}")
+    texts = {
+        "chart": {
+            "valid": {form: [chart(seed, form) for seed in range(PARSE_TEXTS)]
+                      for form in READERS["chart"]},
+            "mutated": [mutate(rng, chart(rng.randrange(2**31), rng.choice(READERS["chart"])))
+                        for _ in range(MUTATED)],
+        },
+        "tikz": {
+            "valid": {"tikz": [scene(seed) for seed in range(PARSE_TEXTS)]},
+            "mutated": [mutate(rng, scene(rng.randrange(2**31))) for _ in range(MUTATED)],
+        },
+    }
+    for reader, part in texts.items():
+        (tmp / f"{reader}.json").write_text(json.dumps(part), encoding="utf-8")
+
+    def measure(src: Path) -> tuple[dict, dict]:
+        us, answer = {}, {}
+        for reader in READERS:
+            out = json.loads(run(src, "-c", PARSE_CHILD, str(tmp / f"{reader}.json"), reader,
+                                 str(PARSE_REPEATS)).stdout)
+            us.update(out["us"])
+            answer[reader] = out["answer"]
+        return us, answer
+
+    figures, answer = interleave(trees, PARSE_ROUNDS, measure)
+    results = {label: {form: spread([us[form] for us in runs]) for form in runs[0]}
+               for label, runs in figures.items()}
+    results["answer"] = answer
+    print(f"us per text (median ± IQR of {PARSE_ROUNDS})")
+    print(f"  {'form':<8}{'before':>20}{'after':>20}")
+    for form in (*READERS["chart"], *READERS["tikz"]):
+        cells = [results[label][form] for label in ("before", "after")]
+        print(f"  {form:<8}" + "".join(f"{c['median']:>11.2f} ± {c['iqr']:<6.2f}" for c in cells))
+    for reader, got in answer.items():
+        print(f"same answer for all {PARSE_TEXTS * len(READERS[reader]) + MUTATED} {reader} texts: "
+              f"{got['rejected']} rejected, sha256 {got['sha256'][:16]}...")
+    return {
+        "texts": f"seeds 0-{PARSE_TEXTS - 1} of gen_chart_struct (dict and table form) and of "
+                 f"gen_scene; {MUTATED} mutated charts and {MUTATED} mutated scenes, seed {SEED}",
+        "units": "us per text, best of repeats; median and interquartile range over rounds",
+        "rounds": PARSE_ROUNDS,
+        "repeats": PARSE_REPEATS,
+    }, results
+
+
+BENCHES = {"startup": startup, "scoring": scoring, "dedup": dedup, "kernel": kernel,
+           "parse": parse}
 
 
 def main() -> int:

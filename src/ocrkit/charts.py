@@ -17,6 +17,7 @@ import re
 from typing import Callable
 
 from ._record import Record
+from ._scan import Scanner, TextParseError, split_row
 
 AP_TOLERANCES = {"strict": 0.0, "slight": 0.05, "high": 0.10}
 AP_VALUE_FLOOR = 1e-9
@@ -24,14 +25,8 @@ AP_VALUE_FLOOR = 1e-9
 _META_KEYS = ("title", "source", "x_title", "y_title")
 
 
-class ChartParseError(ValueError):
+class ChartParseError(TextParseError):
     """Chart text rejected; carries 1-based line and column."""
-
-    def __init__(self, line: int, column: int, message: str):
-        super().__init__(f"{line}:{column}: {message}")
-        self.line = line
-        self.column = column
-        self.message = message
 
 
 class Series(Record):
@@ -84,34 +79,11 @@ _NUMBER_RE = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _ESCAPES = {"\\": "\\", '"': '"', "'": "'", "n": "\n", "t": "\t", "r": "\r"}
 
 
-class _DictScanner:
+class _DictScanner(Scanner):
     """Tokenizer/parser for the dict-literal subset with position tracking."""
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _line_col(self, pos: int) -> tuple[int, int]:
-        line = self.text.count("\n", 0, pos) + 1
-        start = self.text.rfind("\n", 0, pos) + 1
-        return line, pos - start + 1
-
-    def error(self, message: str, pos: int | None = None) -> ChartParseError:
-        line, col = self._line_col(self.pos if pos is None else pos)
-        return ChartParseError(line, col, message)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
+    whitespace = " \t\r\n"
+    error_class = ChartParseError
 
     def string(self) -> str:
         quote = self.peek()
@@ -137,12 +109,7 @@ class _DictScanner:
                 self.pos += 1
 
     def number(self) -> float:
-        self.skip_ws()
-        m = _NUMBER_RE.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected a number")
-        self.pos = m.end()
-        return float(m.group())
+        return float(self.token(_NUMBER_RE, "a number")[0])
 
     def read_map(
         self, what: str, value: Callable[[str, int], object], strip: bool = True
@@ -186,17 +153,11 @@ def _parse_dict_form(text: str) -> ChartStruct:
         raise scanner.error(f"unknown key {key!r}", pos)
 
     meta = scanner.read_map("key", field, strip=False)
-    scanner.skip_ws()
-    if scanner.pos != len(scanner.text):
+    if scanner.peek():
         raise scanner.error("unexpected text after the closing '}'")
     if "values" not in meta:
         raise scanner.error("missing 'values' map", 0)
     return ChartStruct(series=meta.pop("values"), **meta)
-
-
-def _split_row(line: str) -> list[str]:
-    cells = line.strip().strip("|").split("|")
-    return [c.strip() for c in cells]
 
 
 _SEPARATOR_CELL_RE = re.compile(r"^:?-+:?$")
@@ -222,7 +183,7 @@ def _parse_table_form(text: str) -> ChartStruct:
         meta[norm] = value.strip()
     if table_start is None:
         raise ChartParseError(len(lines), 1, "no table found")
-    header = _split_row(lines[table_start])
+    header = split_row(lines[table_start])
     if len(header) < 2:
         raise ChartParseError(table_start + 1, 1, "table header needs a label column and series")
     names = header[1:]
@@ -236,7 +197,7 @@ def _parse_table_form(text: str) -> ChartStruct:
             continue
         if not stripped.startswith("|"):
             raise ChartParseError(idx + 1, 1, f"unexpected text after the table: {stripped!r}")
-        cells = _split_row(lines[idx])
+        cells = split_row(lines[idx])
         if all(_SEPARATOR_CELL_RE.match(c) for c in cells):
             continue
         if len(cells) != len(header):

@@ -252,6 +252,7 @@ def cmd_make_finegrained(args) -> int:
             raise ValueError("field 'box' must be four numbers [x1, y1, x2, y2]")
         dims = ImageDims(row["width"], row["height"])
         box = finegrained.BBox(*(float(v) for v in xy))
+        finegrained.check_box(box, dims)
         meta = {
             "source_box": ",".join(str(v) for v in xy),
             "image_width": str(dims.width),

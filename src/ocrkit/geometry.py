@@ -14,6 +14,7 @@ import re
 from decimal import Decimal, InvalidOperation
 
 from ._record import Record
+from ._scan import Scanner, TextParseError
 
 MAX_FRACTION_DIGITS = 2
 
@@ -35,14 +36,8 @@ DOCUMENT_TEMPLATE = (
 )
 
 
-class TikzParseError(ValueError):
+class TikzParseError(TextParseError):
     """Parse failure with 1-based line and column."""
-
-    def __init__(self, line: int, column: int, message: str):
-        super().__init__(f"{line}:{column}: {message}")
-        self.line = line
-        self.column = column
-        self.message = message
 
 
 def fmt_decimal(d: Decimal) -> str:
@@ -206,46 +201,18 @@ def emit_tikz(scene: GeomScene) -> TikzDoc:
 _NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?")
 
 
-class _Cursor:
-    def __init__(self, text: str, line_no: int):
-        self.text = text
-        self.pos = 0
-        self.line_no = line_no
+class _Cursor(Scanner):
+    """One TikZ line; a CR inside it is no whitespace."""
 
-    def error(self, message: str, pos: int | None = None) -> TikzParseError:
-        at = self.pos if pos is None else pos
-        return TikzParseError(self.line_no, at + 1, message)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def match(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def expect(self, literal: str, what: str | None = None):
-        if not self.match(literal):
-            raise self.error(f"expected {what or literal!r}")
+    whitespace = " \t"
+    error_class = TikzParseError
 
     def number(self) -> Decimal:
-        self.skip_ws()
-        m = _NUMBER_RE.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected a number")
-        start = self.pos
-        self.pos = m.end()
+        text, start = self.token(_NUMBER_RE, "a number")
         try:
-            return canon_decimal(m.group())
+            return canon_decimal(text)
         except ValueError as exc:
             raise self.error(str(exc), start) from exc
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos == len(self.text)
 
 
 def _parse_point(cur: _Cursor) -> Point:
@@ -404,7 +371,7 @@ def _parse_line(text: str, line_no: int) -> Element:
     except ValueError as exc:
         raise cur.error(str(exc)) from exc
     cur.expect(";", "';' terminating the command")
-    if not cur.at_end():
+    if cur.peek():
         raise cur.error("unexpected text after ';'")
     return element
 

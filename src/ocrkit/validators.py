@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 
 from ._record import Record
+from ._scan import split_row
 from .geometry import TikzParseError, parse_tikz_subset
 
 
@@ -61,10 +62,6 @@ _ENV_RE = re.compile(r"\\(begin|end)\{([^}]*)\}")
 _OPEN_FOR = {"\\)": "\\(", "\\]": "\\["}
 # an escape pair (consumed whole, so "\\$" is no delimiter), "$$" or "$"
 _MATH_TOKEN_RE = re.compile(r"\\.|\$\$|\$")
-
-
-def _split_cells(line: str) -> list[str]:
-    return [c.strip() for c in line.strip().strip("|").split("|")]
 
 
 def validate_mathpix_markdown(text: str) -> ValidationReport:
@@ -136,7 +133,7 @@ def validate_mathpix_markdown(text: str) -> ValidationReport:
         if fenced[i] or not line.strip().startswith("|"):
             header_arity = None
             continue
-        cells = _split_cells(line)
+        cells = split_row(line)
         if header_arity is None:
             header_arity = len(cells)
         elif len(cells) != header_arity:

@@ -16,7 +16,7 @@ def _help(*argv):
                           text=True, cwd=ROOT)
 
 
-@pytest.mark.parametrize("sub", ["startup", "scoring", "dedup", "kernel"])
+@pytest.mark.parametrize("sub", ["startup", "scoring", "dedup", "kernel", "parse"])
 def test_compare_subcommand_help_exits_zero(sub):
     done = _help(str(ROOT / "benchmarks" / "compare.py"), sub)
     assert done.returncode == 0, done.stderr

@@ -82,6 +82,24 @@ def test_parse_dict_text_ending_where_a_string_is_due(text, line, column):
     assert exc.value.message == "expected a quoted string"
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ('{\n  "values": {\n    "s": {"a": x}}}', "3:16: expected a number"),
+        ('{"values": {"s" {}}}', "1:17: expected ':'"),
+        # CR is chart whitespace, and a line ends only at LF
+        ('{\r\n"title": "a"\r\n"values": {}}', "3:1: expected ',' or '}'"),
+    ],
+    ids=["number-on-line-3", "missing-colon", "crlf"],
+)
+def test_parse_dict_error_position_and_message(text, where):
+    with pytest.raises(ChartParseError) as exc:
+        parse_chart_output(text)
+    assert str(exc.value) == where
+    assert f"{exc.value.line}:{exc.value.column}: {exc.value.message}" == where
+    assert isinstance(exc.value, ValueError)
+
+
 def test_parse_dict_non_numeric_value():
     with pytest.raises(ChartParseError, match="number"):
         parse_chart_output('{"values": {"s": {"a": "one"}}}')

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import re
 import stat
 import tempfile
@@ -300,18 +301,24 @@ def test_positive_int_flags_reject_bad_values_before_reading(tmp_path, capsys, a
             json.dumps({**_ANNOTATION, "box": [10, 20, 4000, 100]}),
             "line 2: box BBox(x1=10.0, y1=20.0, x2=4000.0, y2=100.0) outside image 1000x500",
         ),
+        (
+            json.dumps({**_ANNOTATION, "box": [10, 20, math.inf, 100]}),  # JSON's Infinity
+            "line 2: box BBox(x1=10.0, y1=20.0, x2=inf, y2=100.0) outside image 1000x500",
+        ),
     ],
     ids=[
         "array-line", "null-width", "int-text", "int-image-ref", "float-width", "bool-height",
         "bool-in-box", "missing-box", "duplicate-id", "int-lang", "unknown-lang", "empty-text",
-        "box-outside-image",
+        "box-outside-image", "infinite-box",
     ],
 )
-def test_make_finegrained_rejects_bad_annotation(tmp_path, capsys, line, where):
+@pytest.mark.parametrize("mode", ["box", "color"])
+def test_make_finegrained_rejects_bad_annotation(tmp_path, capsys, line, where, mode):
     anno = tmp_path / "anno.jsonl"
     anno.write_text(json.dumps({**_ANNOTATION, "id": "a0"}) + "\n" + line + "\n")
     out = tmp_path / "fg.jsonl"
-    assert main(["make-finegrained", "--input", str(anno), "--out", str(out)]) == 1
+    argv = ["make-finegrained", "--input", str(anno), "--out", str(out), "--mode", mode]
+    assert main(argv) == 1
     [err] = capsys.readouterr().err.splitlines()
     assert err.startswith(f"error: {anno}: {where}")
     assert not out.exists()

@@ -151,6 +151,25 @@ def test_parse_head_mutations_rejected():
             parse_tikz_subset(TikzDoc(mutated + "\n"))
 
 
+@pytest.mark.parametrize(
+    "source, where",
+    [
+        # CR is no TikZ whitespace
+        ("\\draw (0,0) circle (1);\r\n", "1:24: unexpected text after ';'"),
+        ("\\draw (0,0) circle (1);\n\\draw (0,0) -- (1,x);\n", "2:19: expected a number"),
+        # a canon_decimal error points at the number's start
+        ("\\draw (0,0) circle (0.125);\n", "1:21: more than 2 fraction digits: 0.125"),
+    ],
+    ids=["cr-after-semicolon", "number-on-line-2", "fraction-digits"],
+)
+def test_parse_error_position_and_message(source, where):
+    with pytest.raises(TikzParseError) as exc:
+        parse_tikz_subset(source)
+    assert str(exc.value) == where
+    assert f"{exc.value.line}:{exc.value.column}: {exc.value.message}" == where
+    assert isinstance(exc.value, ValueError)
+
+
 def test_round_trip_examples():
     for seed in (0, 7, 123, 999):
         scene = gen_scene(seed)

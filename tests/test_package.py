@@ -39,7 +39,7 @@ def test_submodule_attribute_without_explicit_import(ocrkit_modules_after):
     loaded = ocrkit_modules_after(
         "import ocrkit\nassert ocrkit.charts.chart_ap is ocrkit.chart_ap"
     )
-    assert loaded == ["ocrkit", "ocrkit._record", "ocrkit.charts"]
+    assert loaded == ["ocrkit", "ocrkit._record", "ocrkit._scan", "ocrkit.charts"]
 
 
 @pytest.mark.parametrize(

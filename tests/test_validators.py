@@ -186,21 +186,43 @@ _UNSUPPORTED = "spine splits/merges and multi-system constructs are unsupported"
 # One input per issue code, then one multi-issue input per validator that pins
 # the order: check by check, each check in scan order; then scanner edge cases.
 EXACT_ISSUES = [
-    ("markdown", "```\ncode\n", [(1, 1, "FENCE_UNCLOSED", "code fence never closed")]),
-    ("markdown", "x \\end{array}", [(1, 3, "ENV_UNOPENED", "\\end{array} without begin")]),
-    (
+    pytest.param(
+        "markdown",
+        "```\ncode\n",
+        [(1, 1, "FENCE_UNCLOSED", "code fence never closed")],
+        id="markdown-FENCE_UNCLOSED",
+    ),
+    pytest.param(
+        "markdown",
+        "x \\end{array}",
+        [(1, 3, "ENV_UNOPENED", "\\end{array} without begin")],
+        id="markdown-ENV_UNOPENED",
+    ),
+    pytest.param(
         "markdown",
         "\\begin{a}\\end{b}",
         [(1, 10, "ENV_MISMATCH", "\\end{b} closes \\begin{a} (1:1)")],
+        id="markdown-ENV_MISMATCH",
     ),
-    ("markdown", "ok\n  \\begin{array} x", [(2, 3, "ENV_UNCLOSED", "\\begin{array} never closed")]),
-    ("markdown", "x = \\(a+b", [(1, 5, "MATH_UNBALANCED", "unclosed \\(")]),
-    (
+    pytest.param(
+        "markdown",
+        "ok\n  \\begin{array} x",
+        [(2, 3, "ENV_UNCLOSED", "\\begin{array} never closed")],
+        id="markdown-ENV_UNCLOSED",
+    ),
+    pytest.param(
+        "markdown",
+        "x = \\(a+b",
+        [(1, 5, "MATH_UNBALANCED", "unclosed \\(")],
+        id="markdown-MATH_UNBALANCED",
+    ),
+    pytest.param(
         "markdown",
         "| a | b | c |\n| 1 | 2 | 3 |\n| 4 | 5 |\n",
         [(3, 1, "TABLE_ARITY", "row has 2 cells, header has 3")],
+        id="markdown-TABLE_ARITY",
     ),
-    (
+    pytest.param(
         "markdown",
         _MD_MULTI,
         [
@@ -213,30 +235,73 @@ EXACT_ISSUES = [
             (4, 11, "MATH_UNBALANCED", "unclosed $"),
             (3, 1, "TABLE_ARITY", "row has 1 cells, header has 2"),
         ],
+        id="markdown-multi",
     ),
     # an escape pair is consumed whole: "\\$" and "\\\\" are no delimiters
-    ("markdown", "a \\$ b $c", [(1, 8, "MATH_UNBALANCED", "unclosed $")]),
-    ("markdown", "\\\\(x \\)", [(1, 6, "MATH_UNBALANCED", "unmatched \\)")]),
-    (
+    pytest.param(
+        "markdown",
+        "a \\$ b $c",
+        [(1, 8, "MATH_UNBALANCED", "unclosed $")],
+        id="markdown-escaped-dollar",
+    ),
+    pytest.param(
+        "markdown",
+        "\\\\(x \\)",
+        [(1, 6, "MATH_UNBALANCED", "unmatched \\)")],
+        id="markdown-escaped-backslash",
+    ),
+    pytest.param(
         "markdown",
         "$$$",
         [(1, 1, "MATH_UNBALANCED", "unclosed $$"), (1, 3, "MATH_UNBALANCED", "unclosed $")],
+        id="markdown-triple-dollar",
     ),
     # a lone backslash at the end of a line is skipped
-    ("markdown", "\\(x\\", [(1, 1, "MATH_UNBALANCED", "unclosed \\(")]),
+    pytest.param(
+        "markdown",
+        "\\(x\\",
+        [(1, 1, "MATH_UNBALANCED", "unclosed \\(")],
+        id="markdown-trailing-backslash",
+    ),
     # the column one past the end of line 1
-    ("smiles", "CC\nCC", [(1, 3, "MULTILINE", "SMILES must be a single line")]),
-    ("smiles", "CC)C", [(1, 3, "PAREN_UNBALANCED", "unmatched ')'")]),
-    ("smiles", "C[NH2", [(1, 2, "BRACKET_UNCLOSED", "unclosed bracket atom")]),
-    (
+    pytest.param(
+        "smiles",
+        "CC\nCC",
+        [(1, 3, "MULTILINE", "SMILES must be a single line")],
+        id="smiles-MULTILINE",
+    ),
+    pytest.param(
+        "smiles",
+        "CC)C",
+        [(1, 3, "PAREN_UNBALANCED", "unmatched ')'")],
+        id="smiles-PAREN_UNBALANCED",
+    ),
+    pytest.param(
+        "smiles",
+        "C[NH2",
+        [(1, 2, "BRACKET_UNCLOSED", "unclosed bracket atom")],
+        id="smiles-BRACKET_UNCLOSED",
+    ),
+    pytest.param(
         "smiles",
         "[@]C",
         [(1, 1, "BRACKET_MALFORMED", "bracket atom '[@]' does not match the bracket grammar")],
+        id="smiles-BRACKET_MALFORMED",
     ),
-    ("smiles", "C%C", [(1, 2, "RING_MALFORMED", "'%' needs two digits")]),
-    ("smiles", "CEC", [(1, 2, "ATOM_ILLEGAL", "character 'E' not in the SMILES subset")]),
-    ("smiles", "C1CC", [(1, 2, "RING_UNPAIRED", _RING_1)]),
-    (
+    pytest.param(
+        "smiles",
+        "C%C",
+        [(1, 2, "RING_MALFORMED", "'%' needs two digits")],
+        id="smiles-RING_MALFORMED",
+    ),
+    pytest.param(
+        "smiles",
+        "CEC",
+        [(1, 2, "ATOM_ILLEGAL", "character 'E' not in the SMILES subset")],
+        id="smiles-ATOM_ILLEGAL",
+    ),
+    pytest.param("smiles", "C1CC", [(1, 2, "RING_UNPAIRED", _RING_1)], id="smiles-RING_UNPAIRED"),
+    pytest.param(
         "smiles",
         _SMILES_MULTI,
         [
@@ -251,46 +316,78 @@ EXACT_ISSUES = [
             (1, 15, "RING_UNPAIRED", "ring closure '%12' appears 1 time(s), expected exactly 2"),
             (1, 19, "RING_UNPAIRED", "ring closure '2' appears 1 time(s), expected exactly 2"),
         ],
+        id="smiles-multi",
     ),
     # reported at the label's first position
-    (
+    pytest.param(
         "smiles",
         "C1CC1C1",
         [(1, 2, "RING_UNPAIRED", "ring closure '1' appears 3 time(s), expected exactly 2")],
+        id="smiles-ring-label-thrice",
     ),
     # any character str.isdigit accepts is a ring label, so the two '²' pair up
-    ("smiles", "C²CC²C1", [(1, 7, "RING_UNPAIRED", _RING_1)]),
-    ("kern", "", [(1, 1, "EMPTY_INPUT", "no records in input")]),
-    ("kern", "4c\n*-", [(1, 1, "SPINE_DECL", "first record must declare **kern spines")]),
-    ("kern", "!! only a comment\n", [(1, 1, "SPINE_DECL", "no spine declaration found")]),
-    ("kern", "**kern\n4c\n*-\n4d", [(4, 1, "SPINE_TERMINATED", "record after spine terminator")]),
-    (
+    pytest.param(
+        "smiles",
+        "C²CC²C1",
+        [(1, 7, "RING_UNPAIRED", _RING_1)],
+        id="smiles-superscript-ring-label",
+    ),
+    pytest.param("kern", "", [(1, 1, "EMPTY_INPUT", "no records in input")], id="kern-EMPTY_INPUT"),
+    pytest.param(
+        "kern",
+        "4c\n*-",
+        [(1, 1, "SPINE_DECL", "first record must declare **kern spines")],
+        id="kern-SPINE_DECL-first-record",
+    ),
+    pytest.param(
+        "kern",
+        "!! only a comment\n",
+        [(1, 1, "SPINE_DECL", "no spine declaration found")],
+        id="kern-SPINE_DECL-none-found",
+    ),
+    pytest.param(
+        "kern",
+        "**kern\n4c\n*-\n4d",
+        [(4, 1, "SPINE_TERMINATED", "record after spine terminator")],
+        id="kern-SPINE_TERMINATED",
+    ),
+    pytest.param(
         "kern",
         "**kern\t**kern\n4c\n*-\t*-",
         [(2, 1, "SPINE_ARITY", "record has 1 field(s), spine count is 2")],
+        id="kern-SPINE_ARITY",
     ),
-    (
+    pytest.param(
         "kern",
         "**kern\n*^\n*-",
         [(2, 1, "UNSUPPORTED", _UNSUPPORTED)],
+        id="kern-UNSUPPORTED",
     ),
-    (
+    pytest.param(
         "kern",
         "**kern\t**kern\n*clefG2\t4c\n*-\t*-",
         [(2, 1, "MIXED_RECORD", "interpretation mixed with data fields")],
+        id="kern-MIXED_RECORD",
     ),
-    (
+    pytest.param(
         "kern",
         "**kern\t**kern\n=1\t4c\n*-\t*-",
         [(2, 4, "BARLINE_MIXED", "barline record mixes non-barline fields")],
+        id="kern-BARLINE_MIXED",
     ),
-    (
+    pytest.param(
         "kern",
         "**kern\t**kern\n4c\t4h\n*-\t*-",
         [(2, 4, "TOKEN_MALFORMED", "token '4h' does not match the kern token pattern")],
+        id="kern-TOKEN_MALFORMED",
     ),
-    ("kern", "**kern\n4c", [(2, 1, "SPINE_UNTERMINATED", "spines never terminated by *-")]),
-    (
+    pytest.param(
+        "kern",
+        "**kern\n4c",
+        [(2, 1, "SPINE_UNTERMINATED", "spines never terminated by *-")],
+        id="kern-SPINE_UNTERMINATED",
+    ),
+    pytest.param(
         "kern",
         _KERN_MULTI,
         [
@@ -302,20 +399,28 @@ EXACT_ISSUES = [
             (8, 1, "BARLINE_MIXED", "barline record mixes non-barline fields"),
             (8, 1, "SPINE_UNTERMINATED", "spines never terminated by *-"),
         ],
+        id="kern-multi",
     ),
-    (
+    pytest.param(
         "tikz",
         "\\drow (0,0) circle (1);\n",
         [(1, 1, "TIKZ_SYNTAX", "unknown command (expected \\draw)")],
+        id="tikz-unknown-command",
     ),
     # the parser stops at the first error, so a second line pins its line number
-    (
+    pytest.param(
         "tikz",
         "\\draw (0,0) circle (1);\n\\draw (0,0) circle (0);\n",
         [(2, 21, "TIKZ_SYNTAX", "circle radius must be positive")],
+        id="tikz-second-line",
     ),
     # one trailing newline is dropped, a second one is a blank line
-    ("tikz", "\\draw (0,0) circle (1);\n\n", [(2, 1, "TIKZ_SYNTAX", "blank line inside drawing")]),
+    pytest.param(
+        "tikz",
+        "\\draw (0,0) circle (1);\n\n",
+        [(2, 1, "TIKZ_SYNTAX", "blank line inside drawing")],
+        id="tikz-blank-line",
+    ),
 ]
 
 
@@ -326,7 +431,6 @@ def issue_tuples(report):
 @pytest.mark.parametrize(
     "kind,text,expected",
     EXACT_ISSUES,
-    ids=[f"{kind}-{exp[0][2] if len(exp) == 1 else 'multi'}" for kind, _, exp in EXACT_ISSUES],
 )
 def test_exact_issue_list(kind, text, expected):
     report = VALIDATORS[kind](text)
@@ -335,7 +439,7 @@ def test_exact_issue_list(kind, text, expected):
 
 
 def test_exact_issue_table_covers_every_code():
-    covered = {issue[2] for _, _, expected in EXACT_ISSUES for issue in expected}
+    covered = {issue[2] for case in EXACT_ISSUES for issue in case.values[2]}
     assert len(covered) == 23
 
 
@@ -354,7 +458,7 @@ _STABILITY_SAMPLES = [
     "C1CCCCC1",
     "**kern\n4c\n*-",
     "\\draw (0,0) circle (1);",
-    *(text for _, text, _ in EXACT_ISSUES),
+    *(case.values[1] for case in EXACT_ISSUES),
 ]
 
 
