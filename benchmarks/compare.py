@@ -29,7 +29,6 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,7 +91,8 @@ def write_corpus(generator: str, size: dict, folder: Path) -> Path:
 
 # --- startup -------------------------------------------------------------------------
 
-RUNS = 11  # fresh processes per subcommand and tree
+RUNS = 11  # rounds; each one times every child below once per tree
+LAUNCH = ROOT / "perfbench" / "launch.py"
 
 SUBCOMMANDS = (
     "score", "chart-score", "tile-plan", "stitch", "make-finegrained", "compose-pages",
@@ -113,50 +113,98 @@ FLOOR_MODULES = "import sys; print(*sys.modules)"
 
 
 def startup(trees: dict[str, Path], tmp: Path) -> tuple[dict, list]:
-    """CLI startup: fresh ``python -m ocrkit.cli <sub> --help`` processes.
+    """CLI startup: fresh ``python -m ocrkit.cli <sub> --help`` processes, and one dedup run.
 
-    For every subcommand this records the median wall time of RUNS fresh
-    processes per tree, the ocrkit modules such a process loads, and the
-    standard library modules it loads beyond those of ``python -c pass``.
-    The median wall time of ``python -c pass`` is recorded as the
-    interpreter's own floor. Without cached bytecode
-    (``PYTHONDONTWRITEBYTECODE`` set and no ``__pycache__``) every imported
-    module is compiled from source in every process; the setting is
-    recorded with the results.
+    Every child is started by ``perfbench/launch.py``, so its wall time is
+    in reference ms, corrected for the speed of the machine's CPU at the
+    time. Each round times, per tree, ``python -c pass`` (the interpreter's
+    own floor), every subcommand's ``--help`` and one real ``dedup`` on the
+    corpus of perfbench's ``dedup-lines`` workload at its full size; each
+    figure is the median over RUNS rounds with the interquartile range next
+    to it. Each round also runs an argv table in both trees: no arguments,
+    ``-h``, every ``<sub> --help``, an unknown command, an option before the
+    command, a missing required flag, a bad flag value and the dedup run.
+    Both trees must give the same stdout, stderr and exit code for every row,
+    and the same dedup output file, in every round. For every subcommand the
+    report lists the ocrkit modules its ``--help`` loads and the standard
+    library modules it loads beyond those of ``python -c pass``. Without
+    cached bytecode (``PYTHONDONTWRITEBYTECODE`` set and no ``__pycache__``)
+    every imported module is compiled from source in every process; the
+    setting is recorded with the results.
     """
-    def wall_s(src: Path, *args: str) -> float:
-        start = time.perf_counter()
-        run(src, *args)
-        return time.perf_counter() - start
+    sys.path[:0] = [str(ROOT / "perfbench")]
+    from run import REF_LOOP_S
+    from workloads import SIZES
 
-    def measure(src: Path) -> tuple[dict, None]:
-        times = {sub: wall_s(src, "-m", "ocrkit.cli", sub, "--help") for sub in SUBCOMMANDS}
-        return {"floor": wall_s(src, "-c", "pass"), **times}, None
+    folder = write_corpus("dedup-lines", SIZES["full"], tmp / "corpus")
 
-    figures, _ = interleave(trees, RUNS, measure)
+    def launch(src: Path, *args: str) -> float:
+        """Reference ms of ``python *args`` with ``src`` on the path, as ``perfbench/run.py``
+        scales a child: wall time x REF_LOOP_S / the launcher's calibration loop time."""
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-I", "-S", str(LAUNCH), "--", sys.executable,
+                               *args], env=env, capture_output=True, text=True)
+        code, wall, _, _, loop = done.stdout.split()
+        if done.returncode != 0 or code != "0":
+            raise SystemExit(f"{src}: {' '.join(args)} exited {code}: {done.stderr}")
+        return float(wall) * REF_LOOP_S / float(loop) * 1e3
+
+    kept = tmp / "kept.jsonl"
+    dedup_argv = ["dedup", "--test", str(folder / "test.jsonl"), "--train",
+                  str(folder / "train.jsonl"), "--threshold", "0.9", "--out", str(kept)]
+    table = [[], ["-h"], *([sub, "--help"] for sub in SUBCOMMANDS), ["nope"],
+             ["--verbose", "score", "--gt", "a", "--pred", "b"], ["dedup", "--test", "a"],
+             ["dedup", "--test", "a", "--train", "b", "--out", "c", "--threshold", "x"],
+             dedup_argv]
+
+    def answer(src: Path) -> list:
+        env = dict(os.environ, PYTHONPATH=str(src))
+        rows = []
+        for argv in table:
+            done = subprocess.run([sys.executable, "-m", "ocrkit.cli", *argv], env=env,
+                                  capture_output=True, cwd=tmp)
+            rows.append((argv, done.stdout, done.stderr, done.returncode))
+        return [rows, kept.read_bytes()]
+
+    def measure(src: Path) -> tuple[dict, list]:
+        times = {sub: launch(src, "-m", "ocrkit.cli", sub, "--help") for sub in SUBCOMMANDS}
+        times["dedup run"] = launch(src, "-m", "ocrkit.cli", *dedup_argv)
+        return {"floor": launch(src, "-c", "pass"), **times}, answer(src)
+
+    figures, answers = interleave(trees, RUNS, measure)
     floors = {label: set(run(src, "-c", FLOOR_MODULES).stdout.split())
               for label, src in trees.items()}
     rows = []
-    print(f"{'subcommand':<18}{'before':>10}{'after':>10}{'stdlib +':>10}  ocrkit modules after")
-    for sub in SUBCOMMANDS:
-        row = {"subcommand": sub}
+    print(f"reference ms (median ± IQR of {RUNS})")
+    print(f"{'child':<18}{'before':>18}{'after':>18}{'stdlib +':>10}  ocrkit modules after")
+    for sub in (*SUBCOMMANDS, "dedup run", "floor"):
+        row = {"child": sub}
         for label, src in trees.items():
-            row[f"{label}_ms"] = statistics.median(f[sub] for f in figures[label]) * 1e3
+            row[f"{label}_ms"] = spread([f[sub] for f in figures[label]])
+            if sub not in SUBCOMMANDS:
+                continue
             loaded = run(src, "-c", PROBE, sub, "--help").stderr.split()
             row[f"{label}_modules"] = [m for m in loaded if m.partition(".")[0] == "ocrkit"]
             row[f"{label}_stdlib_modules"] = [
                 m for m in loaded if m.partition(".")[0] != "ocrkit" and m not in floors[label]
             ]
         rows.append(row)
-        stdlib = f"{len(row['before_stdlib_modules'])}/{len(row['after_stdlib_modules'])}"
-        print(f"{sub:<18}{row['before_ms']:>8.1f}ms{row['after_ms']:>8.1f}ms{stdlib:>10}  "
-              f"{' '.join(row['after_modules'])}")
-    floor_ms = statistics.median(f["floor"] for f in figures["after"]) * 1e3
-    print(f"python -c pass: {floor_ms:.1f}ms")
+        cells = "".join(f"{c['median']:>10.1f} ± {c['iqr']:<5.1f}"
+                        for c in (row["before_ms"], row["after_ms"]))
+        stdlib = (f"{len(row['before_stdlib_modules'])}/{len(row['after_stdlib_modules'])}"
+                  if sub in SUBCOMMANDS else "")
+        print(f"{sub:<18}{cells}{stdlib:>10}  {' '.join(row.get('after_modules', ()))}")
+    n_kept = answers[1].count(b"\n")
+    print(f"same stdout, stderr and exit code in both trees for all {len(table)} argv rows "
+          f"in all {RUNS} rounds, and the same dedup output ({n_kept} kept)")
     return {
-        "command": "python -m ocrkit.cli <subcommand> --help",
+        "command": "python -m ocrkit.cli <subcommand> --help, and "
+                   "python -m ocrkit.cli dedup on perfbench's dedup-lines corpus (full size, "
+                   f"seed {SEED}); python -c pass as the floor",
+        "units": "reference ms (wall ms scaled by perfbench/launch.py's calibration loop, as "
+                 "perfbench/run.py does); median and interquartile range over rounds",
         "runs": RUNS,
-        "python_floor_ms": floor_ms,
+        "argv_rows": [" ".join(["ocrkit", *argv]).replace(str(tmp), "<tmp>") for argv in table],
         "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
     }, rows
 

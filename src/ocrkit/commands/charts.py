@@ -1,0 +1,62 @@
+"""chart-score and gen-chart."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+from .. import charts, corpus
+from ..cli import _emit_report, _load, _save_corpus_atomic, _write_text_atomic
+from ..corpus import Corpus, Sample, TaskKind
+from . import decode
+
+CHART_PROMPT_DICT = "Convert the chart to a Python dict:"
+CHART_PROMPT_TABLE = "Convert the chart to a markdown table:"
+
+
+def cmd_chart_score(args) -> int:
+    pairs = corpus.pair_by_id(_load(args.gt), _load(args.pred))
+    gt_structs, pred_structs = [], []
+    for ref, hyp in pairs:
+        try:
+            gt_structs.append(charts.parse_chart_output(ref.ground_truth))
+            pred_structs.append(charts.parse_chart_output(hyp.ground_truth))
+        except charts.ChartParseError as exc:
+            raise ValueError(f"sample {ref.id!r}: {exc}") from exc
+    report = charts.ap_report(pred_structs, gt_structs)
+    _emit_report(report, args)
+    return 0
+
+
+def cmd_gen_chart(args) -> int:
+    pool = charts.ChartGenConfig().text_pool
+    if args.pool_file:
+        text = decode(Path(args.pool_file).read_bytes(), args.pool_file)
+        words = [w.strip() for w in text.splitlines()]
+        pool = tuple(w for w in words if w)
+    config = charts.ChartGenConfig(
+        value_range=(args.value_lo, args.value_hi), decimals=args.decimals, text_pool=pool
+    )
+    prompt = CHART_PROMPT_DICT if args.form == "dict" else CHART_PROMPT_TABLE
+    samples = []
+    specs: list[tuple[str, str]] = []
+    for i in range(args.n):
+        struct, render_spec = charts.gen_chart_struct(args.seed + i, config)
+        sample_id = f"chart-{args.seed + i:08d}"
+        samples.append(
+            Sample(
+                id=sample_id,
+                task_kind=TaskKind.CHART,
+                ground_truth=charts.serialize_chart_struct(struct, args.form),
+                prompt=prompt,
+                meta={"chart_form": args.form},
+            )
+        )
+        specs.append((sample_id, render_spec))
+    if args.specs_dir:  # spec files first and --out last, so a failed spec leaves no --out
+        specs_dir = Path(args.specs_dir)
+        specs_dir.mkdir(parents=True, exist_ok=True)
+        for sample_id, render_spec in specs:
+            _write_text_atomic(specs_dir / f"{sample_id}.spec.txt", render_spec)
+    _save_corpus_atomic(Corpus(tuple(samples)), args.out)
+    print(f"wrote {len(samples)} chart records to {args.out}")
+    return 0

@@ -1,0 +1,59 @@
+"""compose-pages and paste-layout."""
+
+from __future__ import annotations
+
+import json
+import sys
+
+from .. import pagecompose
+from ..cli import _save_corpus_atomic, _write_text_atomic
+from ..corpus import Corpus, Sample, TaskKind
+from . import TEXT_KINDS, read_aux
+
+MULTIPAGE_PROMPT = "OCR the pages in order:"
+
+
+def cmd_compose_pages(args) -> int:
+    def page(row: dict) -> pagecompose.PageSpec:
+        return pagecompose.PageSpec.from_text(row["page_id"], row["text"], row.get("image_ref", ""))
+
+    pool = read_aux(args.pool, {"page_id": (str,), **TEXT_KINDS}, ("page_id", "text"), page)
+    samples = []
+    for i in range(args.count):
+        seed = args.seed + i
+        sample = pagecompose.compose_multipage(pool, args.n, seed)
+        meta = {
+            "page_ids": ",".join(p.page_id for p in sample.pages),
+            "page_separator": pagecompose.PAGE_SEPARATOR,
+            "total_tokens": str(sample.total_tokens),
+        }
+        refs = [p.image_ref for p in sample.pages if p.image_ref]
+        if refs:
+            meta["page_image_refs"] = ",".join(refs)
+        samples.append(
+            Sample(
+                id=f"multipage-{seed:08d}",
+                task_kind=TaskKind.MULTI_PAGE,
+                ground_truth=sample.joined_text,
+                prompt=MULTIPAGE_PROMPT,
+                meta=meta,
+            )
+        )
+    _save_corpus_atomic(Corpus(tuple(samples)), args.out)
+    print(f"wrote {len(samples)} multi-page records to {args.out}")
+    return 0
+
+
+def cmd_paste_layout(args) -> int:
+    layout = pagecompose.paste_handwriting_lines(args.slices, args.canvas, args.seed)
+    obj = {
+        "canvas": [layout.canvas.width, layout.canvas.height],
+        "placements": [list(p) for p in layout.placements],
+    }
+    text = json.dumps(obj, indent=2) + "\n"
+    if args.out:
+        _write_text_atomic(args.out, text)
+        print(f"wrote layout of {len(layout.placements)} slices to {args.out}")
+    else:
+        sys.stdout.write(text)
+    return 0

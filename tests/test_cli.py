@@ -1,6 +1,5 @@
 """CLI behaviour: exit codes, report shapes, atomic output, determinism."""
 
-import argparse
 import contextlib
 import io
 import json
@@ -14,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocrkit import validators
+from ocrkit import charts, corpus, geometry, pagecompose, validators
 from ocrkit.charts import ApReport
-from ocrkit.cli import VALIDATE_KINDS, build_parser, main, render_report
+from ocrkit.cli import COMMANDS, VALIDATE_KINDS, main, render_report
 from ocrkit.corpus import Corpus, Sample, TaskKind, load_records, save_records
 from ocrkit.metrics import MetricReport
 
@@ -653,6 +652,85 @@ def test_unreadable_input_is_reported(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# --- argument contract -------------------------------------------------------------------
+
+_ROOT_USAGE = (
+    "usage: ocrkit [-h] {score,chart-score,tile-plan,stitch,make-finegrained,compose-pages,"
+    "paste-layout,gen-geometry,gen-chart,validate-format,dedup,mix} ..."
+)
+_DEDUP_USAGE = (
+    "usage: ocrkit dedup [-h] --test TEST --train TRAIN [--threshold THRESHOLD] --out OUT"
+)
+_HELP_USAGES = {
+    "score": "usage: ocrkit score [-h] --gt GT --pred PRED [--granularity {word,char}] "
+             "[--style {text,markdown}] [--json JSON]",
+    "chart-score": "usage: ocrkit chart-score [-h] --gt GT --pred PRED [--style {text,markdown}] "
+                   "[--json JSON]",
+    "tile-plan": "usage: ocrkit tile-plan [-h] --width WIDTH --height HEIGHT "
+                 "[--max-tiles MAX_TILES] [--no-thumbnail] [--json JSON]",
+    "stitch": "usage: ocrkit stitch [-h] --pages PAGES --orientation {horizontal,vertical} "
+              "[--json JSON]",
+    "make-finegrained": "usage: ocrkit make-finegrained [-h] --input INPUT --out OUT "
+                        "[--mode {box,color}] [--seed SEED] [--thickness THICKNESS]",
+    "compose-pages": "usage: ocrkit compose-pages [-h] --pool POOL --n N [--count COUNT] "
+                     "[--seed SEED] --out OUT",
+    "paste-layout": "usage: ocrkit paste-layout [-h] --slices SLICES --canvas CANVAS "
+                    "[--seed SEED] [--out OUT]",
+    "gen-geometry": "usage: ocrkit gen-geometry [-h] [--seed SEED] [--n N] --out OUT "
+                    "[--min-elements MIN_ELEMENTS] [--max-elements MAX_ELEMENTS] "
+                    "[--bound-lo BOUND_LO] [--bound-hi BOUND_HI] [--kinds KINDS]",
+    "gen-chart": "usage: ocrkit gen-chart [-h] [--seed SEED] [--n N] --out OUT "
+                 "[--form {dict,table}] [--value-lo VALUE_LO] [--value-hi VALUE_HI] "
+                 "[--decimals DECIMALS] [--pool-file POOL_FILE] [--specs-dir SPECS_DIR]",
+    "validate-format": "usage: ocrkit validate-format [-h] --kind {kern,markdown,smiles,tikz} "
+                       "[file]",
+    "dedup": _DEDUP_USAGE,
+    "mix": "usage: ocrkit mix [-h] --previous PREVIOUS --new NEW [--ratio RATIO] "
+           "[--seed SEED] --out OUT",
+}
+_CHOICES = ", ".join(f"'{name}'" for name in _HELP_USAGES)
+# argv, exit code, usage (whitespace folded), last stderr line (None: stderr is empty)
+_CONTRACT = [
+    pytest.param([], 2, _ROOT_USAGE,
+                 "ocrkit: error: the following arguments are required: command", id="no-args"),
+    pytest.param(["-h"], 0, _ROOT_USAGE, None, id="root-help"),
+    *(pytest.param([sub, "--help"], 0, usage, None, id=f"{sub}-help")
+      for sub, usage in _HELP_USAGES.items()),
+    pytest.param(
+        ["nope"], 2, _ROOT_USAGE,
+        f"ocrkit: error: argument command: invalid choice: 'nope' (choose from {_CHOICES})",
+        id="unknown-command",
+    ),
+    pytest.param(["--verbose", "score", "--gt", "a", "--pred", "b"], 2, _ROOT_USAGE,
+                 "ocrkit: error: unrecognized arguments: --verbose", id="option-before-command"),
+    pytest.param(["dedup", "--test", "a"], 2, _DEDUP_USAGE,
+                 "ocrkit dedup: error: the following arguments are required: --train, --out",
+                 id="missing-required-flag"),
+    pytest.param(
+        ["dedup", "--test", "a", "--train", "b", "--out", "c", "--threshold", "x"], 2,
+        _DEDUP_USAGE, "ocrkit dedup: error: argument --threshold: invalid float value: 'x'",
+        id="bad-flag-value",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, usage, error", _CONTRACT)
+def test_argument_contract(capsys, argv, code, usage, error):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == code
+    # help goes to stdout, usage first; a usage error to stderr, the error line last
+    if error is None:
+        assert err == ""
+        shown = out.split("\n\n")[0]
+    else:
+        assert out == ""
+        shown, _, last = err.rstrip("\n").rpartition("\n")
+        assert last == error
+    assert " ".join(shown.split()) == usage
+
+
 # --- import surface ----------------------------------------------------------------------
 
 
@@ -663,9 +741,98 @@ def test_cli_import_loads_only_the_scoring_modules(ocrkit_modules_after):
     ]
 
 
+_ENGINES = {"ocrkit.charts", "ocrkit.finegrained", "ocrkit.geometry", "ocrkit.pagecompose",
+            "ocrkit.tiling", "ocrkit.validators"}
+
+
+def _modules_after_main(ocrkit_modules_after, argv):
+    """The ocrkit modules a fresh process loads to run ``ocrkit *argv``."""
+    return set(ocrkit_modules_after(
+        "import contextlib, io\n"
+        "from ocrkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        f"        main({argv!r})\n"
+        "    except SystemExit:\n"
+        "        pass"
+    ))
+
+
+@pytest.mark.parametrize("sub", sorted(COMMANDS))
+def test_subcommand_help_loads_only_the_front_end(ocrkit_modules_after, sub):
+    assert _modules_after_main(ocrkit_modules_after, [sub, "--help"]) == {
+        "ocrkit", "ocrkit._kernels", "ocrkit._record", "ocrkit.cli", "ocrkit.corpus",
+        "ocrkit.metrics",
+    }
+
+
+@pytest.mark.parametrize("sub, engine", [("gen-geometry", "geometry"), ("gen-chart", "charts")])
+def test_engine_run_loads_its_own_engine_only(ocrkit_modules_after, tmp_path, sub, engine):
+    argv = [sub, "--n", "2", "--out", str(tmp_path / "o")]
+    loaded = _modules_after_main(ocrkit_modules_after, argv)
+    assert (tmp_path / "o").is_file()
+    assert loaded & _ENGINES == {f"ocrkit.{engine}"}
+    assert {m for m in loaded if m.startswith("ocrkit.commands.")} == {f"ocrkit.commands.{engine}"}
+
+
+def test_run_as_main_module_executes_the_front_end_once(ocrkit_modules_after, tmp_path):
+    # as ``python -m ocrkit.cli`` runs it: the handler module's import of
+    # ocrkit.cli must find the running __main__ module, not load a second copy
+    argv = ["ocrkit", "gen-geometry", "--n", "1", "--out", str(tmp_path / "o")]
+    name, *loaded = ocrkit_modules_after(
+        "import contextlib, io, runpy, sys\n"
+        f"sys.argv = {argv!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('ocrkit.cli', run_name='__main__', alter_sys=True)\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0\n"
+        "print(sys.modules['ocrkit.cli'].__name__)"
+    )
+    assert name == "__main__"
+    assert "ocrkit.commands.geometry" in loaded and (tmp_path / "o").is_file()
+
+
+def _counting(monkeypatch, module, name, calls):
+    """Wrap ``module.name`` so that each call is counted under ``name``."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_handlers_look_engine_functions_up_at_call_time(tmp_path, monkeypatch, capsys):
+    # wrappers set on the engine modules after import must see every call, as
+    # the benchmark's per-layer spans do
+    calls = {}
+    for module, name in [(charts, "parse_chart_output"), (geometry, "gen_scene"),
+                         (pagecompose, "compose_multipage"), (corpus, "dump_records")]:
+        _counting(monkeypatch, module, name, calls)
+    gt = tmp_path / "gt.jsonl"
+    _write_corpus(gt, ['{"values": {"s": {"a": 1}}}'] * 3, kind=TaskKind.CHART)
+    pool = tmp_path / "pool.jsonl"
+    pool.write_text("".join(_page(f"p{i}") + "\n" for i in range(4)))
+    runs = [
+        (["chart-score", "--gt", str(gt), "--pred", str(gt)], {"parse_chart_output": 6}),
+        (["gen-geometry", "--n", "4", "--out", str(tmp_path / "g")],
+         {"gen_scene": 4, "dump_records": 1}),
+        (["gen-chart", "--n", "2", "--out", str(tmp_path / "c")], {"dump_records": 1}),
+        (["compose-pages", "--pool", str(pool), "--n", "2", "--count", "3",
+          "--out", str(tmp_path / "p")], {"compose_multipage": 3, "dump_records": 1}),
+        (["dedup", "--test", str(gt), "--train", str(gt), "--out", str(tmp_path / "d")],
+         {"dump_records": 1}),
+    ]
+    for argv, expected in runs:
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == expected, argv
+
+
 def _subcommands():
-    [action] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    return sorted(action.choices)
+    return sorted(COMMANDS)
 
 
 @pytest.mark.parametrize("sub", _subcommands())
