@@ -91,7 +91,8 @@ def write_corpus(generator: str, size: dict, folder: Path) -> Path:
 
 # --- startup -------------------------------------------------------------------------
 
-RUNS = 11  # rounds; each one times every child below once per tree
+RUNS = 11  # rounds; each one times every child below LAUNCHES times per tree
+LAUNCHES = 3  # a round keeps the median of these launches of each child
 LAUNCH = ROOT / "perfbench" / "launch.py"
 
 SUBCOMMANDS = (
@@ -119,11 +120,13 @@ def startup(trees: dict[str, Path], tmp: Path) -> tuple[dict, list]:
     in reference ms, corrected for the speed of the machine's CPU at the
     time. Each round times, per tree, ``python -c pass`` (the interpreter's
     own floor), every subcommand's ``--help`` and one real ``dedup`` on the
-    corpus of perfbench's ``dedup-lines`` workload at its full size; each
-    figure is the median over RUNS rounds with the interquartile range next
-    to it. Each round also runs an argv table in both trees: no arguments,
-    ``-h``, every ``<sub> --help``, an unknown command, an option before the
-    command, a missing required flag, a bad flag value and the dedup run.
+    corpus of perfbench's ``dedup-lines`` workload at its full size; it
+    launches each child LAUNCHES times and keeps their median, and each
+    figure is the median of those over RUNS rounds with the interquartile
+    range next to it. Each round also runs an argv table in both trees: no
+    arguments, ``-h``, every ``<sub> --help``, an unknown command, an option
+    before the command, a missing required flag, a bad flag value and the
+    dedup run.
     Both trees must give the same stdout, stderr and exit code for every row,
     and the same dedup output file, in every round. For every subcommand the
     report lists the ocrkit modules its ``--help`` loads and the standard
@@ -140,14 +143,18 @@ def startup(trees: dict[str, Path], tmp: Path) -> tuple[dict, list]:
 
     def launch(src: Path, *args: str) -> float:
         """Reference ms of ``python *args`` with ``src`` on the path, as ``perfbench/run.py``
-        scales a child: wall time x REF_LOOP_S / the launcher's calibration loop time."""
+        scales a child: wall time x REF_LOOP_S / the launcher's calibration loop time;
+        the median of LAUNCHES children."""
         env = dict(os.environ, PYTHONPATH=str(src))
-        done = subprocess.run([sys.executable, "-I", "-S", str(LAUNCH), "--", sys.executable,
-                               *args], env=env, capture_output=True, text=True)
-        code, wall, _, _, loop = done.stdout.split()
-        if done.returncode != 0 or code != "0":
-            raise SystemExit(f"{src}: {' '.join(args)} exited {code}: {done.stderr}")
-        return float(wall) * REF_LOOP_S / float(loop) * 1e3
+        times = []
+        for _ in range(LAUNCHES):
+            done = subprocess.run([sys.executable, "-I", "-S", str(LAUNCH), "--",
+                                   sys.executable, *args], env=env, capture_output=True, text=True)
+            code, wall, _, _, loop = done.stdout.split()
+            if done.returncode != 0 or code != "0":
+                raise SystemExit(f"{src}: {' '.join(args)} exited {code}: {done.stderr}")
+            times.append(float(wall) * REF_LOOP_S / float(loop) * 1e3)
+        return statistics.median(times)
 
     kept = tmp / "kept.jsonl"
     dedup_argv = ["dedup", "--test", str(folder / "test.jsonl"), "--train",
@@ -175,7 +182,7 @@ def startup(trees: dict[str, Path], tmp: Path) -> tuple[dict, list]:
     floors = {label: set(run(src, "-c", FLOOR_MODULES).stdout.split())
               for label, src in trees.items()}
     rows = []
-    print(f"reference ms (median ± IQR of {RUNS})")
+    print(f"reference ms (median ± IQR of {RUNS} rounds, each the median of {LAUNCHES})")
     print(f"{'child':<18}{'before':>18}{'after':>18}{'stdlib +':>10}  ocrkit modules after")
     for sub in (*SUBCOMMANDS, "dedup run", "floor"):
         row = {"child": sub}
@@ -202,8 +209,10 @@ def startup(trees: dict[str, Path], tmp: Path) -> tuple[dict, list]:
                    "python -m ocrkit.cli dedup on perfbench's dedup-lines corpus (full size, "
                    f"seed {SEED}); python -c pass as the floor",
         "units": "reference ms (wall ms scaled by perfbench/launch.py's calibration loop, as "
-                 "perfbench/run.py does); median and interquartile range over rounds",
+                 "perfbench/run.py does); median and interquartile range over rounds, of "
+                 "each round's median over its launches of the child",
         "runs": RUNS,
+        "launches": LAUNCHES,
         "argv_rows": [" ".join(["ocrkit", *argv]).replace(str(tmp), "<tmp>") for argv in table],
         "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
     }, rows

@@ -29,6 +29,10 @@ class ChartParseError(TextParseError):
     """Chart text rejected; carries 1-based line and column."""
 
 
+def _not_finite(name: str, label: str) -> str:
+    return f"series {name!r}: value for {label!r} not finite"
+
+
 class Series(Record):
     __slots__ = ("name", "points")
 
@@ -39,7 +43,7 @@ class Series(Record):
                 raise ValueError(f"series {name!r}: duplicate label {label!r}")
             seen.add(label)
             if not math.isfinite(value):
-                raise ValueError(f"series {name!r}: value for {label!r} not finite")
+                raise ValueError(_not_finite(name, label))
         super().__init__(name, points)
 
 
@@ -108,8 +112,11 @@ class _DictScanner(Scanner):
                 out.append(ch)
                 self.pos += 1
 
-    def number(self) -> float:
-        return float(self.token(_NUMBER_RE, "a number")[0])
+    def number(self, name: str, label: str) -> float:
+        text, start = self.token(_NUMBER_RE, "a number")
+        if not math.isfinite(value := float(text)):
+            raise self.error(_not_finite(name, label), start)
+        return value
 
     def read_map(
         self, what: str, value: Callable[[str, int], object], strip: bool = True
@@ -142,7 +149,7 @@ def _parse_dict_form(text: str) -> ChartStruct:
     scanner = _DictScanner(text)
 
     def points(name: str, pos: int) -> Series:
-        values = scanner.read_map("label", lambda label, pos: scanner.number())
+        values = scanner.read_map("label", lambda label, pos: scanner.number(name, label))
         return Series(name, tuple(values.items()))
 
     def field(key: str, pos: int) -> str | tuple[Series, ...]:
@@ -211,7 +218,9 @@ def _parse_table_form(text: str) -> ChartStruct:
         for col, cell in enumerate(cells[1:]):
             if not _NUMBER_RE.fullmatch(cell):
                 raise ChartParseError(idx + 1, 1, f"non-numeric value cell {cell!r}")
-            columns[col].append((label, float(cell)))
+            if not math.isfinite(value := float(cell)):
+                raise ChartParseError(idx + 1, 1, _not_finite(names[col], label))
+            columns[col].append((label, value))
     return ChartStruct(
         series=tuple(Series(name, tuple(col)) for name, col in zip(names, columns)), **meta
     )
@@ -220,12 +229,7 @@ def _parse_table_form(text: str) -> ChartStruct:
 def parse_chart_output(text: str) -> ChartStruct:
     """Parse either documented chart form into a canonical ChartStruct."""
     parse = _parse_dict_form if text.lstrip().startswith("{") else _parse_table_form
-    try:
-        return parse(text)
-    except ChartParseError:
-        raise
-    except ValueError as exc:
-        raise ChartParseError(1, 1, str(exc)) from exc
+    return parse(text)
 
 
 def format_number(value: float) -> str:

@@ -7,114 +7,34 @@ randomized subcommand takes an explicit --seed (default 0) and is
 deterministic; output files are written atomically (temp file + rename) so
 interruptions never leave partial artifacts.
 
-This module holds the parser, with every subcommand's flags, the shared
-file helpers and the handlers of score, dedup and mix. The handler of each
-other subcommand lives in ``ocrkit.commands``, in the module named after
-the engine it drives (``ocrkit.commands.charts`` runs chart-score and
-gen-chart), and is imported only when its subcommand runs. The parser
-registers every subcommand's name and help, but builds a subcommand's own
-parser, flags included, only when that subcommand parses its arguments, so
-a process builds the parser of the one subcommand it runs.
+This module holds the parser, with every subcommand's flags, and the
+handlers of score, dedup and mix. Every other handler, and the file and
+report helpers that all handlers share, live in ``ocrkit.commands``; a
+handler module is named after the engine it drives
+(``ocrkit.commands.charts`` runs chart-score and gen-chart) and is imported
+only when its subcommand runs. No ocrkit module imports this one. The
+parser registers every subcommand's name and help, but builds a
+subcommand's own parser, flags included, only when that subcommand parses
+its arguments, so a process builds the parser of the one subcommand it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
-import json
-import os
-import stat
 import sys
-import tempfile
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import corpus
-from .corpus import Corpus
+from .commands import emit_report, load, save_corpus_atomic
 from .metrics import score_corpus
 
 if TYPE_CHECKING:
-    from .charts import ApReport
-    from .metrics import MetricReport
     from .tiling import ImageDims
 
-# Report field -> column name. A report's fields are in column order, so its
-# as_dict() picks and orders the columns; n_samples is shown apart.
-COLUMN_NAMES = {
-    "edit_distance": "Edit Distance",
-    "f1": "F1-score",
-    "precision": "Precision",
-    "recall": "Recall",
-    "bleu": "BLEU",
-    "meteor": "METEOR",
-    "ap_strict": "AP@strict",
-    "ap_slight": "AP@slight",
-    "ap_high": "AP@high",
-}
 # The keys of validators.VALIDATORS, sorted; spelled out so building the
 # parser does not import the validators.
 VALIDATE_KINDS = ("kern", "markdown", "smiles", "tikz")
-
-
-def _write_text_atomic(path: str | Path, text: str) -> None:
-    path = Path(path)
-    # mkstemp creates the file 0600; give it the mode open(path, "w") would leave:
-    # an existing file's own mode, else 0666 less the umask
-    try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                os.fchmod(fd, mode)
-                handle.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError as exc:
-        # name the file asked for, not the random temp file beside it
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
-
-
-def _load(path: str) -> Corpus:
-    """corpus.load_records, with the file named in its errors."""
-    try:
-        return corpus.load_records(path)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
-def _save_corpus_atomic(c: Corpus, path: str | Path) -> None:
-    _write_text_atomic(path, corpus.dump_records(c))
-
-
-def render_report(report: MetricReport | ApReport, style: str = "text") -> str:
-    """Report text with the benchmark column names, 3-decimal values."""
-    columns = [
-        (COLUMN_NAMES[key], value) for key, value in report.as_dict().items() if key != "n_samples"
-    ]
-    if style == "markdown":
-        head = "| " + " | ".join(name for name, _ in columns) + " |"
-        sep = "|" + "|".join(" --- " for _ in columns) + "|"
-        row = "| " + " | ".join(f"{value:.3f}" for _, value in columns) + " |"
-        return "\n".join((head, sep, row)) + "\n"
-    if style == "text":
-        width = max(len(name) for name, _ in columns)
-        lines = [f"{name:<{width}}  {value:.3f}" for name, value in columns]
-        lines.append(f"{'samples':<{width}}  {report.n_samples}")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown style {style!r}")
-
-
-def _emit_report(report: MetricReport | ApReport, args) -> None:
-    sys.stdout.write(render_report(report, args.style))
-    if args.json:
-        _write_text_atomic(args.json, json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def _dims(text: str) -> ImageDims:
@@ -148,27 +68,25 @@ def _positive_int(text: str) -> int:
 
 
 def cmd_score(args) -> int:
-    refs = _load(args.gt)
-    hyps = _load(args.pred)
-    report = score_corpus(refs, hyps, args.granularity)
-    _emit_report(report, args)
+    report = score_corpus(load(args.gt), load(args.pred), args.granularity)
+    emit_report(report, args)
     return 0
 
 
 def cmd_dedup(args) -> int:
-    test = _load(args.test)
-    train = _load(args.train)
+    test = load(args.test)
+    train = load(args.train)
     kept = corpus.dedup_filter(test, train, args.threshold)
-    _save_corpus_atomic(kept, args.out)
+    save_corpus_atomic(kept, args.out)
     print(f"kept {len(kept)} of {len(test)} samples (threshold {args.threshold})")
     return 0
 
 
 def cmd_mix(args) -> int:
-    previous = _load(args.previous)
-    new = _load(args.new)
+    previous = load(args.previous)
+    new = load(args.new)
     mixed = corpus.mix_stages(previous, new, args.ratio, args.seed)
-    _save_corpus_atomic(mixed, args.out)
+    save_corpus_atomic(mixed, args.out)
     print(f"mixed {len(new)} new + {len(mixed) - len(new)} previous -> {args.out}")
     return 0
 
@@ -322,8 +240,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    # Run as ``python -m ocrkit.cli``, this module is ``__main__``. The handler
-    # modules import it as ``ocrkit.cli``: register it under that name too, so
-    # they find this copy instead of loading and running the file a second time.
-    sys.modules.setdefault("ocrkit.cli", sys.modules[__name__])
     sys.exit(main())

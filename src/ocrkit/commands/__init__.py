@@ -4,17 +4,42 @@
 that drives ``ocrkit.<engine>``; ``ocrkit.cli`` imports it only when one of
 those subcommands runs. A handler calls its engine's functions through the
 module (``charts.parse_chart_output``), so they are looked up at call time.
-This package holds what more than one of them reads their input with.
+This package holds what every handler, ``ocrkit.cli``'s included, reads and
+writes files with; no module imports ``ocrkit.cli``, so imports run one way.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import json
+import os
+import stat
+import sys
+import tempfile
+from pathlib import Path
+from typing import TYPE_CHECKING, Callable
 
 from .. import corpus
 
+if TYPE_CHECKING:
+    from ..charts import ApReport
+    from ..metrics import MetricReport
+
 # Field kinds (see corpus.check_fields) shared by the auxiliary JSONL inputs.
 TEXT_KINDS = {"text": (str,), "image_ref": (str, type(None))}
+
+# Report field -> column name. A report's fields are in column order, so its
+# as_dict() picks and orders the columns; n_samples is shown apart.
+COLUMN_NAMES = {
+    "edit_distance": "Edit Distance",
+    "f1": "F1-score",
+    "precision": "Precision",
+    "recall": "Recall",
+    "bleu": "BLEU",
+    "meteor": "METEOR",
+    "ap_strict": "AP@strict",
+    "ap_slight": "AP@slight",
+    "ap_high": "AP@high",
+}
 
 
 def read_aux(path: str, kinds: dict, required: tuple, build: Callable) -> list:
@@ -42,3 +67,64 @@ def decode(data: bytes, source: str) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{source}: {exc}") from exc
+
+
+def load(path: str) -> corpus.Corpus:
+    """corpus.load_records, with the file named in its errors."""
+    try:
+        return corpus.load_records(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    path = Path(path)
+    # mkstemp creates the file 0600; give it the mode open(path, "w") would leave:
+    # an existing file's own mode, else 0666 less the umask
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                os.fchmod(fd, mode)
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # name the file asked for, not the random temp file beside it
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+
+
+def save_corpus_atomic(c: corpus.Corpus, path: str | Path) -> None:
+    write_text_atomic(path, corpus.dump_records(c))
+
+
+def render_report(report: MetricReport | ApReport, style: str = "text") -> str:
+    """Report text with the benchmark column names, 3-decimal values."""
+    columns = [
+        (COLUMN_NAMES[key], value) for key, value in report.as_dict().items() if key != "n_samples"
+    ]
+    if style == "markdown":
+        head = "| " + " | ".join(name for name, _ in columns) + " |"
+        sep = "|" + "|".join(" --- " for _ in columns) + "|"
+        row = "| " + " | ".join(f"{value:.3f}" for _, value in columns) + " |"
+        return "\n".join((head, sep, row)) + "\n"
+    if style == "text":
+        width = max(len(name) for name, _ in columns)
+        lines = [f"{name:<{width}}  {value:.3f}" for name, value in columns]
+        lines.append(f"{'samples':<{width}}  {report.n_samples}")
+        return "\n".join(lines) + "\n"
+    raise ValueError(f"unknown style {style!r}")
+
+
+def emit_report(report: MetricReport | ApReport, args) -> None:
+    sys.stdout.write(render_report(report, args.style))
+    if args.json:
+        write_text_atomic(args.json, json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")

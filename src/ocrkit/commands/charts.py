@@ -5,16 +5,15 @@ from __future__ import annotations
 from pathlib import Path
 
 from .. import charts, corpus
-from ..cli import _emit_report, _load, _save_corpus_atomic, _write_text_atomic
 from ..corpus import Corpus, Sample, TaskKind
-from . import decode
+from . import decode, emit_report, load, save_corpus_atomic, write_text_atomic
 
 CHART_PROMPT_DICT = "Convert the chart to a Python dict:"
 CHART_PROMPT_TABLE = "Convert the chart to a markdown table:"
 
 
 def cmd_chart_score(args) -> int:
-    pairs = corpus.pair_by_id(_load(args.gt), _load(args.pred))
+    pairs = corpus.pair_by_id(load(args.gt), load(args.pred))
     gt_structs, pred_structs = [], []
     for ref, hyp in pairs:
         try:
@@ -23,7 +22,7 @@ def cmd_chart_score(args) -> int:
         except charts.ChartParseError as exc:
             raise ValueError(f"sample {ref.id!r}: {exc}") from exc
     report = charts.ap_report(pred_structs, gt_structs)
-    _emit_report(report, args)
+    emit_report(report, args)
     return 0
 
 
@@ -56,7 +55,7 @@ def cmd_gen_chart(args) -> int:
         specs_dir = Path(args.specs_dir)
         specs_dir.mkdir(parents=True, exist_ok=True)
         for sample_id, render_spec in specs:
-            _write_text_atomic(specs_dir / f"{sample_id}.spec.txt", render_spec)
-    _save_corpus_atomic(Corpus(tuple(samples)), args.out)
+            write_text_atomic(specs_dir / f"{sample_id}.spec.txt", render_spec)
+    save_corpus_atomic(Corpus(tuple(samples)), args.out)
     print(f"wrote {len(samples)} chart records to {args.out}")
     return 0

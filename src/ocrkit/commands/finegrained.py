@@ -5,10 +5,9 @@ from __future__ import annotations
 import random
 
 from .. import finegrained
-from ..cli import _save_corpus_atomic
 from ..corpus import Corpus, Sample, TaskKind
 from ..tiling import ImageDims
-from . import TEXT_KINDS, read_aux
+from . import TEXT_KINDS, read_aux, save_corpus_atomic
 
 
 def cmd_make_finegrained(args) -> int:
@@ -55,6 +54,6 @@ def cmd_make_finegrained(args) -> int:
 
     kinds = {"id": (str,), "width": (int,), "height": (int,), "lang": (str,), **TEXT_KINDS}
     samples = read_aux(args.input, kinds, ("id", "width", "height", "box", "text"), build)
-    _save_corpus_atomic(Corpus(tuple(samples)), args.out)
+    save_corpus_atomic(Corpus(tuple(samples)), args.out)
     print(f"wrote {len(samples)} {args.mode}-guided records to {args.out}")
     return 0

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from .. import geometry
-from ..cli import _save_corpus_atomic
 from ..corpus import Corpus, Sample, TaskKind
+from . import save_corpus_atomic
 
 GEOMETRY_PROMPT = "Transcribe the figure as TikZ:"
 
@@ -28,6 +28,6 @@ def cmd_gen_geometry(args) -> int:
                 meta={"n_elements": str(len(scene.elements))},
             )
         )
-    _save_corpus_atomic(Corpus(tuple(samples)), args.out)
+    save_corpus_atomic(Corpus(tuple(samples)), args.out)
     print(f"wrote {len(samples)} geometry records to {args.out}")
     return 0

@@ -6,9 +6,8 @@ import json
 import sys
 
 from .. import pagecompose
-from ..cli import _save_corpus_atomic, _write_text_atomic
 from ..corpus import Corpus, Sample, TaskKind
-from . import TEXT_KINDS, read_aux
+from . import TEXT_KINDS, read_aux, save_corpus_atomic, write_text_atomic
 
 MULTIPAGE_PROMPT = "OCR the pages in order:"
 
@@ -39,7 +38,7 @@ def cmd_compose_pages(args) -> int:
                 meta=meta,
             )
         )
-    _save_corpus_atomic(Corpus(tuple(samples)), args.out)
+    save_corpus_atomic(Corpus(tuple(samples)), args.out)
     print(f"wrote {len(samples)} multi-page records to {args.out}")
     return 0
 
@@ -52,7 +51,7 @@ def cmd_paste_layout(args) -> int:
     }
     text = json.dumps(obj, indent=2) + "\n"
     if args.out:
-        _write_text_atomic(args.out, text)
+        write_text_atomic(args.out, text)
         print(f"wrote layout of {len(layout.placements)} slices to {args.out}")
     else:
         sys.stdout.write(text)

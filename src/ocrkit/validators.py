@@ -325,8 +325,6 @@ def validate_tikz(text: str) -> ValidationReport:
         parse_tikz_subset(source + "\n" if source else "")
     except TikzParseError as exc:
         found.add(exc.line, exc.column, "TIKZ_SYNTAX", exc.message)
-    except ValueError as exc:
-        found.add(1, 1, "TIKZ_SYNTAX", str(exc))
     return found.report()
 
 

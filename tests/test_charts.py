@@ -100,6 +100,27 @@ def test_parse_dict_error_position_and_message(text, where):
     assert isinstance(exc.value, ValueError)
 
 
+_NOT_FINITE = "series 's': value for 'b' not finite"
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ('{"values": {"s": {"a": 1, "b": 1e999}}}', f"1:32: {_NOT_FINITE}"),
+        ('{"values": {"s": {"a": 1,\n  "b":  -1e999}}}', f"2:9: {_NOT_FINITE}"),
+        ("| label | s |\n| --- | --- |\n| a | 1 |\n| b | 1e999 |\n", f"4:1: {_NOT_FINITE}"),
+        ("title: t\n| label | u | s |\n| a | 1 | 2 |\n| b | 3 | -1E400 |\n",
+         f"4:1: {_NOT_FINITE}"),
+    ],
+    ids=["dict", "dict-line-2", "table", "table-second-series"],
+)
+def test_parse_non_finite_value_reported_where_it_stands(text, where):
+    # at the number in the dict form, at its row (column 1) in the table form
+    with pytest.raises(ChartParseError) as exc:
+        parse_chart_output(text)
+    assert str(exc.value) == where
+
+
 def test_parse_dict_non_numeric_value():
     with pytest.raises(ChartParseError, match="number"):
         parse_chart_output('{"values": {"s": {"a": "one"}}}')

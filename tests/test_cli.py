@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, report shapes, atomic output, determinism."""
 
+import ast
 import contextlib
 import io
 import json
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from ocrkit import charts, corpus, geometry, pagecompose, validators
 from ocrkit.charts import ApReport
-from ocrkit.cli import COMMANDS, VALIDATE_KINDS, main, render_report
+from ocrkit.cli import COMMANDS, VALIDATE_KINDS, main
+from ocrkit.commands import render_report
 from ocrkit.corpus import Corpus, Sample, TaskKind, load_records, save_records
 from ocrkit.metrics import MetricReport
 
@@ -140,6 +142,32 @@ def test_stitch_output(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "1600x1100"
     assert main(["stitch", "--pages", "800x1100", "--orientation", "vertical"]) == 1
+
+
+def test_stitch_json_bytes(tmp_path, capsys):
+    out = tmp_path / "stitch.json"
+    argv = ["stitch", "--pages", "800x1100,600x900", "--orientation", "vertical"]
+    assert main([*argv, "--json", str(out)]) == 0
+    assert capsys.readouterr().out == "800x2000\n0: x=0 y=0 800x1100\n1: x=0 y=1100 600x900\n"
+    expected = {"orientation": "vertical", "canvas": [800, 2000],
+                "placements": [[0, 0, 0, 800, 1100], [1, 0, 1100, 600, 900]]}
+    assert out.read_text() == json.dumps(expected, indent=2) + "\n"
+
+
+def test_paste_layout_stdout_equals_its_out_file(tmp_path, capsys):
+    argv = ["paste-layout", "--slices", "600x70,500x60,400x80,300x50,200x40,100x30",
+            "--canvas", "1240x1754", "--seed", "3"]
+    assert main(argv) == 0
+    shown = capsys.readouterr().out
+    expected = {"canvas": [1240, 1754], "placements": [
+        [0, 283, 40, 600, 70], [1, 597, 157, 500, 60], [2, 418, 235, 400, 80],
+        [3, 525, 363, 300, 50], [4, 634, 463, 200, 40], [5, 66, 517, 100, 30],
+    ]}
+    assert shown == json.dumps(expected, indent=2) + "\n"
+    out = tmp_path / "layout.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote layout of 6 slices to {out}\n"
+    assert out.read_text() == shown
 
 
 @pytest.mark.parametrize(
@@ -596,6 +624,35 @@ def test_gen_chart_pool_file_decode_error_names_the_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_chart_pool_file_names_every_text(tmp_path, capsys):
+    # entries are stripped and blank lines skipped; a repeated name gets a number
+    pool = tmp_path / "pool.txt"
+    pool.write_text("north\n  south \n\neast\n")
+    out = tmp_path / "charts.jsonl"
+    argv = ["gen-chart", "--pool-file", str(pool), "--seed", "1", "--form", "table",
+            "--decimals", "0", "--out", str(out)]
+    assert main([*argv, "--n", "1"]) == 0
+    assert capsys.readouterr().out == f"wrote 1 chart records to {out}\n"
+    table = (
+        "title: east\nsource: north\nx_title: south\ny_title: north\n"
+        "| label | south | east |\n| --- | --- | --- |\n| south | 893.0 | 266.0 |\n"
+        "| north | 390.0 | 802.0 |\n| north 2 | 607.0 | 591.0 |\n"
+        "| south 2 | 767.0 | 102.0 |\n| north 3 | 696.0 | 317.0 |\n"
+    )
+    assert out.read_text() == json.dumps(
+        {"id": "chart-00000001", "task_kind": "Chart",
+         "prompt": "Convert the chart to a markdown table:", "ground_truth": table,
+         "lang": "en", "meta": {"chart_form": "table"}}, separators=(",", ":")
+    ) + "\n"
+    assert main([*argv, "--n", "6"]) == 0
+    texts = set()
+    for sample in load_records(out).samples:
+        struct = charts.parse_chart_output(sample.ground_truth)
+        texts |= {struct.title, struct.source, struct.x_title, struct.y_title}
+        texts |= {text for s in struct.series for text in (s.name, *dict(s.points))}
+    assert {re.sub(r" \d+$", "", text) for text in texts} == {"north", "south", "east"}
+
+
 @pytest.mark.parametrize(
     "flags, shown", [(["--value-hi", "inf"], "(0.0, inf)"), (["--value-lo", "nan"], "(nan, 1000.0)")]
 )
@@ -736,8 +793,8 @@ def test_argument_contract(capsys, argv, code, usage, error):
 
 def test_cli_import_loads_only_the_scoring_modules(ocrkit_modules_after):
     assert ocrkit_modules_after("import ocrkit.cli") == [
-        "ocrkit", "ocrkit._kernels", "ocrkit._record", "ocrkit.cli", "ocrkit.corpus",
-        "ocrkit.metrics",
+        "ocrkit", "ocrkit._kernels", "ocrkit._record", "ocrkit.cli", "ocrkit.commands",
+        "ocrkit.corpus", "ocrkit.metrics",
     ]
 
 
@@ -761,8 +818,8 @@ def _modules_after_main(ocrkit_modules_after, argv):
 @pytest.mark.parametrize("sub", sorted(COMMANDS))
 def test_subcommand_help_loads_only_the_front_end(ocrkit_modules_after, sub):
     assert _modules_after_main(ocrkit_modules_after, [sub, "--help"]) == {
-        "ocrkit", "ocrkit._kernels", "ocrkit._record", "ocrkit.cli", "ocrkit.corpus",
-        "ocrkit.metrics",
+        "ocrkit", "ocrkit._kernels", "ocrkit._record", "ocrkit.cli", "ocrkit.commands",
+        "ocrkit.corpus", "ocrkit.metrics",
     }
 
 
@@ -776,21 +833,31 @@ def test_engine_run_loads_its_own_engine_only(ocrkit_modules_after, tmp_path, su
 
 
 def test_run_as_main_module_executes_the_front_end_once(ocrkit_modules_after, tmp_path):
-    # as ``python -m ocrkit.cli`` runs it: the handler module's import of
-    # ocrkit.cli must find the running __main__ module, not load a second copy
+    # as ``python -m ocrkit.cli`` runs it, the front end is the __main__ module
+    # only: no ocrkit module imports ocrkit.cli, so no second copy is loaded
     argv = ["ocrkit", "gen-geometry", "--n", "1", "--out", str(tmp_path / "o")]
-    name, *loaded = ocrkit_modules_after(
+    loaded = ocrkit_modules_after(
         "import contextlib, io, runpy, sys\n"
         f"sys.argv = {argv!r}\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    try:\n"
         "        runpy.run_module('ocrkit.cli', run_name='__main__', alter_sys=True)\n"
         "    except SystemExit as exc:\n"
-        "        assert exc.code == 0\n"
-        "print(sys.modules['ocrkit.cli'].__name__)"
+        "        assert exc.code == 0"
     )
-    assert name == "__main__"
+    assert "ocrkit.cli" not in loaded
     assert "ocrkit.commands.geometry" in loaded and (tmp_path / "o").is_file()
+    src = Path(main.__code__.co_filename).parent
+    for path in src.rglob("*.py"):
+        package = ["ocrkit", *path.parent.relative_to(src).parts]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                base = package[: len(package) - node.level + 1] if node.level else []
+                prefix = ".".join([*base, *filter(None, [node.module])])
+                names = [prefix, *(f"{prefix}.{alias.name}" for alias in node.names)]
+            else:
+                names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            assert "ocrkit.cli" not in names, f"{path.name}:{node.lineno} imports ocrkit.cli"
 
 
 def _counting(monkeypatch, module, name, calls):
