@@ -435,15 +435,19 @@ PARSE_ROUNDS = 11  # a parse pass is short, so more rounds than the other benche
 SYNTAX = "{}[]()'\":,;|=*.-+eE0123456789 \t\n\\drawplotcycle中é"
 EDITS = ("insert", "delete", "replace", "truncate")
 READERS = {"chart": ("dict", "table"), "tikz": ("tikz",)}  # the forms each reader times
+GENERATED = 4000  # seeds per generator configuration whose output bytes both trees must share
 
 # Times reader argv[2] ("chart" or "tikz") on each valid form in the JSON file
 # in argv[1] (best of argv[3] passes, in us per text), then parses every valid
-# and mutated text, and prints the times with the count of rejected texts and a
-# digest of every result or error as one JSON object.
+# and mutated text, and hashes what that reader's generator writes for seeds
+# 0 to argv[4] - 1: each chart in both forms, or each scene under three scene
+# configurations. It prints the times with the count of rejected texts, a
+# digest of every result or error and the generator digest as one JSON object.
 PARSE_CHILD = """\
 import hashlib, json, sys, time
-from ocrkit.charts import ChartParseError, parse_chart_output
-from ocrkit.geometry import TikzParseError, parse_tikz_subset
+from ocrkit.charts import ChartParseError, gen_chart_struct, parse_chart_output
+from ocrkit.charts import serialize_chart_struct
+from ocrkit.geometry import SceneConfig, TikzParseError, emit_tikz, gen_scene, parse_tikz_subset
 
 texts = json.load(open(sys.argv[1], encoding="utf-8"))
 parse = parse_chart_output if sys.argv[2] == "chart" else parse_tikz_subset
@@ -464,7 +468,17 @@ for text in [*(t for batch in texts["valid"].values() for t in batch), *texts["m
         got = repr((type(exc).__name__, exc.line, exc.column, exc.message, str(exc)))
         rejected += 1
     digest.update(got.encode() + b"\\0")
-print(json.dumps({"us": us, "answer": {"rejected": rejected, "sha256": digest.hexdigest()}}))
+generated, seeds = hashlib.sha256(), range(int(sys.argv[4]))
+if sys.argv[2] == "chart":
+    structs = (gen_chart_struct(seed)[0] for seed in seeds)
+    made = (serialize_chart_struct(s, form) for s in structs for form in ("dict", "table"))
+else:
+    configs = (SceneConfig(), SceneConfig(bounds=(0, 1)), SceneConfig(kinds=("hyperbola",)))
+    made = (emit_tikz(gen_scene(seed, config)).source for seed in seeds for config in configs)
+for text in made:
+    generated.update(text.encode() + b"\\0")
+print(json.dumps({"us": us, "answer": {"rejected": rejected, "sha256": digest.hexdigest(),
+                                       "generated_sha256": generated.hexdigest()}}))
 """
 
 
@@ -501,7 +515,11 @@ def parse(trees: dict[str, Path], tmp: Path) -> tuple[dict, dict]:
     charts in the dict or the table form, at random), each edited one to
     four times by inserting, deleting or replacing a character or by
     cutting the text short. Both trees must return the same result, or the
-    same error class, line, column and message, for every text.
+    same error class, line, column and message, for every text. Each
+    process also hashes what its reader's generator writes for seeds 0 to
+    GENERATED - 1 (each chart in the dict and the table form; each scene
+    under the default SceneConfig, bounds=(0, 1) and hyperbolas only), and
+    both trees must write the same bytes.
     """
     sys.path[:0] = [str(ROOT / "src")]
     from ocrkit.charts import gen_chart_struct, serialize_chart_struct
@@ -533,7 +551,7 @@ def parse(trees: dict[str, Path], tmp: Path) -> tuple[dict, dict]:
         us, answer = {}, {}
         for reader in READERS:
             out = json.loads(run(src, "-c", PARSE_CHILD, str(tmp / f"{reader}.json"), reader,
-                                 str(PARSE_REPEATS)).stdout)
+                                 str(PARSE_REPEATS), str(GENERATED)).stdout)
             us.update(out["us"])
             answer[reader] = out["answer"]
         return us, answer
@@ -549,10 +567,13 @@ def parse(trees: dict[str, Path], tmp: Path) -> tuple[dict, dict]:
         print(f"  {form:<8}" + "".join(f"{c['median']:>11.2f} ± {c['iqr']:<6.2f}" for c in cells))
     for reader, got in answer.items():
         print(f"same answer for all {PARSE_TEXTS * len(READERS[reader]) + MUTATED} {reader} texts: "
-              f"{got['rejected']} rejected, sha256 {got['sha256'][:16]}...")
+              f"{got['rejected']} rejected, sha256 {got['sha256'][:16]}...; same generated "
+              f"bytes for seeds 0-{GENERATED - 1}, sha256 {got['generated_sha256'][:16]}...")
     return {
         "texts": f"seeds 0-{PARSE_TEXTS - 1} of gen_chart_struct (dict and table form) and of "
-                 f"gen_scene; {MUTATED} mutated charts and {MUTATED} mutated scenes, seed {SEED}",
+                 f"gen_scene; {MUTATED} mutated charts and {MUTATED} mutated scenes, seed {SEED}; "
+                 f"generator digests of seeds 0-{GENERATED - 1}: gen_chart_struct in both forms, "
+                 "gen_scene under SceneConfig(), bounds=(0, 1) and kinds=('hyperbola',)",
         "units": "us per text, best of repeats; median and interquartile range over rounds",
         "rounds": PARSE_ROUNDS,
         "repeats": PARSE_REPEATS,

@@ -88,7 +88,7 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         os.umask(umask)
         mode = 0o666 & ~umask
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 os.fchmod(fd, mode)

@@ -27,7 +27,7 @@ def cmd_chart_score(args) -> int:
 
 
 def cmd_gen_chart(args) -> int:
-    pool = charts.ChartGenConfig().text_pool
+    pool = charts.DEFAULT_TEXT_POOL
     if args.pool_file:
         text = decode(Path(args.pool_file).read_bytes(), args.pool_file)
         words = [w.strip() for w in text.splitlines()]

@@ -45,7 +45,7 @@ def fmt_decimal(d: Decimal) -> str:
     s = format(d, "f")
     if "." in s:
         s = s.rstrip("0").rstrip(".")
-    return "0" if s in ("-0", "") else s
+    return "0" if s == "-0" else s
 
 
 def canon_decimal(value: Decimal | int | str | float) -> Decimal:
@@ -171,25 +171,24 @@ def _emit_element(el: Element) -> str:
         return f"\\draw {_coord(el.corner1)} rectangle {_coord(el.corner2)};"
     if isinstance(el, Triangle):
         return f"\\draw {_coord(el.p1)} -- {_coord(el.p2)} -- {_coord(el.p3)} -- cycle;"
-    if isinstance(el, Curve):
-        f = fmt_decimal
-        if el.kind == "line":
-            m, b, lo, hi = el.params
-            expr = _fold(f"{f(m)}*\\x", (b, ""))
-            return f"\\draw plot[domain={f(lo)}:{f(hi)}] (\\x, {{{expr}}});"
-        if el.kind == "parabola":
-            a, b, c, lo, hi = el.params
-            expr = _fold(f"{f(a)}*\\x*\\x", (b, "*\\x"), (c, ""))
-            return f"\\draw plot[domain={f(lo)}:{f(hi)}] (\\x, {{{expr}}});"
-        if el.kind == "ellipse":
-            cx, cy, rx, ry = el.params
-            return f"\\draw ({f(cx)},{f(cy)}) ellipse ({f(rx)} and {f(ry)});"
-        cx, cy, a, b, lo, hi = el.params
-        return (
-            f"\\draw plot[domain={f(lo)}:{f(hi)}, variable=\\t] "
-            f"({{{f(cx)} + {f(a)}*cosh(\\t)}}, {{{f(cy)} + {f(b)}*sinh(\\t)}});"
-        )
-    raise ValueError(f"not a scene element: {el!r}")
+    # a Curve: GeomScene admits nothing but the six element classes
+    f = fmt_decimal
+    if el.kind == "line":
+        m, b, lo, hi = el.params
+        expr = _fold(f"{f(m)}*\\x", (b, ""))
+        return f"\\draw plot[domain={f(lo)}:{f(hi)}] (\\x, {{{expr}}});"
+    if el.kind == "parabola":
+        a, b, c, lo, hi = el.params
+        expr = _fold(f"{f(a)}*\\x*\\x", (b, "*\\x"), (c, ""))
+        return f"\\draw plot[domain={f(lo)}:{f(hi)}] (\\x, {{{expr}}});"
+    if el.kind == "ellipse":
+        cx, cy, rx, ry = el.params
+        return f"\\draw ({f(cx)},{f(cy)}) ellipse ({f(rx)} and {f(ry)});"
+    cx, cy, a, b, lo, hi = el.params
+    return (
+        f"\\draw plot[domain={f(lo)}:{f(hi)}, variable=\\t] "
+        f"({{{f(cx)} + {f(a)}*cosh(\\t)}}, {{{f(cy)} + {f(b)}*sinh(\\t)}});"
+    )
 
 
 def emit_tikz(scene: GeomScene) -> TikzDoc:
@@ -380,7 +379,7 @@ def parse_tikz_subset(doc: TikzDoc | str) -> GeomScene:
     """Parse emitted TikZ back into a scene; inverse of emit_tikz."""
     source = doc.source if isinstance(doc, TikzDoc) else doc
     lines = source.split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
     elements = []
     for line_no, text in enumerate(lines, start=1):
@@ -417,7 +416,8 @@ class SceneConfig(Record):
 
 
 def _hundredths(rng: random.Random, lo: int, hi: int) -> Decimal:
-    return canon_decimal(Decimal(rng.randint(lo * 100, hi * 100)) / 100)
+    # Point and Curve canonicalize every value they store, so this need not
+    return Decimal(rng.randint(lo * 100, hi * 100)) / 100
 
 
 # kind -> (shape, points per draw, what to report when no draw is accepted)
@@ -437,7 +437,7 @@ class _SceneBuilder:
         return _hundredths(self.rng, *self.config.bounds)
 
     def positive(self) -> Decimal:
-        return canon_decimal(Decimal(self.rng.randint(25, 300)) / 100)
+        return Decimal(self.rng.randint(25, 300)) / 100
 
     def point(self, fresh: bool = False) -> Point:
         if not fresh and self.pool and self.rng.random() < 0.5:
@@ -487,9 +487,9 @@ class _SceneBuilder:
             center = self.point()
             return Curve("ellipse", (center.x, center.y, self.positive(), self.positive()))
         center = self.point()
-        lo, hi = sorted((_hundredths(self.rng, -2, 0), _hundredths(self.rng, 0, 2)))
-        if lo == hi:
-            hi = canon_decimal(hi + Decimal("0.5"))
+        lo, hi = _hundredths(self.rng, -2, 0), _hundredths(self.rng, 0, 2)
+        if lo == hi:  # both 0
+            hi += Decimal("0.5")
         return Curve("hyperbola", (center.x, center.y, self.positive(), self.positive(), lo, hi))
 
 

@@ -14,7 +14,7 @@ import re
 import unicodedata
 from collections import Counter
 from itertools import repeat
-from typing import TYPE_CHECKING, Callable, Literal
+from typing import TYPE_CHECKING, Callable, Iterable, Literal
 
 from ._kernels import levenshtein
 from ._record import Record
@@ -152,6 +152,14 @@ def _ngram_counts(tokens: tuple[str, ...], n: int) -> Counter:
     return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
+def _sum_left_to_right(values: Iterable[float]) -> float:
+    # not sum(): from Python 3.12 on it compensates float rounding, changing the last bits
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def bleu(ref: TokenSeq, hyp: TokenSeq) -> float:
     """BLEU-4 with uniform weights over clipped n-gram precisions.
 
@@ -177,7 +185,7 @@ def bleu(ref: TokenSeq, hyp: TokenSeq) -> float:
             p = 1.0 / (2.0 * total)
         precisions.append(p)
     weight = 1.0 / len(precisions)
-    geo_mean = math.exp(sum(weight * math.log(p) for p in precisions))
+    geo_mean = math.exp(_sum_left_to_right(weight * math.log(p) for p in precisions))
     brevity = 1.0 if len(h) >= len(r) else math.exp(1.0 - len(r) / len(h))
     return brevity * geo_mean
 
@@ -278,7 +286,7 @@ def score_corpus(
 
     n = len(reports)
     means = {
-        name: sum(getattr(r, name) for r in reports) / n
+        name: _sum_left_to_right(getattr(r, name) for r in reports) / n
         for name in MetricReport.__slots__
         if name != "n_samples"
     }

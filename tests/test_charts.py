@@ -89,8 +89,11 @@ def test_parse_dict_text_ending_where_a_string_is_due(text, line, column):
         ('{"values": {"s" {}}}', "1:17: expected ':'"),
         # CR is chart whitespace, and a line ends only at LF
         ('{\r\n"title": "a"\r\n"values": {}}', "3:1: expected ',' or '}'"),
+        ('{"values": {"s\\q": {}}}', "1:15: unsupported escape \\q"),
+        ('{"values": {}} x', "1:16: unexpected text after the closing '}'"),
+        ('{"title": "t"}', "1:1: missing 'values' map"),
     ],
-    ids=["number-on-line-3", "missing-colon", "crlf"],
+    ids=["number-on-line-3", "missing-colon", "crlf", "escape", "after-the-map", "no-values"],
 )
 def test_parse_dict_error_position_and_message(text, where):
     with pytest.raises(ChartParseError) as exc:
@@ -119,6 +122,11 @@ def test_parse_non_finite_value_reported_where_it_stands(text, where):
     with pytest.raises(ChartParseError) as exc:
         parse_chart_output(text)
     assert str(exc.value) == where
+
+
+def test_parse_dict_escapes():
+    struct = parse_chart_output(r'{"values": {"a\"b\\c\n\t\r\'": {}}}')
+    assert struct.series[0].name == 'a"b\\c\n\t\r\''
 
 
 def test_parse_dict_non_numeric_value():
@@ -176,6 +184,48 @@ def test_parse_table_bad_cell_reports_line():
 def test_parse_table_arity_mismatch():
     with pytest.raises(ChartParseError, match="cells"):
         parse_chart_output("| label | s1 | s2 |\n| a | 1 |\n")
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("title: a\nTitle: b\n| label | s |\n| a | 1 |\n", "2:1: duplicate metadata key 'title'"),
+        ("\n| label |\n| a |\n", "2:1: table header needs a label column and series"),
+        ("title: t\nnote\n| label | s |\n", "2:1: expected metadata or a table row, got 'note'"),
+        ("title: t\n", "2:1: no table found"),
+        ("| label | s | s |\n| a | 1 | 2 |\n", "1:1: duplicate series name in header"),
+        ("| label | s |\n| a | 1 |\nfooter\n", "3:1: unexpected text after the table: 'footer'"),
+        ("| label | s |\n| a | 1 |\n| a | 2 |\n", "3:1: duplicate label 'a'"),
+    ],
+    ids=["metadata-key", "no-series", "not-metadata", "no-table", "series-name",
+         "after-the-table", "label"],
+)
+def test_parse_table_error_position_and_message(text, where):
+    # the table reader rejects a repeat itself, at its row, before Series or ChartStruct sees it
+    with pytest.raises(ChartParseError) as exc:
+        parse_chart_output(text)
+    assert str(exc.value) == where
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Series("s", (("a", 1.0), ("a", 2.0))), "series 's': duplicate label 'a'"),
+        (lambda: Series("s", (("a", math.inf),)), "series 's': value for 'a' not finite"),
+        (lambda: ChartStruct((Series("s", ()), Series("s", ()))), "duplicate series name 's'"),
+        (lambda: serialize_chart_struct(ChartStruct(), "csv"), "unknown form 'csv'"),
+        (lambda: serialize_chart_struct(_struct([("a|b", 1.0)]), "table"),
+         "table form cannot hold 'a|b'"),
+        (lambda: chart_ap([], [], -0.1), "tolerance must be >= 0"),
+        (lambda: ChartGenConfig(decimals=-1), "decimals must be >= 0"),
+    ],
+    ids=["series-label", "series-value", "chart-series", "form", "table-cell", "tolerance",
+         "decimals"],
+)
+def test_values_built_outside_the_readers_are_checked(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
 
 
 def test_round_trip_both_forms():

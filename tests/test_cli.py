@@ -262,6 +262,27 @@ def test_compose_pages_cli(tmp_path, capsys):
     assert all("page_ids" in s.meta for s in corpus.samples)
 
 
+def test_compose_pages_lists_the_page_image_refs(tmp_path, capsys):
+    rows = [{"page_id": f"p{i}", "text": "tok " * 50} for i in range(6)]
+    for row in rows[:3]:
+        row["image_ref"] = f"img/{row['page_id']}.png"
+    rows[3]["image_ref"] = None
+    pool = tmp_path / "pool.jsonl"
+    pool.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    out = tmp_path / "mp.jsonl"
+    assert main(["compose-pages", "--pool", str(pool), "--n", "2", "--seed", "0",
+                 "--count", "8", "--out", str(out)]) == 0
+    listed = 0
+    for sample in load_records(out).samples:
+        refs = [f"img/{p}.png" for p in sample.meta["page_ids"].split(",") if p < "p3"]
+        if refs:
+            listed += 1
+            assert sample.meta["page_image_refs"] == ",".join(refs)
+        else:
+            assert "page_image_refs" not in sample.meta
+    assert 0 < listed < 8
+
+
 def test_make_finegrained_color_mode(tmp_path, capsys):
     anno = tmp_path / "anno.jsonl"
     anno.write_text(
@@ -579,6 +600,14 @@ def test_validate_format_exit_codes(tmp_path, capsys):
     assert main(["validate-format", "--kind", "smiles", str(bad)]) == 1
     out = capsys.readouterr().out
     assert out.startswith("1:2 RING_UNPAIRED")
+
+
+def test_validate_format_reads_stdin_in_process(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"C1CC\r\n")))
+    assert main(["validate-format", "--kind", "smiles", "-"]) == 1
+    assert capsys.readouterr().out == (
+        "1:2 RING_UNPAIRED ring closure '1' appears 1 time(s), expected exactly 2\n"
+    )
 
 
 @pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])

@@ -485,6 +485,13 @@ def test_mix_ratio_zero_is_new_only():
     assert mix_stages(previous, new, 0.0, seed=3) == new
 
 
+@pytest.mark.parametrize("ratio", [-0.1, 1.5, float("nan")])
+def test_mix_rejects_a_ratio_outside_0_1(ratio):
+    with pytest.raises(ValueError) as exc:
+        mix_stages(_corpus(), _corpus(), ratio, seed=0)
+    assert str(exc.value) == "ratio must be within [0, 1]"
+
+
 def test_mix_deterministic():
     previous = _corpus(*[_sample(i) for i in range(30)])
     new = _corpus(Sample(id="n", task_kind=TaskKind.CHART, ground_truth="x"))

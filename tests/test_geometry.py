@@ -1,5 +1,6 @@
 """Geometry scene generation, TikZ emission and parsing."""
 
+import random
 from decimal import Decimal
 
 import pytest
@@ -23,6 +24,7 @@ from ocrkit.geometry import (
     parse_tikz_subset,
     wrap_document,
 )
+from ocrkit.geometry import _SceneBuilder
 
 
 def test_decimal_canonicalization():
@@ -159,8 +161,47 @@ def test_parse_head_mutations_rejected():
         ("\\draw (0,0) circle (1);\n\\draw (0,0) -- (1,x);\n", "2:19: expected a number"),
         # a canon_decimal error points at the number's start
         ("\\draw (0,0) circle (0.125);\n", "1:21: more than 2 fraction digits: 0.125"),
+        ("\\draw plot (\\x, {1*\\x + 0});\n", "1:15: plot requires a domain=lo:hi option"),
+        ("\\draw plot[domain=0:1 (\\x, {1*\\x + 0});\n", "1:12: unterminated option list"),
+        ("\\draw plot[domain] (\\x, {1*\\x + 0});\n", "1:12: malformed option 'domain'"),
+        ("\\draw plot[domain=0] (\\x, {1*\\x + 0});\n", "1:25: malformed domain '0'"),
+        (
+            "\\draw plot[domain=0:0.125] (\\x, {1*\\x + 0});\n",
+            "1:31: more than 2 fraction digits: 0.125",
+        ),
+        ("\\draw plot[mark=o] coordinates {(0,0)};\n", "1:31: point plots take exactly [mark=*]"),
+        (
+            "\\draw plot[domain=0:1, samples=5] (\\x, {1*\\x + 0});\n",
+            "1:38: function plots take exactly [domain=lo:hi]",
+        ),
+        (
+            "\\draw plot[domain=0:1] (\\x, {1*\\x*\\x});\n",
+            "1:39: expected 'a*\\x*\\x + b*\\x + c' or 'm*\\x + b'",
+        ),
+        (
+            "\\draw plot[domain=0:1] ({0 + 1*cosh(\\t)}, {0 + 1*sinh(\\t)});\n",
+            "1:25: hyperbola plots take exactly [domain=lo:hi, variable=\\t]",
+        ),
+        ("\\draw (0,0) ellipse (0 and 1);\n", "1:22: ellipse semi-axes must be positive"),
+        (
+            "\\draw (0,0) square (1,1);\n",
+            "1:13: expected '--', 'circle', 'rectangle' or 'ellipse'",
+        ),
+        # an element's own check reports where the element's text ends
+        ("\\draw (0,0) rectangle (0,5);\n", "1:28: rectangle corners must differ in both axes"),
+        ("\\draw (0,0) -- (1,1) -- (2,2) -- cycle;\n", "1:39: triangle vertices are collinear"),
+        (
+            "\\draw plot[domain=1:0] (\\x, {1*\\x + 0});\n",
+            "1:40: plot domain must be increasing, got 1:0",
+        ),
     ],
-    ids=["cr-after-semicolon", "number-on-line-2", "fraction-digits"],
+    ids=[
+        "cr-after-semicolon", "number-on-line-2", "fraction-digits", "no-options",
+        "unterminated-options", "malformed-option", "malformed-domain", "domain-digits",
+        "point-options", "function-options", "polynomial-terms", "hyperbola-options",
+        "ellipse-axes", "unknown-shape",
+        "degenerate-rectangle", "collinear-triangle", "decreasing-domain",
+    ],
 )
 def test_parse_error_position_and_message(source, where):
     with pytest.raises(TikzParseError) as exc:
@@ -208,6 +249,53 @@ def test_gen_scene_coordinates_within_bounds():
 def test_gen_scene_rejects_empty_kinds():
     with pytest.raises(ValueError):
         SceneConfig(kinds=())
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: canon_decimal("1e"), "not a decimal number: '1e'"),
+        (lambda: Curve("line", ("1", "2", "3")), "line curve takes 4 parameters, got 3"),
+        (lambda: GeomScene((Point(0, 0), "x")), "not a scene element: 'x'"),
+        (lambda: SceneConfig(n_elements=(0, 3)), "bad n_elements range (0, 3)"),
+        (lambda: SceneConfig(n_elements=(3, 2)), "bad n_elements range (3, 2)"),
+        (lambda: SceneConfig(bounds=(1, 1)), "bad coordinate bounds (1, 1)"),
+    ],
+    ids=["decimal", "curve-arity", "scene-element", "no-elements", "elements-range", "bounds"],
+)
+def test_constructor_errors(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+class _OneValueRng(random.Random):
+    """Every coordinate drawn is the low bound, so every point is the same."""
+
+    def randint(self, a, b):
+        return a
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("segment", "could not draw distinct segment endpoints"),
+        ("rectangle", "could not draw distinct rectangle corners"),
+        ("triangle", "could not draw a non-degenerate triangle"),
+    ],
+)
+def test_scene_builder_gives_up_after_100_draws(kind, message):
+    with pytest.raises(RuntimeError) as exc:
+        _SceneBuilder(_OneValueRng(0), SceneConfig()).build(kind)
+    assert str(exc.value) == message
+
+
+def test_hyperbola_domain_drawn_empty_is_widened():
+    # this seed draws lo = hi = 0 for the only hyperbola
+    scene = gen_scene(43871, SceneConfig(n_elements=(1, 1), kinds=("hyperbola",)))
+    assert scene.elements[0].params[-2:] == (Decimal(0), Decimal("0.5"))
+    assert emit_tikz(scene).source.startswith("\\draw plot[domain=0:0.5, variable=\\t] ")
+    assert parse_tikz_subset(emit_tikz(scene)) == scene
 
 
 def test_emit_injective_on_sample():

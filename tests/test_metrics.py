@@ -7,8 +7,10 @@ METEOR from a hand alignment walk.
 
 import itertools
 import math
+import operator
 import unicodedata
 from collections import Counter
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -39,6 +41,11 @@ SEQS = st.lists(st.sampled_from(["a", "b", "cat", "dog", "你", "好"]), min_siz
 
 def _seq(tokens, granularity="word"):
     return TokenSeq(tuple(tokens), granularity)
+
+
+def _sum_left_to_right(values):
+    """The float sum the metrics define: sum() compensates rounding from Python 3.12 on."""
+    return reduce(operator.add, values, 0.0)
 
 
 # --- tokenize ----------------------------------------------------------------
@@ -230,6 +237,15 @@ def test_bleu_no_unigram_overlap_is_zero():
     assert bleu(_seq(["a", "b"]), _seq(["c", "d"])) == 0.0
 
 
+def test_bleu_sums_its_log_precisions_left_to_right():
+    ref, hyp = _seq("over an a fox".split()), _seq("jumps lazy a brown the fox".split())
+    logs = [0.25 * math.log(p) for p in (2 / 6, 1 / 10, 1 / 8, 1 / 6)]
+    # these inputs tell the orders apart: the exactly rounded sum (and so the
+    # compensated sum() of Python 3.12+) gives 0.1623339577375495
+    assert math.exp(math.fsum(logs)) != math.exp(_sum_left_to_right(logs))
+    assert bleu(ref, hyp) == _intersection_bleu(ref, hyp) == 0.16233395773754952
+
+
 @given(SEQS, SEQS)
 @settings(max_examples=200)
 def test_bleu_bounds(ref_tokens, hyp_tokens):
@@ -270,7 +286,7 @@ def _intersection_bleu(ref, hyp):
             p = 1.0 / (2.0 * total)
         precisions.append(p)
     weight = 1.0 / len(precisions)
-    geo_mean = math.exp(sum(weight * math.log(p) for p in precisions))
+    geo_mean = math.exp(_sum_left_to_right(weight * math.log(p) for p in precisions))
     brevity = 1.0 if len(h) >= len(r) else math.exp(1.0 - len(r) / len(h))
     return brevity * geo_mean
 
@@ -377,12 +393,19 @@ ALIGN_SEQS = st.lists(st.sampled_from(["a", "b", "c", "ab", "你", "好", ""]), 
 def test_align_counts_chunks_like_the_two_pass_oracle(ref_tokens, hyp_tokens):
     m, chunks = _two_pass_align(ref_tokens, hyp_tokens)
     assert _align(tuple(ref_tokens), tuple(hyp_tokens)) == (m, chunks)
+
     expected = 0.0
     if m:
         p, r = m / len(hyp_tokens), m / len(ref_tokens)
         f_mean = p * r / (METEOR_ALPHA * p + (1.0 - METEOR_ALPHA) * r)
         expected = f_mean * (1.0 - METEOR_GAMMA * (chunks / m) ** METEOR_BETA)
     assert meteor(_seq(ref_tokens), _seq(hyp_tokens)) == expected
+
+
+def test_align_skips_used_reference_tokens():
+    # the second "a" skips the used ref[0] for ref[2]; the third finds none left
+    assert _align(("a", "b", "a"), ("a", "a", "a")) == (2, 2)
+    assert _two_pass_align(["a", "b", "a"], ["a", "a", "a"]) == (2, 2)
 
 
 # --- corpus scoring --------------------------------------------------------------
@@ -422,6 +445,29 @@ def test_score_corpus_order_invariant():
     assert score_corpus(flipped_refs, flipped_hyps, "word") == report
 
 
+def test_score_corpus_means_sum_left_to_right():
+    # ten samples at edit distance 0.1: summed left to right that is
+    # 0.9999999999999999, where the compensated sum() of Python 3.12+ gives 1.0
+    refs, hyps = _corpus(["abcdefghij"] * 10), _corpus(["abcdefghiX"] * 10)
+    reports = [score_texts("abcdefghij", "abcdefghiX", "char")] * 10
+    distances = [r.edit_distance for r in reports]
+    assert math.fsum(distances) != _sum_left_to_right(distances)
+    means = {
+        name: _sum_left_to_right(getattr(r, name) for r in reports) / 10
+        for name in MetricReport.__slots__
+        if name != "n_samples"
+    }
+    report = score_corpus(refs, hyps, "char")
+    assert report == MetricReport(**means, n_samples=10)
+    assert report.edit_distance == 0.09999999999999999
+
+
+def test_score_corpus_rejects_an_empty_corpus():
+    with pytest.raises(ValueError) as exc:
+        score_corpus(Corpus(()), Corpus(()), "word")
+    assert str(exc.value) == "cannot score an empty corpus"
+
+
 def test_score_corpus_missing_and_extra_ids():
     refs = _corpus(["a", "b"])
     hyps = Corpus((Sample(id="s0", task_kind=TaskKind.PLAIN_DOC, ground_truth="a"),))
@@ -453,12 +499,12 @@ def test_score_corpus_is_the_per_field_mean_of_score_texts(pairs, granularity):
     reports = [score_texts(ref, hyp, granularity) for ref, hyp in pairs]
     n = len(reports)
     assert score_corpus(refs, hyps, granularity) == MetricReport(
-        edit_distance=sum(r.edit_distance for r in reports) / n,
-        f1=sum(r.f1 for r in reports) / n,
-        precision=sum(r.precision for r in reports) / n,
-        recall=sum(r.recall for r in reports) / n,
-        bleu=sum(r.bleu for r in reports) / n,
-        meteor=sum(r.meteor for r in reports) / n,
+        edit_distance=_sum_left_to_right(r.edit_distance for r in reports) / n,
+        f1=_sum_left_to_right(r.f1 for r in reports) / n,
+        precision=_sum_left_to_right(r.precision for r in reports) / n,
+        recall=_sum_left_to_right(r.recall for r in reports) / n,
+        bleu=_sum_left_to_right(r.bleu for r in reports) / n,
+        meteor=_sum_left_to_right(r.meteor for r in reports) / n,
         n_samples=n,
     )
 

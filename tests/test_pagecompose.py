@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ocrkit.pagecompose import (
     PAGE_SEPARATOR,
+    MultiPageSample,
     PageSpec,
     compose_multipage,
     paste_handwriting_lines,
@@ -55,6 +56,14 @@ def test_compose_page_count_bounds():
         compose_multipage(POOL, 1, seed=0)
     with pytest.raises(ValueError):
         compose_multipage(POOL, 9, seed=0)
+
+
+@pytest.mark.parametrize("n_pages", [1, 9])
+def test_multipage_sample_checks_its_page_count(n_pages):
+    pages = tuple(POOL[:n_pages])
+    with pytest.raises(ValueError) as exc:
+        MultiPageSample(pages, "", 0)
+    assert str(exc.value) == "page count must be in [2, 8]"
 
 
 def test_compose_insufficient_pool():

@@ -1,12 +1,14 @@
-"""Bounded mutation fuzz of the chart and TikZ parsers.
+"""Bounded mutation fuzz of the chart and TikZ parsers and the format validators.
 
 Valid serialized charts and scenes are edited by inserting, deleting and
 replacing characters and by cutting the text short; each parser must accept the
 result or reject it with its own error type, never with any other exception,
 and the error's line and column must point inside the text (a column may be
-one past the end of its line).
+one past the end of its line). Each validator, run on a valid document of its
+own format edited the same way, must report only such positions.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +19,7 @@ from ocrkit.charts import (
     serialize_chart_struct,
 )
 from ocrkit.geometry import TikzParseError, emit_tikz, gen_scene, parse_tikz_subset
+from ocrkit.validators import VALIDATORS, _lines_of
 
 # Characters the two grammars give meaning to, plus a few that neither uses.
 _SYNTAX = "{}[]()'\":,;|=*.-+eE0123456789 \t\n\\drawplotcycle中é"
@@ -68,3 +71,49 @@ def test_tikz_parser_accepts_or_raises_its_own_error(seed, edits):
         parse_tikz_subset(text)
     except TikzParseError as exc:
         _assert_points_inside(text, exc)
+
+
+# Valid documents that reach every check of their validator: math, environments,
+# tables and fences; bracket atoms, branches, bonds and ring labels; spines,
+# comments, barlines, chords and beams.
+_VALID = {
+    "markdown": (
+        "# Title\n\nInline \\(a+b\\) and $x$, display $$y$$ and \\[z\\].\n\n"
+        "\\begin{align}\nx &= 1\n\\end{align}\n\n| a | b |\n| --- | --- |\n| 1 | 2 |\n\n"
+        "```\ncode $ \\(\n```\n",
+        "Price \\$5, \\begin{matrix} \\(q\\) \\end{matrix}\n| x |\n| y |\n",
+    ),
+    "smiles": (
+        "CC(=O)Oc1ccccc1C(=O)O",
+        "C[C@@H](N)C(=O)O.[Na+].[Cl-]",
+        "C1CC%12CC(Br)C1%12",
+        "F/C=C\\Cl",
+        "[13CH4]#N",
+    ),
+    "kern": (
+        "**kern\n4c\n*-",
+        "!! global comment\n**kern\t**kern\n*clefF4\t*clefG2\n! local\t! comment\n"
+        "=1\t=1\n4c 4e\t8ccLL\n.\t8ddJJ\n=2\t=2\n*-\t*-\n",
+    ),
+}
+
+
+def _valid_document(kind: str, seed: int) -> str:
+    if kind == "tikz":
+        return emit_tikz(gen_scene(seed)).source
+    return _VALID[kind][seed % len(_VALID[kind])]
+
+
+@pytest.mark.parametrize("kind", sorted(VALIDATORS))
+@given(seed=st.integers(0, 2**31), edits=_EDITS)
+@settings(max_examples=300, deadline=None)
+def test_validator_issues_point_inside_mutated_documents(kind, seed, edits):
+    document = _valid_document(kind, seed)
+    assert VALIDATORS[kind](document).ok
+    text = _mutate(document, edits)
+    report = VALIDATORS[kind](text)
+    assert report.ok == (not report.issues)
+    lines = _lines_of(text) or [""]  # no line at all: issues sit at 1:1
+    for issue in report.issues:
+        assert 1 <= issue.line <= len(lines), (issue, text)
+        assert 1 <= issue.column <= len(lines[issue.line - 1]) + 1, (issue, text)
