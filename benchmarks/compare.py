@@ -2,11 +2,16 @@
 """Compare this checkout's ``src`` ("after") with the ``src`` of a git revision ("before").
 
 The revision given by ``--before`` is exported to a temporary directory.
-Every measurement is a fresh Python process with one tree's ``src`` on
-``PYTHONPATH``. The rounds interleave the two trees, alternating which goes
-first, so slow spells of the machine hit both alike, and both trees must
-give the same answer in every round. The report, with the core count and
-the Python version, is written as JSON to ``--out`` (``BENCH_<sub>.json``).
+``kernel``, ``scoring`` and ``parse`` load both trees' ``src/ocrkit`` into
+this process, as two packages under different names, and time plain
+functions of each. ``dedup`` and ``startup`` start a fresh process per tree
+for every run. Either way the runs come in 21 (PAIRS) back-to-back pairs, one
+run of each tree, with the first tree alternating from pair to pair, and both
+trees must give the same answer in every run. Each row gives both trees'
+medians, the median of the pairs' after/before ratios with its interquartile
+range, and in how many pairs the after tree was faster (ratio below 1). The
+report, with the core count and the Python version, is written as JSON to
+``--out`` (``BENCH_<sub>.json``).
 
     python benchmarks/compare.py startup --before HEAD       # uncommitted work vs HEAD
     python benchmarks/compare.py scoring --before HEAD~1 --out /tmp/scoring.json
@@ -18,9 +23,14 @@ the Python version, is written as JSON to ``--out`` (``BENCH_<sub>.json``).
 from __future__ import annotations
 
 import argparse
+import gc
+import hashlib
+import importlib
+import importlib.util
 import inspect
 import io
 import json
+import multiprocessing
 import os
 import platform
 import random
@@ -29,11 +39,18 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
+import timeit
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
+from types import ModuleType
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parents[1]
-SEED = 0   # of the perfbench/inputs.py corpora and the kernel's token pairs
-ROUNDS = 5  # of scoring, dedup and kernel
+SEED = 0  # of the perfbench/inputs.py corpora, the kernel's token pairs and the mutated texts
+PAIRS = 21  # back-to-back before/after pairs behind every row
+SIDES = ("before", "after")
 
 
 def export_src(rev: str, dest: Path) -> Path:
@@ -55,28 +72,110 @@ def run(src: Path, *args: str) -> subprocess.CompletedProcess:
     return done
 
 
-def interleave(trees: dict[str, Path], rounds: int, measure) -> tuple[dict[str, list], object]:
-    """Each tree's figures per round, and the answer both trees gave.
+def load(src: Path, name: str) -> ModuleType:
+    """``src/ocrkit`` as a package named ``name``, apart from any other copy of ocrkit.
 
-    ``measure(src)`` returns (figures, answer) for one process of one tree.
+    The package's modules import each other relatively, so ``<name>.metrics``
+    is this tree's metrics module, and nothing named ``ocrkit`` is imported.
     """
-    order = list(trees.items())
-    figures: dict[str, list[dict]] = {label: [] for label in trees}
-    answers: dict[str, list] = {label: [] for label in trees}
-    for k in range(rounds):
-        for label, src in order if k % 2 == 0 else order[::-1]:
-            got, answer = measure(src)
-            figures[label].append(got)
-            answers[label].append(answer)
-    if answers["before"] != answers["after"]:
-        raise SystemExit(f"the trees disagree: before {answers['before'][-1]!r}, "
-                         f"after {answers['after'][-1]!r}")
-    return figures, answers["after"][-1]
+    package = src / "ocrkit"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
-def spread(values: list[float]) -> dict:
-    quartiles = statistics.quantiles(values, n=4)
-    return {"median": statistics.median(values), "iqr": quartiles[2] - quartiles[0]}
+def loaded(trees: dict[str, Path], module: str) -> dict[str, ModuleType]:
+    """Each tree's ``ocrkit.<module>``, the trees loaded side by side as ``ocrkit_<side>``."""
+    for side, src in trees.items():
+        if f"ocrkit_{side}" not in sys.modules:
+            load(src, f"ocrkit_{side}")
+    return {side: importlib.import_module(f"ocrkit_{side}.{module}") for side in trees}
+
+
+def batch(fn: Callable[[], object], number: int) -> tuple[float, object]:
+    """Seconds per call over ``number`` back-to-back calls of ``fn``, and the last result.
+
+    Garbage collection is off while they run, as in ``timeit``.
+    """
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        for _ in range(number):
+            answer = fn()
+        return (time.perf_counter() - start) / number, answer
+    finally:
+        gc.enable()
+
+
+def paired(measure: Callable[[str], tuple[dict[str, float], object]]) -> tuple[list[dict], object]:
+    """One row per figure of ``measure`` over PAIRS pairs of runs, and the answer.
+
+    ``measure(side)`` runs the tree ``side`` ("before" or "after") once and
+    returns its figures, {row name: time}, and its answer. Each pair runs the
+    two trees back to back, the first one alternating from pair to pair.
+    Every answer must equal the before tree's answer in the first pair.
+    """
+    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    for k in range(PAIRS):
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            figures, answer = measure(side)
+            if k == 0 and side == SIDES[0]:
+                expected = answer
+            elif answer != expected:
+                raise SystemExit(f"the trees disagree: {side} gave {answer!r:.300} in pair {k}, "
+                                 f"before gave {expected!r:.300} in pair 0")
+            runs[side].append(figures)
+    return [row(name, [f[name] for f in runs["before"]], [f[name] for f in runs["after"]])
+            for name in runs["after"][0]], expected
+
+
+def row(name: str, before: list[float], after: list[float]) -> dict:
+    """Both sides' medians and the median, quartiles and count below 1 of the pairs'
+    ratios ``after[k] / before[k]``."""
+    ratios = [a / b for b, a in zip(before, after, strict=True)]
+    q1, _, q3 = statistics.quantiles(ratios, n=4)
+    return {"name": name, "before": statistics.median(before),
+            "after": statistics.median(after), "ratio": statistics.median(ratios),
+            "ratio_iqr": [q1, q3], "after_faster": sum(r < 1 for r in ratios),
+            "pairs": len(ratios)}
+
+
+def calls(name: str, fns: dict[str, Callable[[], object]],
+          scale: float) -> tuple[list[dict], object]:
+    """The row of ``fns[side]()`` timed in this process, per call times ``scale``, and its answer.
+
+    Each run is one batch of as many calls as ``timeit`` picks for the after
+    side to take at least 0.2 s; the before side is called once first, so
+    neither side's first call is timed.
+    """
+    fns["before"]()
+    number, _ = timeit.Timer(fns["after"]).autorange()
+
+    def measure(side: str) -> tuple[dict[str, float], object]:
+        seconds, answer = batch(fns[side], number)
+        return {name: seconds * scale}, answer
+
+    return paired(measure)
+
+
+def fresh(fn: Callable, *args):
+    """``fn(*args)`` in a new interpreter, which imports this file and the stdlib only."""
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return pool.submit(fn, *args).result()
+
+
+def print_table(unit: str, rows: list[dict]) -> None:
+    print(f"{unit}, median of {PAIRS} pairs; ratio = after / before per pair, its median "
+          "and interquartile range; faster = pairs with ratio below 1")
+    print(f"{'':<24}{'before':>11}{'after':>11}{'ratio':>8}  {'IQR':<16}{'faster':>7}")
+    for r in rows:
+        q1, q3 = r["ratio_iqr"]
+        print(f"{r['name']:<24}{r['before']:>11.4g}{r['after']:>11.4g}{r['ratio']:>8.3f}  "
+              f"[{q1:.3f}, {q3:.3f}]{r['after_faster']:>5}/{r['pairs']}")
 
 
 def write_corpus(generator: str, size: dict, folder: Path) -> Path:
@@ -91,8 +190,6 @@ def write_corpus(generator: str, size: dict, folder: Path) -> Path:
 
 # --- startup -------------------------------------------------------------------------
 
-RUNS = 11  # rounds; each one times every child below LAUNCHES times per tree
-LAUNCHES = 3  # a round keeps the median of these launches of each child
 LAUNCH = ROOT / "perfbench" / "launch.py"
 
 SUBCOMMANDS = (
@@ -113,22 +210,19 @@ sys.exit(main())
 FLOOR_MODULES = "import sys; print(*sys.modules)"
 
 
-def startup(trees: dict[str, Path], tmp: Path) -> tuple[dict, list]:
+def startup(trees: dict[str, Path], tmp: Path) -> dict:
     """CLI startup: fresh ``python -m ocrkit.cli <sub> --help`` processes, and one dedup run.
 
     Every child is started by ``perfbench/launch.py``, so its wall time is
     in reference ms, corrected for the speed of the machine's CPU at the
-    time. Each round times, per tree, ``python -c pass`` (the interpreter's
-    own floor), every subcommand's ``--help`` and one real ``dedup`` on the
-    corpus of perfbench's ``dedup-lines`` workload at its full size; it
-    launches each child LAUNCHES times and keeps their median, and each
-    figure is the median of those over RUNS rounds with the interquartile
-    range next to it. Each round also runs an argv table in both trees: no
-    arguments, ``-h``, every ``<sub> --help``, an unknown command, an option
-    before the command, a missing required flag, a bad flag value and the
-    dedup run.
+    time. A run of one tree launches, once each, ``python -c pass`` (the
+    interpreter's own floor), every subcommand's ``--help`` and one real
+    ``dedup`` on the corpus of perfbench's ``dedup-lines`` workload at its
+    full size. Its answer is an argv table run in that tree: no arguments,
+    ``-h``, every ``<sub> --help``, an unknown command, an option before the
+    command, a missing required flag, a bad flag value and the dedup run.
     Both trees must give the same stdout, stderr and exit code for every row,
-    and the same dedup output file, in every round. For every subcommand the
+    and the same dedup output file, in every run. For every subcommand the
     report lists the ocrkit modules its ``--help`` loads and the standard
     library modules it loads beyond those of ``python -c pass``. Without
     cached bytecode (``PYTHONDONTWRITEBYTECODE`` set and no ``__pycache__``)
@@ -143,79 +237,59 @@ def startup(trees: dict[str, Path], tmp: Path) -> tuple[dict, list]:
 
     def launch(src: Path, *args: str) -> float:
         """Reference ms of ``python *args`` with ``src`` on the path, as ``perfbench/run.py``
-        scales a child: wall time x REF_LOOP_S / the launcher's calibration loop time;
-        the median of LAUNCHES children."""
+        scales a child: wall time x REF_LOOP_S / the launcher's calibration loop time."""
         env = dict(os.environ, PYTHONPATH=str(src))
-        times = []
-        for _ in range(LAUNCHES):
-            done = subprocess.run([sys.executable, "-I", "-S", str(LAUNCH), "--",
-                                   sys.executable, *args], env=env, capture_output=True, text=True)
-            code, wall, _, _, loop = done.stdout.split()
-            if done.returncode != 0 or code != "0":
-                raise SystemExit(f"{src}: {' '.join(args)} exited {code}: {done.stderr}")
-            times.append(float(wall) * REF_LOOP_S / float(loop) * 1e3)
-        return statistics.median(times)
+        done = subprocess.run([sys.executable, "-I", "-S", str(LAUNCH), "--",
+                               sys.executable, *args], env=env, capture_output=True, text=True)
+        code, wall, _, _, loop = done.stdout.split()
+        if done.returncode != 0 or code != "0":
+            raise SystemExit(f"{src}: {' '.join(args)} exited {code}: {done.stderr}")
+        return float(wall) * REF_LOOP_S / float(loop) * 1e3
 
     kept = tmp / "kept.jsonl"
     dedup_argv = ["dedup", "--test", str(folder / "test.jsonl"), "--train",
                   str(folder / "train.jsonl"), "--threshold", "0.9", "--out", str(kept)]
+    children = {"floor": ["-c", "pass"],
+                **{sub: ["-m", "ocrkit.cli", sub, "--help"] for sub in SUBCOMMANDS},
+                "dedup run": ["-m", "ocrkit.cli", *dedup_argv]}
     table = [[], ["-h"], *([sub, "--help"] for sub in SUBCOMMANDS), ["nope"],
              ["--verbose", "score", "--gt", "a", "--pred", "b"], ["dedup", "--test", "a"],
              ["dedup", "--test", "a", "--train", "b", "--out", "c", "--threshold", "x"],
              dedup_argv]
 
-    def answer(src: Path) -> list:
+    def measure(side: str) -> tuple[dict[str, float], list]:
+        src = trees[side]
+        figures = {child: launch(src, *args) for child, args in children.items()}
         env = dict(os.environ, PYTHONPATH=str(src))
-        rows = []
-        for argv in table:
-            done = subprocess.run([sys.executable, "-m", "ocrkit.cli", *argv], env=env,
-                                  capture_output=True, cwd=tmp)
-            rows.append((argv, done.stdout, done.stderr, done.returncode))
-        return [rows, kept.read_bytes()]
+        rows = [(argv, done.stdout, done.stderr, done.returncode) for argv in table
+                for done in [subprocess.run([sys.executable, "-m", "ocrkit.cli", *argv],
+                                            env=env, capture_output=True, cwd=tmp)]]
+        return figures, [rows, kept.read_bytes()]
 
-    def measure(src: Path) -> tuple[dict, list]:
-        times = {sub: launch(src, "-m", "ocrkit.cli", sub, "--help") for sub in SUBCOMMANDS}
-        times["dedup run"] = launch(src, "-m", "ocrkit.cli", *dedup_argv)
-        return {"floor": launch(src, "-c", "pass"), **times}, answer(src)
-
-    figures, answers = interleave(trees, RUNS, measure)
-    floors = {label: set(run(src, "-c", FLOOR_MODULES).stdout.split())
-              for label, src in trees.items()}
-    rows = []
-    print(f"reference ms (median ± IQR of {RUNS} rounds, each the median of {LAUNCHES})")
-    print(f"{'child':<18}{'before':>18}{'after':>18}{'stdlib +':>10}  ocrkit modules after")
-    for sub in (*SUBCOMMANDS, "dedup run", "floor"):
-        row = {"child": sub}
-        for label, src in trees.items():
-            row[f"{label}_ms"] = spread([f[sub] for f in figures[label]])
-            if sub not in SUBCOMMANDS:
-                continue
-            loaded = run(src, "-c", PROBE, sub, "--help").stderr.split()
-            row[f"{label}_modules"] = [m for m in loaded if m.partition(".")[0] == "ocrkit"]
-            row[f"{label}_stdlib_modules"] = [
-                m for m in loaded if m.partition(".")[0] != "ocrkit" and m not in floors[label]
-            ]
-        rows.append(row)
-        cells = "".join(f"{c['median']:>10.1f} ± {c['iqr']:<5.1f}"
-                        for c in (row["before_ms"], row["after_ms"]))
-        stdlib = (f"{len(row['before_stdlib_modules'])}/{len(row['after_stdlib_modules'])}"
-                  if sub in SUBCOMMANDS else "")
-        print(f"{sub:<18}{cells}{stdlib:>10}  {' '.join(row.get('after_modules', ()))}")
-    n_kept = answers[1].count(b"\n")
-    print(f"same stdout, stderr and exit code in both trees for all {len(table)} argv rows "
-          f"in all {RUNS} rounds, and the same dedup output ({n_kept} kept)")
+    rows, answer = paired(measure)
+    modules = {}
+    for side, src in trees.items():
+        floor = set(run(src, "-c", FLOOR_MODULES).stdout.split())
+        for sub in SUBCOMMANDS:
+            names = run(src, "-c", PROBE, sub, "--help").stderr.split()
+            modules.setdefault(sub, {})[side] = {
+                "ocrkit": [m for m in names if m.partition(".")[0] == "ocrkit"],
+                "stdlib": [m for m in names if m.partition(".")[0] != "ocrkit" and m not in floor],
+            }
+    n_kept = answer[1].count(b"\n")
+    print(f"same stdout, stderr and exit code in both trees for all {len(table)} argv rows, "
+          f"and the same dedup output ({n_kept} kept), in every run")
     return {
-        "command": "python -m ocrkit.cli <subcommand> --help, and "
-                   "python -m ocrkit.cli dedup on perfbench's dedup-lines corpus (full size, "
-                   f"seed {SEED}); python -c pass as the floor",
-        "units": "reference ms (wall ms scaled by perfbench/launch.py's calibration loop, as "
-                 "perfbench/run.py does); median and interquartile range over rounds, of "
-                 "each round's median over its launches of the child",
-        "runs": RUNS,
-        "launches": LAUNCHES,
+        "workload": "python -m ocrkit.cli <subcommand> --help, and python -m ocrkit.cli dedup "
+                    f"on perfbench's dedup-lines corpus (full size, seed {SEED}); "
+                    "python -c pass as the floor",
+        "unit": "reference ms per child (wall ms scaled by perfbench/launch.py's calibration "
+                "loop, as perfbench/run.py does)",
         "argv_rows": [" ".join(["ocrkit", *argv]).replace(str(tmp), "<tmp>") for argv in table],
         "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
-    }, rows
+        "rows": rows,
+        "modules": modules,
+    }
 
 
 # --- scoring -------------------------------------------------------------------------
@@ -223,76 +297,51 @@ def startup(trees: dict[str, Path], tmp: Path) -> tuple[dict, list]:
 DOCS = 300
 DOC_WORDS = 400
 GRANULARITIES = ("word", "char")
-LAYERS = ("tokenize", "edit_distance_norm", "prf", "bleu", "meteor")
-
-# Times each layer over the corpus in argv[1] at granularity argv[2] and
-# prints the times, in ms, with the corpus report as one JSON object.
-SCORING_CHILD = """\
-import json, sys, time
-from ocrkit import metrics
-from ocrkit.corpus import load_records, pair_by_id
-
-folder, granularity = sys.argv[1:]
-refs = load_records(folder + "/gt.jsonl")
-hyps = load_records(folder + "/pred.jsonl")
-texts = [(r.ground_truth, h.ground_truth) for r, h in pair_by_id(refs, hyps)]
-for r, h in texts:
-    metrics.tokenize(r, granularity), metrics.tokenize(h, granularity)
-
-start = time.perf_counter()
-pairs = [(metrics.tokenize(r, granularity), metrics.tokenize(h, granularity)) for r, h in texts]
-ms = {"tokenize": (time.perf_counter() - start) * 1e3}
-for layer in ("edit_distance_norm", "prf", "bleu", "meteor"):
-    fn = getattr(metrics, layer)
-    start = time.perf_counter()
-    for ref, hyp in pairs:
-        fn(ref, hyp)
-    ms[layer] = (time.perf_counter() - start) * 1e3
-start = time.perf_counter()
-report = metrics.score_corpus(refs, hyps, granularity)
-ms["score_corpus_per_sample"] = (time.perf_counter() - start) * 1e3 / len(texts)
-print(json.dumps({"ms": ms, "report": report.as_dict()}))
-"""
+LAYERS = ("edit_distance_norm", "prf", "bleu", "meteor")  # timed on the tokenized pairs
 
 
-def scoring(trees: dict[str, Path], tmp: Path) -> tuple[dict, dict]:
+def scoring(trees: dict[str, Path], tmp: Path) -> dict:
     """The scoring layers on a seeded corpus of 300 documents of 400 words.
 
     The corpus comes from the ``score-docs`` generator of
     ``perfbench/inputs.py`` (one document in five is zh, one prediction in
-    ten heavily garbled). For each granularity this records the time of
-    every scoring layer over the whole corpus (``tokenize`` of both sides,
-    then ``edit_distance_norm``, ``prf``, ``bleu`` and ``meteor`` on the
-    tokenized pairs) and of one ``score_corpus`` call, given per sample.
-    Each process tokenizes the corpus once untimed first, so the word-mode
-    pattern is compiled outside the timed block in both trees. Every figure
-    is the median over ROUNDS rounds with the interquartile range next to
-    it. Both trees must return the same corpus report.
+    ten heavily garbled). Both trees are loaded into this process. At each
+    granularity a row times one layer over the whole corpus: ``tokenize`` of
+    both sides, then ``edit_distance_norm``, ``prf``, ``bleu`` and ``meteor``
+    on the tokenized pairs, and one ``score_corpus`` call. Both trees must
+    return the same tokens, the same value of every layer for every pair and
+    the same corpus report.
     """
     folder = write_corpus("score-docs", {"docs": DOCS, "doc_words": (DOC_WORDS, DOC_WORDS)},
                           tmp / "corpus")
-    results = {}
-    for granularity in GRANULARITIES:
-        def measure(src: Path) -> tuple[dict, dict]:
-            out = json.loads(run(src, "-c", SCORING_CHILD, str(folder), granularity).stdout)
-            return out["ms"], out["report"]
+    metrics, corpus = loaded(trees, "metrics"), loaded(trees, "corpus")
 
-        figures, _ = interleave(trees, ROUNDS, measure)
-        results[granularity] = {
-            label: {key: spread([ms[key] for ms in runs]) for key in runs[0]}
-            for label, runs in figures.items()
-        }
-        print(f"{granularity} granularity, ms over {DOCS} pairs (median ± IQR of {ROUNDS})")
-        print(f"  {'layer':<26}{'before':>20}{'after':>20}")
-        for key in (*LAYERS, "score_corpus_per_sample"):
-            cells = [results[granularity][label][key] for label in ("before", "after")]
-            print(f"  {key:<26}" + "".join(f"{c['median']:>11.2f} ± {c['iqr']:<6.2f}" for c in cells))
+    def layers(side: str, granularity: str) -> dict[str, Callable[[], object]]:
+        m, records = metrics[side], corpus[side].load_records
+        refs, hyps = records(folder / "gt.jsonl"), records(folder / "pred.jsonl")
+        texts = [(r.ground_truth, h.ground_truth) for r, h in corpus[side].pair_by_id(refs, hyps)]
+        tokenize = partial(m.tokenize, granularity=granularity)
+        pairs = [(tokenize(r), tokenize(h)) for r, h in texts]
+
+        def each_pair(fn: Callable) -> Callable[[], list]:
+            return lambda: [fn(r, h) for r, h in pairs]
+
+        return {"tokenize": lambda: [(tokenize(r).tokens, tokenize(h).tokens) for r, h in texts],
+                **{layer: each_pair(getattr(m, layer)) for layer in LAYERS},
+                "score_corpus": lambda: m.score_corpus(refs, hyps, granularity).as_dict()}
+
+    rows = []
+    for granularity in GRANULARITIES:
+        sides = {side: layers(side, granularity) for side in SIDES}
+        for layer in sides["after"]:
+            fns = {side: got[layer] for side, got in sides.items()}
+            rows += calls(f"{granularity} {layer}", fns, 1e3)[0]
     return {
-        "corpus": f"perfbench score-docs generator, seed {SEED}, {DOCS} docs of {DOC_WORDS} words",
-        "units": "ms over the whole corpus; score_corpus_per_sample in ms per sample; "
-                 "median and interquartile range over rounds",
-        "rounds": ROUNDS,
-    }, results
+        "workload": f"perfbench score-docs generator, seed {SEED}, {DOCS} docs of {DOC_WORDS} "
+                    "words; each layer over the whole corpus",
+        "unit": "ms per pass over the corpus",
+        "rows": rows,
+    }
 
 
 # --- dedup ---------------------------------------------------------------------------
@@ -302,184 +351,91 @@ TRAIN = 1000
 CHARS = (20, 400)
 THRESHOLD = 0.9
 
-# Filters the corpus in argv[1] at threshold argv[2] and prints pairs/s and
-# the kept ids as one JSON object.
-DEDUP_CHILD = """\
-import json, sys, time
-from ocrkit.corpus import dedup_filter, load_records
 
-folder, threshold = sys.argv[1], float(sys.argv[2])
-test = load_records(folder + "/test.jsonl")
-train = load_records(folder + "/train.jsonl")
-start = time.perf_counter()
-kept = dedup_filter(test, train, threshold)
-seconds = time.perf_counter() - start
-print(json.dumps({"pairs_per_s": len(test) * len(train) / seconds,
-                  "kept": [s.id for s in kept.samples]}))
-"""
+def dedup_once(src: str, folder: str) -> tuple[float, list[str]]:
+    """Seconds of one ``dedup_filter`` call of the tree at ``src``, and the kept ids."""
+    load(Path(src), "ocrkit_tree")
+    corpus = importlib.import_module("ocrkit_tree.corpus")
+    test = corpus.load_records(Path(folder) / "test.jsonl")
+    train = corpus.load_records(Path(folder) / "train.jsonl")
+    seconds, kept = batch(lambda: corpus.dedup_filter(test, train, THRESHOLD), 1)
+    return seconds, [s.id for s in kept.samples]
 
 
-def dedup(trees: dict[str, Path], tmp: Path) -> tuple[dict, dict]:
+def dedup(trees: dict[str, Path], tmp: Path) -> dict:
     """``dedup_filter`` on a seeded corpus of 100 test x 1000 training texts.
 
     The corpus comes from the ``dedup-lines`` generator of
     ``perfbench/inputs.py`` (texts of 20 to 400 characters, one test text in
     ten a light edit of a training text) and is filtered at threshold 0.9.
-    Each process loads both files untimed and then times one
-    ``dedup_filter`` call, tokenization included; the figure is test x train
-    pairs per second, the median over ROUNDS rounds with the interquartile
-    range next to it. Both trees must keep the same test ids.
+    Every run is a fresh process, which loads both files untimed and then
+    times one ``dedup_filter`` call, tokenization included. Both trees must
+    keep the same test ids.
     """
     folder = write_corpus("dedup-lines",
                           {"dedup_test": TEST, "dedup_train": TRAIN, "dedup_chars": CHARS},
                           tmp / "corpus")
 
-    def measure(src: Path) -> tuple[dict, list]:
-        out = json.loads(run(src, "-c", DEDUP_CHILD, str(folder), str(THRESHOLD)).stdout)
-        return {"pairs_per_s": out["pairs_per_s"]}, out["kept"]
+    def measure(side: str) -> tuple[dict[str, float], list[str]]:
+        seconds, kept = fresh(dedup_once, str(trees[side]), str(folder))
+        return {"dedup_filter": seconds * 1e3}, kept
 
-    figures, kept = interleave(trees, ROUNDS, measure)
-    results = {label: {"pairs_per_s": spread([f["pairs_per_s"] for f in runs])}
-               for label, runs in figures.items()}
-    results["kept"] = len(kept)
-    print(f"pairs/s over {TEST} x {TRAIN} pairs (median ± IQR of {ROUNDS})")
-    for label in ("before", "after"):
-        cell = results[label]["pairs_per_s"]
-        print(f"  {label:<8}{cell['median']:>10.0f} ± {cell['iqr']:.0f}")
+    rows, kept = paired(measure)
+    print(f"both trees keep the same {len(kept)} test ids")
     return {
-        "corpus": f"perfbench dedup-lines generator, seed {SEED}, {TEST} test x {TRAIN} "
-                  f"train texts of {CHARS[0]}-{CHARS[1]} chars, threshold {THRESHOLD}",
-        "units": "test x train pairs per second of one dedup_filter call; "
-                 "median and interquartile range over rounds",
-        "rounds": ROUNDS,
-    }, results
+        "workload": f"perfbench dedup-lines generator, seed {SEED}, {TEST} test x {TRAIN} "
+                    f"train texts of {CHARS[0]}-{CHARS[1]} chars, threshold {THRESHOLD}",
+        "unit": "ms per dedup_filter call",
+        "rows": rows,
+        "kept": len(kept),
+    }
 
 
 # --- kernel --------------------------------------------------------------------------
 
 SIZES = (10, 200, 1000, 5000)  # sequence lengths
 ALPHABET = 64  # distinct tokens
-REPEATS = 3  # timed batches per pair, best kept
-
-# Times ``levenshtein`` on every pair of the JSON file in argv[1] and prints
-# the per-call times, in ms, with the distances as one JSON object.
-KERNEL_CHILD = """\
-import json, sys, timeit
-from ocrkit._kernels import levenshtein
-
-ms, distances = [], []
-for a, b in json.load(open(sys.argv[1], encoding="utf-8")):
-    a, b = tuple(a), tuple(b)
-    timer = timeit.Timer(lambda: levenshtein(a, b))
-    number, _ = timer.autorange()
-    ms.append(min(timer.repeat(int(sys.argv[2]), number)) / number * 1e3)
-    distances.append(levenshtein(a, b))
-print(json.dumps({"ms": ms, "distances": distances}))
-"""
 
 
-def kernel(trees: dict[str, Path], tmp: Path) -> tuple[dict, list]:
+def kernel(trees: dict[str, Path], tmp: Path) -> dict:
     """``_kernels.levenshtein`` on seeded pairs of random token tuples.
 
     At each length in SIZES there are two pairs over ALPHABET distinct
     tokens: one of equal lengths, and one whose short side has
     ``length // 20`` tokens, where the kernel reads the short side against
-    the long side as its pattern. Each process times every pair: ``timeit``
-    picks a batch of at least 0.2 s, and the best of REPEATS batches gives
-    the time per call. Every figure is the median over ROUNDS rounds with
-    the interquartile range next to it. Both trees must return the same
+    the long side as its pattern. Both trees' kernels are loaded into this
+    process and timed on each pair. Both trees must return the same
     distances.
     """
     rng = random.Random(SEED)
     vocab = [f"t{k}" for k in range(ALPHABET)]
-    shapes = [(size, short) for size in SIZES for short in (size, size // 20)]
-    pairs = [[[rng.choice(vocab) for _ in range(short)], [rng.choice(vocab) for _ in range(size)]]
-             for size, short in shapes]
-    path = tmp / "pairs.json"
-    path.write_text(json.dumps(pairs), encoding="utf-8")
-
-    def measure(src: Path) -> tuple[list, list]:
-        out = json.loads(run(src, "-c", KERNEL_CHILD, str(path), str(REPEATS)).stdout)
-        return out["ms"], out["distances"]
-
-    figures, distances = interleave(trees, ROUNDS, measure)
+    kernels = loaded(trees, "_kernels")
     rows = []
-    print(f"ms per call (median ± IQR of {ROUNDS})")
-    print(f"  {'length':>8}{'short':>8}{'before':>20}{'after':>20}")
-    for k, (size, short) in enumerate(shapes):
-        row = {"length": size, "short": short, "distance": distances[k]}
-        for label, runs in figures.items():
-            row[f"{label}_ms"] = spread([ms[k] for ms in runs])
-        rows.append(row)
-        cells = [row[f"{label}_ms"] for label in ("before", "after")]
-        print(f"  {size:>8}{short:>8}"
-              + "".join(f"{c['median']:>11.3f} ± {c['iqr']:<6.3f}" for c in cells))
+    for size in SIZES:
+        for short in (size, size // 20):
+            a = tuple(rng.choice(vocab) for _ in range(short))
+            b = tuple(rng.choice(vocab) for _ in range(size))
+            fns = {side: partial(k.levenshtein, a, b) for side, k in kernels.items()}
+            got, distance = calls(f"{size} x {short}", fns, 1e3)
+            rows += [{**got[0], "distance": distance}]
     return {
-        "pairs": f"seed {SEED}, lengths {list(SIZES)}, each at equal length and with a short "
-                 f"side of length // 20, {ALPHABET} distinct tokens",
-        "units": "ms per levenshtein call, best of repeats; median and interquartile range "
-                 "over rounds",
-        "rounds": ROUNDS,
-        "repeats": REPEATS,
-    }, rows
+        "workload": f"seed {SEED}, lengths {list(SIZES)}, each at equal length and with a "
+                    f"short side of length // 20, {ALPHABET} distinct tokens",
+        "unit": "ms per levenshtein call",
+        "rows": rows,
+    }
 
 
 # --- parse ---------------------------------------------------------------------------
 
 PARSE_TEXTS = 200  # valid seeded texts per form, timed
-MUTATED = 10_000  # seeded mutated texts per reader, parsed for the answer
-PARSE_REPEATS = 20  # timed passes over the valid texts, best kept
-PARSE_ROUNDS = 11  # a parse pass is short, so more rounds than the other benches
+MUTATED = 10_000  # seeded mutated texts per reader
 # The characters the two grammars give meaning to, plus a few that neither uses,
 # as in tests/test_parser_fuzz.py, which also has the four edit operations.
 SYNTAX = "{}[]()'\":,;|=*.-+eE0123456789 \t\n\\drawplotcycle中é"
 EDITS = ("insert", "delete", "replace", "truncate")
-READERS = {"chart": ("dict", "table"), "tikz": ("tikz",)}  # the forms each reader times
+CHART_FORMS = ("dict", "table")
 GENERATED = 4000  # seeds per generator configuration whose output bytes both trees must share
-
-# Times reader argv[2] ("chart" or "tikz") on each valid form in the JSON file
-# in argv[1] (best of argv[3] passes, in us per text), then parses every valid
-# and mutated text, and hashes what that reader's generator writes for seeds
-# 0 to argv[4] - 1: each chart in both forms, or each scene under three scene
-# configurations. It prints the times with the count of rejected texts, a
-# digest of every result or error and the generator digest as one JSON object.
-PARSE_CHILD = """\
-import hashlib, json, sys, time
-from ocrkit.charts import ChartParseError, gen_chart_struct, parse_chart_output
-from ocrkit.charts import serialize_chart_struct
-from ocrkit.geometry import SceneConfig, TikzParseError, emit_tikz, gen_scene, parse_tikz_subset
-
-texts = json.load(open(sys.argv[1], encoding="utf-8"))
-parse = parse_chart_output if sys.argv[2] == "chart" else parse_tikz_subset
-us = {}
-for form, batch in texts["valid"].items():
-    best = float("inf")
-    for _ in range(int(sys.argv[3])):
-        start = time.perf_counter()
-        for text in batch:
-            parse(text)
-        best = min(best, time.perf_counter() - start)
-    us[form] = best / len(batch) * 1e6
-digest, rejected = hashlib.sha256(), 0
-for text in [*(t for batch in texts["valid"].values() for t in batch), *texts["mutated"]]:
-    try:
-        got = repr(parse(text))
-    except (ChartParseError, TikzParseError) as exc:
-        got = repr((type(exc).__name__, exc.line, exc.column, exc.message, str(exc)))
-        rejected += 1
-    digest.update(got.encode() + b"\\0")
-generated, seeds = hashlib.sha256(), range(int(sys.argv[4]))
-if sys.argv[2] == "chart":
-    structs = (gen_chart_struct(seed)[0] for seed in seeds)
-    made = (serialize_chart_struct(s, form) for s in structs for form in ("dict", "table"))
-else:
-    configs = (SceneConfig(), SceneConfig(bounds=(0, 1)), SceneConfig(kinds=("hyperbola",)))
-    made = (emit_tikz(gen_scene(seed, config)).source for seed in seeds for config in configs)
-for text in made:
-    generated.update(text.encode() + b"\\0")
-print(json.dumps({"us": us, "answer": {"rejected": rejected, "sha256": digest.hexdigest(),
-                                       "generated_sha256": generated.hexdigest()}}))
-"""
 
 
 def mutate(rng: random.Random, text: str) -> str:
@@ -500,84 +456,110 @@ def mutate(rng: random.Random, text: str) -> str:
     return text
 
 
-def parse(trees: dict[str, Path], tmp: Path) -> tuple[dict, dict]:
-    """The chart and TikZ readers on seeded valid and mutated texts.
+def digest(parse: Callable[[str], object], errors: tuple, texts: list[str]):
+    """A pass of ``parse`` over ``texts`` that returns the count of rejected texts and a
+    digest of every result, or of every error's class, line, column and message."""
+    def run() -> tuple[int, str]:
+        sha, rejected = hashlib.sha256(), 0
+        for text in texts:
+            try:
+                got = repr(parse(text))
+            except errors as exc:
+                got = repr((type(exc).__name__, exc.line, exc.column, exc.message, str(exc)))
+                rejected += 1
+            sha.update(got.encode() + b"\0")
+        return rejected, sha.hexdigest()
+    return run
+
+
+def hashed(texts: Callable[[], object]):
+    """A call of ``texts()`` that returns the digest of the texts it yields."""
+    def run() -> str:
+        sha = hashlib.sha256()
+        for text in texts():
+            sha.update(text.encode() + b"\0")
+        return sha.hexdigest()
+    return run
+
+
+def parse(trees: dict[str, Path], tmp: Path) -> dict:
+    """The chart and TikZ readers on seeded valid and mutated texts, and their generators.
 
     The valid texts are PARSE_TEXTS charts of ``gen_chart_struct`` in the
     dict form and in the table form, and PARSE_TEXTS scenes of ``gen_scene``
-    emitted as TikZ, all from this checkout's generators. Each reader runs
-    in its own process, as it does in the CLI: one times
-    ``parse_chart_output`` on each chart form, the other
-    ``parse_tikz_subset`` on the scenes, and the best of PARSE_REPEATS
-    passes gives the time per text. Every figure is the median over
-    PARSE_ROUNDS rounds with the interquartile range next to it. Each
-    process then parses its valid texts and MUTATED texts of its kind (the
+    emitted as TikZ, all from this checkout's generators. Both trees are
+    loaded into this process. One row times ``parse_chart_output`` on each
+    chart form and one ``parse_tikz_subset`` on the scenes. The ``answers``
+    rows parse each reader's valid texts and MUTATED texts of its kind (the
     charts in the dict or the table form, at random), each edited one to
-    four times by inserting, deleting or replacing a character or by
-    cutting the text short. Both trees must return the same result, or the
-    same error class, line, column and message, for every text. Each
-    process also hashes what its reader's generator writes for seeds 0 to
-    GENERATED - 1 (each chart in the dict and the table form; each scene
-    under the default SceneConfig, bounds=(0, 1) and hyperbolas only), and
-    both trees must write the same bytes.
+    four times by inserting, deleting or replacing a character or by cutting
+    the text short. Both trees must return the same result, or the same
+    error class, line, column and message, for every text. The ``generated``
+    rows hash what each reader's generator writes for seeds 0 to GENERATED - 1
+    (each chart in the dict and the table form; each scene under the default
+    SceneConfig, bounds=(0, 1) and hyperbolas only), and both trees must
+    write the same bytes.
     """
-    sys.path[:0] = [str(ROOT / "src")]
-    from ocrkit.charts import gen_chart_struct, serialize_chart_struct
-    from ocrkit.geometry import emit_tikz, gen_scene
+    charts, geometry = loaded(trees, "charts"), loaded(trees, "geometry")
+    c, g = charts["after"], geometry["after"]
 
     def chart(seed: int, form: str) -> str:
-        return serialize_chart_struct(gen_chart_struct(seed)[0], form)
+        return c.serialize_chart_struct(c.gen_chart_struct(seed)[0], form)
 
     def scene(seed: int) -> str:
-        return emit_tikz(gen_scene(seed)).source
+        return g.emit_tikz(g.gen_scene(seed)).source
 
     rng = random.Random(f"parse:{SEED}")
-    texts = {
-        "chart": {
-            "valid": {form: [chart(seed, form) for seed in range(PARSE_TEXTS)]
-                      for form in READERS["chart"]},
-            "mutated": [mutate(rng, chart(rng.randrange(2**31), rng.choice(READERS["chart"])))
-                        for _ in range(MUTATED)],
-        },
-        "tikz": {
-            "valid": {"tikz": [scene(seed) for seed in range(PARSE_TEXTS)]},
-            "mutated": [mutate(rng, scene(rng.randrange(2**31))) for _ in range(MUTATED)],
-        },
-    }
-    for reader, part in texts.items():
-        (tmp / f"{reader}.json").write_text(json.dumps(part), encoding="utf-8")
+    valid = {"chart": {form: [chart(seed, form) for seed in range(PARSE_TEXTS)]
+                       for form in CHART_FORMS},
+             "tikz": {"tikz": [scene(seed) for seed in range(PARSE_TEXTS)]}}
+    mutated = {"chart": [mutate(rng, chart(rng.randrange(2**31), rng.choice(CHART_FORMS)))
+                         for _ in range(MUTATED)],
+               "tikz": [mutate(rng, scene(rng.randrange(2**31))) for _ in range(MUTATED)]}
 
-    def measure(src: Path) -> tuple[dict, dict]:
-        us, answer = {}, {}
-        for reader in READERS:
-            out = json.loads(run(src, "-c", PARSE_CHILD, str(tmp / f"{reader}.json"), reader,
-                                 str(PARSE_REPEATS), str(GENERATED)).stdout)
-            us.update(out["us"])
-            answer[reader] = out["answer"]
-        return us, answer
+    def readers(side: str) -> dict:
+        c, g = charts[side], geometry[side]
+        configs = (g.SceneConfig(), g.SceneConfig(bounds=(0, 1)),
+                   g.SceneConfig(kinds=("hyperbola",)))
+        seeds = range(GENERATED)
+        return {
+            "chart": (c.parse_chart_output, c.ChartParseError,
+                      lambda: (c.serialize_chart_struct(c.gen_chart_struct(seed)[0], form)
+                               for seed in seeds for form in CHART_FORMS)),
+            "tikz": (g.parse_tikz_subset, g.TikzParseError,
+                     lambda: (g.emit_tikz(g.gen_scene(seed, config)).source
+                              for seed in seeds for config in configs)),
+        }
 
-    figures, answer = interleave(trees, PARSE_ROUNDS, measure)
-    results = {label: {form: spread([us[form] for us in runs]) for form in runs[0]}
-               for label, runs in figures.items()}
-    results["answer"] = answer
-    print(f"us per text (median ± IQR of {PARSE_ROUNDS})")
-    print(f"  {'form':<8}{'before':>20}{'after':>20}")
-    for form in (*READERS["chart"], *READERS["tikz"]):
-        cells = [results[label][form] for label in ("before", "after")]
-        print(f"  {form:<8}" + "".join(f"{c['median']:>11.2f} ± {c['iqr']:<6.2f}" for c in cells))
-    for reader, got in answer.items():
-        print(f"same answer for all {PARSE_TEXTS * len(READERS[reader]) + MUTATED} {reader} texts: "
-              f"{got['rejected']} rejected, sha256 {got['sha256'][:16]}...; same generated "
-              f"bytes for seeds 0-{GENERATED - 1}, sha256 {got['generated_sha256'][:16]}...")
+    sides = {side: readers(side) for side in SIDES}
+    rows, answer = [], {}
+    for reader, forms in valid.items():
+        for form, texts in forms.items():
+            fns = {side: partial(lambda p, b: len([p(t) for t in b]), got[reader][0], texts)
+                   for side, got in sides.items()}
+            rows += calls(form, fns, 1e6 / len(texts))[0]
+        texts = [t for form_texts in forms.values() for t in form_texts] + mutated[reader]
+        fns = {side: digest(*got[reader][:2], texts) for side, got in sides.items()}
+        timed, (rejected, sha) = calls(f"{reader} answers", fns, 1e6 / len(texts))
+        rows += timed
+        fns = {side: hashed(got[reader][2]) for side, got in sides.items()}
+        timed, generated = calls(f"{reader} generated", fns,
+                                 1e6 / (GENERATED * (2 if reader == "chart" else 3)))
+        rows += timed
+        answer[reader] = {"rejected": rejected, "sha256": sha, "generated_sha256": generated}
+        print(f"same answer for all {len(texts)} {reader} texts: {rejected} rejected, sha256 "
+              f"{sha[:16]}...; same generated bytes for seeds 0-{GENERATED - 1}, sha256 "
+              f"{generated[:16]}...")
     return {
-        "texts": f"seeds 0-{PARSE_TEXTS - 1} of gen_chart_struct (dict and table form) and of "
-                 f"gen_scene; {MUTATED} mutated charts and {MUTATED} mutated scenes, seed {SEED}; "
-                 f"generator digests of seeds 0-{GENERATED - 1}: gen_chart_struct in both forms, "
-                 "gen_scene under SceneConfig(), bounds=(0, 1) and kinds=('hyperbola',)",
-        "units": "us per text, best of repeats; median and interquartile range over rounds",
-        "rounds": PARSE_ROUNDS,
-        "repeats": PARSE_REPEATS,
-    }, results
+        "workload": f"seeds 0-{PARSE_TEXTS - 1} of gen_chart_struct (dict and table form) and "
+                    f"of gen_scene; {MUTATED} mutated charts and {MUTATED} mutated scenes, seed "
+                    f"{SEED}; generator digests of seeds 0-{GENERATED - 1}: gen_chart_struct in "
+                    "both forms, gen_scene under SceneConfig(), bounds=(0, 1) and "
+                    "kinds=('hyperbola',)",
+        "unit": "us per text",
+        "rows": rows,
+        "answer": answer,
+    }
 
 
 BENCHES = {"startup": startup, "scoring": scoring, "dedup": dedup, "kernel": kernel,
@@ -595,20 +577,23 @@ def main() -> int:
         sub.add_argument("--before", required=True, help="git revision to compare with")
         sub.add_argument("--out", default=f"BENCH_{name}.json")
     args = parser.parse_args()
+    # One CPU for this process and its children, as perfbench/launch.py pins each child.
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"before": export_src(args.before, Path(tmp)), "after": ROOT / "src"}
-        fields, results = BENCHES[args.bench](trees, Path(tmp))
+        result = BENCHES[args.bench](trees, Path(tmp))
+    print_table(result["unit"], result["rows"])
     sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.before],
                          capture_output=True, text=True, check=True).stdout.strip()
     report = {
         "before": f"src at {args.before} ({sha})",
         "after": "src of this checkout",
-        **fields,
+        "pairs": PAIRS,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "results": results,
+        **result,
     }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)

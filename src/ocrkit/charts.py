@@ -104,6 +104,8 @@ class _DictScanner(Scanner):
                 return "".join(out)
             if ch == "\\":
                 esc = self.text[self.pos + 1 : self.pos + 2]
+                if not esc:
+                    raise self.error("unterminated string", len(self.text))
                 if esc not in _ESCAPES:
                     raise self.error(f"unsupported escape \\{esc}")
                 out.append(_ESCAPES[esc])

@@ -14,7 +14,9 @@ MULTIPAGE_PROMPT = "OCR the pages in order:"
 
 def cmd_compose_pages(args) -> int:
     def page(row: dict) -> pagecompose.PageSpec:
-        return pagecompose.PageSpec.from_text(row["page_id"], row["text"], row.get("image_ref", ""))
+        return pagecompose.PageSpec.from_text(
+            row["page_id"], row["text"], row.get("image_ref") or ""
+        )
 
     pool = read_aux(args.pool, {"page_id": (str,), **TEXT_KINDS}, ("page_id", "text"), page)
     samples = []

@@ -73,6 +73,8 @@ class Segment(Record):
     __slots__ = ("p1", "p2")
 
     def __init__(self, p1: Point, p2: Point):
+        if p1 == p2:
+            raise ValueError("segment endpoints must differ")
         super().__init__(p1, p2)
 
 
@@ -422,6 +424,7 @@ def _hundredths(rng: random.Random, lo: int, hi: int) -> Decimal:
 
 # kind -> (shape, points per draw, what to report when no draw is accepted)
 _REDRAWN = {
+    "segment": (Segment, 2, "distinct segment endpoints"),
     "rectangle": (Rectangle, 2, "distinct rectangle corners"),
     "triangle": (Triangle, 3, "a non-degenerate triangle"),
 }
@@ -455,12 +458,6 @@ class _SceneBuilder:
     def build(self, kind: str) -> Element:
         if kind == "point":
             return self.point()
-        if kind == "segment":
-            for attempt in range(100):
-                p1, p2 = self.point(attempt > 20), self.point(attempt > 20)
-                if p1 != p2:
-                    return Segment(p1, p2)
-            raise RuntimeError("could not draw distinct segment endpoints")
         if kind == "circle":
             return Circle(self.point(), self.positive())
         if kind in _REDRAWN:

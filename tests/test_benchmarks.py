@@ -1,5 +1,8 @@
-"""The benchmark scripts start: their imports and argument tables are sound."""
+"""The benchmark scripts start, their argument tables are sound, and the paired
+timer of ``benchmarks/compare.py`` pairs, alternates and checks answers."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -22,3 +25,51 @@ def test_compare_subcommand_help_exits_zero(sub):
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith(f"usage: compare.py {sub} [-h] --before BEFORE [--out OUT]")
 
+
+@pytest.fixture
+def compare(monkeypatch):
+    spec = importlib.util.spec_from_file_location("compare", ROOT / "benchmarks" / "compare.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "PAIRS", 4)
+    return module
+
+
+def test_load_gives_two_packages_and_no_ocrkit_modules(compare):
+    known = set(sys.modules)
+    try:
+        first = compare.load(ROOT / "src", "ocrkit_first")
+        second = compare.load(ROOT / "src", "ocrkit_second")
+        metrics = [importlib.import_module(f"{p.__name__}.metrics") for p in (first, second)]
+        added = set(sys.modules) - known
+    finally:
+        for name in set(sys.modules) - known:
+            del sys.modules[name]
+    assert first is not second and metrics[0] is not metrics[1]
+    assert metrics[0].score_texts is not metrics[1].score_texts
+    assert {"ocrkit_first._kernels", "ocrkit_second._kernels"} <= added
+    assert {n.partition(".")[0] for n in added} == {"ocrkit_first", "ocrkit_second"}
+    reports = [m.score_texts("a b", "a c", "word").as_dict() for m in metrics]
+    assert reports[0] == reports[1] and reports[0]["n_samples"] == 1
+
+
+def test_paired_alternates_the_first_side_and_reports_ratios(compare):
+    order = []
+
+    def measure(side):
+        order.append(side)
+        return {"t": 2.0 if side == "before" else 1.0}, "same"
+
+    rows, answer = compare.paired(measure)
+    assert order == ["before", "after", "after", "before"] * 2
+    assert answer == "same"
+    assert rows == [{"name": "t", "before": 2.0, "after": 1.0, "ratio": 0.5,
+                     "ratio_iqr": [0.5, 0.5], "after_faster": 4, "pairs": 4}]
+
+
+def test_paired_stops_when_the_trees_disagree(compare):
+    def measure(side):
+        return {"t": 1.0}, (side == "after")
+
+    with pytest.raises(SystemExit, match="the trees disagree: after gave True in pair 0"):
+        compare.paired(measure)

@@ -90,10 +90,13 @@ def test_parse_dict_text_ending_where_a_string_is_due(text, line, column):
         # CR is chart whitespace, and a line ends only at LF
         ('{\r\n"title": "a"\r\n"values": {}}', "3:1: expected ',' or '}'"),
         ('{"values": {"s\\q": {}}}', "1:15: unsupported escape \\q"),
+        # a backslash that ends the text leaves the string open
+        ('{"values": {"s\\', "1:16: unterminated string"),
         ('{"values": {}} x', "1:16: unexpected text after the closing '}'"),
         ('{"title": "t"}', "1:1: missing 'values' map"),
     ],
-    ids=["number-on-line-3", "missing-colon", "crlf", "escape", "after-the-map", "no-values"],
+    ids=["number-on-line-3", "missing-colon", "crlf", "escape", "trailing-backslash",
+         "after-the-map", "no-values"],
 )
 def test_parse_dict_error_position_and_message(text, where):
     with pytest.raises(ChartParseError) as exc:

@@ -283,6 +283,23 @@ def test_compose_pages_lists_the_page_image_refs(tmp_path, capsys):
     assert 0 < listed < 8
 
 
+def test_compose_pages_reads_a_null_image_ref_as_empty(tmp_path, capsys, monkeypatch):
+    pool = tmp_path / "pool.jsonl"
+    rows = [{"page_id": "p0", "text": "tok", "image_ref": None}, {"page_id": "p1", "text": "tok"}]
+    pool.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    seen = []
+    compose = pagecompose.compose_multipage
+
+    def spy(pages, n, seed):
+        seen.extend(pages)
+        return compose(pages, n, seed)
+
+    monkeypatch.setattr(pagecompose, "compose_multipage", spy)
+    assert main(["compose-pages", "--pool", str(pool), "--n", "2",
+                 "--out", str(tmp_path / "mp.jsonl")]) == 0
+    assert [p.image_ref for p in seen] == ["", ""]
+
+
 def test_make_finegrained_color_mode(tmp_path, capsys):
     anno = tmp_path / "anno.jsonl"
     anno.write_text(

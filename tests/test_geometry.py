@@ -188,6 +188,7 @@ def test_parse_head_mutations_rejected():
             "1:13: expected '--', 'circle', 'rectangle' or 'ellipse'",
         ),
         # an element's own check reports where the element's text ends
+        ("\\draw (0,0) -- (0,0);\n", "1:21: segment endpoints must differ"),
         ("\\draw (0,0) rectangle (0,5);\n", "1:28: rectangle corners must differ in both axes"),
         ("\\draw (0,0) -- (1,1) -- (2,2) -- cycle;\n", "1:39: triangle vertices are collinear"),
         (
@@ -200,7 +201,7 @@ def test_parse_head_mutations_rejected():
         "unterminated-options", "malformed-option", "malformed-domain", "domain-digits",
         "point-options", "function-options", "polynomial-terms", "hyperbola-options",
         "ellipse-axes", "unknown-shape",
-        "degenerate-rectangle", "collinear-triangle", "decreasing-domain",
+        "zero-length-segment", "degenerate-rectangle", "collinear-triangle", "decreasing-domain",
     ],
 )
 def test_parse_error_position_and_message(source, where):

@@ -169,6 +169,13 @@ def test_tikz_validator_accepts_engine_output():
         assert validate_tikz(doc.source).ok
 
 
+def test_tikz_validator_rejects_a_zero_length_segment():
+    report = validate_tikz("\\draw (0,0) -- (0,0);\n")
+    assert [(i.line, i.column, i.code, i.message) for i in report.issues] == [
+        (1, 21, "TIKZ_SYNTAX", "segment endpoints must differ")
+    ]
+
+
 def test_tikz_validator_rejects_junk():
     report = validate_tikz("\\drow (0,0) circle (1);\n")
     assert codes(report) == ["TIKZ_SYNTAX"]
