@@ -4,16 +4,16 @@
 The revision given by ``--before`` is exported to a temporary directory.
 ``kernel``, ``scoring`` and ``parse`` load both trees' ``src/ocrkit`` into
 this process, as two packages under different names, and time plain
-functions of each. ``dedup`` and ``startup`` start a fresh process per tree
-for every run. Either way the runs come in 21 (PAIRS) back-to-back pairs, one
-run of each tree, with the first tree alternating from pair to pair, and both
+functions of each. ``dedup`` starts a fresh process per tree for every run.
+Either way the runs come in 21 (PAIRS) back-to-back pairs, one run of each
+tree, with the first tree alternating from pair to pair, and both
 trees must give the same answer in every run. Each row gives both trees'
 medians, the median of the pairs' after/before ratios with its interquartile
 range, and in how many pairs the after tree was faster (ratio below 1). The
 report, with the core count and the Python version, is written as JSON to
 ``--out`` (``BENCH_<sub>.json``).
 
-    python benchmarks/compare.py startup --before HEAD       # uncommitted work vs HEAD
+    python benchmarks/compare.py scoring --before HEAD       # uncommitted work vs HEAD
     python benchmarks/compare.py scoring --before HEAD~1 --out /tmp/scoring.json
     python benchmarks/compare.py dedup --before HEAD~1
     python benchmarks/compare.py kernel --before HEAD~1
@@ -62,16 +62,6 @@ def export_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def run(src: Path, *args: str) -> subprocess.CompletedProcess:
-    """``python *args`` in a fresh process with ``src`` on the import path."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
-    if done.returncode != 0:
-        what = " ".join(args[2:] if args[0] == "-c" else args)
-        raise SystemExit(f"{src}: {what} exited {done.returncode}: {done.stderr}")
-    return done
-
-
 def load(src: Path, name: str) -> ModuleType:
     """``src/ocrkit`` as a package named ``name``, apart from any other copy of ocrkit.
 
@@ -111,26 +101,41 @@ def batch(fn: Callable[[], object], number: int) -> tuple[float, object]:
         gc.enable()
 
 
-def paired(measure: Callable[[str], tuple[dict[str, float], object]]) -> tuple[list[dict], object]:
-    """One row per figure of ``measure`` over PAIRS pairs of runs, and the answer.
+def paired(name: str, measure: Callable[[str], tuple[float, object]]) -> tuple[dict, object]:
+    """The row ``name`` of ``measure`` over PAIRS pairs of runs, and the answer.
 
     ``measure(side)`` runs the tree ``side`` ("before" or "after") once and
-    returns its figures, {row name: time}, and its answer. Each pair runs the
-    two trees back to back, the first one alternating from pair to pair.
-    Every answer must equal the before tree's answer in the first pair.
+    returns its time and its answer. Each pair runs the two trees back to
+    back, the first one alternating from pair to pair. Every answer must
+    equal the before tree's answer in the first pair.
     """
-    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    runs: dict[str, list[float]] = {side: [] for side in SIDES}
     for k in range(PAIRS):
         for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-            figures, answer = measure(side)
+            seconds, answer = measure(side)
             if k == 0 and side == SIDES[0]:
                 expected = answer
             elif answer != expected:
-                raise SystemExit(f"the trees disagree: {side} gave {answer!r:.300} in pair {k}, "
-                                 f"before gave {expected!r:.300} in pair 0")
-            runs[side].append(figures)
-    return [row(name, [f[name] for f in runs["before"]], [f[name] for f in runs["after"]])
-            for name in runs["after"][0]], expected
+                raise SystemExit(disagreement(side, answer, k, expected))
+            runs[side].append(seconds)
+    return row(name, runs["before"], runs["after"]), expected
+
+
+def disagreement(side: str, answer: object, k: int, expected: object) -> str:
+    """Where ``side``'s answer in pair ``k`` differs from the before tree's in pair 0.
+
+    Two lists or tuples are shown at their first differing index, or by
+    their lengths when one is the start of the other.
+    """
+    at = ""
+    if isinstance(answer, (list, tuple)) and isinstance(expected, (list, tuple)):
+        index = next((i for i, (a, e) in enumerate(zip(answer, expected)) if a != e), None)
+        if index is None:
+            return (f"the trees disagree: {side} gave {len(answer)} items in pair {k}, "
+                    f"before gave {len(expected)} in pair 0")
+        answer, expected, at = answer[index], expected[index], f" at index {index}"
+    return (f"the trees disagree: {side} gave {answer!r:.300}{at} in pair {k}, "
+            f"before gave {expected!r:.300}{at} in pair 0")
 
 
 def row(name: str, before: list[float], after: list[float]) -> dict:
@@ -144,8 +149,7 @@ def row(name: str, before: list[float], after: list[float]) -> dict:
             "pairs": len(ratios)}
 
 
-def calls(name: str, fns: dict[str, Callable[[], object]],
-          scale: float) -> tuple[list[dict], object]:
+def calls(name: str, fns: dict[str, Callable[[], object]], scale: float) -> tuple[dict, object]:
     """The row of ``fns[side]()`` timed in this process, per call times ``scale``, and its answer.
 
     Each run is one batch of as many calls as ``timeit`` picks for the after
@@ -155,11 +159,11 @@ def calls(name: str, fns: dict[str, Callable[[], object]],
     fns["before"]()
     number, _ = timeit.Timer(fns["after"]).autorange()
 
-    def measure(side: str) -> tuple[dict[str, float], object]:
+    def measure(side: str) -> tuple[float, object]:
         seconds, answer = batch(fns[side], number)
-        return {name: seconds * scale}, answer
+        return seconds * scale, answer
 
-    return paired(measure)
+    return paired(name, measure)
 
 
 def fresh(fn: Callable, *args):
@@ -186,110 +190,6 @@ def write_corpus(generator: str, size: dict, folder: Path) -> Path:
     folder.mkdir()
     getattr(inputs, generator.replace("-", "_"))(random.Random(f"{generator}:{SEED}"), size, folder)
     return folder
-
-
-# --- startup -------------------------------------------------------------------------
-
-LAUNCH = ROOT / "perfbench" / "launch.py"
-
-SUBCOMMANDS = (
-    "score", "chart-score", "tile-plan", "stitch", "make-finegrained", "compose-pages",
-    "paste-layout", "gen-geometry", "gen-chart", "validate-format", "dedup", "mix",
-)
-
-# Runs the CLI the way the installed ``ocrkit`` script does, then lists every
-# loaded module, on stderr, when the process exits.
-PROBE = """\
-import atexit, sys
-atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))
-sys.argv[0] = "ocrkit"
-from ocrkit.cli import main
-sys.exit(main())
-"""
-# Lists the modules a bare interpreter has loaded.
-FLOOR_MODULES = "import sys; print(*sys.modules)"
-
-
-def startup(trees: dict[str, Path], tmp: Path) -> dict:
-    """CLI startup: fresh ``python -m ocrkit.cli <sub> --help`` processes, and one dedup run.
-
-    Every child is started by ``perfbench/launch.py``, so its wall time is
-    in reference ms, corrected for the speed of the machine's CPU at the
-    time. A run of one tree launches, once each, ``python -c pass`` (the
-    interpreter's own floor), every subcommand's ``--help`` and one real
-    ``dedup`` on the corpus of perfbench's ``dedup-lines`` workload at its
-    full size. Its answer is an argv table run in that tree: no arguments,
-    ``-h``, every ``<sub> --help``, an unknown command, an option before the
-    command, a missing required flag, a bad flag value and the dedup run.
-    Both trees must give the same stdout, stderr and exit code for every row,
-    and the same dedup output file, in every run. For every subcommand the
-    report lists the ocrkit modules its ``--help`` loads and the standard
-    library modules it loads beyond those of ``python -c pass``. Without
-    cached bytecode (``PYTHONDONTWRITEBYTECODE`` set and no ``__pycache__``)
-    every imported module is compiled from source in every process; the
-    setting is recorded with the results.
-    """
-    sys.path[:0] = [str(ROOT / "perfbench")]
-    from run import REF_LOOP_S
-    from workloads import SIZES
-
-    folder = write_corpus("dedup-lines", SIZES["full"], tmp / "corpus")
-
-    def launch(src: Path, *args: str) -> float:
-        """Reference ms of ``python *args`` with ``src`` on the path, as ``perfbench/run.py``
-        scales a child: wall time x REF_LOOP_S / the launcher's calibration loop time."""
-        env = dict(os.environ, PYTHONPATH=str(src))
-        done = subprocess.run([sys.executable, "-I", "-S", str(LAUNCH), "--",
-                               sys.executable, *args], env=env, capture_output=True, text=True)
-        code, wall, _, _, loop = done.stdout.split()
-        if done.returncode != 0 or code != "0":
-            raise SystemExit(f"{src}: {' '.join(args)} exited {code}: {done.stderr}")
-        return float(wall) * REF_LOOP_S / float(loop) * 1e3
-
-    kept = tmp / "kept.jsonl"
-    dedup_argv = ["dedup", "--test", str(folder / "test.jsonl"), "--train",
-                  str(folder / "train.jsonl"), "--threshold", "0.9", "--out", str(kept)]
-    children = {"floor": ["-c", "pass"],
-                **{sub: ["-m", "ocrkit.cli", sub, "--help"] for sub in SUBCOMMANDS},
-                "dedup run": ["-m", "ocrkit.cli", *dedup_argv]}
-    table = [[], ["-h"], *([sub, "--help"] for sub in SUBCOMMANDS), ["nope"],
-             ["--verbose", "score", "--gt", "a", "--pred", "b"], ["dedup", "--test", "a"],
-             ["dedup", "--test", "a", "--train", "b", "--out", "c", "--threshold", "x"],
-             dedup_argv]
-
-    def measure(side: str) -> tuple[dict[str, float], list]:
-        src = trees[side]
-        figures = {child: launch(src, *args) for child, args in children.items()}
-        env = dict(os.environ, PYTHONPATH=str(src))
-        rows = [(argv, done.stdout, done.stderr, done.returncode) for argv in table
-                for done in [subprocess.run([sys.executable, "-m", "ocrkit.cli", *argv],
-                                            env=env, capture_output=True, cwd=tmp)]]
-        return figures, [rows, kept.read_bytes()]
-
-    rows, answer = paired(measure)
-    modules = {}
-    for side, src in trees.items():
-        floor = set(run(src, "-c", FLOOR_MODULES).stdout.split())
-        for sub in SUBCOMMANDS:
-            names = run(src, "-c", PROBE, sub, "--help").stderr.split()
-            modules.setdefault(sub, {})[side] = {
-                "ocrkit": [m for m in names if m.partition(".")[0] == "ocrkit"],
-                "stdlib": [m for m in names if m.partition(".")[0] != "ocrkit" and m not in floor],
-            }
-    n_kept = answer[1].count(b"\n")
-    print(f"same stdout, stderr and exit code in both trees for all {len(table)} argv rows, "
-          f"and the same dedup output ({n_kept} kept), in every run")
-    return {
-        "workload": "python -m ocrkit.cli <subcommand> --help, and python -m ocrkit.cli dedup "
-                    f"on perfbench's dedup-lines corpus (full size, seed {SEED}); "
-                    "python -c pass as the floor",
-        "unit": "reference ms per child (wall ms scaled by perfbench/launch.py's calibration "
-                "loop, as perfbench/run.py does)",
-        "argv_rows": [" ".join(["ocrkit", *argv]).replace(str(tmp), "<tmp>") for argv in table],
-        "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
-        "rows": rows,
-        "modules": modules,
-    }
 
 
 # --- scoring -------------------------------------------------------------------------
@@ -335,7 +235,7 @@ def scoring(trees: dict[str, Path], tmp: Path) -> dict:
         sides = {side: layers(side, granularity) for side in SIDES}
         for layer in sides["after"]:
             fns = {side: got[layer] for side, got in sides.items()}
-            rows += calls(f"{granularity} {layer}", fns, 1e3)[0]
+            rows.append(calls(f"{granularity} {layer}", fns, 1e3)[0])
     return {
         "workload": f"perfbench score-docs generator, seed {SEED}, {DOCS} docs of {DOC_WORDS} "
                     "words; each layer over the whole corpus",
@@ -371,22 +271,32 @@ def dedup(trees: dict[str, Path], tmp: Path) -> dict:
     Every run is a fresh process, which loads both files untimed and then
     times one ``dedup_filter`` call, tokenization included. Both trees must
     keep the same test ids.
+
+    Timing the call in this process through ``calls()`` instead buys no
+    precision. On two identical trees (Python 3.11.7, 2-core VM, 8 pairs per
+    run, ~4.5 s per call), two in-process runs read median ratios 0.971
+    (IQR [0.822, 1.053], after faster 5/8) and 1.032 ([0.983, 1.080], 3/8);
+    an earlier pair of runs read 1.034 (2/8) and 1.078 ([1.009, 1.158], 1/8).
+    Two runs with fresh processes read 1.074 ([0.951, 1.130], 3/8) and 0.986
+    ([0.924, 1.098], 5/8). In one process the second tree's call also
+    starts on a heap the first tree's call has churned, which a fresh
+    process rules out.
     """
     folder = write_corpus("dedup-lines",
                           {"dedup_test": TEST, "dedup_train": TRAIN, "dedup_chars": CHARS},
                           tmp / "corpus")
 
-    def measure(side: str) -> tuple[dict[str, float], list[str]]:
+    def measure(side: str) -> tuple[float, list[str]]:
         seconds, kept = fresh(dedup_once, str(trees[side]), str(folder))
-        return {"dedup_filter": seconds * 1e3}, kept
+        return seconds * 1e3, kept
 
-    rows, kept = paired(measure)
+    got, kept = paired("dedup_filter", measure)
     print(f"both trees keep the same {len(kept)} test ids")
     return {
         "workload": f"perfbench dedup-lines generator, seed {SEED}, {TEST} test x {TRAIN} "
                     f"train texts of {CHARS[0]}-{CHARS[1]} chars, threshold {THRESHOLD}",
         "unit": "ms per dedup_filter call",
-        "rows": rows,
+        "rows": [got],
         "kept": len(kept),
     }
 
@@ -417,7 +327,7 @@ def kernel(trees: dict[str, Path], tmp: Path) -> dict:
             b = tuple(rng.choice(vocab) for _ in range(size))
             fns = {side: partial(k.levenshtein, a, b) for side, k in kernels.items()}
             got, distance = calls(f"{size} x {short}", fns, 1e3)
-            rows += [{**got[0], "distance": distance}]
+            rows.append({**got, "distance": distance})
     return {
         "workload": f"seed {SEED}, lengths {list(SIZES)}, each at equal length and with a "
                     f"short side of length // 20, {ALPHABET} distinct tokens",
@@ -537,15 +447,15 @@ def parse(trees: dict[str, Path], tmp: Path) -> dict:
         for form, texts in forms.items():
             fns = {side: partial(lambda p, b: len([p(t) for t in b]), got[reader][0], texts)
                    for side, got in sides.items()}
-            rows += calls(form, fns, 1e6 / len(texts))[0]
+            rows.append(calls(form, fns, 1e6 / len(texts))[0])
         texts = [t for form_texts in forms.values() for t in form_texts] + mutated[reader]
         fns = {side: digest(*got[reader][:2], texts) for side, got in sides.items()}
         timed, (rejected, sha) = calls(f"{reader} answers", fns, 1e6 / len(texts))
-        rows += timed
+        rows.append(timed)
         fns = {side: hashed(got[reader][2]) for side, got in sides.items()}
         timed, generated = calls(f"{reader} generated", fns,
                                  1e6 / (GENERATED * (2 if reader == "chart" else 3)))
-        rows += timed
+        rows.append(timed)
         answer[reader] = {"rejected": rejected, "sha256": sha, "generated_sha256": generated}
         print(f"same answer for all {len(texts)} {reader} texts: {rejected} rejected, sha256 "
               f"{sha[:16]}...; same generated bytes for seeds 0-{GENERATED - 1}, sha256 "
@@ -562,8 +472,7 @@ def parse(trees: dict[str, Path], tmp: Path) -> dict:
     }
 
 
-BENCHES = {"startup": startup, "scoring": scoring, "dedup": dedup, "kernel": kernel,
-           "parse": parse}
+BENCHES = {"scoring": scoring, "dedup": dedup, "kernel": kernel, "parse": parse}
 
 
 def main() -> int:
@@ -577,7 +486,7 @@ def main() -> int:
         sub.add_argument("--before", required=True, help="git revision to compare with")
         sub.add_argument("--out", default=f"BENCH_{name}.json")
     args = parser.parse_args()
-    # One CPU for this process and its children, as perfbench/launch.py pins each child.
+    # One CPU for this process and its children, so both trees run on the same core.
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
     with tempfile.TemporaryDirectory() as tmp:

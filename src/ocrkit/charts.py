@@ -352,6 +352,8 @@ class ChartGenConfig(Record):
             raise ValueError(f"value_range bounds must be finite, got {value_range}")
         if value_range[0] > value_range[1]:
             raise ValueError(f"bad value_range {value_range}")
+        if not math.isfinite(value_range[1] - value_range[0]):
+            raise ValueError(f"value_range width must be finite, got {value_range}")
         if decimals < 0:
             raise ValueError("decimals must be >= 0")
         for word in text_pool:

@@ -118,18 +118,18 @@ def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
         case "score":
             add("--gt", required=True, help="ground-truth record file")
             add("--pred", required=True, help="prediction record file (text in ground_truth)")
-            add("--granularity", choices=("word", "char"), default="word")
-            add("--style", choices=("text", "markdown"), default="text")
+            add("--granularity", choices=("word", "char"), default="word", help="token unit")
+            add("--style", choices=("text", "markdown"), default="text", help="report format")
             add("--json", default=None, help="also write a machine-readable report here")
         case "chart-score":
             add("--gt", required=True)
             add("--pred", required=True)
-            add("--style", choices=("text", "markdown"), default="text")
+            add("--style", choices=("text", "markdown"), default="text", help="report format")
             add("--json", default=None)
         case "tile-plan":
             add("--width", type=int, required=True)
             add("--height", type=int, required=True)
-            add("--max-tiles", type=int, default=12)
+            add("--max-tiles", type=int, default=12, help="most tiles in the grid")
             add("--no-thumbnail", action="store_true")
             add("--json", default=None)
         case "stitch":
@@ -139,37 +139,38 @@ def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
         case "make-finegrained":
             add("--input", required=True, help="JSONL annotations (see README schema)")
             add("--out", required=True)
-            add("--mode", choices=("box", "color"), default="box")
-            add("--seed", type=int, default=0)
+            add("--mode", choices=("box", "color"), default="box",
+                help="how the prompt names the region")
+            add("--seed", type=int, default=0, help="random seed")
             add("--thickness", type=_positive_int, default=3, help="frame thickness for color mode")
         case "compose-pages":
             add("--pool", required=True, help="JSONL page pool (page_id, text, image_ref)")
             add("--n", type=int, required=True, help="pages per sample, 2-8")
             add("--count", type=_positive_int, default=1, help="samples to generate")
-            add("--seed", type=int, default=0)
+            add("--seed", type=int, default=0, help="seed of sample 0; sample i gets seed+i")
             add("--out", required=True)
         case "paste-layout":
             add("--slices", type=_dims_list, required=True, help="WxH,WxH,... slice sizes")
             add("--canvas", type=_dims, required=True, help="canvas WxH")
-            add("--seed", type=int, default=0)
+            add("--seed", type=int, default=0, help="random seed")
             add("--out", default=None, help="write JSON here instead of stdout")
         case "gen-geometry":
-            add("--seed", type=int, default=0)
-            add("--n", type=_positive_int, default=10)
+            add("--seed", type=int, default=0, help="seed of scene 0; scene i gets seed+i")
+            add("--n", type=_positive_int, default=10, help="scenes to generate")
             add("--out", required=True)
-            add("--min-elements", type=int, default=1)
-            add("--max-elements", type=int, default=6)
-            add("--bound-lo", type=int, default=-10)
-            add("--bound-hi", type=int, default=10)
+            add("--min-elements", type=int, default=1, help="fewest elements per scene")
+            add("--max-elements", type=int, default=6, help="most elements per scene")
+            add("--bound-lo", type=int, default=-10, help="lowest coordinate")
+            add("--bound-hi", type=int, default=10, help="highest coordinate")
             add("--kinds", default=None, help="comma list; default all element kinds")
         case "gen-chart":
-            add("--seed", type=int, default=0)
-            add("--n", type=_positive_int, default=10)
+            add("--seed", type=int, default=0, help="seed of chart 0; chart i gets seed+i")
+            add("--n", type=_positive_int, default=10, help="charts to generate")
             add("--out", required=True)
-            add("--form", choices=("dict", "table"), default="dict")
-            add("--value-lo", type=float, default=0.0)
-            add("--value-hi", type=float, default=1000.0)
-            add("--decimals", type=int, default=2)
+            add("--form", choices=("dict", "table"), default="dict", help="ground-truth text form")
+            add("--value-lo", type=float, default=0.0, help="lowest data value")
+            add("--value-hi", type=float, default=1000.0, help="highest data value")
+            add("--decimals", type=int, default=2, help="decimals data values are rounded to")
             add("--pool-file", default=None, help="text pool, one entry per line")
             add("--specs-dir", default=None, help="write render specs under this directory")
         case "validate-format":
@@ -184,7 +185,7 @@ def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
             add("--previous", required=True)
             add("--new", required=True)
             add("--ratio", type=float, default=0.8, help="share of previous to carry over")
-            add("--seed", type=int, default=0)
+            add("--seed", type=int, default=0, help="random seed")
             add("--out", required=True)
 
 

@@ -19,7 +19,7 @@ def _help(*argv):
                           text=True, cwd=ROOT)
 
 
-@pytest.mark.parametrize("sub", ["startup", "scoring", "dedup", "kernel", "parse"])
+@pytest.mark.parametrize("sub", ["scoring", "dedup", "kernel", "parse"])
 def test_compare_subcommand_help_exits_zero(sub):
     done = _help(str(ROOT / "benchmarks" / "compare.py"), sub)
     assert done.returncode == 0, done.stderr
@@ -58,18 +58,24 @@ def test_paired_alternates_the_first_side_and_reports_ratios(compare):
 
     def measure(side):
         order.append(side)
-        return {"t": 2.0 if side == "before" else 1.0}, "same"
+        return 2.0 if side == "before" else 1.0, "same"
 
-    rows, answer = compare.paired(measure)
+    row, answer = compare.paired("t", measure)
     assert order == ["before", "after", "after", "before"] * 2
     assert answer == "same"
-    assert rows == [{"name": "t", "before": 2.0, "after": 1.0, "ratio": 0.5,
-                     "ratio_iqr": [0.5, 0.5], "after_faster": 4, "pairs": 4}]
+    assert row == {"name": "t", "before": 2.0, "after": 1.0, "ratio": 0.5,
+                   "ratio_iqr": [0.5, 0.5], "after_faster": 4, "pairs": 4}
 
 
 def test_paired_stops_when_the_trees_disagree(compare):
-    def measure(side):
-        return {"t": 1.0}, (side == "after")
-
-    with pytest.raises(SystemExit, match="the trees disagree: after gave True in pair 0"):
-        compare.paired(measure)
+    # lists, such as dedup's kept ids, are shown where they first differ
+    cases = [
+        ((False, True), "after gave True in pair 0, before gave False in pair 0"),
+        ((["a", "b", "c"], ["a", "x", "c"]),
+         "after gave 'x' at index 1 in pair 0, before gave 'b' at index 1 in pair 0"),
+        ((["a", "b"], ["a", "b", "c"]), "after gave 3 items in pair 0, before gave 2 in pair 0"),
+    ]
+    for answers, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            compare.paired("t", lambda side: (1.0, answers[side == "after"]))
+        assert str(exc.value) == f"the trees disagree: {message}"

@@ -221,9 +221,11 @@ def test_parse_table_error_position_and_message(text, where):
          "table form cannot hold 'a|b'"),
         (lambda: chart_ap([], [], -0.1), "tolerance must be >= 0"),
         (lambda: ChartGenConfig(decimals=-1), "decimals must be >= 0"),
+        (lambda: ChartGenConfig(value_range=(-1.7e308, 1.7e308)),
+         "value_range width must be finite, got (-1.7e+308, 1.7e+308)"),
     ],
     ids=["series-label", "series-value", "chart-series", "form", "table-cell", "tolerance",
-         "decimals"],
+         "decimals", "value-width"],
 )
 def test_values_built_outside_the_readers_are_checked(make, message):
     with pytest.raises(ValueError) as exc:

@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, report shapes, atomic output, determinism."""
 
+import argparse
 import ast
 import contextlib
 import io
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from ocrkit import charts, corpus, geometry, pagecompose, validators
 from ocrkit.charts import ApReport
-from ocrkit.cli import COMMANDS, VALIDATE_KINDS, main
+from ocrkit.cli import COMMANDS, VALIDATE_KINDS, _add_flags, main
 from ocrkit.commands import render_report
 from ocrkit.corpus import Corpus, Sample, TaskKind, load_records, save_records
 from ocrkit.metrics import MetricReport
@@ -709,6 +710,17 @@ def test_gen_chart_non_finite_value_bound_names_value_range(tmp_path, capsys, fl
     assert not out.exists()
 
 
+def test_gen_chart_value_range_too_wide_to_draw_from_names_value_range(tmp_path, capsys):
+    # each bound is finite, but hi - lo overflows to inf
+    out = tmp_path / "charts.jsonl"
+    argv = ["gen-chart", "--n", "3", "--value-lo=-1.7e308", "--value-hi=1.7e308", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: value_range width must be finite, got (-1.7e+308, 1.7e+308)\n"
+    )
+    assert not out.exists()
+
+
 def test_validate_format_issue_line_format(tmp_path, capsys):
     bad = tmp_path / "bad.kern"
     bad.write_text("**kern\n4c\n")
@@ -954,6 +966,25 @@ def test_every_subcommand_help_exits_zero(sub, capsys):
         main([sub, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: ocrkit {sub} ")
+
+
+@pytest.mark.parametrize("sub", _subcommands())
+def test_every_subcommand_help_prints_its_defaults(sub, capsys):
+    # argparse's ArgumentDefaultsHelpFormatter shows a default only after help text
+    flags = argparse.ArgumentParser()
+    _add_flags(flags, sub)
+    # every flag that takes a value and has one by default; store_true flags take none
+    defaults = [action for action in flags._actions if action.option_strings
+                and action.nargs != 0 and action.default not in (None, argparse.SUPPRESS)]
+    with pytest.raises(SystemExit):
+        main([sub, "--help"])
+    options = capsys.readouterr().out.split("\n\n")[-1]
+    # one entry per flag: its line, and the wrapped lines indented below it
+    entries = [" ".join(entry.split()) for entry in re.split(r"\n(?=  -)", options)[1:]]
+    shown = {entry.split(" ")[0]: entry for entry in entries}
+    for action in defaults:
+        entry = shown[action.option_strings[0]]
+        assert entry.endswith(f" (default: {action.default})"), entry
 
 
 def test_validate_kinds_are_the_validators():
