@@ -37,8 +37,13 @@ class Series(Record):
     __slots__ = ("name", "points")
 
     def __init__(self, name: str, points: tuple[tuple[str, float], ...]):
+        # both readers strip names and labels, so edge whitespace could not round-trip
+        if name != name.strip():
+            raise ValueError(f"series {name!r}: name has edge whitespace")
         seen = set()
         for label, value in points:
+            if label != label.strip():
+                raise ValueError(f"series {name!r}: label {label!r} has edge whitespace")
             if label in seen:
                 raise ValueError(f"series {name!r}: duplicate label {label!r}")
             seen.add(label)
@@ -81,6 +86,12 @@ class ApReport(Record):
 
 _NUMBER_RE = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _ESCAPES = {"\\": "\\", '"': '"', "'": "'", "n": "\n", "t": "\t", "r": "\r"}
+_ESCAPE_CLASS = "[" + re.escape("".join(_ESCAPES)) + "]"
+# a string body: any character but its quote or a backslash, or a supported escape
+_STRING_BODY_RE = {
+    quote: re.compile(rf"[^{quote}\\]*(?:\\{_ESCAPE_CLASS}[^{quote}\\]*)*") for quote in "'\""
+}
+_ESCAPE_RE = re.compile(rf"\\({_ESCAPE_CLASS})")
 
 
 class _DictScanner(Scanner):
@@ -93,26 +104,15 @@ class _DictScanner(Scanner):
         quote = self.peek()
         if quote not in ("'", '"'):  # a tuple: "" at the end of the text is no quote
             raise self.error("expected a quoted string")
-        self.pos += 1
-        out = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self.error("unterminated string")
-            ch = self.text[self.pos]
-            if ch == quote:
-                self.pos += 1
-                return "".join(out)
-            if ch == "\\":
-                esc = self.text[self.pos + 1 : self.pos + 2]
-                if not esc:
-                    raise self.error("unterminated string", len(self.text))
-                if esc not in _ESCAPES:
-                    raise self.error(f"unsupported escape \\{esc}")
-                out.append(_ESCAPES[esc])
-                self.pos += 2
-            else:
-                out.append(ch)
-                self.pos += 1
+        end = _STRING_BODY_RE[quote].match(self.text, self.pos + 1).end()
+        stop = self.text[end : end + 2]
+        if stop[:1] == quote:
+            body = self.text[self.pos + 1 : end]
+            self.pos = end + 1
+            return _ESCAPE_RE.sub(lambda m: _ESCAPES[m[1]], body)
+        if len(stop) == 2:  # a backslash whose escape the body did not take
+            raise self.error(f"unsupported escape \\{stop[1]}", end)
+        raise self.error("unterminated string", len(self.text))
 
     def number(self, name: str, label: str) -> float:
         text, start = self.token(_NUMBER_RE, "a number")

@@ -91,8 +91,8 @@ def check_box(box: BBox, dims: ImageDims | None = None) -> None:
 
 
 def _quantize(coord: float, dim: int) -> int:
-    scaled = math.floor(coord * NORM_SCALE / dim + 0.5)  # round half up
-    return min(max(scaled, 0), NORM_SCALE)
+    # check_box puts coord in [0, dim], so round half up lands in [0, NORM_SCALE]
+    return math.floor(coord * NORM_SCALE / dim + 0.5)
 
 
 def normalize_box(box: BBox, dims: ImageDims) -> NormBox:

@@ -1,7 +1,8 @@
 """Multi-page sample composition and handwriting paste-up layout.
 
 Multi-page samples join 2-8 pages of under-650-token text with a dedicated
-separator line, keeping the joined text within an 8192-token budget.
+separator line; at those limits the joined text always stays within 8192
+tokens.
 Handwriting paste-up places 6-8 line slices onto a blank canvas with seeded
 horizontal jitter and vertical gaps, never overlapping.
 """
@@ -63,17 +64,13 @@ class PasteLayout(Record):
         super().__init__(canvas, placements)
 
 
-def compose_multipage(
-    pool: list[PageSpec],
-    n_pages: int,
-    seed: int,
-    budget: int = TOTAL_TOKEN_BUDGET,
-) -> MultiPageSample:
-    """Deterministically sample pages and join them under the token budget.
+def compose_multipage(pool: list[PageSpec], n_pages: int, seed: int) -> MultiPageSample:
+    """Deterministically sample pages and join them with the separator line.
 
-    Pool indices are shuffled under the seed and walked in order; a page is
-    accepted if it is eligible (token_count < MAX_PAGE_TOKENS, no separator
-    line inside) and keeps the running joined-text total within the budget.
+    The eligible pages (token_count < MAX_PAGE_TOKENS, no separator line
+    inside) are shuffled under the seed and the first ``n_pages`` are taken.
+    No pick can exceed TOTAL_TOKEN_BUDGET: MAX_PAGES pages of at most
+    MAX_PAGE_TOKENS - 1 tokens and their separators stay below it.
     """
     if not MIN_PAGES <= n_pages <= MAX_PAGES:
         raise ValueError(f"n_pages must be in [{MIN_PAGES}, {MAX_PAGES}], got {n_pages}")
@@ -84,26 +81,13 @@ def compose_multipage(
         raise ValueError(
             f"insufficient eligible pages: need {n_pages}, pool has {len(eligible)}"
         )
-    sep_tokens = token_count(PAGE_SEPARATOR)
-    indices = list(range(len(eligible)))
-    random.Random(seed).shuffle(indices)
-    chosen: list[PageSpec] = []
-    running = 0
-    for idx in indices:
-        page = eligible[idx]
-        candidate = running + page.token_count + (sep_tokens if chosen else 0)
-        if candidate > budget:
-            continue
-        chosen.append(page)
-        running = candidate
-        if len(chosen) == n_pages:
-            break
-    if len(chosen) < n_pages:
-        raise ValueError(f"token budget {budget} cannot be satisfied with {n_pages} pages")
+    random.Random(seed).shuffle(eligible)
+    chosen = eligible[:n_pages]
     joined = f"\n{PAGE_SEPARATOR}\n".join(p.text for p in chosen)
     # "\n" is whitespace that NFC never composes across, so page and separator
     # token counts add up to the joined text's count
-    return MultiPageSample(tuple(chosen), joined, running)
+    total = sum(p.token_count for p in chosen) + (n_pages - 1) * token_count(PAGE_SEPARATOR)
+    return MultiPageSample(tuple(chosen), joined, total)
 
 
 def split_multipage(joined_text: str) -> list[str]:

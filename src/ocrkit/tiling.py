@@ -94,7 +94,7 @@ class StitchSpec(Record):
     def from_meta(cls, meta: dict[str, str]) -> "StitchSpec":
         cw, ch = (int(v) for v in meta["stitch_canvas"].split("x"))
         placements = []
-        for part in meta["stitch_placements"].split(";"):
+        for part in filter(None, meta["stitch_placements"].split(";")):
             idx, rest = part.split(":")
             x, y, w, h = (int(v) for v in rest.split(","))
             placements.append(Placement(int(idx), x, y, ImageDims(w, h)))

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ocrkit.charts import (
@@ -17,6 +17,7 @@ from ocrkit.charts import (
     Series,
     ap_report,
     chart_ap,
+    format_number,
     gen_chart_struct,
     parse_chart_output,
     serialize_chart_struct,
@@ -215,6 +216,8 @@ def test_parse_table_error_position_and_message(text, where):
     [
         (lambda: Series("s", (("a", 1.0), ("a", 2.0))), "series 's': duplicate label 'a'"),
         (lambda: Series("s", (("a", math.inf),)), "series 's': value for 'a' not finite"),
+        (lambda: Series(" a", ()), "series ' a': name has edge whitespace"),
+        (lambda: Series("s", (("x\t", 1.0),)), "series 's': label 'x\\t' has edge whitespace"),
         (lambda: ChartStruct((Series("s", ()), Series("s", ()))), "duplicate series name 's'"),
         (lambda: serialize_chart_struct(ChartStruct(), "csv"), "unknown form 'csv'"),
         (lambda: serialize_chart_struct(_struct([("a|b", 1.0)]), "table"),
@@ -224,8 +227,8 @@ def test_parse_table_error_position_and_message(text, where):
         (lambda: ChartGenConfig(value_range=(-1.7e308, 1.7e308)),
          "value_range width must be finite, got (-1.7e+308, 1.7e+308)"),
     ],
-    ids=["series-label", "series-value", "chart-series", "form", "table-cell", "tolerance",
-         "decimals", "value-width"],
+    ids=["series-label", "series-value", "series-name-edge", "series-label-edge", "chart-series",
+         "form", "table-cell", "tolerance", "decimals", "value-width"],
 )
 def test_values_built_outside_the_readers_are_checked(make, message):
     with pytest.raises(ValueError) as exc:
@@ -246,15 +249,26 @@ _CHART_TEXT = st.text(
 )
 
 
+def _quoted(text):
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 @st.composite
 def _chart_texts(draw):
-    # dict-form text of a chart with shared labels, so the table form can apply
+    # dict-form text of a chart with shared labels, so the table form can apply; written
+    # out here, not through Series, so the reader's stripping and strip collisions show
     labels = draw(st.lists(_CHART_TEXT, max_size=4, unique=True))
     names = draw(st.lists(_CHART_TEXT, max_size=3, unique=True))
     values = st.floats(allow_nan=False, allow_infinity=False)
-    series = tuple(Series(n, tuple((label, draw(values)) for label in labels)) for n in names)
+    series = ", ".join(
+        _quoted(n) + ": {"
+        + ", ".join(f"{_quoted(label)}: {format_number(draw(values))}" for label in labels)
+        + "}"
+        for n in names
+    )
     meta = {k: draw(st.none() | _CHART_TEXT) for k in ("title", "source", "x_title", "y_title")}
-    return serialize_chart_struct(ChartStruct(series, **meta), "dict")
+    fields = [f"{_quoted(k)}: {_quoted(v)}" for k, v in meta.items() if v is not None]
+    return "{" + ", ".join(fields + [f'"values": {{{series}}}']) + "}"
 
 
 @given(_chart_texts(), st.sampled_from(["dict", "table"]))
@@ -270,6 +284,33 @@ def test_round_trip_property_parse_serialize_parse(text, form):
         assert form == "table"  # the dict form holds every chart
         return
     assert parse_chart_output(out) == struct
+
+
+@st.composite
+def _chart_structs(draw):
+    # any chart the constructors accept, labels shared so the table form can apply;
+    # half the names are drawn raw, so edge whitespace reaches Series
+    text = _CHART_TEXT.map(str.strip) | _CHART_TEXT
+    labels = draw(st.lists(text, max_size=4, unique=True))
+    names = draw(st.lists(text, max_size=3, unique=True))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    meta = {k: draw(st.none() | _CHART_TEXT) for k in ("title", "source", "x_title", "y_title")}
+    try:
+        series = tuple(Series(n, tuple((label, draw(values)) for label in labels)) for n in names)
+    except ValueError:
+        assume(False)
+    return ChartStruct(series, **meta)
+
+
+@given(_chart_structs(), st.sampled_from(["dict", "table"]))
+@settings(max_examples=300, deadline=None)
+def test_every_accepted_struct_round_trips(struct, form):
+    try:
+        text = serialize_chart_struct(struct, form)
+    except ValueError:
+        assert form == "table"  # the dict form holds every chart
+        return
+    assert parse_chart_output(text) == struct
 
 
 def test_serialize_table_rejects_edge_whitespace_metadata():

@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocrkit.pagecompose import (
+    MAX_PAGE_TOKENS,
+    MAX_PAGES,
     PAGE_SEPARATOR,
+    TOTAL_TOKEN_BUDGET,
     MultiPageSample,
     PageSpec,
     compose_multipage,
@@ -71,18 +74,10 @@ def test_compose_insufficient_pool():
         compose_multipage(POOL[:3], 4, seed=0)
 
 
-def test_compose_budget_unsatisfiable():
-    pool = [_page(i, 400) for i in range(10)]
-    with pytest.raises(ValueError, match="budget"):
-        compose_multipage(pool, 4, seed=0, budget=900)
-
-
-def test_compose_respects_custom_budget_by_skipping():
-    # 3 big pages never fit a 350-token budget together; small ones do
-    pool = [_page(i, 300) for i in range(3)] + [_page(10 + i, 50) for i in range(6)]
-    sample = compose_multipage(pool, 3, seed=2, budget=350)
-    assert sample.total_tokens <= 350
-    assert all(p.token_count == 50 for p in sample.pages[1:])
+def test_page_limits_keep_every_sample_within_the_token_budget():
+    # compose_multipage has no budget check: raising a limit must fail here instead
+    most = MAX_PAGES * (MAX_PAGE_TOKENS - 1) + (MAX_PAGES - 1) * token_count(PAGE_SEPARATOR)
+    assert most <= TOTAL_TOKEN_BUDGET == 8192
 
 
 def test_compose_deterministic():

@@ -139,5 +139,8 @@ def test_stitch_placements_recover_dims_and_disjoint():
 
 
 def test_stitch_meta_round_trip():
-    spec = stitch_pages([ImageDims(300, 400), ImageDims(500, 600)], "vertical")
-    assert StitchSpec.from_meta(spec.to_meta()) == spec
+    for spec in (
+        stitch_pages([ImageDims(300, 400), ImageDims(500, 600)], "vertical"),
+        StitchSpec("horizontal", ImageDims(2, 3), ()),  # writes stitch_placements ""
+    ):
+        assert StitchSpec.from_meta(spec.to_meta()) == spec
