@@ -2,9 +2,9 @@
 """Compare this checkout's ``src`` ("after") with the ``src`` of a git revision ("before").
 
 The revision given by ``--before`` is exported to a temporary directory.
-``kernel``, ``scoring`` and ``parse`` load both trees' ``src/ocrkit`` into
-this process, as two packages under different names, and time plain
-functions of each. ``dedup`` starts a fresh process per tree for every run.
+``scoring`` and ``parse`` load both trees' ``src/ocrkit`` into this
+process, as two packages under different names, and time plain functions
+of each. ``dedup`` starts a fresh process per tree for every run.
 Either way the runs come in 21 (PAIRS) back-to-back pairs, one run of each
 tree, with the first tree alternating from pair to pair, and both
 trees must give the same answer in every run. Each row gives both trees'
@@ -16,7 +16,6 @@ report, with the core count and the Python version, is written as JSON to
     python benchmarks/compare.py scoring --before HEAD       # uncommitted work vs HEAD
     python benchmarks/compare.py scoring --before HEAD~1 --out /tmp/scoring.json
     python benchmarks/compare.py dedup --before HEAD~1
-    python benchmarks/compare.py kernel --before HEAD~1
     python benchmarks/compare.py parse --before HEAD~1
 """
 
@@ -48,7 +47,7 @@ from types import ModuleType
 from typing import Callable
 
 ROOT = Path(__file__).resolve().parents[1]
-SEED = 0  # of the perfbench/inputs.py corpora, the kernel's token pairs and the mutated texts
+SEED = 0  # of the perfbench/inputs.py corpora and the mutated texts
 PAIRS = 21  # back-to-back before/after pairs behind every row
 SIDES = ("before", "after")
 
@@ -58,7 +57,7 @@ def export_src(rev: str, dest: Path) -> Path:
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest)
+        tar.extractall(dest, filter="data")
     return dest / "src"
 
 
@@ -301,41 +300,6 @@ def dedup(trees: dict[str, Path], tmp: Path) -> dict:
     }
 
 
-# --- kernel --------------------------------------------------------------------------
-
-SIZES = (10, 200, 1000, 5000)  # sequence lengths
-ALPHABET = 64  # distinct tokens
-
-
-def kernel(trees: dict[str, Path], tmp: Path) -> dict:
-    """``_kernels.levenshtein`` on seeded pairs of random token tuples.
-
-    At each length in SIZES there are two pairs over ALPHABET distinct
-    tokens: one of equal lengths, and one whose short side has
-    ``length // 20`` tokens, where the kernel reads the short side against
-    the long side as its pattern. Both trees' kernels are loaded into this
-    process and timed on each pair. Both trees must return the same
-    distances.
-    """
-    rng = random.Random(SEED)
-    vocab = [f"t{k}" for k in range(ALPHABET)]
-    kernels = loaded(trees, "_kernels")
-    rows = []
-    for size in SIZES:
-        for short in (size, size // 20):
-            a = tuple(rng.choice(vocab) for _ in range(short))
-            b = tuple(rng.choice(vocab) for _ in range(size))
-            fns = {side: partial(k.levenshtein, a, b) for side, k in kernels.items()}
-            got, distance = calls(f"{size} x {short}", fns, 1e3)
-            rows.append({**got, "distance": distance})
-    return {
-        "workload": f"seed {SEED}, lengths {list(SIZES)}, each at equal length and with a "
-                    f"short side of length // 20, {ALPHABET} distinct tokens",
-        "unit": "ms per levenshtein call",
-        "rows": rows,
-    }
-
-
 # --- parse ---------------------------------------------------------------------------
 
 PARSE_TEXTS = 200  # valid seeded texts per form, timed
@@ -472,7 +436,7 @@ def parse(trees: dict[str, Path], tmp: Path) -> dict:
     }
 
 
-BENCHES = {"scoring": scoring, "dedup": dedup, "kernel": kernel, "parse": parse}
+BENCHES = {"scoring": scoring, "dedup": dedup, "parse": parse}
 
 
 def main() -> int:

@@ -55,7 +55,7 @@ class CorpusFormatError(ValueError):
         self.line = line
 
 
-_NO_META = object()  # Sample's meta default: a fresh {} per sample
+_NO_META: dict[str, str] = {}  # Sample's meta default; Sample stores a copy, never this dict
 _SURROGATE = re.compile("[\ud800-\udfff]")  # a code point UTF-8 cannot hold
 
 
@@ -74,8 +74,6 @@ class Sample(Record):
         image_ref: str | None = None,
         meta: dict[str, str] = _NO_META,
     ):
-        if meta is _NO_META:
-            meta = {}
         kind = task_kind.value if type(task_kind) is TaskKind else task_kind
         fields = (id, kind, ground_truth, prompt, lang, image_ref, meta)
         check_fields(dict(zip(_FIELDS, fields)), _FIELDS, ())
@@ -93,7 +91,7 @@ class Sample(Record):
             if not text.isascii() and (found := _SURROGATE.search(text)):
                 code = ord(found.group())
                 raise ValueError(f"sample {id!r}: lone surrogate U+{code:04X} in a string")
-        super().__init__(id, task_kind, ground_truth, prompt, lang, image_ref, meta)
+        super().__init__(id, task_kind, ground_truth, prompt, lang, image_ref, dict(meta))
 
 
 class Corpus(Record):

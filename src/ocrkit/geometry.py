@@ -383,6 +383,11 @@ def parse_tikz_subset(doc: TikzDoc | str) -> GeomScene:
     lines = source.split("\n")
     if lines[-1] == "":
         lines.pop()
+    return parse_tikz_lines(lines)
+
+
+def parse_tikz_lines(lines: list[str]) -> GeomScene:
+    """Parse TikZ given as its lines, without their line ends; line 1 is ``lines[0]``."""
     elements = []
     for line_no, text in enumerate(lines, start=1):
         if not text.strip():

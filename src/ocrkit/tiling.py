@@ -21,6 +21,8 @@ class ImageDims(Record):
     __slots__ = ("width", "height")
 
     def __init__(self, width: int, height: int):
+        if type(width) is not int or type(height) is not int:
+            raise ValueError(f"image dims must be integers, got {width!r}x{height!r}")
         if width < 1 or height < 1:
             raise ValueError(f"image dims must be positive, got {width}x{height}")
         super().__init__(width, height)

@@ -6,7 +6,8 @@ input (a column may be one past the end of its line): each position is
 computed inside the input, never clamped into it. Checks are deliberately
 syntax-only; chemical valence, musical voice leading and math semantics are
 out of scope. CRLF line endings are normalized and a trailing newline never
-changes the outcome.
+changes the outcome of a non-empty text (an empty text has no lines, a lone
+newline is one blank line).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import re
 
 from ._record import Record
 from ._scan import split_row
-from .geometry import TikzParseError, parse_tikz_subset
 
 
 class Issue(Record):
@@ -280,11 +280,10 @@ def validate_kern(text: str) -> ValidationReport:
 
 def validate_tikz(text: str) -> ValidationReport:
     """Accept exactly the geometry engine's TikZ subset."""
-    source = "\n".join(_lines_of(text))
+    from .geometry import TikzParseError, parse_tikz_lines  # only this check needs the engine
+
     try:
-        # the parser drops one trailing empty line: without the added "\n",
-        # a last line of the input that is blank would go unreported
-        parse_tikz_subset(source + "\n" if source else "")
+        parse_tikz_lines(_lines_of(text))
     except TikzParseError as exc:
         return ValidationReport(False, (Issue(exc.line, exc.column, "TIKZ_SYNTAX", exc.message),))
     return ValidationReport(True, ())

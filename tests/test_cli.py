@@ -861,15 +861,15 @@ _ENGINES = {"ocrkit.charts", "ocrkit.finegrained", "ocrkit.geometry", "ocrkit.pa
 
 
 def _modules_after_main(ocrkit_modules_after, argv):
-    """The ocrkit modules a fresh process loads to run ``ocrkit *argv``."""
+    """The ocrkit modules a fresh process loads to run ``ocrkit *argv``, which must succeed."""
     return set(ocrkit_modules_after(
         "import contextlib, io\n"
         "from ocrkit.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    try:\n"
-        f"        main({argv!r})\n"
-        "    except SystemExit:\n"
-        "        pass"
+        f"        assert main({argv!r}) == 0\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0"
     ))
 
 
@@ -881,13 +881,53 @@ def test_subcommand_help_loads_only_the_front_end(ocrkit_modules_after, sub):
     }
 
 
-@pytest.mark.parametrize("sub, engine", [("gen-geometry", "geometry"), ("gen-chart", "charts")])
-def test_engine_run_loads_its_own_engine_only(ocrkit_modules_after, tmp_path, sub, engine):
-    argv = [sub, "--n", "2", "--out", str(tmp_path / "o")]
+_VALID_INPUTS = {  # file name -> a text that the subcommand reading it accepts
+    "chart.jsonl": json.dumps({"id": "c0", "task_kind": "Chart",
+                               "ground_truth": '{"values": {"s": {"a": 1}}}'}) + "\n",
+    "annotations.jsonl": json.dumps(_ANNOTATION) + "\n",
+    "pool.jsonl": "".join(json.dumps({"page_id": f"p{i}", "text": "tok"}) + "\n" for i in range(2)),
+    "valid.kern": "**kern\n4c\n*-\n",
+    "valid.markdown": "some \\(x\\) and a | table |\n",
+    "valid.smiles": "C1CCCCC1\n",
+    "valid.tikz": "\\draw (0,0) circle (1);\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, engines",
+    [
+        (["chart-score", "--gt", "chart.jsonl", "--pred", "chart.jsonl"], {"charts"}),
+        (["gen-chart", "--n", "2", "--out", "o"], {"charts"}),
+        (["tile-plan", "--width", "2048", "--height", "1024"], {"tiling"}),
+        (["stitch", "--pages", "80x110,60x90", "--orientation", "vertical"], {"tiling"}),
+        # image sizes are tiling.ImageDims, so these runs load tiling too
+        (["make-finegrained", "--input", "annotations.jsonl", "--out", "o"],
+         {"finegrained", "tiling"}),
+        (["compose-pages", "--pool", "pool.jsonl", "--n", "2", "--out", "o"],
+         {"pagecompose", "tiling"}),
+        (["paste-layout", "--slices", "600x70,500x60,400x80,300x50,200x40,100x30",
+          "--canvas", "1240x1754"],
+         {"pagecompose", "tiling"}),
+        (["gen-geometry", "--n", "2", "--out", "o"], {"geometry"}),
+        *((["validate-format", "--kind", kind, f"valid.{kind}"], {"validators"})
+          for kind in ("kern", "markdown", "smiles")),
+        (["validate-format", "--kind", "tikz", "valid.tikz"], {"validators", "geometry"}),
+    ],
+    ids=["chart-score-charts", "gen-chart-charts", "tile-plan-tiling", "stitch-tiling",
+         "make-finegrained-finegrained", "compose-pages-pagecompose",
+         "paste-layout-pagecompose", "gen-geometry-geometry", "validate-format-kern",
+         "validate-format-markdown", "validate-format-smiles", "validate-format-tikz"],
+)
+def test_engine_run_loads_its_own_engine_only(ocrkit_modules_after, tmp_path, argv, engines):
+    for name, text in _VALID_INPUTS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    paths = {*_VALID_INPUTS, "o"}
+    argv = [str(tmp_path / arg) if arg in paths else arg for arg in argv]
     loaded = _modules_after_main(ocrkit_modules_after, argv)
-    assert (tmp_path / "o").is_file()
-    assert loaded & _ENGINES == {f"ocrkit.{engine}"}
-    assert {m for m in loaded if m.startswith("ocrkit.commands.")} == {f"ocrkit.commands.{engine}"}
+    assert "--out" not in argv or (tmp_path / "o").is_file()
+    assert loaded & _ENGINES == {f"ocrkit.{engine}" for engine in engines}
+    handlers = {f"ocrkit.commands.{COMMANDS[argv[0]][1]}"}
+    assert {m for m in loaded if m.startswith("ocrkit.commands.")} == handlers
 
 
 def test_run_as_main_module_executes_the_front_end_once(ocrkit_modules_after, tmp_path):

@@ -13,7 +13,7 @@ import pytest
 
 from ocrkit._record import Record
 from ocrkit.charts import ApReport, ChartGenConfig, ChartStruct, DEFAULT_TEXT_POOL, Series
-from ocrkit.corpus import Corpus, Sample, TaskKind
+from ocrkit.corpus import Corpus, Sample, TaskKind, load_records, save_records
 from ocrkit.finegrained import BBox, ColorPrompt, CropSpec, FrameSpec, NormBox
 from ocrkit.geometry import (
     ALL_KINDS,
@@ -153,6 +153,19 @@ def test_defaults(cls, required, spelled_out):
 def test_each_sample_gets_its_own_meta():
     first, second = Sample("a", TaskKind.CHART, "x"), Sample("b", TaskKind.CHART, "x")
     assert first.meta == {} and first.meta is not second.meta
+
+
+def test_a_sample_copies_the_meta_it_is_given(tmp_path):
+    # a loop that reuses one meta dict gives each sample that row's values
+    meta, samples = {"a": "b"}, []
+    for i in range(2):
+        meta["row"] = str(i)
+        samples.append(Sample(f"s{i}", TaskKind.PLAIN_DOC, "x", meta=meta))
+    meta["k"] = 5
+    assert [s.meta for s in samples] == [{"a": "b", "row": "0"}, {"a": "b", "row": "1"}]
+    corpus = Corpus(tuple(samples))
+    save_records(corpus, tmp_path / "c.jsonl")
+    assert load_records(tmp_path / "c.jsonl") == corpus
 
 
 @pytest.mark.parametrize("cls, values, text", CASES, ids=_ids(CASES))

@@ -70,9 +70,27 @@ def test_max_tiles_respected():
 
 def test_invalid_inputs():
     with pytest.raises(ValueError):
-        ImageDims(0, 5)
-    with pytest.raises(ValueError):
         plan_tiles(ImageDims(5, 5), 0)
+
+
+@pytest.mark.parametrize(
+    "width, height, message",
+    [
+        (0, 5, "image dims must be positive, got 0x5"),
+        (5, -3, "image dims must be positive, got 5x-3"),
+        # a float or bool side would be written where from_meta reads an int
+        (100.5, 50, "image dims must be integers, got 100.5x50"),
+        (100, 50.0, "image dims must be integers, got 100x50.0"),
+        (True, 2, "image dims must be integers, got Truex2"),
+        ("5", 5, "image dims must be integers, got '5'x5"),
+        (-1.5, 0, "image dims must be integers, got -1.5x0"),
+    ],
+    ids=["zero", "negative", "float-width", "float-height", "bool", "str", "float-not-positive"],
+)
+def test_image_dims_constructor_errors(width, height, message):
+    with pytest.raises(ValueError) as exc:
+        ImageDims(width, height)
+    assert str(exc.value) == message
 
 
 def test_plan_matches_oracle_randomized():

@@ -428,6 +428,13 @@ EXACT_ISSUES = [
         [(2, 1, "TIKZ_SYNTAX", "blank line inside drawing")],
         id="tikz-blank-line",
     ),
+    # a lone newline is one blank line, as parse_tikz_subset reads it
+    pytest.param(
+        "tikz",
+        "\n",
+        [(1, 1, "TIKZ_SYNTAX", "blank line inside drawing")],
+        id="tikz-lone-newline",
+    ),
 ]
 
 
