@@ -229,8 +229,9 @@ def dedup_filter(test: Corpus, train: Corpus, threshold: float) -> Corpus:
     Similarity is 1 - normalized character-level edit distance; a test sample
     survives only if its maximum similarity over the training corpus is below
     the threshold. Each pair's distance is computed only up to the largest
-    distance that still drops the sample, so the kernel can stop early; the
-    decision is the one the exact distance gives.
+    distance that still drops the sample, so the kernel can stop early, and
+    a pair whose length gap already exceeds that distance is decided before
+    any token is compared; the decision is the one the exact distance gives.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be within [0, 1]")

@@ -31,11 +31,17 @@ _CJK_RANGES = (
     (0x2E80, 0x2EFF),    # CJK radicals supplement
     (0x3001, 0x303F),    # CJK symbols and punctuation (U+3000 is whitespace)
     (0x3040, 0x30FF),    # hiragana, katakana
+    (0x3100, 0x312F),    # bopomofo
+    (0x31A0, 0x31BF),    # bopomofo extended
+    (0x31F0, 0x31FF),    # katakana phonetic extensions
     (0x3400, 0x4DBF),    # ideographs, extension A
     (0x4E00, 0x9FFF),    # unified ideographs
     (0xF900, 0xFAFF),    # compatibility ideographs
     (0xFF00, 0xFFEF),    # halfwidth and fullwidth forms
+    (0x1AFF0, 0x1B16F),  # kana extended-B, kana supplement, kana extended-A, small kana
     (0x20000, 0x2EBEF),  # ideographs, extensions B-F
+    (0x2EBF0, 0x2EE5F),  # ideographs, extension I
+    (0x30000, 0x323AF),  # ideographs, extensions G-H
 )
 
 _CJK_CLASS = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_RANGES)
@@ -91,8 +97,9 @@ def _check_granularity(granularity: str) -> None:
 def tokenize(text: str, granularity: Granularity) -> TokenSeq:
     """Split NFC-normalized text into tokens.
 
-    Word mode treats every CJK scalar value as its own token and splits the
-    rest on Unicode whitespace; char mode yields every non-whitespace scalar.
+    Word mode treats every scalar value of the CJK blocks (``_CJK_RANGES``)
+    as its own token and splits the rest on Unicode whitespace; char mode
+    yields every non-whitespace scalar.
     """
     _check_granularity(granularity)
     text = unicodedata.normalize("NFC", text)

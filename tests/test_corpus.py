@@ -424,6 +424,20 @@ def test_dedup_similarity_equal_to_threshold_drops():
     assert [s.id for s in dedup_filter(test, train, 0.8).samples] == []
 
 
+def test_dedup_at_the_length_gap_boundary():
+    # threshold 0.9 over max length 10 allows distance 1: a length gap of 1
+    # reaches the threshold, a gap of 2 cannot
+    long = "abcdefghij"
+    train = _corpus(Sample(id="t", task_kind=TaskKind.PLAIN_DOC, ground_truth=long))
+    test = _corpus(_sample(1, long[:9]), _sample(2, long[:8]))
+    assert [s.id for s in dedup_filter(test, train, 0.9).samples] == ["s2"]
+    # mirrored: the test text is the longer one
+    test = _corpus(_sample(1, long))
+    for prefix, kept in ((long[:9], []), (long[:8], ["s1"])):
+        train = _corpus(Sample(id="t", task_kind=TaskKind.PLAIN_DOC, ground_truth=prefix))
+        assert [s.id for s in dedup_filter(test, train, 0.9).samples] == kept
+
+
 # short texts over few characters, whitespace-only ones (no char tokens) included
 DEDUP_TEXTS = st.lists(st.text(st.sampled_from("ab \n"), min_size=1, max_size=9), max_size=6)
 # 0, 1 and thresholds equal to an achievable similarity 1 - k/n, where rounding decides

@@ -133,9 +133,51 @@ def test_limit_caps_at_limit_plus_one():
     assert levenshtein("abc", "", 1) == 2
     assert levenshtein("", "", 0) == 0
     assert levenshtein("abc", "abc", 0) == 0
-    # a length gap above the limit is settled at the first token read
+    # a length gap above the limit is settled before any token is read
     assert levenshtein("ab", "ab" * 50, 97) == 98
     assert levenshtein("ab" * 50, "b", 3) == 4
+
+
+class _Unhashable:
+    # a token the kernel must not look up in its pattern table
+    def __hash__(self):
+        raise AssertionError("token hashed")
+
+
+def test_gap_above_limit_is_decided_before_any_token_is_hashed():
+    long, short = (_Unhashable(),) * 7, (_Unhashable(),) * 3
+    assert levenshtein(long, short, 3) == 4
+    assert levenshtein(short, long, 3) == 4
+    assert levenshtein(long, short[:1], 0) == 1
+    # at gap == limit the distance is exact
+    assert levenshtein("abcdefg", "abc", 4) == 4
+    assert levenshtein("abc", "abcdefg", 4) == 4
+    assert levenshtein("abcdefg", "xyz", 4) == 5
+
+
+# pattern widths at the edges of CPython's 30-bit int digits
+DIGIT_EDGE_PATTERNS = st.sampled_from([1, 2, 29, 30, 31, 59, 60, 61, 89, 90, 91]).flatmap(
+    lambda w: st.lists(TOKENS, min_size=w, max_size=w).map(tuple)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(DIGIT_EDGE_PATTERNS, st.data())
+def test_property_matches_plain_dp_at_digit_edge_widths(pattern, data):
+    w = len(pattern)
+    # a random text, or the pattern with one slice cut out (a small distance)
+    text = data.draw(
+        st.lists(TOKENS, max_size=w).map(tuple)
+        | st.lists(st.integers(0, w), min_size=2, max_size=2).map(sorted).map(
+            lambda ij: pattern[:ij[0]] + pattern[ij[1]:]
+        )
+    )
+    d = _plain_dp(pattern, text)
+    assert levenshtein(pattern, text) == d
+    gap = w - len(text)
+    for k in {*_limits_around(d, pattern, text), gap, gap - 1} - {-1}:
+        assert levenshtein(pattern, text, k) == min(d, k + 1)
+        assert levenshtein(text, pattern, k) == min(d, k + 1)
 
 
 @settings(max_examples=150, deadline=None)

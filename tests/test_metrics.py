@@ -101,7 +101,44 @@ def _oracle_tokens(text, granularity):
 
 # the edges of the CJK ranges, U+3000 (ideographic space), U+001C (a
 # separator str.isspace counts) and U+00A0 (no-break space)
-_TOKENIZER_EDGES = "\u2e7f\u2e80\u3000\u3001\uffef\ufff0\U0002ebef\U0002ebf0\x1c\xa0"
+_TOKENIZER_EDGES = (
+    "\u2e7f\u2e80\u3000\u3001\u30ff\u3100\u312f\u3130\u319f\u31a0\u31bf\u31c0"
+    "\u31ef\u31f0\u31ff\u3200\uffef\ufff0\U0001afef\U0001aff0\U0001b16f\U0001b170"
+    "\U0002ebef\U0002ebf0\U0002ee5f\U0002ee60\U0002ffff\U00030000\U000323af\U000323b0"
+    "\x1c\xa0"
+)
+
+
+# every block whose scalar values are word tokens of their own: first and last code point
+CJK_BLOCKS = [
+    ("CJK radicals supplement", 0x2E80, 0x2EFF),
+    ("CJK symbols and punctuation", 0x3001, 0x303F),
+    ("hiragana", 0x3040, 0x309F),
+    ("katakana", 0x30A0, 0x30FF),
+    ("bopomofo", 0x3100, 0x312F),
+    ("bopomofo extended", 0x31A0, 0x31BF),
+    ("katakana phonetic extensions", 0x31F0, 0x31FF),
+    ("CJK extension A", 0x3400, 0x4DBF),
+    ("CJK unified ideographs", 0x4E00, 0x9FFF),
+    ("CJK compatibility ideographs", 0xF900, 0xFAFF),
+    ("halfwidth and fullwidth forms", 0xFF00, 0xFFEF),
+    ("kana extended-B", 0x1AFF0, 0x1AFFF),
+    ("kana supplement", 0x1B000, 0x1B0FF),
+    ("kana extended-A", 0x1B100, 0x1B12F),
+    ("small kana extension", 0x1B130, 0x1B16F),
+    ("CJK extension B", 0x20000, 0x2A6DF),
+    ("CJK extension F", 0x2CEB0, 0x2EBEF),
+    ("CJK extension I", 0x2EBF0, 0x2EE5F),
+    ("CJK extension G", 0x30000, 0x3134F),
+    ("CJK extension H", 0x31350, 0x323AF),
+]
+
+
+@pytest.mark.parametrize("cp", [cp for _, lo, hi in CJK_BLOCKS for cp in (lo, hi)],
+                         ids=[f"{name}-{cp:04X}" for name, lo, hi in CJK_BLOCKS for cp in (lo, hi)])
+def test_tokenize_cjk_block_edges_are_single_word_tokens(cp):
+    text = unicodedata.normalize("NFC", chr(cp))
+    assert tokenize(chr(cp) * 2, "word").tokens == (text, text)
 
 
 @settings(max_examples=300, deadline=None)
