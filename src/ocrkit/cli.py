@@ -16,6 +16,10 @@ only when its subcommand runs. No ocrkit module imports this one. The
 parser registers every subcommand's name and help, but builds a
 subcommand's own parser, flags included, only when that subcommand parses
 its arguments, so a process builds the parser of the one subcommand it runs.
+
+Importing this module loads no other ocrkit module: the handlers here import
+the record model, the metrics and the shared helpers in their bodies, so
+``--help`` and a usage error load ``ocrkit`` and ``ocrkit.cli`` only.
 """
 
 from __future__ import annotations
@@ -24,10 +28,6 @@ import argparse
 import importlib
 import sys
 from typing import TYPE_CHECKING
-
-from . import corpus
-from .commands import emit_report, load, save_corpus_atomic
-from .metrics import score_corpus
 
 if TYPE_CHECKING:
     from .tiling import ImageDims
@@ -67,13 +67,31 @@ def _positive_int(text: str) -> int:
 # --- subcommand implementations ----------------------------------------------
 
 
+def score_corpus(*args, **kwargs):
+    """``metrics.score_corpus``, imported when first called.
+
+    ``cmd_score`` looks this name up in this module, where
+    ``perfbench/spans.py`` replaces it to pass a traced tokenizer through.
+    ROADMAP item 1's ``benchmark`` change deletes it with the ``tokenizer``
+    parameter.
+    """
+    from .metrics import score_corpus
+
+    return score_corpus(*args, **kwargs)
+
+
 def cmd_score(args) -> int:
+    from .commands import emit_report, load
+
     report = score_corpus(load(args.gt), load(args.pred), args.granularity)
     emit_report(report, args)
     return 0
 
 
 def cmd_dedup(args) -> int:
+    from . import corpus
+    from .commands import load, save_corpus_atomic
+
     test = load(args.test)
     train = load(args.train)
     kept = corpus.dedup_filter(test, train, args.threshold)
@@ -83,6 +101,9 @@ def cmd_dedup(args) -> int:
 
 
 def cmd_mix(args) -> int:
+    from . import corpus
+    from .commands import load, save_corpus_atomic
+
     previous = load(args.previous)
     new = load(args.new)
     mixed = corpus.mix_stages(previous, new, args.ratio, args.seed)

@@ -6,6 +6,10 @@ those subcommands runs. A handler calls its engine's functions through the
 module (``charts.parse_chart_output``), so they are looked up at call time.
 This package holds what every handler, ``ocrkit.cli``'s included, reads and
 writes files with; no module imports ``ocrkit.cli``, so imports run one way.
+Its helpers import ``ocrkit.corpus`` (and so ``ocrkit.metrics``) only when
+they read or write records, so a handler that writes plain files, as
+tile-plan and stitch do, or that only reads text, as validate-format does,
+loads neither.
 """
 
 from __future__ import annotations
@@ -18,9 +22,8 @@ import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-from .. import corpus
-
 if TYPE_CHECKING:
+    from .. import corpus
     from ..charts import ApReport
     from ..metrics import MetricReport
 
@@ -45,6 +48,8 @@ COLUMN_NAMES = {
 def read_aux(path: str, kinds: dict, required: tuple, build: Callable) -> list:
     """build(obj) per line of an auxiliary JSONL file; required[0] is a unique id.
     An error from any line, build's included, reads ``<path>: line N: ...``."""
+    from .. import corpus
+
     rows, seen = [], set()
     try:
         for line, obj in corpus.read_jsonl(path):
@@ -71,6 +76,8 @@ def decode(data: bytes, source: str) -> str:
 
 def load(path: str) -> corpus.Corpus:
     """corpus.load_records, with the file named in its errors."""
+    from .. import corpus
+
     try:
         return corpus.load_records(path)
     except ValueError as exc:
@@ -103,6 +110,8 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 
 def save_corpus_atomic(c: corpus.Corpus, path: str | Path) -> None:
+    from .. import corpus
+
     write_text_atomic(path, corpus.dump_records(c))
 
 

@@ -29,16 +29,24 @@ GRANULARITIES = ("word", "char")
 # Blocks whose scalar values are tokenized individually in word mode.
 _CJK_RANGES = (
     (0x2E80, 0x2EFF),    # CJK radicals supplement
+    (0x2F00, 0x2FDF),    # Kangxi radicals
+    (0x2FF0, 0x2FFF),    # ideographic description characters
     (0x3001, 0x303F),    # CJK symbols and punctuation (U+3000 is whitespace)
     (0x3040, 0x30FF),    # hiragana, katakana
     (0x3100, 0x312F),    # bopomofo
+    (0x3190, 0x319F),    # kanbun
     (0x31A0, 0x31BF),    # bopomofo extended
+    (0x31C0, 0x31EF),    # CJK strokes
     (0x31F0, 0x31FF),    # katakana phonetic extensions
+    (0x3200, 0x32FF),    # enclosed CJK letters and months
+    (0x3300, 0x33FF),    # CJK compatibility
     (0x3400, 0x4DBF),    # ideographs, extension A
     (0x4E00, 0x9FFF),    # unified ideographs
     (0xF900, 0xFAFF),    # compatibility ideographs
+    (0xFE30, 0xFE4F),    # CJK compatibility forms
     (0xFF00, 0xFFEF),    # halfwidth and fullwidth forms
     (0x1AFF0, 0x1B16F),  # kana extended-B, kana supplement, kana extended-A, small kana
+    (0x1F200, 0x1F2FF),  # enclosed ideographic supplement
     (0x20000, 0x2EBEF),  # ideographs, extensions B-F
     (0x2EBF0, 0x2EE5F),  # ideographs, extension I
     (0x30000, 0x323AF),  # ideographs, extensions G-H

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocrkit import charts, corpus, geometry, pagecompose, validators
+from ocrkit import charts, cli, corpus, geometry, metrics, pagecompose, validators
 from ocrkit.charts import ApReport
 from ocrkit.cli import COMMANDS, VALIDATE_KINDS, _add_flags, main
 from ocrkit.commands import render_report
@@ -93,6 +93,40 @@ def test_score_missing_prediction_fails(tmp_path, capsys):
     rc = main(["score", "--gt", str(gt), "--pred", str(pred)])
     assert rc == 1
     assert "missing prediction" in capsys.readouterr().err
+
+
+def test_score_calls_the_score_corpus_of_the_front_end(tmp_path, capsys, monkeypatch):
+    # perfbench's tracer replaces ocrkit.cli.score_corpus to see the scoring call
+    gt = tmp_path / "gt.jsonl"
+    _write_corpus(gt, ["a b", "c"])
+    report = MetricReport(0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2)
+    calls = []
+
+    def score_corpus(gt_corpus, pred_corpus, granularity):
+        calls.append((len(gt_corpus.samples), len(pred_corpus.samples), granularity))
+        return report
+
+    monkeypatch.setattr(cli, "score_corpus", score_corpus)
+    assert main(["score", "--gt", str(gt), "--pred", str(gt), "--granularity", "char"]) == 0
+    assert calls == [(2, 2, "char")]
+    assert capsys.readouterr().out == render_report(report)
+
+
+def test_front_end_score_corpus_forwards_the_tokenizer():
+    texts = ["a b", "你好 世界", "c"]
+    gt = Corpus(tuple(Sample(id=f"s{i}", task_kind=TaskKind.PLAIN_DOC, ground_truth=t)
+                      for i, t in enumerate(texts)))
+    pred = Corpus(tuple(Sample(id=f"s{i}", task_kind=TaskKind.PLAIN_DOC, ground_truth=t + " x")
+                        for i, t in enumerate(texts)))
+    calls = []
+
+    def tokenizer(text, granularity):
+        calls.append(text)
+        return metrics.tokenize(text, granularity)
+
+    report = cli.score_corpus(gt, pred, "word", tokenizer=tokenizer)
+    assert len(calls) == 2 * len(texts)
+    assert report == metrics.score_corpus(gt, pred, "word")
 
 
 def test_chart_score_cli(tmp_path, capsys):
@@ -849,39 +883,65 @@ def test_argument_contract(capsys, argv, code, usage, error):
 # --- import surface ----------------------------------------------------------------------
 
 
-def test_cli_import_loads_only_the_scoring_modules(ocrkit_modules_after):
-    assert ocrkit_modules_after("import ocrkit.cli") == [
-        "ocrkit", "ocrkit._kernels", "ocrkit._record", "ocrkit.cli", "ocrkit.commands",
-        "ocrkit.corpus", "ocrkit.metrics",
-    ]
+_FRONT_END = {"ocrkit", "ocrkit.cli"}
+
+# what score, dedup and mix load: the front end, the shared helpers, the
+# record model and the metrics with their kernel
+_RECORD_MODULES = _FRONT_END | {"ocrkit._kernels", "ocrkit._record", "ocrkit.commands",
+                                "ocrkit.corpus", "ocrkit.metrics"}
+
+
+def test_cli_import_loads_only_the_front_end(ocrkit_modules_after):
+    assert ocrkit_modules_after("import ocrkit.cli") == sorted(_FRONT_END)
 
 
 _ENGINES = {"ocrkit.charts", "ocrkit.finegrained", "ocrkit.geometry", "ocrkit.pagecompose",
             "ocrkit.tiling", "ocrkit.validators"}
 
 
-def _modules_after_main(ocrkit_modules_after, argv):
-    """The ocrkit modules a fresh process loads to run ``ocrkit *argv``, which must succeed."""
-    return set(ocrkit_modules_after(
+def _main_statements(argv, code=0):
+    """Statements that run ``ocrkit *argv`` in process, which must exit with ``code``."""
+    return (
         "import contextlib, io\n"
         "from ocrkit.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    try:\n"
-        f"        assert main({argv!r}) == 0\n"
+        f"        assert main({argv!r}) == {code}\n"
         "    except SystemExit as exc:\n"
-        "        assert exc.code == 0"
-    ))
+        f"        assert exc.code == {code}"
+    )
+
+
+def _modules_after_main(ocrkit_modules_after, argv, code=0):
+    """The ocrkit modules a fresh process loads to run ``ocrkit *argv``."""
+    return set(ocrkit_modules_after(_main_statements(argv, code)))
 
 
 @pytest.mark.parametrize("sub", sorted(COMMANDS))
 def test_subcommand_help_loads_only_the_front_end(ocrkit_modules_after, sub):
-    assert _modules_after_main(ocrkit_modules_after, [sub, "--help"]) == {
-        "ocrkit", "ocrkit._kernels", "ocrkit._record", "ocrkit.cli", "ocrkit.commands",
-        "ocrkit.corpus", "ocrkit.metrics",
-    }
+    assert _modules_after_main(ocrkit_modules_after, [sub, "--help"]) == _FRONT_END
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["-h"], 0), ([], 2), (["nope"], 2), (["dedup", "--test", "a"], 2),
+     (["tile-plan", "--width", "x", "--height", "1"], 2)],
+    ids=["root-help", "no-command", "unknown-command", "missing-flag", "bad-flag-value"],
+)
+def test_root_help_and_usage_errors_load_only_the_front_end(ocrkit_modules_after, argv, code):
+    assert _modules_after_main(ocrkit_modules_after, argv, code) == _FRONT_END
+
+
+@pytest.mark.parametrize("argv", [["-h"], *([sub, "--help"] for sub in sorted(COMMANDS))],
+                         ids=["root", *sorted(COMMANDS)])
+def test_help_loads_neither_json_nor_unicodedata(stdlib_modules_after, argv):
+    loaded = stdlib_modules_after(_main_statements(argv))
+    assert "argparse" in loaded and not loaded & {"json", "unicodedata"}
 
 
 _VALID_INPUTS = {  # file name -> a text that the subcommand reading it accepts
+    "doc.jsonl": json.dumps({"id": "d0", "task_kind": "PlainDoc",
+                             "ground_truth": "a few words"}) + "\n",
     "chart.jsonl": json.dumps({"id": "c0", "task_kind": "Chart",
                                "ground_truth": '{"values": {"s": {"a": 1}}}'}) + "\n",
     "annotations.jsonl": json.dumps(_ANNOTATION) + "\n",
@@ -928,6 +988,29 @@ def test_engine_run_loads_its_own_engine_only(ocrkit_modules_after, tmp_path, ar
     assert loaded & _ENGINES == {f"ocrkit.{engine}" for engine in engines}
     handlers = {f"ocrkit.commands.{COMMANDS[argv[0]][1]}"}
     assert {m for m in loaded if m.startswith("ocrkit.commands.")} == handlers
+    # a run that reads and writes no record file loads neither the record model nor the metrics
+    if argv[0] in {"tile-plan", "stitch", "validate-format"}:
+        assert not loaded & {"ocrkit.corpus", "ocrkit.metrics"}
+    else:
+        assert "ocrkit.corpus" in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["score", "--gt", "doc.jsonl", "--pred", "doc.jsonl"],
+     ["dedup", "--test", "doc.jsonl", "--train", "chart.jsonl", "--out", "o"],
+     ["mix", "--previous", "doc.jsonl", "--new", "chart.jsonl", "--out", "o"]],
+    ids=["score", "dedup", "mix"],
+)
+def test_record_run_loads_the_record_model_and_the_metrics_only(
+    ocrkit_modules_after, tmp_path, argv
+):
+    for name in ("doc.jsonl", "chart.jsonl"):
+        (tmp_path / name).write_text(_VALID_INPUTS[name], encoding="utf-8")
+    argv = [str(tmp_path / arg) if arg in {"doc.jsonl", "chart.jsonl", "o"} else arg
+            for arg in argv]
+    assert _modules_after_main(ocrkit_modules_after, argv) == _RECORD_MODULES
+    assert "--out" not in argv or (tmp_path / "o").is_file()
 
 
 def test_run_as_main_module_executes_the_front_end_once(ocrkit_modules_after, tmp_path):

@@ -106,26 +106,36 @@ _TOKENIZER_EDGES = (
     "\u31ef\u31f0\u31ff\u3200\uffef\ufff0\U0001afef\U0001aff0\U0001b16f\U0001b170"
     "\U0002ebef\U0002ebf0\U0002ee5f\U0002ee60\U0002ffff\U00030000\U000323af\U000323b0"
     "\x1c\xa0"
+    "\u2eff\u2f00\u2fdf\u2fe0\u2fef\u2ff0\u2fff\u318f\u3190\u32ff\u3300\u33ff\u3400"
+    "\ufe2f\ufe30\ufe4f\ufe50\U0001f1ff\U0001f200\U0001f2ff\U0001f300"
 )
 
 
 # every block whose scalar values are word tokens of their own: first and last code point
 CJK_BLOCKS = [
     ("CJK radicals supplement", 0x2E80, 0x2EFF),
+    ("Kangxi radicals", 0x2F00, 0x2FDF),
+    ("ideographic description characters", 0x2FF0, 0x2FFF),
     ("CJK symbols and punctuation", 0x3001, 0x303F),
     ("hiragana", 0x3040, 0x309F),
     ("katakana", 0x30A0, 0x30FF),
     ("bopomofo", 0x3100, 0x312F),
+    ("kanbun", 0x3190, 0x319F),
     ("bopomofo extended", 0x31A0, 0x31BF),
+    ("CJK strokes", 0x31C0, 0x31EF),
     ("katakana phonetic extensions", 0x31F0, 0x31FF),
+    ("enclosed CJK letters and months", 0x3200, 0x32FF),
+    ("CJK compatibility", 0x3300, 0x33FF),
     ("CJK extension A", 0x3400, 0x4DBF),
     ("CJK unified ideographs", 0x4E00, 0x9FFF),
     ("CJK compatibility ideographs", 0xF900, 0xFAFF),
+    ("CJK compatibility forms", 0xFE30, 0xFE4F),
     ("halfwidth and fullwidth forms", 0xFF00, 0xFFEF),
     ("kana extended-B", 0x1AFF0, 0x1AFFF),
     ("kana supplement", 0x1B000, 0x1B0FF),
     ("kana extended-A", 0x1B100, 0x1B12F),
     ("small kana extension", 0x1B130, 0x1B16F),
+    ("enclosed ideographic supplement", 0x1F200, 0x1F2FF),
     ("CJK extension B", 0x20000, 0x2A6DF),
     ("CJK extension F", 0x2CEB0, 0x2EBEF),
     ("CJK extension I", 0x2EBF0, 0x2EE5F),
