@@ -2,16 +2,15 @@
 """Compare this checkout's ``src`` ("after") with the ``src`` of a git revision ("before").
 
 The revision given by ``--before`` is exported to a temporary directory.
-``scoring`` and ``parse`` load both trees' ``src/ocrkit`` into this
-process, as two packages under different names, and time plain functions
-of each. ``dedup`` starts a fresh process per tree for every run.
-Either way the runs come in 21 (PAIRS) back-to-back pairs, one run of each
-tree, with the first tree alternating from pair to pair, and both
-trees must give the same answer in every run. Each row gives both trees'
-medians, the median of the pairs' after/before ratios with its interquartile
-range, and in how many pairs the after tree was faster (ratio below 1). The
-report, with the core count and the Python version, is written as JSON to
-``--out`` (``BENCH_<sub>.json``).
+Every subcommand loads both trees' ``src/ocrkit`` into this process, as
+two packages under different names, and times plain functions of each.
+The runs come in 21 (PAIRS) back-to-back pairs, one run of each tree, with
+the first tree alternating from pair to pair, and both trees must give the
+same answer in every run. Each row gives both trees' medians, the median
+of the pairs' after/before ratios with its interquartile range, and in how
+many pairs the after tree was faster (ratio below 1). The report, with the
+core count and the Python version, is written as JSON to ``--out``
+(``BENCH_<sub>.json``).
 
     python benchmarks/compare.py scoring --before HEAD       # uncommitted work vs HEAD
     python benchmarks/compare.py scoring --before HEAD~1 --out /tmp/scoring.json
@@ -29,7 +28,6 @@ import importlib.util
 import inspect
 import io
 import json
-import multiprocessing
 import os
 import platform
 import random
@@ -40,7 +38,6 @@ import tarfile
 import tempfile
 import time
 import timeit
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 from types import ModuleType
@@ -165,12 +162,6 @@ def calls(name: str, fns: dict[str, Callable[[], object]], scale: float) -> tupl
     return paired(name, measure)
 
 
-def fresh(fn: Callable, *args):
-    """``fn(*args)`` in a new interpreter, which imports this file and the stdlib only."""
-    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-        return pool.submit(fn, *args).result()
-
-
 def print_table(unit: str, rows: list[dict]) -> None:
     print(f"{unit}, median of {PAIRS} pairs; ratio = after / before per pair, its median "
           "and interquartile range; faster = pairs with ratio below 1")
@@ -251,45 +242,27 @@ CHARS = (20, 400)
 THRESHOLD = 0.9
 
 
-def dedup_once(src: str, folder: str) -> tuple[float, list[str]]:
-    """Seconds of one ``dedup_filter`` call of the tree at ``src``, and the kept ids."""
-    load(Path(src), "ocrkit_tree")
-    corpus = importlib.import_module("ocrkit_tree.corpus")
-    test = corpus.load_records(Path(folder) / "test.jsonl")
-    train = corpus.load_records(Path(folder) / "train.jsonl")
-    seconds, kept = batch(lambda: corpus.dedup_filter(test, train, THRESHOLD), 1)
-    return seconds, [s.id for s in kept.samples]
-
-
 def dedup(trees: dict[str, Path], tmp: Path) -> dict:
     """``dedup_filter`` on a seeded corpus of 100 test x 1000 training texts.
 
     The corpus comes from the ``dedup-lines`` generator of
     ``perfbench/inputs.py`` (texts of 20 to 400 characters, one test text in
     ten a light edit of a training text) and is filtered at threshold 0.9.
-    Every run is a fresh process, which loads both files untimed and then
-    times one ``dedup_filter`` call, tokenization included. Both trees must
-    keep the same test ids.
-
-    Timing the call in this process through ``calls()`` instead buys no
-    precision. On two identical trees (Python 3.11.7, 2-core VM, 8 pairs per
-    run, ~4.5 s per call), two in-process runs read median ratios 0.971
-    (IQR [0.822, 1.053], after faster 5/8) and 1.032 ([0.983, 1.080], 3/8);
-    an earlier pair of runs read 1.034 (2/8) and 1.078 ([1.009, 1.158], 1/8).
-    Two runs with fresh processes read 1.074 ([0.951, 1.130], 3/8) and 0.986
-    ([0.924, 1.098], 5/8). In one process the second tree's call also
-    starts on a heap the first tree's call has churned, which a fresh
-    process rules out.
+    Both trees are loaded into this process, and each reads both files once,
+    untimed. The row times ``dedup_filter`` calls, tokenization included.
+    Both trees must keep the same test ids.
     """
     folder = write_corpus("dedup-lines",
                           {"dedup_test": TEST, "dedup_train": TRAIN, "dedup_chars": CHARS},
                           tmp / "corpus")
+    corpus = loaded(trees, "corpus")
 
-    def measure(side: str) -> tuple[float, list[str]]:
-        seconds, kept = fresh(dedup_once, str(trees[side]), str(folder))
-        return seconds * 1e3, kept
+    def kept_ids(side: str) -> Callable[[], list[str]]:
+        c = corpus[side]
+        test, train = c.load_records(folder / "test.jsonl"), c.load_records(folder / "train.jsonl")
+        return lambda: [s.id for s in c.dedup_filter(test, train, THRESHOLD).samples]
 
-    got, kept = paired("dedup_filter", measure)
+    got, kept = calls("dedup_filter", {side: kept_ids(side) for side in SIDES}, 1e3)
     print(f"both trees keep the same {len(kept)} test ids")
     return {
         "workload": f"perfbench dedup-lines generator, seed {SEED}, {TEST} test x {TRAIN} "
@@ -450,7 +423,7 @@ def main() -> int:
         sub.add_argument("--before", required=True, help="git revision to compare with")
         sub.add_argument("--out", default=f"BENCH_{name}.json")
     args = parser.parse_args()
-    # One CPU for this process and its children, so both trees run on the same core.
+    # One CPU for this process, so both trees run on the same core.
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
     with tempfile.TemporaryDirectory() as tmp:

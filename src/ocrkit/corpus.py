@@ -37,12 +37,29 @@ class TaskKind(str, Enum):
 
 LANGS = ("en", "zh", "other")
 
+
+class _Meta(dict):
+    """A sample's meta map: a dict whose methods that would change it raise TypeError."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a sample's meta is read-only; build a new Sample to change it")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        # copy and pickle would otherwise refill the new map item by item
+        return _Meta, (dict(self),)
+
+
 # A field kind is the tuple of JSON value types the field may hold; the test is
-# type(value) in kind, so a bool is never an int.
+# type(value) in kind, so a bool is never an int. A Sample also takes the stored
+# meta map of another Sample, so that copies and Sample(**s.as_dict()) work.
 _TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object", type(None): "null"}
 _FIELDS = {  # every record field and its kind, in check order
     "id": (str,), "task_kind": (str,), "ground_truth": (str,), "prompt": (str,), "lang": (str,),
-    "image_ref": (str, type(None)), "meta": (dict,),
+    "image_ref": (str, type(None)), "meta": (dict, _Meta),
 }
 _REQUIRED = ("id", "task_kind", "ground_truth")
 
@@ -55,12 +72,16 @@ class CorpusFormatError(ValueError):
         self.line = line
 
 
-_NO_META: dict[str, str] = {}  # Sample's meta default; Sample stores a copy, never this dict
+_NO_META: dict[str, str] = {}  # Sample's meta default; Sample stores a read-only copy
 _SURROGATE = re.compile("[\ud800-\udfff]")  # a code point UTF-8 cannot hold
 
 
 class Sample(Record):
-    """One record; construction applies every check the record loader applies."""
+    """One record; construction applies every check the record loader applies.
+
+    ``meta`` is stored as a read-only copy of the map given: a change to it
+    raises TypeError.
+    """
 
     __slots__ = ("id", "task_kind", "ground_truth", "prompt", "lang", "image_ref", "meta")
 
@@ -91,7 +112,7 @@ class Sample(Record):
             if not text.isascii() and (found := _SURROGATE.search(text)):
                 code = ord(found.group())
                 raise ValueError(f"sample {id!r}: lone surrogate U+{code:04X} in a string")
-        super().__init__(id, task_kind, ground_truth, prompt, lang, image_ref, dict(meta))
+        super().__init__(id, task_kind, ground_truth, prompt, lang, image_ref, _Meta(meta))
 
 
 class Corpus(Record):
@@ -151,7 +172,8 @@ def check_fields(obj: dict, kinds: dict[str, tuple[type, ...]], required: tuple[
             raise ValueError(f"missing field {name!r}")
     for name, kind in kinds.items():
         if name in obj and type(obj[name]) not in kind:
-            raise ValueError(f"field {name!r} must be {' or '.join(map(_TYPE_NAMES.get, kind))}")
+            names = (_TYPE_NAMES[t] for t in kind if t in _TYPE_NAMES)
+            raise ValueError(f"field {name!r} must be {' or '.join(names)}")
 
 
 def load_records(path: str | Path) -> Corpus:

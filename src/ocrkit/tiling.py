@@ -8,6 +8,7 @@ are pure geometry and serialize into corpus record meta maps.
 
 from __future__ import annotations
 
+import re
 from typing import Literal
 
 from ._record import Record
@@ -15,6 +16,32 @@ from ._record import Record
 TILE_PX = 1024
 
 Orientation = Literal["horizontal", "vertical"]
+
+
+def _meta_value(meta: dict[str, str], key: str) -> str:
+    """``meta[key]``; ValueError if the key is missing or its value is not a string."""
+    if key not in meta:
+        raise ValueError(f"meta has no {key!r}")
+    if type(meta[key]) is not str:
+        raise ValueError(f"meta {key!r} must be a string, got {meta[key]!r}")
+    return meta[key]
+
+
+def _meta_numbers(
+    meta: dict[str, str], key: str, form: str, parts: bool = False
+) -> list[tuple[int, ...]]:
+    """The integers of ``meta[key]``, which must read as ``form`` with a decimal integer
+    at each ``<name>``: one tuple of them, or with ``parts`` one per ``;``-separated part
+    (none for an empty value)."""
+    text = _meta_value(meta, key)
+    pattern = re.sub(r"<\w+>", "([0-9]+)", form)
+    numbers = []
+    for part in (text.split(";") if text else []) if parts else [text]:
+        found = re.fullmatch(pattern, part)
+        if found is None:
+            raise ValueError(f"meta {key!r}: {part!r} is not {form}")
+        numbers.append(tuple(map(int, found.groups())))
+    return numbers
 
 
 class ImageDims(Record):
@@ -58,13 +85,14 @@ class TilePlan(Record):
 
     @classmethod
     def from_meta(cls, meta: dict[str, str]) -> "TilePlan":
-        cols, rows = (int(v) for v in meta["tile_grid"].split("x"))
-        rects = tuple(
-            Rect(*(int(v) for v in part.split(",")))
-            for part in meta["tile_rects"].split(";")
-            if part
-        )
-        return cls(cols, rows, meta["tile_thumbnail"] == "1", rects, int(meta["tile_px"]))
+        """The plan ``to_meta`` wrote; ValueError if ``meta`` does not hold one."""
+        [(cols, rows)] = _meta_numbers(meta, "tile_grid", "<cols>x<rows>")
+        [(tile_px,)] = _meta_numbers(meta, "tile_px", "<px>")
+        thumbnail = _meta_value(meta, "tile_thumbnail")
+        if thumbnail not in ("0", "1"):
+            raise ValueError(f"meta 'tile_thumbnail': {thumbnail!r} is not 0 or 1")
+        rects = _meta_numbers(meta, "tile_rects", "<x>,<y>,<w>,<h>", parts=True)
+        return cls(cols, rows, thumbnail == "1", tuple(Rect(*r) for r in rects), tile_px)
 
 
 class Placement(Record):
@@ -80,6 +108,8 @@ class StitchSpec(Record):
     def __init__(
         self, orientation: Orientation, canvas: ImageDims, placements: tuple[Placement, ...]
     ):
+        if orientation not in ("horizontal", "vertical"):
+            raise ValueError(f"unknown orientation {orientation!r}")
         super().__init__(orientation, canvas, placements)
 
     def to_meta(self) -> dict[str, str]:
@@ -94,13 +124,15 @@ class StitchSpec(Record):
 
     @classmethod
     def from_meta(cls, meta: dict[str, str]) -> "StitchSpec":
-        cw, ch = (int(v) for v in meta["stitch_canvas"].split("x"))
-        placements = []
-        for part in filter(None, meta["stitch_placements"].split(";")):
-            idx, rest = part.split(":")
-            x, y, w, h = (int(v) for v in rest.split(","))
-            placements.append(Placement(int(idx), x, y, ImageDims(w, h)))
-        return cls(meta["stitch_orientation"], ImageDims(cw, ch), tuple(placements))
+        """The spec ``to_meta`` wrote; ValueError if ``meta`` does not hold one."""
+        orientation = _meta_value(meta, "stitch_orientation")
+        [(width, height)] = _meta_numbers(meta, "stitch_canvas", "<width>x<height>")
+        placements = _meta_numbers(meta, "stitch_placements", "<page>:<x>,<y>,<w>,<h>", parts=True)
+        return cls(
+            orientation,
+            ImageDims(width, height),
+            tuple(Placement(i, x, y, ImageDims(w, h)) for i, x, y, w, h in placements),
+        )
 
 
 def _cuts(total: int, parts: int) -> list[int]:
@@ -153,8 +185,6 @@ def stitch_pages(pages: list[ImageDims], orientation: Orientation) -> StitchSpec
     vertical is top-to-bottom left-aligned."""
     if len(pages) < 2:
         raise ValueError("stitching needs at least 2 pages")
-    if orientation not in ("horizontal", "vertical"):
-        raise ValueError(f"unknown orientation {orientation!r}")
     placements = []
     offset = 0
     if orientation == "horizontal":

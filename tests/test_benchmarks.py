@@ -1,5 +1,6 @@
-"""The benchmark scripts start, their argument tables are sound, and the paired
-timer of ``benchmarks/compare.py`` pairs, alternates and checks answers."""
+"""The benchmark scripts start, their argument tables are sound, the paired
+timer of ``benchmarks/compare.py`` pairs, alternates and checks answers, and
+its ``dedup`` bench runs both trees in this process."""
 
 import importlib
 import importlib.util
@@ -103,3 +104,23 @@ def test_export_src_refuses_a_member_outside_its_folder(compare, monkeypatch, tm
         with pytest.raises(tarfile.OutsideDestinationError):
             compare.export_src("HEAD", tmp_path / "tree")
     assert not (tmp_path / "outside").exists()
+
+
+def test_dedup_times_both_trees_in_this_process(compare, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(compare, "TEST", 10)
+    monkeypatch.setattr(compare, "TRAIN", 30)
+    monkeypatch.setattr(compare, "CHARS", (20, 60))
+    monkeypatch.setattr(sys, "path", list(sys.path))  # write_corpus puts perfbench first
+    known = set(sys.modules)
+    try:
+        result = compare.dedup({side: ROOT / "src" for side in compare.SIDES}, tmp_path)
+    finally:
+        for name in set(sys.modules) - known:
+            del sys.modules[name]
+    assert set(result) == {"workload", "unit", "rows", "kept"}
+    [row] = result["rows"]
+    assert set(row) == {"name", "before", "after", "ratio", "ratio_iqr", "after_faster", "pairs"}
+    assert (row["name"], row["pairs"]) == ("dedup_filter", 4)
+    # the one test text planted as a light edit of a training text is dropped
+    assert result["kept"] == 9
+    assert capsys.readouterr().out == "both trees keep the same 9 test ids\n"

@@ -260,3 +260,29 @@ def test_record_init_leaves_the_record_immutable():
     with pytest.raises(AttributeError):
         pair.third = 3
     assert pair == _Pair("one", 2)
+
+
+_META_CHANGES = {
+    "setitem": lambda meta: meta.__setitem__("k", 5),
+    "delitem": lambda meta: meta.__delitem__("a"),
+    "ior": lambda meta: meta.__ior__({"k": "v"}),
+    "clear": lambda meta: meta.clear(),
+    "pop": lambda meta: meta.pop("a"),
+    "popitem": lambda meta: meta.popitem(),
+    "setdefault": lambda meta: meta.setdefault("k", "v"),
+    "update": lambda meta: meta.update(k="v"),
+}
+
+
+@pytest.mark.parametrize("change", _META_CHANGES.values(), ids=_META_CHANGES)
+def test_a_sample_meta_is_read_only(change, tmp_path):
+    sample = Sample("s1", TaskKind.PLAIN_DOC, "x", meta={"a": "b"})
+    copies = (copy.copy(sample), copy.deepcopy(sample), pickle.loads(pickle.dumps(sample)),
+              Sample(**sample.as_dict()))
+    for record in (sample, *copies):
+        with pytest.raises(TypeError) as exc:
+            change(record.meta)
+        assert str(exc.value) == "a sample's meta is read-only; build a new Sample to change it"
+        assert record.meta == {"a": "b"} and record == sample
+    save_records(Corpus((sample,)), tmp_path / "c.jsonl")
+    assert load_records(tmp_path / "c.jsonl") == Corpus((sample,))
