@@ -140,10 +140,16 @@ class Corpus(Record):
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) per line, split on LF only (so U+2028 stays
-    in its string); a blank line, bad JSON, a non-object or a lone surrogate
-    is a CorpusFormatError."""
+    in its string); a byte that is not UTF-8, a blank line, bad JSON, a
+    non-object or a lone surrogate is a CorpusFormatError."""
     # bytes, not read_text: universal-newline mode would turn a bare CR into a line break
-    lines = Path(path).read_bytes().decode("utf-8").split("\n")
+    data = Path(path).read_bytes()
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        message = f"invalid UTF-8 byte 0x{data[exc.start]:02x} ({exc.reason})"
+        raise CorpusFormatError(lineno, message) from exc
     if lines[-1] == "":
         lines.pop()
     for lineno, raw in enumerate(lines, start=1):
@@ -155,12 +161,10 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             raise CorpusFormatError(lineno, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
         if not isinstance(obj, dict):
             raise CorpusFormatError(lineno, "record is not an object")
-        if "\\u" in raw:  # only an escape decodes to a lone surrogate, which UTF-8 cannot hold
-            try:
-                json.dumps(obj, ensure_ascii=False).encode("utf-8")
-            except UnicodeEncodeError as exc:
-                code = ord(exc.object[exc.start])
-                raise CorpusFormatError(lineno, f"lone surrogate U+{code:04X} in a string") from exc
+        # only an escape decodes to a lone surrogate, which UTF-8 cannot hold
+        if "\\u" in raw and (found := _SURROGATE.search(json.dumps(obj, ensure_ascii=False))):
+            code = ord(found.group())
+            raise CorpusFormatError(lineno, f"lone surrogate U+{code:04X} in a string")
         yield lineno, obj
 
 

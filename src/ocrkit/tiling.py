@@ -3,12 +3,11 @@
 Oversized images are split into at most ``max_tiles`` window-sized tiles by
 picking the grid whose column/row ratio best matches the image aspect ratio;
 multi-page inputs are stitched edge to edge into one large canvas. Both plans
-are pure geometry and serialize into corpus record meta maps.
+are pure geometry.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Literal
 
 from ._record import Record
@@ -16,32 +15,6 @@ from ._record import Record
 TILE_PX = 1024
 
 Orientation = Literal["horizontal", "vertical"]
-
-
-def _meta_value(meta: dict[str, str], key: str) -> str:
-    """``meta[key]``; ValueError if the key is missing or its value is not a string."""
-    if key not in meta:
-        raise ValueError(f"meta has no {key!r}")
-    if type(meta[key]) is not str:
-        raise ValueError(f"meta {key!r} must be a string, got {meta[key]!r}")
-    return meta[key]
-
-
-def _meta_numbers(
-    meta: dict[str, str], key: str, form: str, parts: bool = False
-) -> list[tuple[int, ...]]:
-    """The integers of ``meta[key]``, which must read as ``form`` with a decimal integer
-    at each ``<name>``: one tuple of them, or with ``parts`` one per ``;``-separated part
-    (none for an empty value)."""
-    text = _meta_value(meta, key)
-    pattern = re.sub(r"<\w+>", "([0-9]+)", form)
-    numbers = []
-    for part in (text.split(";") if text else []) if parts else [text]:
-        found = re.fullmatch(pattern, part)
-        if found is None:
-            raise ValueError(f"meta {key!r}: {part!r} is not {form}")
-        numbers.append(tuple(map(int, found.groups())))
-    return numbers
 
 
 class ImageDims(Record):
@@ -75,25 +48,6 @@ class TilePlan(Record):
     ):
         super().__init__(grid_cols, grid_rows, include_thumbnail, tile_rects, tile_px)
 
-    def to_meta(self) -> dict[str, str]:
-        return {
-            "tile_grid": f"{self.grid_cols}x{self.grid_rows}",
-            "tile_px": str(self.tile_px),
-            "tile_thumbnail": "1" if self.include_thumbnail else "0",
-            "tile_rects": ";".join(f"{r.x},{r.y},{r.w},{r.h}" for r in self.tile_rects),
-        }
-
-    @classmethod
-    def from_meta(cls, meta: dict[str, str]) -> "TilePlan":
-        """The plan ``to_meta`` wrote; ValueError if ``meta`` does not hold one."""
-        [(cols, rows)] = _meta_numbers(meta, "tile_grid", "<cols>x<rows>")
-        [(tile_px,)] = _meta_numbers(meta, "tile_px", "<px>")
-        thumbnail = _meta_value(meta, "tile_thumbnail")
-        if thumbnail not in ("0", "1"):
-            raise ValueError(f"meta 'tile_thumbnail': {thumbnail!r} is not 0 or 1")
-        rects = _meta_numbers(meta, "tile_rects", "<x>,<y>,<w>,<h>", parts=True)
-        return cls(cols, rows, thumbnail == "1", tuple(Rect(*r) for r in rects), tile_px)
-
 
 class Placement(Record):
     __slots__ = ("page_index", "x", "y", "dims")
@@ -111,28 +65,6 @@ class StitchSpec(Record):
         if orientation not in ("horizontal", "vertical"):
             raise ValueError(f"unknown orientation {orientation!r}")
         super().__init__(orientation, canvas, placements)
-
-    def to_meta(self) -> dict[str, str]:
-        parts = ";".join(
-            f"{p.page_index}:{p.x},{p.y},{p.dims.width},{p.dims.height}" for p in self.placements
-        )
-        return {
-            "stitch_orientation": self.orientation,
-            "stitch_canvas": f"{self.canvas.width}x{self.canvas.height}",
-            "stitch_placements": parts,
-        }
-
-    @classmethod
-    def from_meta(cls, meta: dict[str, str]) -> "StitchSpec":
-        """The spec ``to_meta`` wrote; ValueError if ``meta`` does not hold one."""
-        orientation = _meta_value(meta, "stitch_orientation")
-        [(width, height)] = _meta_numbers(meta, "stitch_canvas", "<width>x<height>")
-        placements = _meta_numbers(meta, "stitch_placements", "<page>:<x>,<y>,<w>,<h>", parts=True)
-        return cls(
-            orientation,
-            ImageDims(width, height),
-            tuple(Placement(i, x, y, ImageDims(w, h)) for i, x, y, w, h in placements),
-        )
 
 
 def _cuts(total: int, parts: int) -> list[int]:

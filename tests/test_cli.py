@@ -172,6 +172,15 @@ def test_tile_plan_output(tmp_path, capsys):
     assert len(plan["tile_rects"]) == 4
 
 
+def test_tile_plan_json_bytes(tmp_path, capsys):
+    out = tmp_path / "plan.json"
+    assert main(["tile-plan", "--width", "2048", "--height", "1024", "--json", str(out)]) == 0
+    assert capsys.readouterr().out == "2x1 (+thumbnail)\n"
+    expected = {"grid_cols": 2, "grid_rows": 1, "tile_px": 1024, "include_thumbnail": True,
+                "tile_rects": [[0, 0, 1024, 1024], [1024, 0, 1024, 1024]]}
+    assert out.read_text() == json.dumps(expected, indent=2) + "\n"
+
+
 def test_stitch_output(capsys):
     assert main(["stitch", "--pages", "800x1100,800x1100", "--orientation", "horizontal"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -508,7 +517,7 @@ def _page_row(sid, text):
     return json.dumps({"page_id": sid, "text": text})
 
 
-@pytest.mark.parametrize(
+_EVERY_JSONL_READER = pytest.mark.parametrize(
     "argv, row",
     [
         (["score", "--gt", "{good}", "--pred", "{bad}", "--json", "{out}"], _record_row),
@@ -520,6 +529,9 @@ def _page_row(sid, text):
     ],
     ids=["score", "chart-score", "dedup", "mix", "make-finegrained", "compose-pages"],
 )
+
+
+@_EVERY_JSONL_READER
 def test_lone_surrogate_is_rejected_where_it_is_read(tmp_path, capsys, argv, row):
     good, bad, out = tmp_path / "good.jsonl", tmp_path / "bad.jsonl", tmp_path / "out"
     _write_corpus(good, ["text"])
@@ -528,6 +540,19 @@ def test_lone_surrogate_is_rejected_where_it_is_read(tmp_path, capsys, argv, row
     assert main([arg.format(good=good, bad=bad, out=out) for arg in argv]) == 1
     [err] = capsys.readouterr().err.splitlines()
     assert err == f"error: {bad}: line 2: lone surrogate U+D800 in a string"
+    assert not out.exists()
+
+
+@_EVERY_JSONL_READER
+def test_undecodable_byte_is_rejected_naming_its_line(tmp_path, capsys, argv, row):
+    good, bad, out = tmp_path / "good.jsonl", tmp_path / "bad.jsonl", tmp_path / "out"
+    _write_corpus(good, ["text"])
+    text = row("s0", "text") + "\n" + row("s1", "BAD") + "\n"
+    bad.write_bytes(text.encode().replace(b"BAD", b"\xff"))
+    assert main([arg.format(good=good, bad=bad, out=out) for arg in argv]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {bad}: line 2: invalid UTF-8 byte 0xff (invalid start byte)\n"
+    )
     assert not out.exists()
 
 

@@ -179,6 +179,8 @@ def _line(**fields):
         (_line(ground_truth="x\ud800"), "line 1: lone surrogate U+D800 in a string"),
         (_line(meta={"\udfff": "v"}), "line 1: lone surrogate U+DFFF in a string"),
         (_line(meta={"k": "\ude00\ud83d"}), "line 1: lone surrogate U+DE00 in a string"),
+        (json.dumps({**_OK, "meta": {"\udc00": "v"}, "prompt": "\ud801"}) + "\n",
+         "line 1: lone surrogate U+DC00 in a string"),
     ],
 )
 def test_format_error_messages(tmp_path, text, message):
@@ -205,6 +207,48 @@ def test_overlong_integer_is_a_format_error(tmp_path):
     with pytest.raises(CorpusFormatError) as exc:
         load_records(path)
     assert exc.value.line == 1
+
+
+@pytest.mark.parametrize(
+    "data, line, message",
+    [
+        (_line().encode() + b'{"id": "\xff"}\n', 2,
+         "line 2: invalid UTF-8 byte 0xff (invalid start byte)"),
+        (_line().encode().replace(b"\n", b"\r\n") * 2 + b'{"id": "\xe4x"}', 3,
+         "line 3: invalid UTF-8 byte 0xe4 (invalid continuation byte)"),
+        (b'{"id": "\xe4\xbd', 1, "line 1: invalid UTF-8 byte 0xe4 (unexpected end of data)"),
+    ],
+    ids=["start-byte", "crlf-continuation", "truncated"],
+)
+def test_undecodable_byte_names_its_line(tmp_path, data, line, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(CorpusFormatError) as exc:
+        load_records(path)
+    assert (exc.value.line, str(exc.value)) == (line, message)
+
+
+_RECORD_LINES = [_line(id="a").encode(), _line(id="b", meta={"k": "你"}).encode(),
+                 b'{"schema_version": 2}\n', b"\n"]
+
+
+def _spliced(line: bytes, at: int, junk: bytes) -> bytes:
+    return line[:at] + junk + line[at:]
+
+
+@given(st.lists(
+    st.binary(max_size=8)
+    | st.builds(_spliced, st.sampled_from(_RECORD_LINES), st.integers(0, 60), st.binary(max_size=3)),
+    max_size=4,
+).map(b"".join))
+@settings(max_examples=300, deadline=None)
+def test_load_records_returns_a_corpus_or_raises_format_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "any_bytes.jsonl"
+    path.write_bytes(data)
+    try:
+        assert type(load_records(path)) is Corpus
+    except CorpusFormatError:
+        pass
 
 
 def test_bare_cr_between_json_tokens_loads(tmp_path):

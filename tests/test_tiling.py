@@ -4,10 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from ocrkit.tiling import ImageDims, StitchSpec, TilePlan, plan_tiles, stitch_pages
+from ocrkit.tiling import ImageDims, StitchSpec, plan_tiles, stitch_pages
 
 
 def oracle_grid(w, h, max_tiles=12):
@@ -80,7 +78,6 @@ def test_invalid_inputs():
     [
         (0, 5, "image dims must be positive, got 0x5"),
         (5, -3, "image dims must be positive, got 5x-3"),
-        # a float or bool side would be written where from_meta reads an int
         (100.5, 50, "image dims must be integers, got 100.5x50"),
         (100, 50.0, "image dims must be integers, got 100x50.0"),
         (True, 2, "image dims must be integers, got Truex2"),
@@ -110,11 +107,6 @@ def test_rect_positions_cover_grid():
     _check_partition(plan, dims)
     first = plan.tile_rects[0]
     assert (first.x, first.y) == (0, 0)
-
-
-def test_tileplan_meta_round_trip():
-    plan = plan_tiles(ImageDims(3000, 1300))
-    assert TilePlan.from_meta(plan.to_meta()) == plan
 
 
 def test_stitch_horizontal_example():
@@ -158,81 +150,9 @@ def test_stitch_placements_recover_dims_and_disjoint():
             assert a1 <= b0
 
 
-def test_stitch_meta_round_trip():
-    for spec in (
-        stitch_pages([ImageDims(300, 400), ImageDims(500, 600)], "vertical"),
-        StitchSpec("horizontal", ImageDims(2, 3), ()),  # writes stitch_placements ""
-    ):
-        assert StitchSpec.from_meta(spec.to_meta()) == spec
-
-
 def test_stitch_spec_refuses_an_unknown_orientation():
     for make in (lambda: StitchSpec("diagonal", ImageDims(2, 3), ()),
                  lambda: stitch_pages([ImageDims(10, 10)] * 2, "diagonal")):
         with pytest.raises(ValueError) as exc:
             make()
         assert str(exc.value) == "unknown orientation 'diagonal'"
-
-
-_TILE_META = plan_tiles(ImageDims(2048, 1024)).to_meta()  # grid 2x1, two rects
-_STITCH_META = stitch_pages([ImageDims(3, 4), ImageDims(5, 6)], "vertical").to_meta()
-
-
-def _tile(**changes):
-    return {**_TILE_META, **changes}
-
-
-def _stitch(**changes):
-    return {**_STITCH_META, **changes}
-
-
-@pytest.mark.parametrize(
-    "cls, meta, message",
-    [
-        (TilePlan, {}, "meta has no 'tile_grid'"),
-        (TilePlan, _tile(tile_px=None), "meta 'tile_px' must be a string, got None"),
-        (TilePlan, _tile(tile_grid="2by1"), "meta 'tile_grid': '2by1' is not <cols>x<rows>"),
-        (TilePlan, _tile(tile_grid="2x"), "meta 'tile_grid': '2x' is not <cols>x<rows>"),
-        (TilePlan, _tile(tile_px="-5"), "meta 'tile_px': '-5' is not <px>"),
-        (TilePlan, _tile(tile_px="１０"), "meta 'tile_px': '１０' is not <px>"),
-        (TilePlan, _tile(tile_thumbnail="yes"), "meta 'tile_thumbnail': 'yes' is not 0 or 1"),
-        (TilePlan, _tile(tile_rects="0,0,1024"),
-         "meta 'tile_rects': '0,0,1024' is not <x>,<y>,<w>,<h>"),
-        (TilePlan, _tile(tile_rects="0,0,1,1;"), "meta 'tile_rects': '' is not <x>,<y>,<w>,<h>"),
-        (StitchSpec, {}, "meta has no 'stitch_orientation'"),
-        (StitchSpec, _stitch(stitch_orientation="diagonal"), "unknown orientation 'diagonal'"),
-        (StitchSpec, _stitch(stitch_canvas="5"),
-         "meta 'stitch_canvas': '5' is not <width>x<height>"),
-        (StitchSpec, _stitch(stitch_canvas="0x10"), "image dims must be positive, got 0x10"),
-        (StitchSpec, _stitch(stitch_placements="0:0,0,3"),
-         "meta 'stitch_placements': '0:0,0,3' is not <page>:<x>,<y>,<w>,<h>"),
-        (StitchSpec, _stitch(stitch_placements="0:0,0,0,4"),
-         "image dims must be positive, got 0x4"),
-    ],
-    ids=["tile-empty", "tile-not-a-string", "grid-word", "grid-half", "px-signed",
-         "px-fullwidth", "thumbnail", "rect-three-numbers", "rect-empty-part", "stitch-empty",
-         "orientation", "canvas-one-number", "canvas-zero", "placement-three-numbers",
-         "placement-zero"],
-)
-def test_from_meta_errors(cls, meta, message):
-    with pytest.raises(ValueError) as exc:
-        cls.from_meta(meta)
-    assert str(exc.value) == message
-
-
-_META_TEXT = st.text("0123456789x,:;-", max_size=24) | st.text(max_size=8)
-
-
-@given(st.sampled_from([(TilePlan, _TILE_META), (StitchSpec, _STITCH_META)]), st.data())
-@settings(max_examples=300, deadline=None)
-def test_from_meta_returns_a_record_or_raises_value_error(case, data):
-    cls, valid = case
-    keys = st.sampled_from(sorted(valid)) | st.text(max_size=4)
-    meta = {key: value for key, value in valid.items()
-            if key not in data.draw(st.sets(st.sampled_from(sorted(valid))))}
-    meta.update(data.draw(st.dictionaries(keys, _META_TEXT, max_size=3)))
-    try:
-        got = cls.from_meta(meta)
-    except ValueError:
-        return
-    assert type(got) is cls and cls.from_meta(got.to_meta()) == got
