@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ocrkit.tiling import ImageDims, StitchSpec, plan_tiles, stitch_pages
+from ocrkit.tiling import ImageDims, Rect, StitchSpec, plan_tiles, stitch_pages
 
 
 def oracle_grid(w, h, max_tiles=12):
@@ -101,6 +103,47 @@ def test_plan_matches_oracle_randomized():
         _check_partition(plan, dims)
 
 
+@pytest.mark.parametrize("max_tiles", [1, 2, 3, 4, 6, 9])
+def test_plan_matches_oracle_below_the_default_cap(max_tiles):
+    rng = random.Random(max_tiles)
+    for _ in range(200):
+        dims = ImageDims(rng.randint(1, 8192), rng.randint(1, 8192))
+        plan = plan_tiles(dims, max_tiles)
+        assert (plan.grid_cols, plan.grid_rows) == oracle_grid(dims.width, dims.height, max_tiles)
+        _check_partition(plan, dims)
+
+
+@given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(1, 20))
+@settings(max_examples=200, deadline=None)
+def test_plan_matches_oracle_property(width, height, max_tiles):
+    dims = ImageDims(width, height)
+    plan = plan_tiles(dims, max_tiles)
+    assert (plan.grid_cols, plan.grid_rows) == oracle_grid(width, height, max_tiles)
+    _check_partition(plan, dims)
+
+
+def test_equal_distance_prefers_fewer_tiles():
+    # 1500/1000 is 1/2 from both 1x1 and 2x1
+    plan = plan_tiles(ImageDims(1500, 1000), 2)
+    assert (plan.grid_cols, plan.grid_rows) == (1, 1) == oracle_grid(1500, 1000, 2)
+    assert not plan.include_thumbnail
+
+
+def test_cut_at_a_half_pixel_rounds_up():
+    plan = plan_tiles(ImageDims(1025, 512))
+    assert plan.as_dict() == {
+        "grid_cols": 2, "grid_rows": 1, "include_thumbnail": True,
+        "tile_rects": (Rect(0, 0, 513, 512), Rect(513, 0, 512, 512)), "tile_px": 1024,
+    }
+
+
+def test_max_tiles_below_one_message():
+    for max_tiles in (0, -1):
+        with pytest.raises(ValueError) as exc:
+            plan_tiles(ImageDims(5, 5), max_tiles)
+        assert str(exc.value) == "max_tiles must be >= 1"
+
+
 def test_rect_positions_cover_grid():
     dims = ImageDims(2500, 1100)
     plan = plan_tiles(dims)
@@ -132,6 +175,13 @@ def test_stitch_requires_two_pages():
         stitch_pages([ImageDims(10, 10)], "horizontal")
     with pytest.raises(ValueError):
         stitch_pages([ImageDims(10, 10)] * 2, "diagonal")
+
+
+def test_stitch_fewer_than_two_pages_message():
+    for pages in ([], [ImageDims(10, 10)]):
+        with pytest.raises(ValueError) as exc:
+            stitch_pages(pages, "vertical")
+        assert str(exc.value) == "stitching needs at least 2 pages"
 
 
 def test_stitch_placements_recover_dims_and_disjoint():
