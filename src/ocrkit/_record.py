@@ -20,11 +20,13 @@ class Record:
         super().__init_subclass__()
         get = attrgetter(*cls.__slots__)  # a tuple only for two or more names
         cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda obj: (get(obj),))
+        # each slot's own store, which bypasses the __setattr__ that refuses assignment
+        cls._stores = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
         cls.__match_args__ = cls.__slots__
 
     def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+        for store, value in zip(self._stores, values, strict=True):
+            store(self, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -109,7 +109,7 @@ class _DictScanner(Scanner):
         if stop[:1] == quote:
             body = self.text[self.pos + 1 : end]
             self.pos = end + 1
-            return _ESCAPE_RE.sub(lambda m: _ESCAPES[m[1]], body)
+            return _ESCAPE_RE.sub(lambda m: _ESCAPES[m[1]], body) if "\\" in body else body
         if len(stop) == 2:  # a backslash whose escape the body did not take
             raise self.error(f"unsupported escape \\{stop[1]}", end)
         raise self.error("unterminated string", len(self.text))

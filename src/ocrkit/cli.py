@@ -18,8 +18,9 @@ subcommand's own parser, flags included, only when that subcommand parses
 its arguments, so a process builds the parser of the one subcommand it runs.
 
 Importing this module loads no other ocrkit module: the handlers here import
-the record model, the metrics and the shared helpers in their bodies, so
-``--help`` and a usage error load ``ocrkit`` and ``ocrkit.cli`` only.
+the record model and the shared helpers in their bodies, and score and dedup
+the metrics too, so ``--help`` and a usage error load ``ocrkit`` and
+``ocrkit.cli`` only.
 """
 
 from __future__ import annotations

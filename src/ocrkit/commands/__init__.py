@@ -6,10 +6,9 @@ those subcommands runs. A handler calls its engine's functions through the
 module (``charts.parse_chart_output``), so they are looked up at call time.
 This package holds what every handler, ``ocrkit.cli``'s included, reads and
 writes files with; no module imports ``ocrkit.cli``, so imports run one way.
-Its helpers import ``ocrkit.corpus`` (and so ``ocrkit.metrics``) only when
-they read or write records, so a handler that writes plain files, as
-tile-plan and stitch do, or that only reads text, as validate-format does,
-loads neither.
+Its helpers import ``ocrkit.corpus`` only when they read or write records,
+so a handler that writes plain files, as tile-plan and stitch do, or that
+only reads text, as validate-format does, does not load the record model.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Iterator
 
 from ._record import Record
-from .metrics import edit_distance_norm, tokenize
 
 
 class TaskKind(str, Enum):
@@ -34,6 +33,8 @@ class TaskKind(str, Enum):
     GEOMETRY = "Geometry"
     CHART = "Chart"
 
+
+_TASK_KINDS = {kind.value: kind for kind in TaskKind}  # value -> member, without Enum's call
 
 LANGS = ("en", "zh", "other")
 
@@ -73,7 +74,11 @@ class CorpusFormatError(ValueError):
 
 
 _NO_META: dict[str, str] = {}  # Sample's meta default; Sample stores a read-only copy
-_SURROGATE = re.compile("[\ud800-\udfff]")  # a code point UTF-8 cannot hold
+# A code point UTF-8 cannot hold; a pattern string, so re compiles it (once, into its
+# cache) only when a process first checks a non-ASCII string.
+_SURROGATE = "[\ud800-\udfff]"
+# the encoder of record lines, built once: json.dumps with keywords builds one per call
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
 class Sample(Record):
@@ -97,10 +102,14 @@ class Sample(Record):
     ):
         kind = task_kind.value if type(task_kind) is TaskKind else task_kind
         fields = (id, kind, ground_truth, prompt, lang, image_ref, meta)
-        check_fields(dict(zip(_FIELDS, fields)), _FIELDS, ())
+        for value, kinds in zip(fields, _FIELDS.values()):
+            if type(value) not in kinds:  # check_fields names the first field that is wrong
+                check_fields(dict(zip(_FIELDS, fields)), _FIELDS, ())
         if not id:
             raise ValueError("sample id must be non-empty")
-        task_kind = TaskKind(kind)
+        task_kind = _TASK_KINDS.get(kind)
+        if task_kind is None:
+            task_kind = TaskKind(kind)  # raises, naming the value
         if not ground_truth:
             raise ValueError(f"sample {id!r}: ground_truth must be non-empty")
         if lang not in LANGS:
@@ -109,7 +118,7 @@ class Sample(Record):
             if not isinstance(k, str) or not isinstance(v, str):
                 raise ValueError(f"sample {id!r}: meta must map strings to strings")
         for text in (id, ground_truth, prompt, image_ref or "", *meta, *meta.values()):
-            if not text.isascii() and (found := _SURROGATE.search(text)):
+            if not text.isascii() and (found := re.search(_SURROGATE, text)):
                 code = ord(found.group())
                 raise ValueError(f"sample {id!r}: lone surrogate U+{code:04X} in a string")
         super().__init__(id, task_kind, ground_truth, prompt, lang, image_ref, _Meta(meta))
@@ -144,12 +153,13 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     non-object or a lone surrogate is a CorpusFormatError."""
     # bytes, not read_text: universal-newline mode would turn a bare CR into a line break
     data = Path(path).read_bytes()
+    undecodable = None
     try:
         lines = data.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        message = f"invalid UTF-8 byte 0x{data[exc.start]:02x} ({exc.reason})"
-        raise CorpusFormatError(lineno, message) from exc
+        # the lines before the bad byte's line decode; their faults come first
+        undecodable = exc
+        lines = data[: data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8").split("\n")
     if lines[-1] == "":
         lines.pop()
     for lineno, raw in enumerate(lines, start=1):
@@ -162,10 +172,14 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
         if not isinstance(obj, dict):
             raise CorpusFormatError(lineno, "record is not an object")
         # only an escape decodes to a lone surrogate, which UTF-8 cannot hold
-        if "\\u" in raw and (found := _SURROGATE.search(json.dumps(obj, ensure_ascii=False))):
+        if "\\u" in raw and (found := re.search(_SURROGATE, _ENCODER.encode(obj))):
             code = ord(found.group())
             raise CorpusFormatError(lineno, f"lone surrogate U+{code:04X} in a string")
         yield lineno, obj
+    if undecodable is not None:
+        byte = data[undecodable.start]
+        message = f"invalid UTF-8 byte 0x{byte:02x} ({undecodable.reason})"
+        raise CorpusFormatError(len(lines) + 1, message) from undecodable
 
 
 def check_fields(obj: dict, kinds: dict[str, tuple[type, ...]], required: tuple[str, ...]) -> None:
@@ -193,8 +207,8 @@ def load_records(path: str | Path) -> Corpus:
             schema_version = version
             continue
         try:
-            unknown = obj.keys() - _FIELDS.keys()
-            if unknown:
+            if not obj.keys() <= _FIELDS.keys():
+                unknown = obj.keys() - _FIELDS.keys()
                 raise ValueError(f"unknown field(s): {', '.join(sorted(unknown))}")
             check_fields(obj, {}, _REQUIRED)
             sample = Sample(**obj)  # record fields are Sample's fields; it checks their kinds
@@ -216,7 +230,7 @@ def record_line(sample: Sample) -> str:
     obj["ground_truth"] = sample.ground_truth
     obj["lang"] = sample.lang
     obj["meta"] = dict(sorted(sample.meta.items()))
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def dump_records(corpus: Corpus) -> str:
@@ -259,6 +273,8 @@ def dedup_filter(test: Corpus, train: Corpus, threshold: float) -> Corpus:
     a pair whose length gap already exceeds that distance is decided before
     any token is compared; the decision is the one the exact distance gives.
     """
+    from .metrics import edit_distance_norm, tokenize  # only dedup needs the metrics
+
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be within [0, 1]")
 
@@ -294,3 +310,14 @@ def mix_stages(previous: Corpus, new: Corpus, ratio: float, seed: int) -> Corpus
     random.Random(seed).shuffle(indices)
     carried = tuple(previous.samples[i] for i in indices[:k])
     return Corpus(new.samples + carried, new.schema_version)
+
+
+def __getattr__(name: str):
+    # Delete with cli.score_corpus in the benchmark change (ROADMAP item 1):
+    # perfbench/spans.py BOUNDARIES still reads corpus.tokenize and
+    # corpus.edit_distance_norm, which this module no longer imports at load time.
+    if name in ("tokenize", "edit_distance_norm"):
+        from . import metrics
+
+        return getattr(metrics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

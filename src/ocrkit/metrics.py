@@ -287,7 +287,7 @@ def score_corpus(
     predicted text in its ground_truth field. Aggregation sums in sorted id
     order, so the result does not depend on record order.
     """
-    from .corpus import pair_by_id  # corpus imports this module
+    from .corpus import pair_by_id  # the page composer tokenizes without the record model
 
     _check_granularity(granularity)
     pairs = pair_by_id(refs, hyps)

@@ -556,6 +556,24 @@ def test_undecodable_byte_is_rejected_naming_its_line(tmp_path, capsys, argv, ro
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "first, second, message",
+    [("", _record_row("s0", "text"), "line 1: blank line"),
+     (_record_row("s0", "text"), _record_row("s0", "text"), "line 2: duplicate sample id 's0'")],
+    ids=["blank-line", "duplicate-id"],
+)
+def test_an_earlier_fault_is_reported_before_an_undecodable_byte(
+    tmp_path, capsys, first, second, message
+):
+    good, bad, out = tmp_path / "good.jsonl", tmp_path / "bad.jsonl", tmp_path / "out"
+    _write_corpus(good, ["text"])
+    text = first + "\n" + second + "\n" + _record_row("s1", "BAD") + "\n"
+    bad.write_bytes(text.encode().replace(b"BAD", b"\xff"))
+    assert main(["mix", "--previous", str(bad), "--new", str(good), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
+    assert not out.exists()
+
+
 # Values of every JSON type, for the fields of the auxiliary inputs.
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -910,14 +928,20 @@ def test_argument_contract(capsys, argv, code, usage, error):
 
 _FRONT_END = {"ocrkit", "ocrkit.cli"}
 
-# what score, dedup and mix load: the front end, the shared helpers, the
-# record model and the metrics with their kernel
-_RECORD_MODULES = _FRONT_END | {"ocrkit._kernels", "ocrkit._record", "ocrkit.commands",
-                                "ocrkit.corpus", "ocrkit.metrics"}
+_METRICS = {"ocrkit.metrics", "ocrkit._kernels"}
+# what mix loads: the front end, the shared helpers and the record model;
+# score and dedup load the metrics with their kernel as well
+_RECORD_MODULES = _FRONT_END | {"ocrkit._record", "ocrkit.commands", "ocrkit.corpus"}
 
 
 def test_cli_import_loads_only_the_front_end(ocrkit_modules_after):
     assert ocrkit_modules_after("import ocrkit.cli") == sorted(_FRONT_END)
+
+
+def test_record_model_import_loads_no_metrics(ocrkit_modules_after):
+    assert ocrkit_modules_after("import ocrkit.corpus") == [
+        "ocrkit", "ocrkit._record", "ocrkit.corpus"
+    ]
 
 
 _ENGINES = {"ocrkit.charts", "ocrkit.finegrained", "ocrkit.geometry", "ocrkit.pagecompose",
@@ -1015,26 +1039,28 @@ def test_engine_run_loads_its_own_engine_only(ocrkit_modules_after, tmp_path, ar
     assert {m for m in loaded if m.startswith("ocrkit.commands.")} == handlers
     # a run that reads and writes no record file loads neither the record model nor the metrics
     if argv[0] in {"tile-plan", "stitch", "validate-format"}:
-        assert not loaded & {"ocrkit.corpus", "ocrkit.metrics"}
+        assert not loaded & {"ocrkit.corpus", *_METRICS}
     else:
         assert "ocrkit.corpus" in loaded
+    # of the engines only the page composer tokenizes, so only its runs load the metrics
+    assert loaded & _METRICS == (_METRICS if "pagecompose" in engines else set())
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["score", "--gt", "doc.jsonl", "--pred", "doc.jsonl"],
-     ["dedup", "--test", "doc.jsonl", "--train", "chart.jsonl", "--out", "o"],
-     ["mix", "--previous", "doc.jsonl", "--new", "chart.jsonl", "--out", "o"]],
+    "argv, metrics",
+    [(["score", "--gt", "doc.jsonl", "--pred", "doc.jsonl"], _METRICS),
+     (["dedup", "--test", "doc.jsonl", "--train", "chart.jsonl", "--out", "o"], _METRICS),
+     (["mix", "--previous", "doc.jsonl", "--new", "chart.jsonl", "--out", "o"], set())],
     ids=["score", "dedup", "mix"],
 )
 def test_record_run_loads_the_record_model_and_the_metrics_only(
-    ocrkit_modules_after, tmp_path, argv
+    ocrkit_modules_after, tmp_path, argv, metrics
 ):
     for name in ("doc.jsonl", "chart.jsonl"):
         (tmp_path / name).write_text(_VALID_INPUTS[name], encoding="utf-8")
     argv = [str(tmp_path / arg) if arg in {"doc.jsonl", "chart.jsonl", "o"} else arg
             for arg in argv]
-    assert _modules_after_main(ocrkit_modules_after, argv) == _RECORD_MODULES
+    assert _modules_after_main(ocrkit_modules_after, argv) == _RECORD_MODULES | metrics
     assert "--out" not in argv or (tmp_path / "o").is_file()
 
 

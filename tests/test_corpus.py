@@ -16,6 +16,7 @@ from ocrkit.corpus import (
     load_records,
     mix_stages,
     pair_by_id,
+    record_line,
     save_records,
 )
 from ocrkit.metrics import edit_distance_norm, tokenize
@@ -67,6 +68,8 @@ def test_corpus_rejects_duplicate_ids_and_bad_version():
     [
         (lambda: Sample(5, TaskKind.CHART, "x"), "field 'id' must be a string"),
         (lambda: Sample("a", None, "x"), "field 'task_kind' must be a string"),
+        (lambda: Sample("a", "NotAKind", "x"), "'NotAKind' is not a valid TaskKind"),
+        (lambda: Sample("a", "chart", "x"), "'chart' is not a valid TaskKind"),
         (lambda: Sample("a", TaskKind.CHART, b"x"), "field 'ground_truth' must be a string"),
         (lambda: Sample("a", TaskKind.CHART, "x", prompt=3), "field 'prompt' must be a string"),
         (lambda: Sample("a", TaskKind.CHART, "x", lang=True), "field 'lang' must be a string"),
@@ -214,7 +217,8 @@ def test_overlong_integer_is_a_format_error(tmp_path):
     [
         (_line().encode() + b'{"id": "\xff"}\n', 2,
          "line 2: invalid UTF-8 byte 0xff (invalid start byte)"),
-        (_line().encode().replace(b"\n", b"\r\n") * 2 + b'{"id": "\xe4x"}', 3,
+        (b"".join(_line(id=i).encode().replace(b"\n", b"\r\n") for i in "ab")
+         + b'{"id": "\xe4x"}', 3,
          "line 3: invalid UTF-8 byte 0xe4 (invalid continuation byte)"),
         (b'{"id": "\xe4\xbd', 1, "line 1: invalid UTF-8 byte 0xe4 (unexpected end of data)"),
     ],
@@ -226,6 +230,22 @@ def test_undecodable_byte_names_its_line(tmp_path, data, line, message):
     with pytest.raises(CorpusFormatError) as exc:
         load_records(path)
     assert (exc.value.line, str(exc.value)) == (line, message)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"\n" + _line(id="a").encode() + b'{"id": "\xff"}\n', "line 1: blank line"),
+        (_line(id="a").encode() * 2 + b'{"id": "\xff"}\n', "line 2: duplicate sample id 'a'"),
+    ],
+    ids=["blank-line", "duplicate-id"],
+)
+def test_an_earlier_fault_is_reported_before_an_undecodable_byte(tmp_path, data, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(CorpusFormatError) as exc:
+        load_records(path)
+    assert str(exc.value) == message
 
 
 _RECORD_LINES = [_line(id="a").encode(), _line(id="b", meta={"k": "你"}).encode(),
@@ -422,6 +442,33 @@ def test_round_trip_property(rows):
     assert reparsed == corpus
 
 
+# JSON's hard cases: the two characters it escapes, the control characters, and text
+# outside ASCII, which record_line writes as UTF-8
+AWKWARD_TEXT = st.text(
+    st.characters(codec="utf-8") | st.sampled_from('"\\\x00\x1f\x7f\u2028你\U0001F600'),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(
+    st.sampled_from(TaskKind),
+    AWKWARD_TEXT,
+    st.text(st.characters(codec="utf-8"), max_size=6),
+    st.sampled_from(["en", "zh", "other"]),
+    st.none() | AWKWARD_TEXT,
+    st.dictionaries(AWKWARD_TEXT, AWKWARD_TEXT, max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_record_line_is_compact_json_with_sorted_meta(kind, text, prompt, lang, image_ref, meta):
+    sample = Sample(text, kind, text[::-1], prompt, lang, image_ref, meta)
+    obj = {"id": text, "task_kind": kind.value}
+    if image_ref is not None:
+        obj["image_ref"] = image_ref
+    obj.update(prompt=prompt, ground_truth=text[::-1], lang=lang, meta=dict(sorted(meta.items())))
+    assert record_line(sample) == json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+
+
 # --- pairing by id ------------------------------------------------------------------
 
 
@@ -524,6 +571,16 @@ def test_dedup_threshold_monotone():
 def test_dedup_rejects_bad_threshold():
     with pytest.raises(ValueError):
         dedup_filter(_corpus(), _corpus(), 1.5)
+
+
+def test_corpus_still_resolves_the_metrics_names_dedup_uses():
+    import ocrkit.corpus
+
+    assert ocrkit.corpus.tokenize is tokenize
+    assert ocrkit.corpus.edit_distance_norm is edit_distance_norm
+    with pytest.raises(AttributeError) as exc:
+        ocrkit.corpus.levenshtein
+    assert str(exc.value) == "module 'ocrkit.corpus' has no attribute 'levenshtein'"
 
 
 # --- stage mixing --------------------------------------------------------------------
