@@ -87,9 +87,11 @@ class ApReport(Record):
 _NUMBER_RE = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _ESCAPES = {"\\": "\\", '"': '"', "'": "'", "n": "\n", "t": "\t", "r": "\r"}
 _ESCAPE_CLASS = "[" + re.escape("".join(_ESCAPES)) + "]"
-# a string body: any character but its quote or a backslash, or a supported escape
+# a string body: any character but its quote, a backslash or a line break (which
+# Python's literals refuse too), or a supported escape
 _STRING_BODY_RE = {
-    quote: re.compile(rf"[^{quote}\\]*(?:\\{_ESCAPE_CLASS}[^{quote}\\]*)*") for quote in "'\""
+    quote: re.compile(rf"[^{quote}\\\r\n]*(?:\\{_ESCAPE_CLASS}[^{quote}\\\r\n]*)*")
+    for quote in "'\""
 }
 _ESCAPE_RE = re.compile(rf"\\({_ESCAPE_CLASS})")
 
@@ -110,12 +112,17 @@ class _DictScanner(Scanner):
             body = self.text[self.pos + 1 : end]
             self.pos = end + 1
             return _ESCAPE_RE.sub(lambda m: _ESCAPES[m[1]], body) if "\\" in body else body
+        if stop[:1] in ("\r", "\n"):
+            raise self.error("line break in a string", end)
         if len(stop) == 2:  # a backslash whose escape the body did not take
             raise self.error(f"unsupported escape \\{stop[1]}", end)
         raise self.error("unterminated string", len(self.text))
 
     def number(self, name: str, label: str) -> float:
         text, start = self.token(_NUMBER_RE, "a number")
+        # as in Python, an integer other than zero may not start with 0 (01.5 may)
+        if (text[0] == "0" or text[:2] == "-0") and text.lstrip("-0").isdigit():
+            raise self.error(f"leading zero in the integer {text}", start)
         if not math.isfinite(value := float(text)):
             raise self.error(_not_finite(name, label), start)
         return value
@@ -283,7 +290,8 @@ def serialize_chart_struct(struct: ChartStruct, form: str = "dict") -> str:
 
 
 def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
+    text = text.replace("\\", "\\\\").replace('"', '\\"')
+    return text.replace("\r", "\\r").replace("\n", "\\n")  # the reader refuses raw line breaks
 
 
 def chart_ap(preds: list[ChartStruct], gts: list[ChartStruct], tolerance: float) -> float:

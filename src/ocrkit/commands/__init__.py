@@ -19,7 +19,7 @@ import stat
 import sys
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:
     from .. import corpus
@@ -83,7 +83,12 @@ def load(path: str) -> corpus.Corpus:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
+def write_text_atomic(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the concatenated text chunks to path as UTF-8, all or nothing.
+
+    The chunks are written as they come, so the whole text is never built.
+    If writing or making a chunk raises, path is left as it was.
+    """
     path = Path(path)
     # mkstemp creates the file 0600; give it the mode open(path, "w") would leave:
     # an existing file's own mode, else 0666 less the umask
@@ -98,7 +103,7 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 os.fchmod(fd, mode)
-                handle.write(text)
+                handle.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -111,7 +116,7 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 def save_corpus_atomic(c: corpus.Corpus, path: str | Path) -> None:
     from .. import corpus
 
-    write_text_atomic(path, corpus.dump_records(c))
+    write_text_atomic(path, corpus.corpus_lines(c))
 
 
 def render_report(report: MetricReport | ApReport, style: str = "text") -> str:
@@ -135,4 +140,4 @@ def render_report(report: MetricReport | ApReport, style: str = "text") -> str:
 def emit_report(report: MetricReport | ApReport, args) -> None:
     sys.stdout.write(render_report(report, args.style))
     if args.json:
-        write_text_atomic(args.json, json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
+        write_text_atomic(args.json, (json.dumps(report.as_dict(), indent=2, sort_keys=True), "\n"))

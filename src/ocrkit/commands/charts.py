@@ -55,7 +55,7 @@ def cmd_gen_chart(args) -> int:
         specs_dir = Path(args.specs_dir)
         specs_dir.mkdir(parents=True, exist_ok=True)
         for sample_id, render_spec in specs:
-            write_text_atomic(specs_dir / f"{sample_id}.spec.txt", render_spec)
+            write_text_atomic(specs_dir / f"{sample_id}.spec.txt", (render_spec,))
     save_corpus_atomic(Corpus(tuple(samples)), args.out)
     print(f"wrote {len(samples)} chart records to {args.out}")
     return 0

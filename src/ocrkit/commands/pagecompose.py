@@ -53,7 +53,7 @@ def cmd_paste_layout(args) -> int:
     }
     text = json.dumps(obj, indent=2) + "\n"
     if args.out:
-        write_text_atomic(args.out, text)
+        write_text_atomic(args.out, (text,))
         print(f"wrote layout of {len(layout.placements)} slices to {args.out}")
     else:
         sys.stdout.write(text)

@@ -22,7 +22,7 @@ def cmd_tile_plan(args) -> int:
             "include_thumbnail": plan.include_thumbnail,
             "tile_rects": [[r.x, r.y, r.w, r.h] for r in plan.tile_rects],
         }
-        write_text_atomic(args.json, json.dumps(obj, indent=2) + "\n")
+        write_text_atomic(args.json, (json.dumps(obj, indent=2), "\n"))
     return 0
 
 
@@ -39,5 +39,5 @@ def cmd_stitch(args) -> int:
                 [p.page_index, p.x, p.y, p.dims.width, p.dims.height] for p in spec.placements
             ],
         }
-        write_text_atomic(args.json, json.dumps(obj, indent=2) + "\n")
+        write_text_atomic(args.json, (json.dumps(obj, indent=2), "\n"))
     return 0

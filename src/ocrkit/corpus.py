@@ -150,36 +150,34 @@ class Corpus(Record):
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) per line, split on LF only (so U+2028 stays
     in its string); a byte that is not UTF-8, a blank line, bad JSON, a
-    non-object or a lone surrogate is a CorpusFormatError."""
-    # bytes, not read_text: universal-newline mode would turn a bare CR into a line break
-    data = Path(path).read_bytes()
-    undecodable = None
-    try:
-        lines = data.decode("utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        # the lines before the bad byte's line decode; their faults come first
-        undecodable = exc
-        lines = data[: data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    for lineno, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            raise CorpusFormatError(lineno, "blank line")
-        try:  # ValueError also covers an int past the digit limit
-            obj = json.loads(raw)
-        except (ValueError, RecursionError) as exc:
-            raise CorpusFormatError(lineno, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
-        if not isinstance(obj, dict):
-            raise CorpusFormatError(lineno, "record is not an object")
-        # only an escape decodes to a lone surrogate, which UTF-8 cannot hold
-        if "\\u" in raw and (found := re.search(_SURROGATE, _ENCODER.encode(obj))):
-            code = ord(found.group())
-            raise CorpusFormatError(lineno, f"lone surrogate U+{code:04X} in a string")
-        yield lineno, obj
-    if undecodable is not None:
-        byte = data[undecodable.start]
-        message = f"invalid UTF-8 byte 0x{byte:02x} ({undecodable.reason})"
-        raise CorpusFormatError(len(lines) + 1, message) from undecodable
+    non-object or a lone surrogate is a CorpusFormatError.
+
+    The file is read one line at a time, so only the line being read is held.
+    """
+    # binary, not text mode: universal newlines would turn a bare CR into a line break
+    with open(path, "rb") as handle:
+        for lineno, data in enumerate(handle, start=1):
+            try:  # with its LF, as a decode of the whole file sees the line
+                raw = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                message = f"invalid UTF-8 byte 0x{data[exc.start]:02x} ({exc.reason})"
+                raise CorpusFormatError(lineno, message) from exc
+            if raw[-1] == "\n":
+                raw = raw[:-1]
+            if not raw.strip():
+                raise CorpusFormatError(lineno, "blank line")
+            try:  # ValueError also covers an int past the digit limit
+                obj = json.loads(raw)
+            except (ValueError, RecursionError) as exc:
+                message = f"invalid JSON ({getattr(exc, 'msg', exc)})"
+                raise CorpusFormatError(lineno, message) from exc
+            if not isinstance(obj, dict):
+                raise CorpusFormatError(lineno, "record is not an object")
+            # only an escape decodes to a lone surrogate, which UTF-8 cannot hold
+            if "\\u" in raw and (found := re.search(_SURROGATE, _ENCODER.encode(obj))):
+                code = ord(found.group())
+                raise CorpusFormatError(lineno, f"lone surrogate U+{code:04X} in a string")
+            yield lineno, obj
 
 
 def check_fields(obj: dict, kinds: dict[str, tuple[type, ...]], required: tuple[str, ...]) -> None:
@@ -233,17 +231,22 @@ def record_line(sample: Sample) -> str:
     return _ENCODER.encode(obj)
 
 
+def corpus_lines(corpus: Corpus) -> Iterator[str]:
+    """The record file text, one LF-terminated line at a time (byte-stable)."""
+    if corpus.schema_version != 1:
+        yield json.dumps({"schema_version": corpus.schema_version}) + "\n"
+    for s in corpus.samples:
+        yield record_line(s) + "\n"
+
+
 def dump_records(corpus: Corpus) -> str:
     """Serialize a corpus to the record file text (byte-stable)."""
-    lines = []
-    if corpus.schema_version != 1:
-        lines.append(json.dumps({"schema_version": corpus.schema_version}))
-    lines.extend(record_line(s) for s in corpus.samples)
-    return "".join(line + "\n" for line in lines)
+    return "".join(corpus_lines(corpus))
 
 
 def save_records(corpus: Corpus, path: str | Path) -> None:
-    Path(path).write_text(dump_records(corpus), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(corpus_lines(corpus))
 
 
 def pair_by_id(refs: Corpus, hyps: Corpus) -> list[tuple[Sample, Sample]]:

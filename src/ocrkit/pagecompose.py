@@ -90,11 +90,6 @@ def compose_multipage(pool: list[PageSpec], n_pages: int, seed: int) -> MultiPag
     return MultiPageSample(tuple(chosen), joined, total)
 
 
-def split_multipage(joined_text: str) -> list[str]:
-    """Recover the page texts of a composed sample."""
-    return joined_text.split(f"\n{PAGE_SEPARATOR}\n")
-
-
 def paste_handwriting_lines(slices: list[ImageDims], canvas: ImageDims, seed: int) -> PasteLayout:
     """Stack 6-8 slices top to bottom with seeded jitter, no overlaps.
 

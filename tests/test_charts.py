@@ -1,5 +1,6 @@
 """Chart parsing, AP scoring and synthesis."""
 
+import ast
 import math
 import random
 
@@ -105,6 +106,45 @@ def test_parse_dict_error_position_and_message(text, where):
     assert str(exc.value) == where
     assert f"{exc.value.line}:{exc.value.column}: {exc.value.message}" == where
     assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ('{"values": {"s": {"a": 01}}}', "1:24: leading zero in the integer 01"),
+        ('{"values": {"s": {"a": 1,\n  "b": -007}}}', "2:8: leading zero in the integer -007"),
+        ('{"values": {"s": {"a": 0010}}}', "1:24: leading zero in the integer 0010"),
+        ('{"values": {"a\nb": {}}}', "1:15: line break in a string"),
+        ("{'title': 'a\rb', 'values': {}}", "1:13: line break in a string"),
+        ('{"values": {"s": {"x\\n\r\ny": 1}}}', "1:23: line break in a string"),
+    ],
+    ids=["leading-zero", "negative-leading-zeros", "leading-zeros", "lf-in-string",
+         "cr-in-string", "crlf-after-an-escape"],
+)
+def test_parse_dict_refuses_what_python_literals_refuse(text, where):
+    # the dict form is a subset of Python's literals, so ast.literal_eval refuses these too
+    with pytest.raises(SyntaxError):
+        ast.literal_eval(text)
+    with pytest.raises(ChartParseError) as exc:
+        parse_chart_output(text)
+    assert str(exc.value) == where
+
+
+@pytest.mark.parametrize(
+    "number", ["0", "00", "-00", "0.5", "00.5", "01.5", "01e2", "0e0", "10", "-1.", ".5", "-0"]
+)
+def test_parse_dict_reads_the_numbers_python_reads(number):
+    # -0 is the one difference in value: it reads as -0.0, which == 0, where Python reads 0
+    struct = parse_chart_output(f'{{"values": {{"s": {{"a": {number}}}}}}}')
+    assert struct.series[0].points == (("a", float(ast.literal_eval(number))),)
+
+
+def test_serialize_dict_escapes_line_breaks():
+    struct = ChartStruct(series=(Series("a\r\nb", (("x\ny", 1.0),)),), title="t\rt")
+    text = serialize_chart_struct(struct, "dict")
+    assert "\r" not in text and "\n" not in text
+    assert parse_chart_output(text) == struct
+    assert ast.literal_eval(text) == {"title": "t\rt", "values": {"a\r\nb": {"x\ny": 1.0}}}
 
 
 _NOT_FINITE = "series 's': value for 'b' not finite"

@@ -837,6 +837,27 @@ def test_failed_write_names_the_requested_path(tmp_path, capsys, target):
     assert not any((tmp_path / "adir").iterdir())
 
 
+def test_record_that_fails_mid_write_leaves_the_old_file(tmp_path, monkeypatch, capsys):
+    # records are serialized while the temp file is being written; a failure on
+    # the third one must still leave the target as it was and no temp file
+    out = tmp_path / "g.jsonl"
+    out.write_bytes(b"old bytes\n")
+    original, written = corpus.record_line, []
+
+    def record_line(sample):
+        if len(written) == 2:
+            raise ValueError("cannot write record 3")
+        written.append(sample.id)
+        return original(sample)
+
+    monkeypatch.setattr(corpus, "record_line", record_line)
+    assert main(["gen-geometry", "--n", "4", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: cannot write record 3\n")
+    assert len(written) == 2
+    assert out.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["g.jsonl"]
+
+
 def test_unreadable_input_is_reported(tmp_path, capsys):
     rc = main(["score", "--gt", str(tmp_path / "ghost.jsonl"),
                "--pred", str(tmp_path / "ghost.jsonl")])
@@ -1108,7 +1129,7 @@ def test_handlers_look_engine_functions_up_at_call_time(tmp_path, monkeypatch, c
     # the benchmark's per-layer spans do
     calls = {}
     for module, name in [(charts, "parse_chart_output"), (geometry, "gen_scene"),
-                         (pagecompose, "compose_multipage"), (corpus, "dump_records")]:
+                         (pagecompose, "compose_multipage"), (corpus, "corpus_lines")]:
         _counting(monkeypatch, module, name, calls)
     gt = tmp_path / "gt.jsonl"
     _write_corpus(gt, ['{"values": {"s": {"a": 1}}}'] * 3, kind=TaskKind.CHART)
@@ -1117,12 +1138,12 @@ def test_handlers_look_engine_functions_up_at_call_time(tmp_path, monkeypatch, c
     runs = [
         (["chart-score", "--gt", str(gt), "--pred", str(gt)], {"parse_chart_output": 6}),
         (["gen-geometry", "--n", "4", "--out", str(tmp_path / "g")],
-         {"gen_scene": 4, "dump_records": 1}),
-        (["gen-chart", "--n", "2", "--out", str(tmp_path / "c")], {"dump_records": 1}),
+         {"gen_scene": 4, "corpus_lines": 1}),
+        (["gen-chart", "--n", "2", "--out", str(tmp_path / "c")], {"corpus_lines": 1}),
         (["compose-pages", "--pool", str(pool), "--n", "2", "--count", "3",
-          "--out", str(tmp_path / "p")], {"compose_multipage": 3, "dump_records": 1}),
+          "--out", str(tmp_path / "p")], {"compose_multipage": 3, "corpus_lines": 1}),
         (["dedup", "--test", str(gt), "--train", str(gt), "--out", str(tmp_path / "d")],
-         {"dump_records": 1}),
+         {"corpus_lines": 1}),
     ]
     for argv, expected in runs:
         calls.clear()

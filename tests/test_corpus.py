@@ -1,11 +1,13 @@
 """Record model: round trips, format errors, dedup filtering, stage mixing."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ocrkit.commands import save_corpus_atomic
 from ocrkit.corpus import (
     Corpus,
     CorpusFormatError,
@@ -293,6 +295,88 @@ def test_crlf_corpus_loads_and_errors_name_the_same_line(tmp_path, last):
         errors.append(str(exc.value))
     assert errors[0] == errors[1]
     assert errors[0].startswith("line 3: ")
+
+
+def _raw_line(ground_truth, id="a"):
+    """A record line with its non-ASCII text as raw UTF-8, not as JSON escapes."""
+    line = json.dumps({**_OK, "id": id, "ground_truth": ground_truth}, ensure_ascii=False)
+    return line.encode() + b"\n"
+
+
+# the bytes of _raw_line before its ground truth's first character
+_HEAD = len(_raw_line("")) - 3
+# the file is read in 8 KiB blocks; this ground truth puts 你 at bytes 8191-8193
+_ACROSS_8K = "x" * (8191 - _HEAD) + "你"
+
+
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        (_line(ground_truth="x" * 70_000).encode() + _line(id="b").encode(),
+         [("a", "x" * 70_000), ("b", "x")]),
+        (_line(ground_truth="x" * 70_000).encode()[:-2] + b"\n",
+         "line 1: invalid JSON (Expecting ',' delimiter)"),
+        (_raw_line(_ACROSS_8K) + _line(id="b").encode(), [("a", _ACROSS_8K), ("b", "x")]),
+        (_raw_line(_ACROSS_8K)[:-4] + b"\n",  # 你 cut after two bytes
+         "line 1: invalid UTF-8 byte 0xe4 (invalid continuation byte)"),
+        ((_line(id="a") + _line(id="b")).encode()[:-1], [("a", "x"), ("b", "x")]),
+        (_line(id="a").encode() + b'{"id": "b"', "line 2: invalid JSON (Expecting ',' delimiter)"),
+        (_line(id="a").encode() + b'{"id": "b\n',
+         "line 2: invalid JSON (Unterminated string starting at)"),
+        (b'{"id": "\xe4\xbd\n', "line 1: invalid UTF-8 byte 0xe4 (invalid continuation byte)"),
+    ],
+    ids=["line-over-64k", "line-over-64k-error", "char-across-8k", "truncated-across-8k",
+         "no-final-lf", "no-final-lf-error", "unterminated-string-before-lf",
+         "truncated-before-lf"],
+)
+def test_reader_boundaries(tmp_path, data, expected):
+    # the reader takes a line with its LF: a long line, a block boundary or a
+    # missing final LF changes nothing, and a sequence cut short by the LF
+    # is a bad continuation, where at the end of the file it is cut short
+    path = tmp_path / "edge.jsonl"
+    path.write_bytes(data)
+    if isinstance(expected, str):
+        with pytest.raises(CorpusFormatError) as exc:
+            load_records(path)
+        assert str(exc.value) == expected
+    else:
+        assert [(s.id, s.ground_truth) for s in load_records(path).samples] == expected
+
+
+def _big_corpus():
+    """About 2 MB of records, a fifth of their text CJK."""
+    texts = ("word " * 180, "字" * 300)
+    return _corpus(*(_sample(i, f"{i} " + texts[i % 5 == 0]) for i in range(2200)))
+
+
+def test_load_records_holds_one_line_at_a_time(tmp_path):
+    path = tmp_path / "big.jsonl"
+    save_records(_big_corpus(), path)
+    size = path.stat().st_size
+    assert size > 2_000_000
+    tracemalloc.start()
+    try:
+        corpus = load_records(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == 2200
+    assert peak - held < size / 2
+
+
+def test_save_corpus_atomic_holds_one_line_at_a_time(tmp_path):
+    corpus = _big_corpus()
+    path = tmp_path / "big.jsonl"
+    save_corpus_atomic(corpus, tmp_path / "warm.jsonl")  # the first call's imports are not traced
+    tracemalloc.start()
+    try:
+        save_corpus_atomic(corpus, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_text(encoding="utf-8") == dump_records(corpus)
+    assert path.stat().st_size > 2_000_000
+    assert peak < 256 * 1024
 
 
 @given(

@@ -15,7 +15,6 @@ from ocrkit.pagecompose import (
     PageSpec,
     compose_multipage,
     paste_handwriting_lines,
-    split_multipage,
     token_count,
 )
 from ocrkit.tiling import ImageDims
@@ -87,7 +86,8 @@ def test_compose_deterministic():
 
 def test_joined_text_splits_back():
     sample = compose_multipage(POOL, 6, seed=5)
-    assert split_multipage(sample.joined_text) == [p.text for p in sample.pages]
+    # no pool page holds the separator, so splitting on it recovers the pages
+    assert sample.joined_text.split(f"\n{PAGE_SEPARATOR}\n") == [p.text for p in sample.pages]
 
 
 # Any scalar, weighted towards the ones NFC and the word splitter treat specially:
