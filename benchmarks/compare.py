@@ -366,6 +366,8 @@ def parse(trees: dict[str, Path], tmp: Path) -> dict:
 
     def readers(side: str) -> dict:
         c, g = charts[side], geometry[side]
+        # the TikZ reader through the package's public names, wherever the tree defines it
+        package = sys.modules[f"ocrkit_{side}"]
         configs = (g.SceneConfig(), g.SceneConfig(bounds=(0, 1)),
                    g.SceneConfig(kinds=("hyperbola",)))
         seeds = range(GENERATED)
@@ -373,7 +375,7 @@ def parse(trees: dict[str, Path], tmp: Path) -> dict:
             "chart": (c.parse_chart_output, c.ChartParseError,
                       lambda: (c.serialize_chart_struct(c.gen_chart_struct(seed)[0], form)
                                for seed in seeds for form in CHART_FORMS)),
-            "tikz": (g.parse_tikz_subset, g.TikzParseError,
+            "tikz": (package.parse_tikz_subset, package.TikzParseError,
                      lambda: (g.emit_tikz(g.gen_scene(seed, config)).source
                               for seed in seeds for config in configs)),
         }

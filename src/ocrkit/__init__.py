@@ -40,10 +40,8 @@ _EXPORTS = {
     "GeomScene": "geometry",
     "SceneConfig": "geometry",
     "TikzDoc": "geometry",
-    "TikzParseError": "geometry",
     "emit_tikz": "geometry",
     "gen_scene": "geometry",
-    "parse_tikz_subset": "geometry",
     "MetricReport": "metrics",
     "TokenSeq": "metrics",
     "bleu": "metrics",
@@ -64,6 +62,8 @@ _EXPORTS = {
     "TilePlan": "tiling",
     "plan_tiles": "tiling",
     "stitch_pages": "tiling",
+    "TikzParseError": "tikz",
+    "parse_tikz_subset": "tikz",
     "ValidationReport": "validators",
     "validate_kern": "validators",
     "validate_mathpix_markdown": "validators",

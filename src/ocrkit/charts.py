@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 import random
 import re
-from typing import Callable
+from itertools import zip_longest
+from typing import Callable, Iterable
 
 from ._record import Record
 from ._scan import Scanner, TextParseError, split_row
@@ -84,13 +85,14 @@ class ApReport(Record):
         super().__init__(ap_strict, ap_slight, ap_high, n_samples)
 
 
-_NUMBER_RE = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+# ASCII digits only: Python's literals read no other digits (re's \d matches every Nd)
+_NUMBER_RE = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 _ESCAPES = {"\\": "\\", '"': '"', "'": "'", "n": "\n", "t": "\t", "r": "\r"}
 _ESCAPE_CLASS = "[" + re.escape("".join(_ESCAPES)) + "]"
-# a string body: any character but its quote, a backslash or a line break (which
-# Python's literals refuse too), or a supported escape
+# a string body: any character but its quote, a backslash, a line break or a NUL
+# (which Python's literals refuse too), or a supported escape
 _STRING_BODY_RE = {
-    quote: re.compile(rf"[^{quote}\\\r\n]*(?:\\{_ESCAPE_CLASS}[^{quote}\\\r\n]*)*")
+    quote: re.compile(rf"[^{quote}\\\r\n\0]*(?:\\{_ESCAPE_CLASS}[^{quote}\\\r\n\0]*)*")
     for quote in "'\""
 }
 _ESCAPE_RE = re.compile(rf"\\({_ESCAPE_CLASS})")
@@ -114,6 +116,8 @@ class _DictScanner(Scanner):
             return _ESCAPE_RE.sub(lambda m: _ESCAPES[m[1]], body) if "\\" in body else body
         if stop[:1] in ("\r", "\n"):
             raise self.error("line break in a string", end)
+        if stop[:1] == "\0":
+            raise self.error("NUL in a string", end)
         if len(stop) == 2:  # a backslash whose escape the body did not take
             raise self.error(f"unsupported escape \\{stop[1]}", end)
         raise self.error("unterminated string", len(self.text))
@@ -290,45 +294,77 @@ def serialize_chart_struct(struct: ChartStruct, form: str = "dict") -> str:
 
 
 def _escape(text: str) -> str:
+    if "\0" in text:  # the subset, like Python's literals, has no way to write a NUL
+        raise ValueError(f"dict form cannot hold {text!r}")
     text = text.replace("\\", "\\\\").replace('"', '\\"')
     return text.replace("\r", "\\r").replace("\n", "\\n")  # the reader refuses raw line breaks
 
 
-def chart_ap(preds: list[ChartStruct], gts: list[ChartStruct], tolerance: float) -> float:
+def _pair_scores(pred: ChartStruct, gt: ChartStruct, tolerances: tuple[float, ...]) -> list[float]:
+    """The pair's score at each tolerance, by chart_ap's rule."""
+    gt_items = {(name, label): value for name, label, value in gt.items()}
+    pred_items = pred.items()
+    if not gt_items and not pred_items:
+        return [1.0] * len(tolerances)
+    matches = [0] * len(tolerances)
+    for name, label, value in pred_items:
+        key = (name, label)
+        if key in gt_items:
+            gt_value = gt_items[key]
+            error, scale = abs(value - gt_value), max(abs(gt_value), AP_VALUE_FLOOR)
+            for i, tolerance in enumerate(tolerances):
+                if error <= tolerance * scale:
+                    matches[i] += 1
+    size = max(len(pred_items), len(gt_items))
+    return [count / size for count in matches]
+
+
+_MISSING = object()  # what _mean_ap reads past the end of the shorter side
+
+
+def _mean_ap(
+    preds: Iterable[ChartStruct], gts: Iterable[ChartStruct], tolerances: tuple[float, ...]
+) -> tuple[list[float], int]:
+    """Each tolerance's mean pair score, summed in pair order, and the pair count.
+
+    One pass: each ground truth is taken before its prediction, and no pair
+    is kept once it is scored.
+    """
+    totals = [0.0] * len(tolerances)
+    n_gts = n_preds = 0
+    for gt, pred in zip_longest(gts, preds, fillvalue=_MISSING):
+        n_gts += gt is not _MISSING
+        n_preds += pred is not _MISSING
+        if n_gts == n_preds:  # past the shorter side, only count, so the message gives both
+            for i, score in enumerate(_pair_scores(pred, gt, tolerances)):
+                totals[i] += score
+    if n_preds != n_gts:
+        raise ValueError(f"got {n_preds} predictions for {n_gts} ground truths")
+    return [total / n_preds if n_preds else 0.0 for total in totals], n_preds
+
+
+def chart_ap(
+    preds: Iterable[ChartStruct], gts: Iterable[ChartStruct], tolerance: float
+) -> float:
     """Mean per-sample match rate of (series, label, value) triples.
 
     A prediction matches the ground-truth item with the same series and label
     when |v_p - v_g| <= tolerance * max(|v_g|, 1e-9); (series, label) keys are
     unique within a chart, so each item matches at most once. Each sample
-    scores matches / max(#pred, #gt), and 1.0 when both sides are empty.
+    scores matches / max(#pred, #gt), and 1.0 when both sides are empty; an
+    empty input scores 0.0.
     """
-    if len(preds) != len(gts):
-        raise ValueError(f"got {len(preds)} predictions for {len(gts)} ground truths")
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
-    if not preds:
-        return 0.0
-    total = 0.0
-    for pred, gt in zip(preds, gts):
-        gt_items = {(name, label): value for name, label, value in gt.items()}
-        pred_items = pred.items()
-        if not gt_items and not pred_items:
-            total += 1.0
-            continue
-        matches = 0
-        for name, label, value in pred_items:
-            key = (name, label)
-            if key in gt_items:
-                gt_value = gt_items[key]
-                if abs(value - gt_value) <= tolerance * max(abs(gt_value), AP_VALUE_FLOOR):
-                    matches += 1
-        total += matches / max(len(pred_items), len(gt_items))
-    return total / len(preds)
+    return _mean_ap(preds, gts, (tolerance,))[0][0]
 
 
-def ap_report(preds: list[ChartStruct], gts: list[ChartStruct]) -> ApReport:
-    aps = {f"ap_{name}": chart_ap(preds, gts, tol) for name, tol in AP_TOLERANCES.items()}
-    return ApReport(**aps, n_samples=len(preds))
+def ap_report(preds: Iterable[ChartStruct], gts: Iterable[ChartStruct]) -> ApReport:
+    """chart_ap at each of AP_TOLERANCES, in one pass that holds one pair at a time;
+    each ground truth is read before its prediction."""
+    aps, n_samples = _mean_ap(preds, gts, tuple(AP_TOLERANCES.values()))
+    return ApReport(**{f"ap_{name}": ap for name, ap in zip(AP_TOLERANCES, aps)},
+                    n_samples=n_samples)
 
 
 DEFAULT_TEXT_POOL = (

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .. import charts, corpus
 from ..corpus import Corpus, Sample, TaskKind
@@ -12,17 +13,20 @@ CHART_PROMPT_DICT = "Convert the chart to a Python dict:"
 CHART_PROMPT_TABLE = "Convert the chart to a markdown table:"
 
 
+def _parsed(samples: Iterable[Sample]) -> Iterator[charts.ChartStruct]:
+    for sample in samples:
+        try:
+            yield charts.parse_chart_output(sample.ground_truth)
+        except charts.ChartParseError as exc:
+            raise ValueError(f"sample {sample.id!r}: {exc}") from exc
+
+
 def cmd_chart_score(args) -> int:
     pairs = corpus.pair_by_id(load(args.gt), load(args.pred))
-    gt_structs, pred_structs = [], []
-    for ref, hyp in pairs:
-        try:
-            gt_structs.append(charts.parse_chart_output(ref.ground_truth))
-            pred_structs.append(charts.parse_chart_output(hyp.ground_truth))
-        except charts.ChartParseError as exc:
-            raise ValueError(f"sample {ref.id!r}: {exc}") from exc
-    report = charts.ap_report(pred_structs, gt_structs)
-    emit_report(report, args)
+    # parsed as ap_report reads them, ground truth before prediction, one pair at a time
+    preds = _parsed(hyp for _, hyp in pairs)
+    gts = _parsed(ref for ref, _ in pairs)
+    emit_report(charts.ap_report(preds, gts), args)
     return 0
 
 

@@ -193,9 +193,13 @@ def check_fields(obj: dict, kinds: dict[str, tuple[type, ...]], required: tuple[
 
 
 def load_records(path: str | Path) -> Corpus:
-    """Read a record file, preserving file order; raises CorpusFormatError."""
+    """Read a record file, preserving file order; raises CorpusFormatError.
+
+    Equal prompts, langs, meta keys and meta values share one string object.
+    """
     samples: list[Sample] = []
     seen: set[str] = set()
+    shared: dict[str, str] = {}  # each such string read so far -> its first copy
     schema_version = 1
     for lineno, obj in read_jsonl(path):
         if lineno == 1 and set(obj) == {"schema_version"}:
@@ -209,6 +213,7 @@ def load_records(path: str | Path) -> Corpus:
                 unknown = obj.keys() - _FIELDS.keys()
                 raise ValueError(f"unknown field(s): {', '.join(sorted(unknown))}")
             check_fields(obj, {}, _REQUIRED)
+            _share(obj, shared)
             sample = Sample(**obj)  # record fields are Sample's fields; it checks their kinds
             if sample.id in seen:
                 raise ValueError(f"duplicate sample id {sample.id!r}")
@@ -217,6 +222,18 @@ def load_records(path: str | Path) -> Corpus:
         seen.add(sample.id)
         samples.append(sample)
     return Corpus(tuple(samples), schema_version)
+
+
+def _share(obj: dict, shared: dict[str, str]) -> None:
+    """Put the first copy of each prompt, lang, meta key and meta string value in obj."""
+    for name in ("prompt", "lang"):
+        if type(value := obj.get(name)) is str:
+            obj[name] = shared.setdefault(value, value)
+    if type(meta := obj.get("meta")) is dict and meta:
+        obj["meta"] = {
+            shared.setdefault(k, k): shared.setdefault(v, v) if type(v) is str else v
+            for k, v in meta.items()
+        }
 
 
 def record_line(sample: Sample) -> str:

@@ -275,12 +275,12 @@ def validate_kern(text: str) -> ValidationReport:
     return ValidationReport(not issues, tuple(issues))
 
 
-# --- TikZ (delegates to the geometry parser) ---------------------------------
+# --- TikZ (delegates to the geometry engine's reader) ------------------------
 
 
 def validate_tikz(text: str) -> ValidationReport:
     """Accept exactly the geometry engine's TikZ subset."""
-    from .geometry import TikzParseError, parse_tikz_lines  # only this check needs the engine
+    from .tikz import TikzParseError, parse_tikz_lines  # only this check needs the reader
 
     try:
         parse_tikz_lines(_lines_of(text))

@@ -18,9 +18,10 @@ from ocrkit.charts import ChartStruct, Series, ap_report, gen_chart_struct
 from ocrkit.cli import main
 from ocrkit.corpus import Corpus, Sample, TaskKind, save_records
 from ocrkit.finegrained import BBox, denormalize_box, normalize_box
-from ocrkit.geometry import emit_tikz, gen_scene, parse_tikz_subset
+from ocrkit.geometry import emit_tikz, gen_scene
 from ocrkit.metrics import TokenSeq, bleu, edit_distance_norm, meteor, prf, score_corpus, tokenize
 from ocrkit.pagecompose import PageSpec, compose_multipage, token_count
+from ocrkit.tikz import parse_tikz_subset
 from ocrkit.tiling import ImageDims, plan_tiles
 from ocrkit.validators import VALIDATORS, _lines_of
 

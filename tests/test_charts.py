@@ -117,9 +117,15 @@ def test_parse_dict_error_position_and_message(text, where):
         ('{"values": {"a\nb": {}}}', "1:15: line break in a string"),
         ("{'title': 'a\rb', 'values': {}}", "1:13: line break in a string"),
         ('{"values": {"s": {"x\\n\r\ny": 1}}}', "1:23: line break in a string"),
+        # re's \d matches every Unicode decimal digit; Python's numbers take ASCII digits only
+        ('{"values": {"s": {"a": \u0663, "b": \uff11\uff12}}}', "1:24: expected a number"),
+        ('{"values": {"s": {"a": \uff11\uff12}}}', "1:24: expected a number"),
+        ('{"values": {"s": {"a": 1\u0663}}}', "1:25: expected ',' or '}'"),
+        ('{"values": {"s": {"a": 1e\u0663}}}', "1:25: expected ',' or '}'"),
     ],
     ids=["leading-zero", "negative-leading-zeros", "leading-zeros", "lf-in-string",
-         "cr-in-string", "crlf-after-an-escape"],
+         "cr-in-string", "crlf-after-an-escape", "arabic-indic-digit", "full-width-digits",
+         "digit-after-a-digit", "exponent-digit"],
 )
 def test_parse_dict_refuses_what_python_literals_refuse(text, where):
     # the dict form is a subset of Python's literals, so ast.literal_eval refuses these too
@@ -128,6 +134,47 @@ def test_parse_dict_refuses_what_python_literals_refuse(text, where):
     with pytest.raises(ChartParseError) as exc:
         parse_chart_output(text)
     assert str(exc.value) == where
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ('{"values": {"a\x00b": {}}}', "1:15: NUL in a string"),
+        ("{'title': '\x00', 'values': {}}", "1:12: NUL in a string"),
+        ('{"values": {"s": {"x\\t\x00": 1}}}', "1:23: NUL in a string"),
+    ],
+    ids=["series-name", "title", "after-an-escape"],
+)
+def test_parse_dict_refuses_a_nul_in_a_string(text, where):
+    # compile() refuses any NUL: a ValueError before Python 3.12, a SyntaxError since
+    with pytest.raises((SyntaxError, ValueError), match="null bytes"):
+        ast.literal_eval(text)
+    with pytest.raises(ChartParseError) as exc:
+        parse_chart_output(text)
+    assert str(exc.value) == where
+
+
+@pytest.mark.parametrize(
+    "cell", ["\u0663", "\uff11\uff12", "1\u0663", "\u0661.5"],
+    ids=["arabic-indic", "full-width", "mixed", "fraction"],
+)
+def test_parse_table_reads_ascii_digits_only(cell):
+    text = f"| label | s |\n| --- | --- |\n| a | {cell} |\n"
+    with pytest.raises(ChartParseError) as exc:
+        parse_chart_output(text)
+    assert str(exc.value) == f"3:1: non-numeric value cell {cell!r}"
+
+
+def test_serialize_dict_refuses_a_nul_the_table_form_holds_it():
+    for struct, shown in [
+        (ChartStruct(series=(Series("a\x00b", (("x", 1.0),)),)), "'a\\x00b'"),
+        (ChartStruct(series=(Series("s", (("\x00", 1.0),)),)), "'\\x00'"),
+        (_struct([("x", 1.0)], source="n\x00"), "'n\\x00'"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            serialize_chart_struct(struct, "dict")
+        assert str(exc.value) == f"dict form cannot hold {shown}"
+        assert parse_chart_output(serialize_chart_struct(struct, "table")) == struct
 
 
 @pytest.mark.parametrize(
@@ -348,7 +395,11 @@ def test_every_accepted_struct_round_trips(struct, form):
     try:
         text = serialize_chart_struct(struct, form)
     except ValueError:
-        assert form == "table"  # the dict form holds every chart
+        # the dict form holds every chart whose strings hold no NUL
+        strings = [struct.title, struct.source, struct.x_title, struct.y_title,
+                   *(s.name for s in struct.series),
+                   *(label for s in struct.series for label, _ in s.points)]
+        assert form == "table" or any("\0" in text for text in strings if text)
         return
     assert parse_chart_output(text) == struct
 
@@ -415,6 +466,34 @@ def test_chart_ap_label_must_match_exactly():
 def test_chart_ap_length_mismatch():
     with pytest.raises(ValueError):
         chart_ap([ChartStruct()], [], 0.0)
+
+
+@pytest.mark.parametrize("n_preds, n_gts", [(2, 1), (1, 3), (0, 2), (2, 0)])
+def test_ap_report_length_mismatch_message(n_preds, n_gts):
+    struct = gen_chart_struct(0)[0]
+    preds = (struct for _ in range(n_preds))
+    gts = (struct for _ in range(n_gts))
+    with pytest.raises(ValueError) as exc:
+        ap_report(preds, gts)
+    assert str(exc.value) == f"got {n_preds} predictions for {n_gts} ground truths"
+
+
+def test_ap_report_of_no_pairs_is_zero():
+    assert ap_report(iter(()), iter(())) == ApReport(0.0, 0.0, 0.0, 0)
+
+
+def test_ap_report_reads_each_ground_truth_before_its_prediction():
+    # one pass, one pair at a time: nothing is read ahead of the pair being scored
+    read = []
+
+    def side(name, structs):
+        for i, struct in enumerate(structs):
+            read.append(f"{name}{i}")
+            yield struct
+
+    structs = [gen_chart_struct(seed)[0] for seed in range(3)]
+    ap_report(side("pred", structs), side("gt", structs))
+    assert read == ["gt0", "pred0", "gt1", "pred1", "gt2", "pred2"]
 
 
 def test_ap_report_identity_and_ordering():
@@ -506,6 +585,37 @@ def test_chart_ap_equals_brute_force_count(pairs, tolerance):
     preds = [pred for pred, _ in pairs]
     gts = [gt for _, gt in pairs]
     assert chart_ap(preds, gts, tolerance) == _brute_force_ap(preds, gts, tolerance)
+
+
+def _perturbed(rng, struct):
+    """struct with some values moved by up to 12%, some points dropped and maybe a series
+    renamed, so that pairs match at some tolerances and not at others."""
+    series = []
+    for s in struct.series:
+        points = tuple((label, value * (1 + rng.uniform(-0.12, 0.12)) if rng.random() < 0.6
+                        else value)
+                       for label, value in s.points if rng.random() < 0.85)
+        series.append(Series(s.name + " x" if rng.random() < 0.1 else s.name, points))
+    return ChartStruct(tuple(series), title=struct.title)
+
+
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 5)),
+                max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_ap_report_over_one_shot_generators_equals_chart_ap(draws):
+    preds, gts = [], []
+    for gt_seed, noise_seed, kind in draws:
+        gt = gen_chart_struct(gt_seed)[0]
+        pred = _perturbed(random.Random(noise_seed), gt)
+        # kind 0: an empty chart on both sides; 1: an empty prediction; 2: an empty truth;
+        # 3-5: both as drawn
+        gt = ChartStruct() if kind in (0, 2) else gt
+        pred = ChartStruct() if kind in (0, 1) else pred
+        preds.append(pred)
+        gts.append(gt)
+    report = ap_report((p for p in preds), (g for g in gts))
+    expected = [chart_ap(preds, gts, tolerance) for tolerance in AP_TOLERANCES.values()]
+    assert report == ApReport(*expected, n_samples=len(preds))
 
 
 # --- generator --------------------------------------------------------------------

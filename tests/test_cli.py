@@ -156,6 +156,17 @@ def test_chart_score_parse_error_names_sample(tmp_path, capsys):
     assert "s0" in capsys.readouterr().err
 
 
+def test_chart_score_reports_the_first_bad_text_in_id_order_truth_first(tmp_path, capsys):
+    # s0's texts are fine, s1's both bad, s2's truth bad: s1's ground truth is named
+    good = '{"values": {"s": {"a": 1}}}'
+    gt, pred, out = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl", tmp_path / "ap.json"
+    _write_corpus(gt, [good, '{"values": x}', "{"], kind=TaskKind.CHART)
+    _write_corpus(pred, [good, '{"title": 1}', good], kind=TaskKind.CHART)
+    assert main(["chart-score", "--gt", str(gt), "--pred", str(pred), "--json", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: sample 's1': 1:12: expected '{'\n")
+    assert not out.exists()
+
+
 # --- planners ---------------------------------------------------------------------
 
 
@@ -748,6 +759,20 @@ def test_gen_chart_pool_file_decode_error_names_the_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_chart_dict_form_refuses_a_nul_the_table_form_writes_it(tmp_path, capsys):
+    pool = tmp_path / "pool.txt"
+    pool.write_text("a\x00b\n", encoding="utf-8")
+    out = tmp_path / "charts.jsonl"
+    argv = ["gen-chart", "--pool-file", str(pool), "--n", "2", "--out", str(out)]
+    assert main([*argv, "--form", "dict"]) == 1
+    assert capsys.readouterr() == ("", "error: dict form cannot hold 'a\\x00b'\n")
+    assert not out.exists()
+    assert main([*argv, "--form", "table"]) == 0
+    assert capsys.readouterr().out == f"wrote 2 chart records to {out}\n"
+    texts = {s.ground_truth.split("\n")[0] for s in load_records(out).samples}
+    assert texts == {"title: a\x00b"}
+
+
 def test_gen_chart_pool_file_names_every_text(tmp_path, capsys):
     # entries are stripped and blank lines skipped; a repeated name gets a number
     pool = tmp_path / "pool.txt"
@@ -966,7 +991,7 @@ def test_record_model_import_loads_no_metrics(ocrkit_modules_after):
 
 
 _ENGINES = {"ocrkit.charts", "ocrkit.finegrained", "ocrkit.geometry", "ocrkit.pagecompose",
-            "ocrkit.tiling", "ocrkit.validators"}
+            "ocrkit.tikz", "ocrkit.tiling", "ocrkit.validators"}
 
 
 def _main_statements(argv, code=0):
@@ -1041,7 +1066,8 @@ _VALID_INPUTS = {  # file name -> a text that the subcommand reading it accepts
         (["gen-geometry", "--n", "2", "--out", "o"], {"geometry"}),
         *((["validate-format", "--kind", kind, f"valid.{kind}"], {"validators"})
           for kind in ("kern", "markdown", "smiles")),
-        (["validate-format", "--kind", "tikz", "valid.tikz"], {"validators", "geometry"}),
+        # the TikZ reader builds the geometry engine's scenes
+        (["validate-format", "--kind", "tikz", "valid.tikz"], {"validators", "tikz", "geometry"}),
     ],
     ids=["chart-score-charts", "gen-chart-charts", "tile-plan-tiling", "stitch-tiling",
          "make-finegrained-finegrained", "compose-pages-pagecompose",
@@ -1065,6 +1091,9 @@ def test_engine_run_loads_its_own_engine_only(ocrkit_modules_after, tmp_path, ar
         assert "ocrkit.corpus" in loaded
     # of the engines only the page composer tokenizes, so only its runs load the metrics
     assert loaded & _METRICS == (_METRICS if "pagecompose" in engines else set())
+    # generating scenes compiles no text reader
+    if argv[0] == "gen-geometry":
+        assert not loaded & {"ocrkit.tikz", "ocrkit._scan"}
 
 
 @pytest.mark.parametrize(

@@ -364,6 +364,27 @@ def test_load_records_holds_one_line_at_a_time(tmp_path):
     assert peak - held < size / 2
 
 
+def test_load_records_keeps_one_copy_of_each_repeated_prompt_lang_and_meta_string(tmp_path):
+    # prompts interleaved, so the copy kept is not just the previous record's
+    corpus = Corpus(tuple(
+        Sample(f"s{i}", TaskKind.CHART, f"text {i}", prompt=("Convert:", "Read:")[i % 2],
+               lang=("en", "zh")[i % 3 == 0], meta={"form": ("dict", "table")[i % 2], f"k{i}": "v"})
+        for i in range(6)
+    ))
+    path = tmp_path / "records.jsonl"
+    save_records(corpus, path)
+    loaded = load_records(path)
+    assert loaded == corpus
+    assert dump_records(loaded) == dump_records(corpus)
+    first = {}
+    for s in loaded.samples:
+        strings = [s.prompt, s.lang, *s.meta, *s.meta.values()]
+        for text in strings:
+            assert first.setdefault(text, text) is text
+    assert len({id(s.prompt) for s in loaded.samples}) == 2
+    assert len({id(text) for s in loaded.samples for text in s.meta.values()}) == 3
+
+
 def test_save_corpus_atomic_holds_one_line_at_a_time(tmp_path):
     corpus = _big_corpus()
     path = tmp_path / "big.jsonl"

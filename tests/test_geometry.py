@@ -15,16 +15,15 @@ from ocrkit.geometry import (
     SceneConfig,
     Segment,
     TikzDoc,
-    TikzParseError,
     Triangle,
     canon_decimal,
     emit_tikz,
     fmt_decimal,
     gen_scene,
-    parse_tikz_subset,
     wrap_document,
 )
 from ocrkit.geometry import _SceneBuilder
+from ocrkit.tikz import TikzParseError, parse_tikz_subset
 
 
 def test_decimal_canonicalization():
@@ -210,6 +209,28 @@ def test_parse_error_position_and_message(source, where):
     assert str(exc.value) == where
     assert f"{exc.value.line}:{exc.value.column}: {exc.value.message}" == where
     assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "source, where",
+    [
+        ("\\draw (\u0663,0) circle (\uff11);\n", "1:8: expected a number"),
+        ("\\draw (3,0) circle (\uff11);\n", "1:21: expected a number"),
+        ("\\draw (1,2) -- (3,\u0664);\n", "1:19: expected a number"),
+        ("\\draw (1\u0663,2) circle (1);\n", "1:9: expected ','"),
+        # Decimal, which reads the domain bounds, takes every Unicode digit
+        ("\\draw plot[domain=\u0663:4] (\\x, {1*\\x + 2});\n",
+         "1:27: not a decimal number: '\u0663'"),
+        ("\\draw plot[domain=0:\uff11\uff12] (\\x, {1*\\x + 2});\n",
+         "1:28: not a decimal number: '\uff11\uff12'"),
+    ],
+    ids=["arabic-indic-and-full-width", "full-width-radius", "arabic-indic-in-a-segment",
+         "digit-after-a-digit", "domain-arabic-indic", "domain-full-width"],
+)
+def test_parse_reads_ascii_digits_only(source, where):
+    with pytest.raises(TikzParseError) as exc:
+        parse_tikz_subset(source)
+    assert str(exc.value) == where
 
 
 def test_round_trip_examples():

@@ -45,7 +45,7 @@ def test_submodule_attribute_without_explicit_import(ocrkit_modules_after):
 @pytest.mark.parametrize(
     "module",
     ["ocrkit.cli", "ocrkit.charts", "ocrkit.finegrained", "ocrkit.geometry", "ocrkit.pagecompose",
-     "ocrkit.tiling", "ocrkit.validators"],
+     "ocrkit.tikz", "ocrkit.tiling", "ocrkit.validators"],
 )
 def test_import_loads_neither_dataclasses_nor_inspect(stdlib_modules_after, module):
     loaded = stdlib_modules_after(f"import {module}")

@@ -5,20 +5,26 @@ replacing characters and by cutting the text short; each parser must accept the
 result or reject it with its own error type, never with any other exception,
 and the error's line and column must point inside the text (a column may be
 one past the end of its line). Each validator, run on a valid document of its
-own format edited the same way, must report only such positions.
+own format edited the same way, must report only such positions. Every
+mutated dict-form chart the chart reader accepts must read the same through
+``ast.literal_eval``, an oracle that shares no code with the reader.
 """
 
+import ast
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ocrkit.charts import (
+    _META_KEYS,
     ChartParseError,
     gen_chart_struct,
     parse_chart_output,
     serialize_chart_struct,
 )
-from ocrkit.geometry import TikzParseError, emit_tikz, gen_scene, parse_tikz_subset
+from ocrkit.geometry import emit_tikz, gen_scene
+from ocrkit.tikz import TikzParseError, parse_tikz_subset
 from ocrkit.validators import VALIDATORS, _lines_of
 
 # Characters the two grammars give meaning to, plus a few that neither uses.
@@ -71,6 +77,40 @@ def test_tikz_parser_accepts_or_raises_its_own_error(seed, edits):
         parse_tikz_subset(text)
     except TikzParseError as exc:
         _assert_points_inside(text, exc)
+
+
+# NUL and digits outside ASCII (Arabic-Indic three, full-width one), which Python's
+# literals refuse, drawn often enough to land inside a string or a number
+_ORACLE_CHARS = st.sampled_from("\x00\u0663\uff11") | _CHARS
+_DICT_TEXTS = st.builds(
+    lambda seed, edits: _mutate(serialize_chart_struct(gen_chart_struct(seed)[0], "dict"), edits),
+    st.integers(0, 2**31),
+    st.lists(st.tuples(st.sampled_from(["insert", "delete", "replace", "truncate"]),
+                       st.integers(0, 10**6), _ORACLE_CHARS), max_size=4),
+)
+
+
+@given(_DICT_TEXTS)
+@example('{"values": {"s": {"a": \u0663, "b": \uff11\uff12}}}')
+@example('{"values": {"a\x00b": {}}}')
+@settings(max_examples=400, deadline=None)
+def test_accepted_dict_text_reads_the_same_as_a_python_literal(text):
+    try:
+        struct = parse_chart_output(text)
+    except ChartParseError:
+        return
+    if not text.lstrip().startswith("{"):
+        return  # a mutation made it a table-form text
+    # the whitespace around the literal is no part of it: Python reads a space or tab
+    # after a line break there as indentation
+    value = ast.literal_eval(text.strip(" \t\r\n"))
+    assert type(value) is dict
+    meta = {key: getattr(struct, key) for key in _META_KEYS if getattr(struct, key) is not None}
+    assert {key: v for key, v in value.items() if key != "values"} == meta
+    # the reader strips series names and labels; values compare as floats
+    series = [(name.strip(), [(label.strip(), float(v)) for label, v in points.items()])
+              for name, points in value["values"].items()]
+    assert series == [(s.name, list(s.points)) for s in struct.series]
 
 
 # Valid documents that reach every check of their validator: math, environments,

@@ -32,8 +32,8 @@ from ocrkit.pagecompose import MultiPageSample, PageSpec, PasteLayout
 from ocrkit.tiling import ImageDims, Placement, Rect, StitchSpec, TilePlan
 from ocrkit.validators import Issue, ValidationReport
 
-MODULES = ("charts", "corpus", "finegrained", "geometry", "metrics", "pagecompose", "tiling",
-           "validators")
+MODULES = ("charts", "corpus", "finegrained", "geometry", "metrics", "pagecompose", "tikz",
+           "tiling", "validators")
 
 P0, P1, P2 = Point(0, 0), Point(1, 0), Point(0, 1)
 DIMS = ImageDims(2, 3)
