@@ -353,8 +353,11 @@ def parse(trees: dict[str, Path], tmp: Path) -> dict:
     def chart(seed: int, form: str) -> str:
         return c.serialize_chart_struct(c.gen_chart_struct(seed)[0], form)
 
+    def tikz_text(doc) -> str:
+        return getattr(doc, "source", doc)  # an older tree's emit_tikz wraps it in a TikzDoc
+
     def scene(seed: int) -> str:
-        return g.emit_tikz(g.gen_scene(seed)).source
+        return tikz_text(g.emit_tikz(g.gen_scene(seed)))
 
     rng = random.Random(f"parse:{SEED}")
     valid = {"chart": {form: [chart(seed, form) for seed in range(PARSE_TEXTS)]
@@ -376,7 +379,7 @@ def parse(trees: dict[str, Path], tmp: Path) -> dict:
                       lambda: (c.serialize_chart_struct(c.gen_chart_struct(seed)[0], form)
                                for seed in seeds for form in CHART_FORMS)),
             "tikz": (package.parse_tikz_subset, package.TikzParseError,
-                     lambda: (g.emit_tikz(g.gen_scene(seed, config)).source
+                     lambda: (tikz_text(g.emit_tikz(g.gen_scene(seed, config)))
                               for seed in seeds for config in configs)),
         }
 

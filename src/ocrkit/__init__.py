@@ -39,7 +39,6 @@ _EXPORTS = {
     "reading_order_serialize": "finegrained",
     "GeomScene": "geometry",
     "SceneConfig": "geometry",
-    "TikzDoc": "geometry",
     "emit_tikz": "geometry",
     "gen_scene": "geometry",
     "MetricReport": "metrics",

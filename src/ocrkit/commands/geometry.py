@@ -18,12 +18,11 @@ def cmd_gen_geometry(args) -> int:
     samples = []
     for i in range(args.n):
         scene = geometry.gen_scene(args.seed + i, config)
-        doc = geometry.emit_tikz(scene)
         samples.append(
             Sample(
                 id=f"geom-{args.seed + i:08d}",
                 task_kind=TaskKind.GEOMETRY,
-                ground_truth=doc.source,
+                ground_truth=geometry.emit_tikz(scene),
                 prompt=GEOMETRY_PROMPT,
                 meta={"n_elements": str(len(scene.elements))},
             )

@@ -18,7 +18,7 @@ def cmd_tile_plan(args) -> int:
         obj = {
             "grid_cols": plan.grid_cols,
             "grid_rows": plan.grid_rows,
-            "tile_px": plan.tile_px,
+            "tile_px": tiling.TILE_PX,
             "include_thumbnail": plan.include_thumbnail,
             "tile_rects": [[r.x, r.y, r.w, r.h] for r in plan.tile_rects],
         }

@@ -137,13 +137,6 @@ class GeomScene(Record):
         super().__init__(elements)
 
 
-class TikzDoc(Record):
-    __slots__ = ("source",)
-
-    def __init__(self, source: str):
-        super().__init__(source)
-
-
 def _coord(p: Point) -> str:
     return f"({fmt_decimal(p.x)},{fmt_decimal(p.y)})"
 
@@ -188,15 +181,14 @@ def _emit_element(el: Element) -> str:
     )
 
 
-def emit_tikz(scene: GeomScene) -> TikzDoc:
+def emit_tikz(scene: GeomScene) -> str:
     """One command line per element, in element order; empty scene -> empty text."""
-    lines = [_emit_element(el) for el in scene.elements]
-    return TikzDoc("".join(line + "\n" for line in lines))
+    return "".join(_emit_element(el) + "\n" for el in scene.elements)
 
 
-def wrap_document(doc: TikzDoc) -> str:
+def wrap_document(source: str) -> str:
     """Embed the drawing in the documented standalone LaTeX wrapper."""
-    return DOCUMENT_TEMPLATE % doc.source
+    return DOCUMENT_TEMPLATE % source
 
 
 class SceneConfig(Record):

@@ -19,7 +19,6 @@ from .geometry import (
     Point,
     Rectangle,
     Segment,
-    TikzDoc,
     Triangle,
     canon_decimal,
 )
@@ -212,9 +211,8 @@ def _parse_line(text: str, line_no: int) -> Element:
     return element
 
 
-def parse_tikz_subset(doc: TikzDoc | str) -> GeomScene:
+def parse_tikz_subset(source: str) -> GeomScene:
     """Parse emitted TikZ back into a scene; inverse of emit_tikz."""
-    source = doc.source if isinstance(doc, TikzDoc) else doc
     lines = source.split("\n")
     if lines[-1] == "":
         lines.pop()

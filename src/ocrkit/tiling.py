@@ -36,17 +36,12 @@ class Rect(Record):
 
 
 class TilePlan(Record):
-    __slots__ = ("grid_cols", "grid_rows", "include_thumbnail", "tile_rects", "tile_px")
+    __slots__ = ("grid_cols", "grid_rows", "include_thumbnail", "tile_rects")
 
     def __init__(
-        self,
-        grid_cols: int,
-        grid_rows: int,
-        include_thumbnail: bool,
-        tile_rects: tuple[Rect, ...],
-        tile_px: int = TILE_PX,
+        self, grid_cols: int, grid_rows: int, include_thumbnail: bool, tile_rects: tuple[Rect, ...]
     ):
-        super().__init__(grid_cols, grid_rows, include_thumbnail, tile_rects, tile_px)
+        super().__init__(grid_cols, grid_rows, include_thumbnail, tile_rects)
 
 
 class Placement(Record):

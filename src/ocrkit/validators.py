@@ -26,10 +26,15 @@ class Issue(Record):
 
 
 class ValidationReport(Record):
-    __slots__ = ("ok", "issues")
+    __slots__ = ("issues",)
 
-    def __init__(self, ok: bool, issues: tuple[Issue, ...]):
-        super().__init__(ok, issues)
+    def __init__(self, issues: tuple[Issue, ...]):
+        super().__init__(tuple(issues))
+
+    @property
+    def ok(self) -> bool:
+        """True when the text has no issue."""
+        return not self.issues
 
 
 def _lines_of(text: str) -> list[str]:
@@ -120,7 +125,7 @@ def validate_mathpix_markdown(text: str) -> ValidationReport:
         elif len(cells) != header_arity:
             message = f"row has {len(cells)} cells, header has {header_arity}"
             issues.append(Issue(i + 1, 1, "TABLE_ARITY", message))
-    return ValidationReport(not issues, tuple(issues))
+    return ValidationReport(issues)
 
 
 # --- SMILES -----------------------------------------------------------------
@@ -196,7 +201,7 @@ def validate_smiles(text: str) -> ValidationReport:
         if len(positions) != 2:
             message = f"ring closure {label!r} appears {len(positions)} time(s), expected exactly 2"
             issues.append(Issue(1, positions[0] + 1, "RING_UNPAIRED", message))
-    return ValidationReport(not issues, tuple(issues))
+    return ValidationReport(issues)
 
 
 # --- Humdrum **kern ----------------------------------------------------------
@@ -217,7 +222,7 @@ def validate_kern(text: str) -> ValidationReport:
     consistency and the documented duration-pitch token pattern."""
     lines = _lines_of(text)
     if not lines:
-        return ValidationReport(False, (Issue(1, 1, "EMPTY_INPUT", "no records in input"),))
+        return ValidationReport((Issue(1, 1, "EMPTY_INPUT", "no records in input"),))
     issues: list[Issue] = []
     spine_count: int | None = None
     terminated = False
@@ -272,7 +277,7 @@ def validate_kern(text: str) -> ValidationReport:
     elif not terminated:
         message = "spines never terminated by *-"
         issues.append(Issue(len(lines), 1, "SPINE_UNTERMINATED", message))
-    return ValidationReport(not issues, tuple(issues))
+    return ValidationReport(issues)
 
 
 # --- TikZ (delegates to the geometry engine's reader) ------------------------
@@ -285,8 +290,8 @@ def validate_tikz(text: str) -> ValidationReport:
     try:
         parse_tikz_lines(_lines_of(text))
     except TikzParseError as exc:
-        return ValidationReport(False, (Issue(exc.line, exc.column, "TIKZ_SYNTAX", exc.message),))
-    return ValidationReport(True, ())
+        return ValidationReport((Issue(exc.line, exc.column, "TIKZ_SYNTAX", exc.message),))
+    return ValidationReport(())
 
 
 VALIDATORS = {

@@ -14,7 +14,6 @@ from ocrkit.geometry import (
     Rectangle,
     SceneConfig,
     Segment,
-    TikzDoc,
     Triangle,
     canon_decimal,
     emit_tikz,
@@ -64,79 +63,79 @@ def test_curve_semi_axes_must_be_positive(kind, params, a, b):
 
 
 def test_emit_templates():
-    assert emit_tikz(GeomScene((Circle(Point(0, 0), Decimal(2)),))).source == (
+    assert emit_tikz(GeomScene((Circle(Point(0, 0), Decimal(2)),))) == (
         "\\draw (0,0) circle (2);\n"
     )
-    assert emit_tikz(GeomScene((Triangle(Point(0, 0), Point(1, 0), Point(0, 1)),))).source == (
+    assert emit_tikz(GeomScene((Triangle(Point(0, 0), Point(1, 0), Point(0, 1)),))) == (
         "\\draw (0,0) -- (1,0) -- (0,1) -- cycle;\n"
     )
-    assert emit_tikz(GeomScene((Segment(Point(0, 0), Point("1.5", "-2")),))).source == (
+    assert emit_tikz(GeomScene((Segment(Point(0, 0), Point("1.5", "-2")),))) == (
         "\\draw (0,0) -- (1.5,-2);\n"
     )
-    assert emit_tikz(GeomScene((Point("0.25", "-3"),))).source == (
+    assert emit_tikz(GeomScene((Point("0.25", "-3"),))) == (
         "\\draw plot[mark=*] coordinates {(0.25,-3)};\n"
     )
-    assert emit_tikz(GeomScene((Rectangle(Point(0, 0), Point(2, 3)),))).source == (
+    assert emit_tikz(GeomScene((Rectangle(Point(0, 0), Point(2, 3)),))) == (
         "\\draw (0,0) rectangle (2,3);\n"
     )
 
 
 def test_emit_curve_templates_with_sign_folding():
     line = Curve("line", ("-0.5", "-2", "0", "4"))
-    assert emit_tikz(GeomScene((line,))).source == (
+    assert emit_tikz(GeomScene((line,))) == (
         "\\draw plot[domain=0:4] (\\x, {-0.5*\\x - 2});\n"
     )
     parabola = Curve("parabola", ("1.25", "-3", "0.75", "-1", "2"))
-    assert emit_tikz(GeomScene((parabola,))).source == (
+    assert emit_tikz(GeomScene((parabola,))) == (
         "\\draw plot[domain=-1:2] (\\x, {1.25*\\x*\\x - 3*\\x + 0.75});\n"
     )
     ellipse = Curve("ellipse", ("1", "-2", "3", "0.5"))
-    assert emit_tikz(GeomScene((ellipse,))).source == (
+    assert emit_tikz(GeomScene((ellipse,))) == (
         "\\draw (1,-2) ellipse (3 and 0.5);\n"
     )
     hyperbola = Curve("hyperbola", ("-1.5", "2", "1", "0.75", "-2", "2"))
-    assert emit_tikz(GeomScene((hyperbola,))).source == (
+    assert emit_tikz(GeomScene((hyperbola,))) == (
         "\\draw plot[domain=-2:2, variable=\\t] "
         "({-1.5 + 1*cosh(\\t)}, {2 + 0.75*sinh(\\t)});\n"
     )
 
 
 def test_empty_scene_empty_document():
-    assert emit_tikz(GeomScene()).source == ""
-    assert parse_tikz_subset(TikzDoc("")) == GeomScene()
+    assert emit_tikz(GeomScene()) == ""
+    assert parse_tikz_subset("") == GeomScene()
 
 
 def test_parse_rejects_unknown_command_at_start():
     with pytest.raises(TikzParseError) as exc:
-        parse_tikz_subset(TikzDoc("\\drow (0,0) circle (1);\n"))
+        parse_tikz_subset("\\drow (0,0) circle (1);\n")
     assert (exc.value.line, exc.value.column) == (1, 1)
 
 
 def test_parse_rejects_negative_radius():
     with pytest.raises(TikzParseError, match="radius"):
-        parse_tikz_subset(TikzDoc("\\draw (0,0) circle (-1);\n"))
+        parse_tikz_subset("\\draw (0,0) circle (-1);\n")
 
 
 def test_parse_rejects_missing_semicolon():
     with pytest.raises(TikzParseError, match=";"):
-        parse_tikz_subset(TikzDoc("\\draw (0,0) circle (1)\n"))
+        parse_tikz_subset("\\draw (0,0) circle (1)\n")
 
 
 def test_parse_rejects_trailing_garbage_and_blank_lines():
     with pytest.raises(TikzParseError):
-        parse_tikz_subset(TikzDoc("\\draw (0,0) circle (1); extra\n"))
+        parse_tikz_subset("\\draw (0,0) circle (1); extra\n")
     with pytest.raises(TikzParseError, match="blank"):
-        parse_tikz_subset(TikzDoc("\\draw (0,0) circle (1);\n\n\\draw (0,0) circle (1);\n"))
+        parse_tikz_subset("\\draw (0,0) circle (1);\n\n\\draw (0,0) circle (1);\n")
 
 
 def test_parse_rejects_overlong_decimals():
     with pytest.raises(TikzParseError, match="fraction digits"):
-        parse_tikz_subset(TikzDoc("\\draw (0.123,0) circle (1);\n"))
+        parse_tikz_subset("\\draw (0.123,0) circle (1);\n")
 
 
 def test_parse_error_positions_are_reported():
     try:
-        parse_tikz_subset(TikzDoc("\\draw (0,0) -- (zz);\n"))
+        parse_tikz_subset("\\draw (0,0) -- (zz);\n")
     except TikzParseError as exc:
         assert exc.line == 1
         assert exc.column == 17
@@ -149,7 +148,7 @@ def test_parse_head_mutations_rejected():
     for i in range(len("\\draw")):
         mutated = base[:i] + base[i + 1 :]
         with pytest.raises(TikzParseError):
-            parse_tikz_subset(TikzDoc(mutated + "\n"))
+            parse_tikz_subset(mutated + "\n")
 
 
 @pytest.mark.parametrize(
@@ -316,7 +315,7 @@ def test_hyperbola_domain_drawn_empty_is_widened():
     # this seed draws lo = hi = 0 for the only hyperbola
     scene = gen_scene(43871, SceneConfig(n_elements=(1, 1), kinds=("hyperbola",)))
     assert scene.elements[0].params[-2:] == (Decimal(0), Decimal("0.5"))
-    assert emit_tikz(scene).source.startswith("\\draw plot[domain=0:0.5, variable=\\t] ")
+    assert emit_tikz(scene).startswith("\\draw plot[domain=0:0.5, variable=\\t] ")
     assert parse_tikz_subset(emit_tikz(scene)) == scene
 
 
@@ -324,7 +323,7 @@ def test_emit_injective_on_sample():
     seen = {}
     for seed in range(300):
         scene = gen_scene(seed)
-        text = emit_tikz(scene).source
+        text = emit_tikz(scene)
         if text in seen:
             assert seen[text] == scene
         else:
@@ -348,7 +347,7 @@ def test_combined_scenes_share_points():
 
 
 def test_wrap_document_contains_source():
-    doc = emit_tikz(gen_scene(1))
-    wrapped = wrap_document(doc)
-    assert doc.source in wrapped
+    source = emit_tikz(gen_scene(1))
+    wrapped = wrap_document(source)
+    assert source in wrapped
     assert wrapped.startswith("\\documentclass")

@@ -1,5 +1,6 @@
 """Package surface: lazily loaded exports and submodules."""
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -50,3 +51,46 @@ def test_submodule_attribute_without_explicit_import(ocrkit_modules_after):
 def test_import_loads_neither_dataclasses_nor_inspect(stdlib_modules_after, module):
     loaded = stdlib_modules_after(f"import {module}")
     assert loaded and not loaded & {"dataclasses", "inspect"}
+
+
+def _module_level_public_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    yield target.id
+
+
+def _referenced_names(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # the CLI's tables and _EXPORTS name code in strings; docstrings count too
+            yield from re.findall(r"\w+", node.value)
+
+
+def test_every_public_name_in_src_is_referenced():
+    from ocrkit.cli import COMMANDS
+
+    src = Path(ocrkit.__file__).parent
+    readme = (src.parents[1] / "README.md").read_text(encoding="utf-8")
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in src.rglob("*.py")}
+    referenced = set(re.findall(r"\w+", readme)) | set(ocrkit._EXPORTS)
+    for tree in trees.values():
+        referenced.update(_referenced_names(tree))
+    # cli._handler finds each handler as "cmd_" + the command name with "_" for "-"
+    referenced.update("cmd_" + command.replace("-", "_") for command in COMMANDS)
+    unreferenced = sorted(
+        ".".join((*path.relative_to(src).with_suffix("").parts, name))
+        for path, tree in trees.items()
+        for name in _module_level_public_names(tree)
+        if not name.startswith("_") and name not in referenced
+    )
+    assert unreferenced == []

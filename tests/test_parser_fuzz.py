@@ -72,7 +72,7 @@ def test_chart_parser_accepts_or_raises_its_own_error(seed, form, edits):
 @given(st.integers(0, 2**31), _EDITS)
 @settings(max_examples=200, deadline=None)
 def test_tikz_parser_accepts_or_raises_its_own_error(seed, edits):
-    text = _mutate(emit_tikz(gen_scene(seed)).source, edits)
+    text = _mutate(emit_tikz(gen_scene(seed)), edits)
     try:
         parse_tikz_subset(text)
     except TikzParseError as exc:
@@ -140,7 +140,7 @@ _VALID = {
 
 def _valid_document(kind: str, seed: int) -> str:
     if kind == "tikz":
-        return emit_tikz(gen_scene(seed)).source
+        return emit_tikz(gen_scene(seed))
     return _VALID[kind][seed % len(_VALID[kind])]
 
 

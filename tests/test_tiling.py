@@ -43,7 +43,6 @@ def test_square_is_single_tile():
     assert (plan.grid_cols, plan.grid_rows) == (1, 1)
     assert not plan.include_thumbnail
     assert plan.tile_rects == plan.tile_rects[:1]
-    assert plan.tile_px == 1024
 
 
 def test_wide_image_two_columns():
@@ -133,7 +132,7 @@ def test_cut_at_a_half_pixel_rounds_up():
     plan = plan_tiles(ImageDims(1025, 512))
     assert plan.as_dict() == {
         "grid_cols": 2, "grid_rows": 1, "include_thumbnail": True,
-        "tile_rects": (Rect(0, 0, 513, 512), Rect(513, 0, 512, 512)), "tile_px": 1024,
+        "tile_rects": (Rect(0, 0, 513, 512), Rect(513, 0, 512, 512)),
     }
 
 

@@ -8,6 +8,8 @@ from ocrkit.charts import gen_chart_struct, serialize_chart_struct
 from ocrkit.geometry import emit_tikz, gen_scene
 from ocrkit.validators import (
     VALIDATORS,
+    Issue,
+    ValidationReport,
     validate_kern,
     validate_mathpix_markdown,
     validate_smiles,
@@ -17,6 +19,14 @@ from ocrkit.validators import (
 
 def codes(report):
     return [issue.code for issue in report.issues]
+
+
+def test_report_ok_is_read_from_its_issues():
+    issue = Issue(1, 1, "E", "m")
+    assert ValidationReport(()).ok
+    assert not ValidationReport([issue]).ok
+    # ok is no field: a report cannot claim ok while it holds an issue
+    assert ValidationReport([issue]).as_dict() == {"issues": (issue,)}
 
 
 # --- markdown -----------------------------------------------------------------
@@ -165,8 +175,7 @@ def test_kern_content_after_terminator():
 
 def test_tikz_validator_accepts_engine_output():
     for seed in range(30):
-        doc = emit_tikz(gen_scene(seed))
-        assert validate_tikz(doc.source).ok
+        assert validate_tikz(emit_tikz(gen_scene(seed))).ok
 
 
 def test_tikz_validator_rejects_a_zero_length_segment():
