@@ -90,11 +90,14 @@ _NUMBER_RE = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 _ESCAPES = {"\\": "\\", '"': '"', "'": "'", "n": "\n", "t": "\t", "r": "\r"}
 _ESCAPE_CLASS = "[" + re.escape("".join(_ESCAPES)) + "]"
 # a string body: any character but its quote, a backslash, a line break or a NUL
-# (which Python's literals refuse too), or a supported escape
+# (which Python's literals refuse too) or a lone surrogate (which UTF-8 cannot
+# encode), or a supported escape
+_NOT_RAW = r"\\\r\n\0\ud800-\udfff"
 _STRING_BODY_RE = {
-    quote: re.compile(rf"[^{quote}\\\r\n\0]*(?:\\{_ESCAPE_CLASS}[^{quote}\\\r\n\0]*)*")
+    quote: re.compile(rf"[^{quote}{_NOT_RAW}]*(?:\\{_ESCAPE_CLASS}[^{quote}{_NOT_RAW}]*)*")
     for quote in "'\""
 }
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 _ESCAPE_RE = re.compile(rf"\\({_ESCAPE_CLASS})")
 
 
@@ -118,6 +121,8 @@ class _DictScanner(Scanner):
             raise self.error("line break in a string", end)
         if stop[:1] == "\0":
             raise self.error("NUL in a string", end)
+        if _SURROGATE_RE.match(stop):
+            raise self.error(f"lone surrogate U+{ord(stop[0]):04X} in a string", end)
         if len(stop) == 2:  # a backslash whose escape the body did not take
             raise self.error(f"unsupported escape \\{stop[1]}", end)
         raise self.error("unterminated string", len(self.text))
@@ -294,7 +299,8 @@ def serialize_chart_struct(struct: ChartStruct, form: str = "dict") -> str:
 
 
 def _escape(text: str) -> str:
-    if "\0" in text:  # the subset, like Python's literals, has no way to write a NUL
+    # the subset, like Python's literals, has no way to write a NUL or a lone surrogate
+    if "\0" in text or not text.isascii() and _SURROGATE_RE.search(text):
         raise ValueError(f"dict form cannot hold {text!r}")
     text = text.replace("\\", "\\\\").replace('"', '\\"')
     return text.replace("\r", "\\r").replace("\n", "\\n")  # the reader refuses raw line breaks

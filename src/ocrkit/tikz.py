@@ -83,9 +83,9 @@ def _parse_domain(cur: _Cursor, opts: dict[str, str]) -> tuple[Decimal, Decimal]
         raise cur.error(f"malformed domain {opts['domain']!r}")
     bounds = []
     for text in (lo_s.strip(), hi_s.strip()):
+        if not _NUMBER_RE.fullmatch(text):  # Decimal would also read 1e1, .5 or +1
+            raise cur.error(f"not a decimal number: {text!r}")
         try:
-            if not text.isascii():  # Decimal reads every Unicode digit
-                raise ValueError(f"not a decimal number: {text!r}")
             bounds.append(canon_decimal(text))
         except ValueError as exc:
             raise cur.error(str(exc)) from exc

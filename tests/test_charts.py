@@ -155,6 +155,24 @@ def test_parse_dict_refuses_a_nul_in_a_string(text, where):
 
 
 @pytest.mark.parametrize(
+    "text, where",
+    [
+        ('{"values": {"\ud800": {}}}', "1:14: lone surrogate U+D800 in a string"),
+        ("{'title': 'a\udfff', 'values': {}}", "1:13: lone surrogate U+DFFF in a string"),
+        ('{"values": {"s": {"x\\t\udc00": 1}}}', "1:23: lone surrogate U+DC00 in a string"),
+    ],
+    ids=["series-name", "title", "after-an-escape"],
+)
+def test_parse_dict_refuses_a_lone_surrogate_in_a_string(text, where):
+    # UTF-8 cannot encode a lone surrogate, so compile() cannot read the text
+    with pytest.raises(UnicodeEncodeError, match="surrogates not allowed"):
+        ast.literal_eval(text)
+    with pytest.raises(ChartParseError) as exc:
+        parse_chart_output(text)
+    assert str(exc.value) == where
+
+
+@pytest.mark.parametrize(
     "cell", ["\u0663", "\uff11\uff12", "1\u0663", "\u0661.5"],
     ids=["arabic-indic", "full-width", "mixed", "fraction"],
 )
@@ -175,6 +193,17 @@ def test_serialize_dict_refuses_a_nul_the_table_form_holds_it():
             serialize_chart_struct(struct, "dict")
         assert str(exc.value) == f"dict form cannot hold {shown}"
         assert parse_chart_output(serialize_chart_struct(struct, "table")) == struct
+
+
+def test_serialize_dict_refuses_a_lone_surrogate():
+    for struct, shown in [
+        (ChartStruct(series=(Series("a\ud800", (("x", 1.0),)),)), "'a\\ud800'"),
+        (ChartStruct(series=(Series("s", (("\udfff", 1.0),)),)), "'\\udfff'"),
+        (_struct([("x", 1.0)], title="\udc00n"), "'\\udc00n'"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            serialize_chart_struct(struct, "dict")
+        assert str(exc.value) == f"dict form cannot hold {shown}"
 
 
 @pytest.mark.parametrize(

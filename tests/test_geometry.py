@@ -217,7 +217,7 @@ def test_parse_error_position_and_message(source, where):
         ("\\draw (3,0) circle (\uff11);\n", "1:21: expected a number"),
         ("\\draw (1,2) -- (3,\u0664);\n", "1:19: expected a number"),
         ("\\draw (1\u0663,2) circle (1);\n", "1:9: expected ','"),
-        # Decimal, which reads the domain bounds, takes every Unicode digit
+        # a domain bound is one number too, though Decimal would read it
         ("\\draw plot[domain=\u0663:4] (\\x, {1*\\x + 2});\n",
          "1:27: not a decimal number: '\u0663'"),
         ("\\draw plot[domain=0:\uff11\uff12] (\\x, {1*\\x + 2});\n",
@@ -230,6 +230,21 @@ def test_parse_reads_ascii_digits_only(source, where):
     with pytest.raises(TikzParseError) as exc:
         parse_tikz_subset(source)
     assert str(exc.value) == where
+
+
+@pytest.mark.parametrize(
+    "bound, column",
+    [("1e1", 30), (".5", 29), ("-.7", 30), ("2.", 29), ("+1", 29), ("1_0", 30)],
+    ids=["exponent", "no-integer-part", "negative-no-integer-part", "no-fraction-digits",
+         "plus-sign", "underscore"],
+)
+def test_domain_bounds_are_numbers_of_the_subset(bound, column):
+    # every form Decimal reads but emit_tikz never writes, as every other number refuses it
+    with pytest.raises(TikzParseError) as exc:
+        parse_tikz_subset(f"\\draw plot[domain={bound}:20] (\\x, {{1*\\x + 2}});\n")
+    assert str(exc.value) == f"1:{column}: not a decimal number: {bound!r}"
+    with pytest.raises(TikzParseError):
+        parse_tikz_subset(f"\\draw ({bound},0) circle (1);\n")
 
 
 def test_round_trip_examples():

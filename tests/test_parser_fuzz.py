@@ -79,9 +79,9 @@ def test_tikz_parser_accepts_or_raises_its_own_error(seed, edits):
         _assert_points_inside(text, exc)
 
 
-# NUL and digits outside ASCII (Arabic-Indic three, full-width one), which Python's
-# literals refuse, drawn often enough to land inside a string or a number
-_ORACLE_CHARS = st.sampled_from("\x00\u0663\uff11") | _CHARS
+# NUL, lone surrogates and digits outside ASCII (Arabic-Indic three, full-width one),
+# which Python's literals refuse, drawn often enough to land inside a string or a number
+_ORACLE_CHARS = st.sampled_from("\x00\ud800\udfff\u0663\uff11") | _CHARS
 _DICT_TEXTS = st.builds(
     lambda seed, edits: _mutate(serialize_chart_struct(gen_chart_struct(seed)[0], "dict"), edits),
     st.integers(0, 2**31),
@@ -90,17 +90,7 @@ _DICT_TEXTS = st.builds(
 )
 
 
-@given(_DICT_TEXTS)
-@example('{"values": {"s": {"a": \u0663, "b": \uff11\uff12}}}')
-@example('{"values": {"a\x00b": {}}}')
-@settings(max_examples=400, deadline=None)
-def test_accepted_dict_text_reads_the_same_as_a_python_literal(text):
-    try:
-        struct = parse_chart_output(text)
-    except ChartParseError:
-        return
-    if not text.lstrip().startswith("{"):
-        return  # a mutation made it a table-form text
+def _assert_reads_as_python_literal(struct, text: str) -> None:
     # the whitespace around the literal is no part of it: Python reads a space or tab
     # after a line break there as indentation
     value = ast.literal_eval(text.strip(" \t\r\n"))
@@ -111,6 +101,88 @@ def test_accepted_dict_text_reads_the_same_as_a_python_literal(text):
     series = [(name.strip(), [(label.strip(), float(v)) for label, v in points.items()])
               for name, points in value["values"].items()]
     assert series == [(s.name, list(s.points)) for s in struct.series]
+
+
+@given(_DICT_TEXTS)
+@example('{"values": {"s": {"a": \u0663, "b": \uff11\uff12}}}')
+@example('{"values": {"a\x00b": {}}}')
+@example('{"values": {"\ud800": {}}}')
+@settings(max_examples=400, deadline=None)
+def test_accepted_dict_text_reads_the_same_as_a_python_literal(text):
+    try:
+        struct = parse_chart_output(text)
+    except ChartParseError:
+        return
+    if text.lstrip().startswith("{"):  # else a mutation made it a table-form text
+        _assert_reads_as_python_literal(struct, text)
+
+
+# The documented dict subset, written independently of the reader: the escapes it
+# takes and what each stands for.
+_ESCAPED = {"\\\\": "\\", "\\'": "'", '\\"': '"', "\\n": "\n", "\\t": "\t", "\\r": "\r"}
+# a string's pieces: a raw character, a quote (escaped when it is the delimiter) or an escape
+_PIECES = st.lists(
+    st.characters(exclude_categories=("Cs",), exclude_characters="\\'\"\r\n\0")
+    | st.sampled_from(["'", '"', *_ESCAPED]),
+    max_size=6,
+)
+_DIGITS = st.text("0123456789", min_size=1, max_size=3)
+_FLOAT = st.builds("{}.{}".format, _DIGITS, st.text("0123456789", max_size=3)) | st.builds(
+    ".{}".format, _DIGITS
+)
+_EXPONENT = st.builds(
+    "{}{}{}".format, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+    st.text("0123456789", min_size=1, max_size=2),
+)
+# only an integer without fraction or exponent may not start with 0, unless it is zero
+_NUMBER = st.builds(
+    "{}{}".format,
+    st.sampled_from(["", "-"]),
+    st.sampled_from(["0", "00"])
+    | st.from_regex(r"[1-9][0-9]{0,2}", fullmatch=True)
+    | _FLOAT
+    | st.builds("{}{}".format, _DIGITS | _FLOAT, _EXPONENT),
+)
+
+
+def _decoded(pieces: list[str]) -> str:
+    return "".join(_ESCAPED.get(piece, piece) for piece in pieces)
+
+
+@st.composite
+def _subset_dict_texts(draw) -> str:
+    def ws() -> str:  # the whitespace the subset skips between tokens
+        return draw(st.text(" \t\r\n", max_size=2))
+
+    def string(pieces: list[str]) -> str:
+        quote = draw(st.sampled_from("'\""))
+        body = "".join("\\" + piece if piece == quote else piece for piece in pieces)
+        return ws() + quote + body + quote + ws()
+
+    def mapping(entries: list[tuple[str, str]]) -> str:
+        body = ",".join(f"{key}:{value}" for key, value in entries)
+        comma = draw(st.sampled_from(["", ","])) if entries else ""
+        return ws() + "{" + body + comma + ws() + "}" + ws()
+
+    def keys(max_size: int) -> list[list[str]]:  # the reader strips names and labels
+        return draw(st.lists(_PIECES, max_size=max_size,
+                             unique_by=lambda pieces: _decoded(pieces).strip()))
+
+    series = [
+        (string(name), mapping([(string(label), ws() + draw(_NUMBER) + ws())
+                                for label in keys(4)]))
+        for name in keys(3)
+    ]
+    entries = [(string(list(key)), string(draw(_PIECES)))
+               for key in draw(st.lists(st.sampled_from(_META_KEYS), unique=True))]
+    entries.append((string(list("values")), mapping(series)))
+    return mapping(draw(st.permutations(entries)))
+
+
+@given(_subset_dict_texts())
+@settings(max_examples=300, deadline=None)
+def test_every_text_of_the_documented_dict_subset_reads_as_a_python_literal(text):
+    _assert_reads_as_python_literal(parse_chart_output(text), text)
 
 
 # Valid documents that reach every check of their validator: math, environments,
