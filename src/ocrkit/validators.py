@@ -28,7 +28,7 @@ class Issue(Record):
 class ValidationReport(Record):
     __slots__ = ("issues",)
 
-    def __init__(self, issues: tuple[Issue, ...]):
+    def __init__(self, issues: tuple[Issue, ...] | list[Issue]):
         super().__init__(tuple(issues))
 
     @property
