@@ -36,7 +36,6 @@ _EXPORTS = {
     "crop_regions": "finegrained",
     "denormalize_box": "finegrained",
     "normalize_box": "finegrained",
-    "reading_order_serialize": "finegrained",
     "GeomScene": "geometry",
     "SceneConfig": "geometry",
     "emit_tikz": "geometry",

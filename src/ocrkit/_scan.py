@@ -63,8 +63,3 @@ class Scanner:
             raise self.error(f"expected {what}")
         start, self.pos = self.pos, m.end()
         return m.group(), start
-
-
-def split_row(line: str) -> list[str]:
-    """The stripped cells of a markdown pipe-table row."""
-    return [c.strip() for c in line.strip().strip("|").split("|")]

@@ -18,7 +18,7 @@ from itertools import zip_longest
 from typing import Callable, Iterable
 
 from ._record import Record
-from ._scan import Scanner, TextParseError, split_row
+from ._scan import Scanner, TextParseError
 
 AP_TOLERANCES = {"strict": 0.0, "slight": 0.05, "high": 0.10}
 AP_VALUE_FLOOR = 1e-9
@@ -188,6 +188,21 @@ def _parse_dict_form(text: str) -> ChartStruct:
 _SEPARATOR_CELL_RE = re.compile(r"^:?-+:?$")
 
 
+def _has_surrogate(text: str) -> bool:
+    return not text.isascii() and _SURROGATE_RE.search(text) is not None
+
+
+def _refuse_surrogate(line: str, idx: int) -> None:
+    # as in the dict form: UTF-8 cannot encode a lone surrogate, so no record file holds one
+    if not line.isascii() and (m := _SURROGATE_RE.search(line)):
+        raise ChartParseError(idx + 1, 1, f"lone surrogate U+{ord(m[0]):04X}")
+
+
+def _split_row(row: str) -> list[str]:
+    # a stripped row's first pipe opens it and a last pipe closes it: "|| s |" has two cells
+    return [cell.strip() for cell in row[1:].removesuffix("|").split("|")]
+
+
 def _parse_table_form(text: str) -> ChartStruct:
     meta: dict[str, str] = {}
     lines = text.split("\n")
@@ -196,6 +211,7 @@ def _parse_table_form(text: str) -> ChartStruct:
         stripped = line.strip()
         if not stripped:
             continue
+        _refuse_surrogate(stripped, idx)
         if stripped.startswith("|"):
             table_start = idx
             break
@@ -208,7 +224,7 @@ def _parse_table_form(text: str) -> ChartStruct:
         meta[norm] = value.strip()
     if table_start is None:
         raise ChartParseError(len(lines), 1, "no table found")
-    header = split_row(lines[table_start])
+    header = _split_row(lines[table_start].strip())
     if len(header) < 2:
         raise ChartParseError(table_start + 1, 1, "table header needs a label column and series")
     names = header[1:]
@@ -220,9 +236,10 @@ def _parse_table_form(text: str) -> ChartStruct:
         stripped = lines[idx].strip()
         if not stripped:
             continue
+        _refuse_surrogate(stripped, idx)
         if not stripped.startswith("|"):
             raise ChartParseError(idx + 1, 1, f"unexpected text after the table: {stripped!r}")
-        cells = split_row(lines[idx])
+        cells = _split_row(stripped)
         if all(_SEPARATOR_CELL_RE.match(c) for c in cells):
             continue
         if len(cells) != len(header):
@@ -278,14 +295,19 @@ def serialize_chart_struct(struct: ChartStruct, form: str = "dict") -> str:
         if any(ll != label_lists[0] for ll in label_lists):
             raise ValueError("table form requires identical labels across series")
         for name in [s.name for s in struct.series] + list(label_lists[0]):
-            if "|" in name or "\n" in name:
+            if "|" in name or "\n" in name or _has_surrogate(name):
                 raise ValueError(f"table form cannot hold {name!r}")
         lines = []
         for key in _META_KEYS:
             value = getattr(struct, key)
             if value is not None:
                 # the parser strips metadata values, so edge whitespace cannot survive
-                if "\n" in value or value.startswith("|") or value != value.strip():
+                if (
+                    "\n" in value
+                    or value.startswith("|")
+                    or value != value.strip()
+                    or _has_surrogate(value)
+                ):
                     raise ValueError(f"table form cannot hold {key}={value!r}")
                 lines.append(f"{key}: {value}")
         header = ["label"] + [s.name for s in struct.series]
@@ -300,7 +322,7 @@ def serialize_chart_struct(struct: ChartStruct, form: str = "dict") -> str:
 
 def _escape(text: str) -> str:
     # the subset, like Python's literals, has no way to write a NUL or a lone surrogate
-    if "\0" in text or not text.isascii() and _SURROGATE_RE.search(text):
+    if "\0" in text or _has_surrogate(text):
         raise ValueError(f"dict form cannot hold {text!r}")
     text = text.replace("\\", "\\\\").replace('"', '\\"')
     return text.replace("\r", "\\r").replace("\n", "\\n")  # the reader refuses raw line breaks

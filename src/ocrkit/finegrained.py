@@ -1,8 +1,8 @@
 """Region-guided OCR task construction.
 
 Covers bounding-box quantization to the [0, 1000] prompt grid, colored-frame
-draw instructions for color-guided tasks, reading-order serialization of
-(box, text) annotations, and integer crop instructions for region slicing.
+draw instructions for color-guided tasks, and integer crop instructions for
+region slicing.
 All outputs are declarative; no pixels are touched here.
 """
 
@@ -129,51 +129,6 @@ def color_guided_prompt(color: str) -> str:
     if color not in COLOR_RGB:
         raise ValueError(f"color must be one of {sorted(COLOR_RGB)}, got {color!r}")
     return COLOR_PROMPT_TEMPLATE.format(color=color)
-
-
-def _same_row(a: BBox, b: BBox) -> bool:
-    overlap = min(a.y2, b.y2) - max(a.y1, b.y1)
-    smaller = min(a.y2 - a.y1, b.y2 - b.y1)
-    return overlap >= 0.5 * smaller
-
-
-def reading_order_serialize(items: list[tuple[BBox, str]]) -> str:
-    """Join texts top-to-bottom, left-to-right.
-
-    Boxes whose vertical overlap covers at least half the smaller height share
-    a row (closed transitively); rows are ordered by top edge, texts within a
-    row by x1, joined with spaces, and rows joined with newlines. The result
-    does not depend on the input order.
-    """
-    if not items:
-        return ""
-    for box, _ in items:
-        check_box(box)
-    n = len(items)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _same_row(items[i][0], items[j][0]):
-                parent[find(i)] = find(j)
-
-    rows: dict[int, list[tuple[BBox, str]]] = {}
-    for i in range(n):
-        rows.setdefault(find(i), []).append(items[i])
-    ordered_rows = sorted(
-        rows.values(), key=lambda row: min((b.y1, b.x1) for b, _ in row)
-    )
-    lines = []
-    for row in ordered_rows:
-        row.sort(key=lambda item: (item[0].x1, item[0].y1, item[0].x2, item[0].y2, item[1]))
-        lines.append(" ".join(text for _, text in row))
-    return "\n".join(lines)
 
 
 def crop_regions(dims: ImageDims, boxes: list[BBox]) -> list[CropSpec]:

@@ -65,11 +65,11 @@ def _parse_options(cur: _Cursor) -> dict[str, str]:
         if end < 0:
             raise cur.error("unterminated option list")
         stop = end if comma < 0 or comma > end else comma
-        item = cur.text[cur.pos : stop].strip()
+        item = cur.text[cur.pos : stop].strip(cur.whitespace)
         if "=" not in item:
             raise cur.error(f"malformed option {item!r}")
         key, value = item.split("=", 1)
-        opts[key.strip()] = value.strip()
+        opts[key.strip(cur.whitespace)] = value.strip(cur.whitespace)
         cur.pos = stop + 1
         if stop == end:
             return opts
@@ -82,7 +82,7 @@ def _parse_domain(cur: _Cursor, opts: dict[str, str]) -> tuple[Decimal, Decimal]
     if not sep:
         raise cur.error(f"malformed domain {opts['domain']!r}")
     bounds = []
-    for text in (lo_s.strip(), hi_s.strip()):
+    for text in (lo_s.strip(cur.whitespace), hi_s.strip(cur.whitespace)):
         if not _NUMBER_RE.fullmatch(text):  # Decimal would also read 1e1, .5 or +1
             raise cur.error(f"not a decimal number: {text!r}")
         try:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 
 from ._record import Record
-from ._scan import split_row
 
 
 class Issue(Record):
@@ -119,20 +118,21 @@ def validate_mathpix_markdown(text: str) -> ValidationReport:
         if fenced[i] or not line.strip().startswith("|"):
             header_arity = None
             continue
-        cells = split_row(line)
+        arity = line.strip().strip("|").count("|") + 1
         if header_arity is None:
-            header_arity = len(cells)
-        elif len(cells) != header_arity:
-            message = f"row has {len(cells)} cells, header has {header_arity}"
+            header_arity = arity
+        elif arity != header_arity:
+            message = f"row has {arity} cells, header has {header_arity}"
             issues.append(Issue(i + 1, 1, "TABLE_ARITY", message))
     return ValidationReport(issues)
 
 
 # --- SMILES -----------------------------------------------------------------
 
+# ASCII digits only, as OpenSMILES writes them (re's \d matches every Unicode digit)
 _BRACKET_ATOM_RE = re.compile(
-    r"\[\d*(?:[A-Z][a-z]?|[bcnops]|\*)(?:@{1,2})?(?:H\d*)?"
-    r"(?:[+-]\d*|\+{2,}|-{2,})?(?::\d+)?\]"
+    r"\[[0-9]*(?:[A-Z][a-z]?|[bcnops]|\*)(?:@{1,2})?(?:H[0-9]*)?"
+    r"(?:[+-][0-9]*|\+{2,}|-{2,})?(?::[0-9]+)?\]"
 )
 _TWO_LETTER_ATOMS = ("Cl", "Br")
 _ONE_LETTER_ATOMS = set("BCNOPSFI")
@@ -176,13 +176,14 @@ def validate_smiles(text: str) -> ValidationReport:
                     issues.append(Issue(1, i + 1, "BRACKET_MALFORMED", message))
                     i = end + 1
         elif ch == "%":
-            if i + 2 < len(s) and s[i + 1].isdigit() and s[i + 2].isdigit():
+            digits = s[i + 1 : i + 3]
+            if len(digits) == 2 and digits.isascii() and digits.isdigit():
                 rings.setdefault(s[i : i + 3], []).append(i)
                 i += 3
             else:
                 issues.append(Issue(1, i + 1, "RING_MALFORMED", "'%' needs two digits"))
                 i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":  # ASCII only: str.isdigit() is also true for "²" or "٣"
             rings.setdefault(ch, []).append(i)
             i += 1
         elif s.startswith(_TWO_LETTER_ATOMS, i):
@@ -208,10 +209,10 @@ def validate_smiles(text: str) -> ValidationReport:
 
 # Documented token subset: optional opening ties/slurs, a duration (digits,
 # optional %rational part, optional dots), pitch letters or a rest, then
-# accidental/articulation/beam/stem modifiers.
+# accidental/articulation/beam/stem modifiers. Digits are ASCII only.
 _KERN_NOTE_RE = re.compile(
     r"^[\[({]*"
-    r"\d+(?:%\d+)?\.*"
+    r"[0-9]+(?:%[0-9]+)?\.*"
     r"(?:[a-gA-G]+|r+)"
     r"[-#n_'\"`~^:;,.xXyYqQJLKkMmTtWwSsRr$&<>@+|=/\\\])}]*$"
 )

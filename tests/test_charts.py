@@ -206,6 +206,17 @@ def test_serialize_dict_refuses_a_lone_surrogate():
         assert str(exc.value) == f"dict form cannot hold {shown}"
 
 
+def test_serialize_table_refuses_a_lone_surrogate():
+    for struct, shown in [
+        (ChartStruct(series=(Series("a\ud800", (("x", 1.0),)),)), "'a\\ud800'"),
+        (ChartStruct(series=(Series("s", (("\udfff", 1.0),)),)), "'\\udfff'"),
+        (_struct([("x", 1.0)], title="\udc00n"), "title='\\udc00n'"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            serialize_chart_struct(struct, "table")
+        assert str(exc.value) == f"table form cannot hold {shown}"
+
+
 @pytest.mark.parametrize(
     "number", ["0", "00", "-00", "0.5", "00.5", "01.5", "01e2", "0e0", "10", "-1.", ".5", "-0"]
 )
@@ -282,6 +293,10 @@ def test_parse_table_header_and_row():
     assert [s.name for s in struct.series] == ["s1", "s2"]
     assert struct.series[0].points == (("a", 1.0),)
     assert struct.series[1].points == (("a", 2.0),)
+    # as in markdown, "||" opens a row with an empty cell, here the label column's header
+    assert parse_chart_output("|| s |\n|---|---|\n| a | 1 |\n") == ChartStruct(
+        (Series("s", (("a", 1.0),)),)
+    )
 
 
 def test_parse_table_with_metadata_and_separator():
@@ -316,9 +331,16 @@ def test_parse_table_arity_mismatch():
         ("| label | s | s |\n| a | 1 | 2 |\n", "1:1: duplicate series name in header"),
         ("| label | s |\n| a | 1 |\nfooter\n", "3:1: unexpected text after the table: 'footer'"),
         ("| label | s |\n| a | 1 |\n| a | 2 |\n", "3:1: duplicate label 'a'"),
+        # a pipe at each edge: the "||" ends an empty third cell
+        ("| label | s |\n| a | 1 ||\n", "2:1: row has 3 cells, header has 2"),
+        # UTF-8 cannot encode a lone surrogate, so no record file holds one
+        ("| label | s\ud800 |\n| --- | --- |\n| a\udfff | 1 |\n", "1:1: lone surrogate U+D800"),
+        ("| label | s |\n| --- | --- |\n| a\udfff | 1 |\n", "3:1: lone surrogate U+DFFF"),
+        ("title: t\udc00\n| label | s |\n| a | 1 |\n", "1:1: lone surrogate U+DC00"),
     ],
     ids=["metadata-key", "no-series", "not-metadata", "no-table", "series-name",
-         "after-the-table", "label"],
+         "after-the-table", "label", "empty-edge-cell", "surrogate-series-name",
+         "surrogate-label", "surrogate-metadata"],
 )
 def test_parse_table_error_position_and_message(text, where):
     # the table reader rejects a repeat itself, at its row, before Series or ChartStruct sees it

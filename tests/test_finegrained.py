@@ -1,4 +1,4 @@
-"""Box quantization, color frames, reading order and crop instructions."""
+"""Box quantization, color frames and crop instructions."""
 
 import math
 import random
@@ -18,7 +18,6 @@ from ocrkit.finegrained import (
     crop_regions,
     denormalize_box,
     normalize_box,
-    reading_order_serialize,
 )
 from ocrkit.tiling import ImageDims
 
@@ -118,50 +117,6 @@ def test_prompt_templates():
     assert "red" in color_guided_prompt("red")
     with pytest.raises(ValueError):
         color_guided_prompt("magenta")
-
-
-def test_reading_order_side_by_side():
-    items = [
-        (BBox(300, 10, 400, 30), "right"),
-        (BBox(10, 12, 200, 32), "left"),
-    ]
-    assert reading_order_serialize(items) == "left right"
-
-
-def test_reading_order_stacked():
-    items = [
-        (BBox(10, 100, 200, 130), "bottom"),
-        (BBox(10, 10, 200, 40), "top"),
-    ]
-    assert reading_order_serialize(items) == "top\nbottom"
-
-
-def test_reading_order_empty():
-    assert reading_order_serialize([]) == ""
-
-
-def test_reading_order_permutation_invariant():
-    rng = random.Random(3)
-    items = []
-    for row in range(4):
-        for col in range(3):
-            y = row * 50 + rng.uniform(-3, 3)
-            items.append((BBox(col * 120, y, col * 120 + 100, y + 20), f"w{row}{col}"))
-    expected = reading_order_serialize(items)
-    assert expected.split("\n") == [f"w{r}0 w{r}1 w{r}2" for r in range(4)]
-    for _ in range(20):
-        rng.shuffle(items)
-        assert reading_order_serialize(items) == expected
-
-
-def test_reading_order_token_multiset_preserved():
-    rng = random.Random(9)
-    items = [
-        (BBox(x, y, x + 30, y + 10), f"t{i}")
-        for i, (x, y) in enumerate((rng.uniform(0, 500), rng.uniform(0, 500)) for _ in range(15))
-    ]
-    out = reading_order_serialize(items)
-    assert sorted(out.split()) == sorted(f"t{i}" for i in range(15))
 
 
 def test_crop_regions_floor_ceil_rule():

@@ -163,6 +163,12 @@ def test_parse_head_mutations_rejected():
         ("\\draw plot[domain=0:1 (\\x, {1*\\x + 0});\n", "1:12: unterminated option list"),
         ("\\draw plot[domain] (\\x, {1*\\x + 0});\n", "1:12: malformed option 'domain'"),
         ("\\draw plot[domain=0] (\\x, {1*\\x + 0});\n", "1:25: malformed domain '0'"),
+        # inside a TikZ line only spaces and tabs are whitespace, in an option list too
+        ("\\draw plot[domain=0\r:1] (\\x, {1*\\x + 2});", "1:28: not a decimal number: '0\\r'"),
+        (
+            "\\draw plot[\x0bdomain=\u30000:1\x85] (\\x, {1*\\x + 2});",
+            "1:30: plot requires a domain=lo:hi option",
+        ),
         (
             "\\draw plot[domain=0:0.125] (\\x, {1*\\x + 0});\n",
             "1:31: more than 2 fraction digits: 0.125",
@@ -196,7 +202,8 @@ def test_parse_head_mutations_rejected():
     ],
     ids=[
         "cr-after-semicolon", "number-on-line-2", "fraction-digits", "no-options",
-        "unterminated-options", "malformed-option", "malformed-domain", "domain-digits",
+        "unterminated-options", "malformed-option", "malformed-domain", "domain-cr",
+        "option-unicode-spaces", "domain-digits",
         "point-options", "function-options", "polynomial-terms", "hyperbola-options",
         "ellipse-axes", "unknown-shape",
         "zero-length-segment", "degenerate-rectangle", "collinear-triangle", "decreasing-domain",

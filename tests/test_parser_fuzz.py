@@ -7,10 +7,14 @@ and the error's line and column must point inside the text (a column may be
 one past the end of its line). Each validator, run on a valid document of its
 own format edited the same way, must report only such positions. Every
 mutated dict-form chart the chart reader accepts must read the same through
-``ast.literal_eval``, an oracle that shares no code with the reader.
+``ast.literal_eval``, and every mutated table-form chart the same when its rows
+are split on ``|``: oracles that share no code with the reader. Texts written
+by the documented grammar of either form, independently of the reader, must
+read the same through the reader and the oracle.
 """
 
 import ast
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -82,12 +86,15 @@ def test_tikz_parser_accepts_or_raises_its_own_error(seed, edits):
 # NUL, lone surrogates and digits outside ASCII (Arabic-Indic three, full-width one),
 # which Python's literals refuse, drawn often enough to land inside a string or a number
 _ORACLE_CHARS = st.sampled_from("\x00\ud800\udfff\u0663\uff11") | _CHARS
-_DICT_TEXTS = st.builds(
-    lambda seed, edits: _mutate(serialize_chart_struct(gen_chart_struct(seed)[0], "dict"), edits),
-    st.integers(0, 2**31),
-    st.lists(st.tuples(st.sampled_from(["insert", "delete", "replace", "truncate"]),
-                       st.integers(0, 10**6), _ORACLE_CHARS), max_size=4),
-)
+
+
+def _mutated_chart_texts(form: str):
+    return st.builds(
+        lambda seed, edits: _mutate(serialize_chart_struct(gen_chart_struct(seed)[0], form), edits),
+        st.integers(0, 2**31),
+        st.lists(st.tuples(st.sampled_from(["insert", "delete", "replace", "truncate"]),
+                           st.integers(0, 10**6), _ORACLE_CHARS), max_size=4),
+    )
 
 
 def _assert_reads_as_python_literal(struct, text: str) -> None:
@@ -103,7 +110,7 @@ def _assert_reads_as_python_literal(struct, text: str) -> None:
     assert series == [(s.name, list(s.points)) for s in struct.series]
 
 
-@given(_DICT_TEXTS)
+@given(_mutated_chart_texts("dict"))
 @example('{"values": {"s": {"a": \u0663, "b": \uff11\uff12}}}')
 @example('{"values": {"a\x00b": {}}}')
 @example('{"values": {"\ud800": {}}}')
@@ -183,6 +190,82 @@ def _subset_dict_texts(draw) -> str:
 @settings(max_examples=300, deadline=None)
 def test_every_text_of_the_documented_dict_subset_reads_as_a_python_literal(text):
     _assert_reads_as_python_literal(parse_chart_output(text), text)
+
+
+def _read_table(text: str) -> tuple[dict[str, str], list[tuple[str, list[tuple[str, float]]]]]:
+    """The table form as README describes it, read by splitting rows on '|'."""
+    text.encode("utf-8")  # a record file holds only what UTF-8 encodes
+    meta: dict[str, str] = {}
+    rows: list[list[str]] = []
+    for line in text.split("\n"):
+        line = line.strip()
+        if line.startswith("|"):
+            # one pipe opens a row, and one closes it unless it was left out
+            rows.append([cell.strip() for cell in line[1:].removesuffix("|").split("|")])
+        elif line:
+            assert not rows, "metadata after the table"
+            key, value = line.split(":", 1)
+            meta[key.strip().lower().replace("-", "_")] = value.strip()
+    header, *body = rows
+    # markdown's delimiter rows: dashes, each cell with an optional colon at either end
+    body = [row for row in body if not all(re.fullmatch(":?-+:?", cell) for cell in row)]
+    assert all(len(row) == len(header) for row in body)
+    return meta, [(name, [(row[0], float(row[col])) for row in body])
+                  for col, name in enumerate(header[1:], 1)]
+
+
+def _assert_reads_as_table(struct, text: str) -> None:
+    meta, series = _read_table(text)
+    assert meta == {key: getattr(struct, key) for key in _META_KEYS
+                    if getattr(struct, key) is not None}
+    assert series == [(s.name, list(s.points)) for s in struct.series]
+
+
+@given(_mutated_chart_texts("table"))
+@example("| label | s\ud800 |\n| --- | --- |\n| a\udfff | 1 |\n")
+@settings(max_examples=400, deadline=None)
+def test_accepted_table_text_reads_the_same_split_on_pipes(text):
+    try:
+        struct = parse_chart_output(text)
+    except ChartParseError:
+        return
+    if not text.lstrip().startswith("{"):  # else a mutation made it a dict-form text
+        _assert_reads_as_table(struct, text)
+
+
+# a table cell: no pipe, no line break and no lone surrogate; the reader strips it
+_CELL = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="|\n"), max_size=6)
+
+
+@st.composite
+def _subset_table_texts(draw) -> str:
+    def ws() -> str:  # the whitespace a stripped line or cell may carry
+        return draw(st.text(" \t", max_size=2))
+
+    def row(cells: list[str]) -> str:
+        return ws() + "|" + "|".join(ws() + cell + ws() for cell in cells) + "|" + ws()
+
+    def blank_lines() -> list[str]:
+        return draw(st.lists(st.text(" \t", max_size=2), max_size=1))
+
+    names = draw(st.lists(_CELL, min_size=1, max_size=3, unique_by=str.strip))
+    labels = draw(st.lists(_CELL, max_size=4, unique_by=str.strip))
+    lines = []
+    for key in draw(st.lists(st.sampled_from(_META_KEYS), unique=True)):
+        value = draw(st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\n"),
+                             max_size=6))
+        lines += [ws() + key + ws() + ":" + ws() + value, *blank_lines()]
+    lines.append(row([draw(_CELL)] + names))
+    lines.append(row([draw(st.from_regex(":?-+:?", fullmatch=True)) for _ in [None, *names]]))
+    for label in labels:
+        lines += [row([label] + [draw(_NUMBER) for _ in names]), *blank_lines()]
+    return "\n".join(lines)
+
+
+@given(_subset_table_texts())
+@settings(max_examples=300, deadline=None)
+def test_every_text_of_the_documented_table_subset_reads_as_split_on_pipes(text):
+    _assert_reads_as_table(parse_chart_output(text), text)
 
 
 # Valid documents that reach every check of their validator: math, environments,

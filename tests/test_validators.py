@@ -199,6 +199,10 @@ _KERN_MULTI = "!! c\n**kern\t**dynam\n4c\t4x 4y\n=1\t.\n*^\t*\n4c\n*a\t4c\n8dd\t
 _RING_1 = "ring closure '1' appears 1 time(s), expected exactly 2"
 _UNSUPPORTED = "spine splits/merges and multi-system constructs are unsupported"
 
+
+def _illegal(char: str) -> str:
+    return f"character {char!r} not in the SMILES subset"
+
 # One input per issue code, then one multi-issue input per validator that pins
 # the order: check by check, each check in scan order; then scanner edge cases.
 EXACT_ISSUES = [
@@ -341,12 +345,51 @@ EXACT_ISSUES = [
         [(1, 2, "RING_UNPAIRED", "ring closure '1' appears 3 time(s), expected exactly 2")],
         id="smiles-ring-label-thrice",
     ),
-    # any character str.isdigit accepts is a ring label, so the two '²' pair up
+    # ring labels, isotopes, charges and kern durations take ASCII digits only,
+    # though str.isdigit and re's \d accept '²' and the Arabic-Indic '٣'
     pytest.param(
         "smiles",
         "C²CC²C1",
-        [(1, 7, "RING_UNPAIRED", _RING_1)],
+        [(1, 2, "ATOM_ILLEGAL", _illegal("²")), (1, 5, "ATOM_ILLEGAL", _illegal("²")),
+         (1, 7, "RING_UNPAIRED", _RING_1)],
         id="smiles-superscript-ring-label",
+    ),
+    pytest.param(
+        "smiles",
+        "C²CC²",
+        [(1, 2, "ATOM_ILLEGAL", _illegal("²")), (1, 5, "ATOM_ILLEGAL", _illegal("²"))],
+        id="smiles-superscript-ring-pair",
+    ),
+    pytest.param(
+        "smiles",
+        "C٣CC٣",
+        [(1, 2, "ATOM_ILLEGAL", _illegal("٣")), (1, 5, "ATOM_ILLEGAL", _illegal("٣"))],
+        id="smiles-arabic-indic-ring-pair",
+    ),
+    pytest.param(
+        "smiles",
+        "C%٣٣CC%٣٣",
+        [
+            (1, 2, "RING_MALFORMED", "'%' needs two digits"),
+            (1, 3, "ATOM_ILLEGAL", _illegal("٣")),
+            (1, 4, "ATOM_ILLEGAL", _illegal("٣")),
+            (1, 7, "RING_MALFORMED", "'%' needs two digits"),
+            (1, 8, "ATOM_ILLEGAL", _illegal("٣")),
+            (1, 9, "ATOM_ILLEGAL", _illegal("٣")),
+        ],
+        id="smiles-arabic-indic-percent-label",
+    ),
+    pytest.param(
+        "smiles",
+        "[١٣C]",
+        [(1, 1, "BRACKET_MALFORMED", "bracket atom '[١٣C]' does not match the bracket grammar")],
+        id="smiles-arabic-indic-isotope",
+    ),
+    pytest.param(
+        "smiles",
+        "[Fe+٢]",
+        [(1, 1, "BRACKET_MALFORMED", "bracket atom '[Fe+٢]' does not match the bracket grammar")],
+        id="smiles-arabic-indic-charge",
     ),
     pytest.param("kern", "", [(1, 1, "EMPTY_INPUT", "no records in input")], id="kern-EMPTY_INPUT"),
     pytest.param(
@@ -402,6 +445,18 @@ EXACT_ISSUES = [
         "**kern\n4c",
         [(2, 1, "SPINE_UNTERMINATED", "spines never terminated by *-")],
         id="kern-SPINE_UNTERMINATED",
+    ),
+    pytest.param(
+        "kern",
+        "**kern\n٤c\n*-\n",
+        [(2, 1, "TOKEN_MALFORMED", "token '٤c' does not match the kern token pattern")],
+        id="kern-arabic-indic-duration",
+    ),
+    pytest.param(
+        "kern",
+        "**kern\n4%٣c\n*-\n",
+        [(2, 1, "TOKEN_MALFORMED", "token '4%٣c' does not match the kern token pattern")],
+        id="kern-arabic-indic-rational",
     ),
     pytest.param(
         "kern",
