@@ -347,17 +347,14 @@ def parse(trees: dict[str, Path], tmp: Path) -> dict:
     SceneConfig, bounds=(0, 1) and hyperbolas only), and both trees must
     write the same bytes.
     """
-    charts, geometry = loaded(trees, "charts"), loaded(trees, "geometry")
+    charts, geometry, tikz = (loaded(trees, module) for module in ("charts", "geometry", "tikz"))
     c, g = charts["after"], geometry["after"]
 
     def chart(seed: int, form: str) -> str:
         return c.serialize_chart_struct(c.gen_chart_struct(seed)[0], form)
 
-    def tikz_text(doc) -> str:
-        return getattr(doc, "source", doc)  # an older tree's emit_tikz wraps it in a TikzDoc
-
     def scene(seed: int) -> str:
-        return tikz_text(g.emit_tikz(g.gen_scene(seed)))
+        return g.emit_tikz(g.gen_scene(seed))
 
     rng = random.Random(f"parse:{SEED}")
     valid = {"chart": {form: [chart(seed, form) for seed in range(PARSE_TEXTS)]
@@ -368,9 +365,7 @@ def parse(trees: dict[str, Path], tmp: Path) -> dict:
                "tikz": [mutate(rng, scene(rng.randrange(2**31))) for _ in range(MUTATED)]}
 
     def readers(side: str) -> dict:
-        c, g = charts[side], geometry[side]
-        # the TikZ reader through the package's public names, wherever the tree defines it
-        package = sys.modules[f"ocrkit_{side}"]
+        c, g, t = charts[side], geometry[side], tikz[side]
         configs = (g.SceneConfig(), g.SceneConfig(bounds=(0, 1)),
                    g.SceneConfig(kinds=("hyperbola",)))
         seeds = range(GENERATED)
@@ -378,8 +373,8 @@ def parse(trees: dict[str, Path], tmp: Path) -> dict:
             "chart": (c.parse_chart_output, c.ChartParseError,
                       lambda: (c.serialize_chart_struct(c.gen_chart_struct(seed)[0], form)
                                for seed in seeds for form in CHART_FORMS)),
-            "tikz": (package.parse_tikz_subset, package.TikzParseError,
-                     lambda: (tikz_text(g.emit_tikz(g.gen_scene(seed, config)))
+            "tikz": (t.parse_tikz_subset, t.TikzParseError,
+                     lambda: (g.emit_tikz(g.gen_scene(seed, config))
                               for seed in seeds for config in configs)),
         }
 

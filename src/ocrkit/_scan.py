@@ -1,4 +1,5 @@
-"""The cursor and the positioned error shared by the chart and TikZ readers."""
+"""The cursor and the positioned error shared by the chart and TikZ readers, and the
+pipe-row split shared by the chart table form and the markdown validator."""
 
 from __future__ import annotations
 
@@ -63,3 +64,12 @@ class Scanner:
             raise self.error(f"expected {what}")
         start, self.pos = self.pos, m.end()
         return m.group(), start
+
+
+def split_row(row: str) -> list[str]:
+    """The stripped cells of a stripped pipe-table row that starts with ``|``.
+
+    The first pipe opens the row and a last pipe closes it, so ``"|| s |"``
+    has two cells, the first one empty, and ``"| a | b ||"`` has three.
+    """
+    return [cell.strip() for cell in row[1:].removesuffix("|").split("|")]

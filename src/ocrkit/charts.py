@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 import random
 import re
-from itertools import zip_longest
 from typing import Callable, Iterable
 
 from ._record import Record
-from ._scan import Scanner, TextParseError
+from ._scan import Scanner, TextParseError, split_row
 
 AP_TOLERANCES = {"strict": 0.0, "slight": 0.05, "high": 0.10}
 AP_VALUE_FLOOR = 1e-9
@@ -198,11 +197,6 @@ def _refuse_surrogate(line: str, idx: int) -> None:
         raise ChartParseError(idx + 1, 1, f"lone surrogate U+{ord(m[0]):04X}")
 
 
-def _split_row(row: str) -> list[str]:
-    # a stripped row's first pipe opens it and a last pipe closes it: "|| s |" has two cells
-    return [cell.strip() for cell in row[1:].removesuffix("|").split("|")]
-
-
 def _parse_table_form(text: str) -> ChartStruct:
     meta: dict[str, str] = {}
     lines = text.split("\n")
@@ -224,7 +218,7 @@ def _parse_table_form(text: str) -> ChartStruct:
         meta[norm] = value.strip()
     if table_start is None:
         raise ChartParseError(len(lines), 1, "no table found")
-    header = _split_row(lines[table_start].strip())
+    header = split_row(lines[table_start].strip())
     if len(header) < 2:
         raise ChartParseError(table_start + 1, 1, "table header needs a label column and series")
     names = header[1:]
@@ -239,7 +233,7 @@ def _parse_table_form(text: str) -> ChartStruct:
         _refuse_surrogate(stripped, idx)
         if not stripped.startswith("|"):
             raise ChartParseError(idx + 1, 1, f"unexpected text after the table: {stripped!r}")
-        cells = _split_row(stripped)
+        cells = split_row(stripped)
         if all(_SEPARATOR_CELL_RE.match(c) for c in cells):
             continue
         if len(cells) != len(header):
@@ -328,7 +322,7 @@ def _escape(text: str) -> str:
     return text.replace("\r", "\\r").replace("\n", "\\n")  # the reader refuses raw line breaks
 
 
-def _pair_scores(pred: ChartStruct, gt: ChartStruct, tolerances: tuple[float, ...]) -> list[float]:
+def _pair_scores(gt: ChartStruct, pred: ChartStruct, tolerances: tuple[float, ...]) -> list[float]:
     """The pair's score at each tolerance, by chart_ap's rule."""
     gt_items = {(name, label): value for name, label, value in gt.items()}
     pred_items = pred.items()
@@ -347,50 +341,41 @@ def _pair_scores(pred: ChartStruct, gt: ChartStruct, tolerances: tuple[float, ..
     return [count / size for count in matches]
 
 
-_MISSING = object()  # what _mean_ap reads past the end of the shorter side
-
-
 def _mean_ap(
-    preds: Iterable[ChartStruct], gts: Iterable[ChartStruct], tolerances: tuple[float, ...]
+    pairs: Iterable[tuple[ChartStruct, ChartStruct]], tolerances: tuple[float, ...]
 ) -> tuple[list[float], int]:
     """Each tolerance's mean pair score, summed in pair order, and the pair count.
 
-    One pass: each ground truth is taken before its prediction, and no pair
-    is kept once it is scored.
+    One pass: no pair is kept once it is scored.
     """
     totals = [0.0] * len(tolerances)
-    n_gts = n_preds = 0
-    for gt, pred in zip_longest(gts, preds, fillvalue=_MISSING):
-        n_gts += gt is not _MISSING
-        n_preds += pred is not _MISSING
-        if n_gts == n_preds:  # past the shorter side, only count, so the message gives both
-            for i, score in enumerate(_pair_scores(pred, gt, tolerances)):
-                totals[i] += score
-    if n_preds != n_gts:
-        raise ValueError(f"got {n_preds} predictions for {n_gts} ground truths")
-    return [total / n_preds if n_preds else 0.0 for total in totals], n_preds
+    n_pairs = 0
+    for gt, pred in pairs:
+        n_pairs += 1
+        for i, score in enumerate(_pair_scores(gt, pred, tolerances)):
+            totals[i] += score
+    return [total / n_pairs if n_pairs else 0.0 for total in totals], n_pairs
 
 
-def chart_ap(
-    preds: Iterable[ChartStruct], gts: Iterable[ChartStruct], tolerance: float
-) -> float:
-    """Mean per-sample match rate of (series, label, value) triples.
+def chart_ap(pairs: Iterable[tuple[ChartStruct, ChartStruct]], tolerance: float) -> float:
+    """Mean per-sample match rate of (series, label, value) triples over
+    (ground truth, prediction) pairs.
 
     A prediction matches the ground-truth item with the same series and label
     when |v_p - v_g| <= tolerance * max(|v_g|, 1e-9); (series, label) keys are
     unique within a chart, so each item matches at most once. Each sample
     scores matches / max(#pred, #gt), and 1.0 when both sides are empty; an
-    empty input scores 0.0.
+    empty iterable of pairs scores 0.0.
     """
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
-    return _mean_ap(preds, gts, (tolerance,))[0][0]
+    return _mean_ap(pairs, (tolerance,))[0][0]
 
 
-def ap_report(preds: Iterable[ChartStruct], gts: Iterable[ChartStruct]) -> ApReport:
-    """chart_ap at each of AP_TOLERANCES, in one pass that holds one pair at a time;
-    each ground truth is read before its prediction."""
-    aps, n_samples = _mean_ap(preds, gts, tuple(AP_TOLERANCES.values()))
+def ap_report(pairs: Iterable[tuple[ChartStruct, ChartStruct]]) -> ApReport:
+    """chart_ap of (ground truth, prediction) pairs at each of AP_TOLERANCES, in one
+    pass that holds one pair at a time."""
+    aps, n_samples = _mean_ap(pairs, tuple(AP_TOLERANCES.values()))
     return ApReport(**{f"ap_{name}": ap for name, ap in zip(AP_TOLERANCES, aps)},
                     n_samples=n_samples)
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator
 
 from .. import charts, corpus
 from ..corpus import Corpus, Sample, TaskKind
@@ -13,20 +12,17 @@ CHART_PROMPT_DICT = "Convert the chart to a Python dict:"
 CHART_PROMPT_TABLE = "Convert the chart to a markdown table:"
 
 
-def _parsed(samples: Iterable[Sample]) -> Iterator[charts.ChartStruct]:
-    for sample in samples:
-        try:
-            yield charts.parse_chart_output(sample.ground_truth)
-        except charts.ChartParseError as exc:
-            raise ValueError(f"sample {sample.id!r}: {exc}") from exc
+def _parsed(sample: Sample) -> charts.ChartStruct:
+    try:
+        return charts.parse_chart_output(sample.ground_truth)
+    except charts.ChartParseError as exc:
+        raise ValueError(f"sample {sample.id!r}: {exc}") from exc
 
 
 def cmd_chart_score(args) -> int:
     pairs = corpus.pair_by_id(load(args.gt), load(args.pred))
-    # parsed as ap_report reads them, ground truth before prediction, one pair at a time
-    preds = _parsed(hyp for _, hyp in pairs)
-    gts = _parsed(ref for ref, _ in pairs)
-    emit_report(charts.ap_report(preds, gts), args)
+    # parsed one pair at a time, ground truth first: the first bad text in that order is named
+    emit_report(charts.ap_report((_parsed(gt), _parsed(hyp)) for gt, hyp in pairs), args)
     return 0
 
 

@@ -216,14 +216,9 @@ def parse_tikz_subset(source: str) -> GeomScene:
     lines = source.split("\n")
     if lines[-1] == "":
         lines.pop()
-    return parse_tikz_lines(lines)
-
-
-def parse_tikz_lines(lines: list[str]) -> GeomScene:
-    """Parse TikZ given as its lines, without their line ends; line 1 is ``lines[0]``."""
     elements = []
     for line_no, text in enumerate(lines, start=1):
-        if not text.strip():
+        if not text.strip(_Cursor.whitespace):
             raise TikzParseError(line_no, 1, "blank line inside drawing")
         elements.append(_parse_line(text, line_no))
     return GeomScene(tuple(elements))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 
 from ._record import Record
+from ._scan import split_row
 
 
 class Issue(Record):
@@ -118,7 +119,7 @@ def validate_mathpix_markdown(text: str) -> ValidationReport:
         if fenced[i] or not line.strip().startswith("|"):
             header_arity = None
             continue
-        arity = line.strip().strip("|").count("|") + 1
+        arity = len(split_row(line.strip()))
         if header_arity is None:
             header_arity = arity
         elif arity != header_arity:
@@ -286,10 +287,10 @@ def validate_kern(text: str) -> ValidationReport:
 
 def validate_tikz(text: str) -> ValidationReport:
     """Accept exactly the geometry engine's TikZ subset."""
-    from .tikz import TikzParseError, parse_tikz_lines  # only this check needs the reader
+    from .tikz import TikzParseError, parse_tikz_subset  # only this check needs the reader
 
     try:
-        parse_tikz_lines(_lines_of(text))
+        parse_tikz_subset(text.replace("\r\n", "\n").replace("\r", "\n"))
     except TikzParseError as exc:
         return ValidationReport((Issue(exc.line, exc.column, "TIKZ_SYNTAX", exc.message),))
     return ValidationReport(())

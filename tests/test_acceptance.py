@@ -263,12 +263,12 @@ def test_criterion_8_chart_ap_ordering():
             gt, _ = gen_chart_struct(seed)
             gts.append(gt)
             preds.append(_perturb(gt, rng))
-        report = ap_report(preds, gts)
+        report = ap_report(zip(gts, preds))
         assert 0.0 <= report.ap_strict <= report.ap_slight <= report.ap_high <= 1.0
-        per_sample = [ap_report([p], [g]) for p, g in zip(preds[:100], gts[:100])]
+        per_sample = [ap_report([pair]) for pair in zip(gts[:100], preds[:100])]
         for r in per_sample:
             assert 0.0 <= r.ap_strict <= r.ap_slight <= r.ap_high <= 1.0
-        identical = ap_report(gts[:50], gts[:50])
+        identical = ap_report(zip(gts[:50], gts[:50]))
         assert (identical.ap_strict, identical.ap_slight, identical.ap_high) == (1.0, 1.0, 1.0)
 
 

@@ -360,7 +360,7 @@ def test_parse_table_error_position_and_message(text, where):
         (lambda: serialize_chart_struct(ChartStruct(), "csv"), "unknown form 'csv'"),
         (lambda: serialize_chart_struct(_struct([("a|b", 1.0)]), "table"),
          "table form cannot hold 'a|b'"),
-        (lambda: chart_ap([], [], -0.1), "tolerance must be >= 0"),
+        (lambda: chart_ap([], -0.1), "tolerance must be >= 0"),
         (lambda: ChartGenConfig(decimals=-1), "decimals must be >= 0"),
         (lambda: ChartGenConfig(value_range=(-1.7e308, 1.7e308)),
          "value_range width must be finite, got (-1.7e+308, 1.7e+308)"),
@@ -484,72 +484,66 @@ def test_serialize_table_requires_uniform_labels():
 def test_chart_ap_identical_all_tolerances():
     struct, _ = gen_chart_struct(5)
     for tolerance in (0.0, 0.05, 0.5):
-        assert chart_ap([struct], [struct], tolerance) == 1.0
+        assert chart_ap([(struct, struct)], tolerance) == 1.0
 
 
 def test_chart_ap_relative_tolerance_example():
     gt = _struct([("a", 100.0)])
     pred = _struct([("a", 104.0)])
-    assert chart_ap([pred], [gt], 0.05) == 1.0  # |104-100| = 4 <= 5
-    assert chart_ap([pred], [gt], 0.0) == 0.0
+    assert chart_ap([(gt, pred)], 0.05) == 1.0  # |104-100| = 4 <= 5
+    assert chart_ap([(gt, pred)], 0.0) == 0.0
 
 
 def test_chart_ap_denominator_penalizes_both_sides():
     gt = _struct([("a", 1.0), ("b", 2.0), ("c", 3.0), ("d", 4.0)])
     pred = _struct([("a", 1.0), ("b", 2.0)])
-    assert chart_ap([pred], [gt], 0.0) == 0.5  # 2 / max(2, 4)
-    assert chart_ap([gt], [pred], 0.0) == 0.5
+    assert chart_ap([(gt, pred)], 0.0) == 0.5  # 2 / max(2, 4)
+    assert chart_ap([(pred, gt)], 0.0) == 0.5
 
 
 def test_chart_ap_empty_samples():
     empty = ChartStruct()
-    assert chart_ap([empty], [empty], 0.0) == 1.0
+    assert chart_ap([(empty, empty)], 0.0) == 1.0
     gt = _struct([("a", 1.0)])
-    assert chart_ap([empty], [gt], 0.0) == 0.0
+    assert chart_ap([(gt, empty)], 0.0) == 0.0
 
 
 def test_chart_ap_label_must_match_exactly():
     gt = _struct([("a", 1.0)])
-    assert chart_ap([_struct([("A", 1.0)])], [gt], 0.0) == 0.0
-    assert chart_ap([ChartStruct(series=(Series("other", (("a", 1.0),)),))], [gt], 0.0) == 0.0
-
-
-def test_chart_ap_length_mismatch():
-    with pytest.raises(ValueError):
-        chart_ap([ChartStruct()], [], 0.0)
-
-
-@pytest.mark.parametrize("n_preds, n_gts", [(2, 1), (1, 3), (0, 2), (2, 0)])
-def test_ap_report_length_mismatch_message(n_preds, n_gts):
-    struct = gen_chart_struct(0)[0]
-    preds = (struct for _ in range(n_preds))
-    gts = (struct for _ in range(n_gts))
-    with pytest.raises(ValueError) as exc:
-        ap_report(preds, gts)
-    assert str(exc.value) == f"got {n_preds} predictions for {n_gts} ground truths"
+    assert chart_ap([(gt, _struct([("A", 1.0)]))], 0.0) == 0.0
+    assert chart_ap([(gt, ChartStruct(series=(Series("other", (("a", 1.0),)),)))], 0.0) == 0.0
 
 
 def test_ap_report_of_no_pairs_is_zero():
-    assert ap_report(iter(()), iter(())) == ApReport(0.0, 0.0, 0.0, 0)
+    assert ap_report(iter(())) == ApReport(0.0, 0.0, 0.0, 0)
 
 
-def test_ap_report_reads_each_ground_truth_before_its_prediction():
-    # one pass, one pair at a time: nothing is read ahead of the pair being scored
-    read = []
+def test_ap_report_takes_one_pair_at_a_time():
+    # one pass: each pair is scored before the next one is read
+    events = []
 
-    def side(name, structs):
-        for i, struct in enumerate(structs):
-            read.append(f"{name}{i}")
-            yield struct
+    class Chart:  # a chart that logs when it is scored
+        def __init__(self, name):
+            self.name = name
 
-    structs = [gen_chart_struct(seed)[0] for seed in range(3)]
-    ap_report(side("pred", structs), side("gt", structs))
-    assert read == ["gt0", "pred0", "gt1", "pred1", "gt2", "pred2"]
+        def items(self):
+            events.append(f"scored {self.name}")
+            return [("s", "a", 1.0)]
+
+    def pairs():
+        for i in range(3):
+            events.append(f"read {i}")
+            yield Chart(f"gt{i}"), Chart(f"pred{i}")
+
+    assert ap_report(pairs()) == ApReport(1.0, 1.0, 1.0, 3)
+    assert events == [
+        event for i in range(3) for event in (f"read {i}", f"scored gt{i}", f"scored pred{i}")
+    ]
 
 
 def test_ap_report_identity_and_ordering():
     structs = [gen_chart_struct(seed)[0] for seed in range(5)]
-    report = ap_report(structs, structs)
+    report = ap_report(zip(structs, structs))
     assert (report.ap_strict, report.ap_slight, report.ap_high) == (1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         ApReport(0.9, 0.5, 1.0, 1)
@@ -558,7 +552,7 @@ def test_ap_report_identity_and_ordering():
 def test_ap_report_all_empty_predictions():
     gts = [gen_chart_struct(seed)[0] for seed in range(3)]
     preds = [ChartStruct() for _ in gts]
-    report = ap_report(preds, gts)
+    report = ap_report(zip(gts, preds))
     assert (report.ap_strict, report.ap_slight, report.ap_high) == (0.0, 0.0, 0.0)
 
 
@@ -579,28 +573,25 @@ def test_chart_ap_monotone_in_tolerance(gt_seed, noise_seed):
     )
     last = 0.0
     for tolerance in (0.0, 0.03, 0.05, 0.1, 0.3):
-        score = chart_ap([pred], [gt], tolerance)
+        score = chart_ap([(gt, pred)], tolerance)
         assert 0.0 <= score <= 1.0
         assert score >= last
         last = score
 
 
 def test_chart_ap_sample_permutation_symmetric():
-    pairs = [(gen_chart_struct(s)[0], gen_chart_struct(s + 100)[0]) for s in range(6)]
-    preds, gts = zip(*pairs)
-    base = chart_ap(list(preds), list(gts), 0.05)
+    pairs = [(gen_chart_struct(s + 100)[0], gen_chart_struct(s)[0]) for s in range(6)]
+    base = chart_ap(pairs, 0.05)
     order = [3, 0, 5, 1, 4, 2]
-    assert chart_ap([preds[i] for i in order], [gts[i] for i in order], 0.05) == pytest.approx(
-        base, abs=1e-12
-    )
+    assert chart_ap([pairs[i] for i in order], 0.05) == pytest.approx(base, abs=1e-12)
 
 
-def _brute_force_ap(preds, gts, tolerance):
+def _brute_force_ap(pairs, tolerance):
     """chart_ap's definition, comparing every predicted triple with every true one."""
-    if not preds:
+    if not pairs:
         return 0.0
     total = 0.0
-    for pred, gt in zip(preds, gts):
+    for gt, pred in pairs:
         pred_items, gt_items = pred.items(), gt.items()
         if not pred_items and not gt_items:
             total += 1.0
@@ -614,7 +605,7 @@ def _brute_force_ap(preds, gts, tolerance):
             for name, label, value in pred_items
         )
         total += matches / max(len(pred_items), len(gt_items))
-    return total / len(preds)
+    return total / len(pairs)
 
 
 # Few keys and a few values near each other, so matches and near misses are common.
@@ -633,9 +624,7 @@ _AP_CHART = st.dictionaries(_AP_KEY, st.dictionaries(_AP_KEY, _AP_VALUE), max_si
 )
 @settings(max_examples=300, deadline=None)
 def test_chart_ap_equals_brute_force_count(pairs, tolerance):
-    preds = [pred for pred, _ in pairs]
-    gts = [gt for _, gt in pairs]
-    assert chart_ap(preds, gts, tolerance) == _brute_force_ap(preds, gts, tolerance)
+    assert chart_ap(pairs, tolerance) == _brute_force_ap(pairs, tolerance)
 
 
 def _perturbed(rng, struct):
@@ -654,7 +643,7 @@ def _perturbed(rng, struct):
                 max_size=8))
 @settings(max_examples=150, deadline=None)
 def test_ap_report_over_one_shot_generators_equals_chart_ap(draws):
-    preds, gts = [], []
+    pairs = []
     for gt_seed, noise_seed, kind in draws:
         gt = gen_chart_struct(gt_seed)[0]
         pred = _perturbed(random.Random(noise_seed), gt)
@@ -662,11 +651,10 @@ def test_ap_report_over_one_shot_generators_equals_chart_ap(draws):
         # 3-5: both as drawn
         gt = ChartStruct() if kind in (0, 2) else gt
         pred = ChartStruct() if kind in (0, 1) else pred
-        preds.append(pred)
-        gts.append(gt)
-    report = ap_report((p for p in preds), (g for g in gts))
-    expected = [chart_ap(preds, gts, tolerance) for tolerance in AP_TOLERANCES.values()]
-    assert report == ApReport(*expected, n_samples=len(preds))
+        pairs.append((gt, pred))
+    report = ap_report(pair for pair in pairs)
+    expected = [chart_ap(pairs, tolerance) for tolerance in AP_TOLERANCES.values()]
+    assert report == ApReport(*expected, n_samples=len(pairs))
 
 
 # --- generator --------------------------------------------------------------------

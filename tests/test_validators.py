@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ocrkit.charts import gen_chart_struct, serialize_chart_struct
 from ocrkit.geometry import emit_tikz, gen_scene
@@ -241,6 +243,19 @@ EXACT_ISSUES = [
         "| a | b | c |\n| 1 | 2 | 3 |\n| 4 | 5 |\n",
         [(3, 1, "TABLE_ARITY", "row has 2 cells, header has 3")],
         id="markdown-TABLE_ARITY",
+    ),
+    # rows are split as the chart table form splits them: "||" at an edge holds an empty cell
+    pytest.param(
+        "markdown",
+        "| a | b |\n| 1 | 2 ||\n",
+        [(2, 1, "TABLE_ARITY", "row has 3 cells, header has 2")],
+        id="markdown-edge-double-pipe-row",
+    ),
+    pytest.param(
+        "markdown",
+        "|| b |\n| 1 |\n",
+        [(2, 1, "TABLE_ARITY", "row has 1 cells, header has 2")],
+        id="markdown-edge-double-pipe-header",
     ),
     pytest.param(
         "markdown",
@@ -499,6 +514,13 @@ EXACT_ISSUES = [
         [(1, 1, "TIKZ_SYNTAX", "blank line inside drawing")],
         id="tikz-lone-newline",
     ),
+    # only space and tab are TikZ whitespace, so a line of another space is no blank line
+    pytest.param(
+        "tikz",
+        "\x0b\n",
+        [(1, 1, "TIKZ_SYNTAX", "unknown command (expected \\draw)")],
+        id="tikz-vertical-tab-line",
+    ),
 ]
 
 
@@ -562,3 +584,229 @@ def test_validators_total_on_noise():
         for validator in VALIDATORS.values():
             report = validator(text)
             assert report.ok == (not report.issues)
+
+
+# --- grammar oracles: SMILES and kern -------------------------------------------------
+# Texts written by the grammars README documents, independently of the validators,
+# must validate clean; one seeded fault in such a text gives one issue at its place.
+
+_ORGANIC = ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I", "b", "c", "n", "o", "s", "p", "*")
+_ELEMENTS = ("C", "N", "O", "S", "Fe", "Na", "Zn", "Cl", "U", "c", "n", "o", "s", "p", "*")
+_ASCII_DIGITS = st.text("0123456789", min_size=1, max_size=2)
+_RING_LABELS = st.sampled_from("0123456789") | st.builds("%{}".format, st.integers(10, 99))
+# digits that str.isdigit() takes and the grammars do not: Arabic-Indic, full-width,
+# Bengali three and superscript two
+_NON_ASCII_DIGITS = st.sampled_from("\u0663\uff13\u09e9\u00b2")
+
+
+def _maybe(strategy):
+    return st.just("") | strategy
+
+
+# [isotope? symbol (@|@@)? H-count? charge? :class?]
+_BRACKET_ATOM = st.builds(
+    "[{}{}{}{}{}{}]".format,
+    _maybe(_ASCII_DIGITS),
+    st.sampled_from(_ELEMENTS),
+    st.sampled_from(("", "@", "@@")),
+    _maybe(st.builds("H{}".format, _maybe(_ASCII_DIGITS))),
+    _maybe(st.sampled_from(("+", "-", "++", "--"))
+           | st.builds("{}{}".format, st.sampled_from("+-"), _ASCII_DIGITS)),
+    _maybe(st.builds(":{}".format, _ASCII_DIGITS)),
+)
+_BOND = st.sampled_from(("", *"-=#$:/\\"))
+
+
+@st.composite
+def _smiles_tokens(draw) -> list[tuple[str, str]]:
+    """A text of README's SMILES subset as (kind, text) tokens: chains of atoms joined
+    by optional bonds, balanced branches, dot-separated components and ring labels,
+    each label opened and closed once."""
+    tokens: list[tuple[str, str]] = []
+
+    def chain(depth: int) -> None:
+        for i in range(draw(st.integers(1, 3))):
+            if i:
+                tokens.append(("bond", draw(_BOND)))
+            if draw(st.booleans()):
+                tokens.append(("atom", draw(st.sampled_from(_ORGANIC))))
+            else:
+                tokens.append(("bracket", draw(_BRACKET_ATOM)))
+            for _ in range(draw(st.integers(0, 2 - depth))):
+                tokens.append(("open", "("))
+                tokens.append(("bond", draw(_BOND)))
+                chain(depth + 1)
+                tokens.append(("close", ")"))
+
+    for i in range(draw(st.integers(1, 2))):
+        if i:
+            tokens.append(("dot", "."))
+        chain(0)
+    atoms = [i for i, (kind, _) in enumerate(tokens) if kind in ("atom", "bracket")]
+    rings: dict[int, list[str]] = {}
+    if len(atoms) > 1:
+        for label in draw(st.lists(_RING_LABELS, max_size=3, unique=True)):
+            for at in draw(st.lists(st.sampled_from(atoms), min_size=2, max_size=2, unique=True)):
+                rings.setdefault(at, []).append(label)
+    return [out for i, token in enumerate(tokens)
+            for out in (token, *(("ring", label) for label in rings.get(i, ())))
+            if out[1]]
+
+
+def _joined(tokens: list[tuple[str, str]]) -> str:
+    return "".join(text for _, text in tokens)
+
+
+def _column(tokens: list[tuple[str, str]], index: int) -> int:
+    return len(_joined(tokens[:index])) + 1
+
+
+@given(_smiles_tokens())
+@settings(max_examples=200, deadline=None)
+def test_every_text_of_the_documented_smiles_subset_validates_clean(tokens):
+    assert issue_tuples(validate_smiles(_joined(tokens))) == []
+
+
+@given(_smiles_tokens(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_smiles_dropped_ring_digit_is_unpaired_at_its_other_use(tokens, data):
+    digits = [i for i, (kind, text) in enumerate(tokens) if kind == "ring" and len(text) == 1]
+    assume(digits)
+    dropped = data.draw(st.sampled_from(digits))
+    label = tokens[dropped][1]
+    tokens = tokens[:dropped] + tokens[dropped + 1 :]
+    (other,) = [i for i, token in enumerate(tokens) if token == ("ring", label)]
+    message = f"ring closure {label!r} appears 1 time(s), expected exactly 2"
+    assert issue_tuples(validate_smiles(_joined(tokens))) == [
+        (1, _column(tokens, other), "RING_UNPAIRED", message)
+    ]
+
+
+@given(_smiles_tokens(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_smiles_deleted_close_paren_is_unbalanced_at_its_open_paren(tokens, data):
+    # a top-level branch: a nested one's ')' would leave its outer '(' open instead
+    opens, top_level = [], {}
+    for i, (kind, _) in enumerate(tokens):
+        if kind == "open":
+            opens.append(i)
+        elif kind == "close":
+            opened = opens.pop()
+            if not opens:
+                top_level[i] = opened
+    assume(top_level)
+    close = data.draw(st.sampled_from(sorted(top_level)))
+    column = _column(tokens, top_level[close])
+    text = _joined(tokens[:close] + tokens[close + 1 :])
+    assert issue_tuples(validate_smiles(text)) == [(1, column, "PAREN_UNBALANCED", "unclosed '('")]
+
+
+@given(_smiles_tokens(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_smiles_non_ascii_digit_in_a_bracket_atom_is_malformed(tokens, data):
+    places = [(i, at) for i, (kind, text) in enumerate(tokens) if kind == "bracket"
+              for at, char in enumerate(text) if char in "0123456789"]
+    assume(places)
+    i, at = data.draw(st.sampled_from(places))
+    atom = tokens[i][1]
+    atom = atom[:at] + data.draw(_NON_ASCII_DIGITS) + atom[at + 1 :]
+    tokens = tokens[:i] + [("bracket", atom)] + tokens[i + 1 :]
+    message = f"bracket atom {atom!r} does not match the bracket grammar"
+    assert issue_tuples(validate_smiles(_joined(tokens))) == [
+        (1, _column(tokens, i), "BRACKET_MALFORMED", message)
+    ]
+
+
+@given(_smiles_tokens(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_smiles_non_ascii_ring_digit_is_illegal_and_unpairs_its_label(tokens, data):
+    digits = [i for i, (kind, text) in enumerate(tokens) if kind == "ring" and len(text) == 1]
+    assume(digits)
+    swapped = data.draw(st.sampled_from(digits))
+    label, char = tokens[swapped][1], data.draw(_NON_ASCII_DIGITS)
+    tokens = tokens[:swapped] + [("atom", char)] + tokens[swapped + 1 :]
+    (other,) = [i for i, token in enumerate(tokens) if token == ("ring", label)]
+    message = f"ring closure {label!r} appears 1 time(s), expected exactly 2"
+    assert issue_tuples(validate_smiles(_joined(tokens))) == [
+        (1, _column(tokens, swapped), "ATOM_ILLEGAL", _illegal(char)),
+        (1, _column(tokens, other), "RING_UNPAIRED", message),
+    ]
+
+
+# open ties/slurs, a duration (digits, optional %rational, dots), pitch letters or a rest,
+# then modifiers
+_KERN_NOTE = st.builds(
+    "{}{}{}{}{}{}".format,
+    st.sampled_from(("", "[", "(", "{", "([")),
+    _ASCII_DIGITS,
+    _maybe(st.builds("%{}".format, _ASCII_DIGITS)),
+    st.sampled_from(("", ".", "..")),
+    st.builds(str.__mul__, st.sampled_from("abcdefgABCDEFGr"), st.integers(1, 3)),
+    st.text("#-n';LJkK/\\])}", max_size=3),
+)
+_KERN_CHORD = st.lists(_KERN_NOTE, min_size=1, max_size=3).map(" ".join)
+
+
+@st.composite
+def _kern_records(draw) -> list[list[str]]:
+    """A single-system **kern text of README's subset as records of tab-separated fields:
+    declared spines; interpretations, local comments, barlines and data records of notes,
+    chords and nulls; then *- in every spine. Global comments are one-field records."""
+    spines = draw(st.integers(1, 3))
+
+    def comments() -> list[list[str]]:
+        texts = draw(st.lists(st.sampled_from(("", "!COM: x", " c")), max_size=2))
+        return [[f"!!{text}"] for text in texts]
+
+    def record(kind: str) -> list[str]:
+        def field() -> str:
+            if kind == "interp":
+                return draw(st.sampled_from(("*", "*clefG2", "*clefF4", "*M4/4", "*k[f#]")))
+            if kind == "local":
+                return draw(st.sampled_from(("!", "! comment")))
+            if kind == "bar":
+                return "=" + draw(st.sampled_from(("", "1", "12", "=")))
+            return draw(st.just(".") | _KERN_CHORD)
+
+        return [field() for _ in range(spines)]
+
+    body = [record(kind) for kind in draw(st.lists(
+        st.sampled_from(("interp", "local", "bar", "data", "data")), max_size=8))]
+    return [*comments(), ["**kern"] * spines, *body, ["*-"] * spines, *comments()]
+
+
+def _kern_text(records: list[list[str]], newline: str) -> str:
+    return "\n".join("\t".join(fields) for fields in records) + newline
+
+
+@given(_kern_records(), st.sampled_from(("", "\n")))
+@settings(max_examples=200, deadline=None)
+def test_every_text_of_the_documented_kern_subset_validates_clean(records, newline):
+    assert issue_tuples(validate_kern(_kern_text(records, newline))) == []
+
+
+@given(_kern_records(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_kern_non_ascii_duration_digit_is_a_malformed_token(records, data):
+    notes = [(r, f, n) for r, fields in enumerate(records) for f, field in enumerate(fields)
+             if field[0] in "[({0123456789" for n in range(len(field.split(" ")))]
+    assume(notes)
+    r, f, n = data.draw(st.sampled_from(notes))
+    chord = records[r][f].split(" ")
+    at = next(i for i, char in enumerate(chord[n]) if char in "0123456789")
+    chord[n] = chord[n][:at] + data.draw(_NON_ASCII_DIGITS) + chord[n][at + 1 :]
+    records[r][f] = " ".join(chord)
+    column = 1 + sum(len(field) + 1 for field in records[r][:f])
+    message = f"token {chord[n]!r} does not match the kern token pattern"
+    assert issue_tuples(validate_kern(_kern_text(records, "\n"))) == [
+        (r + 1, column, "TOKEN_MALFORMED", message)
+    ]
+
+
+@given(_kern_records())
+@settings(max_examples=100, deadline=None)
+def test_kern_without_its_terminator_is_unterminated_at_the_last_record(records):
+    records = [fields for fields in records if fields[0] != "*-"]
+    assert issue_tuples(validate_kern(_kern_text(records, "\n"))) == [
+        (len(records), 1, "SPINE_UNTERMINATED", "spines never terminated by *-")
+    ]
