@@ -199,41 +199,36 @@ def _refuse_surrogate(line: str, idx: int) -> None:
 
 def _parse_table_form(text: str) -> ChartStruct:
     meta: dict[str, str] = {}
+    header: list[str] = []  # the first "|" row; every later line must be a row too
+    labels: set[str] = set()
     lines = text.split("\n")
-    table_start = None
     for idx, line in enumerate(lines):
         stripped = line.strip()
         if not stripped:
             continue
         _refuse_surrogate(stripped, idx)
-        if stripped.startswith("|"):
-            table_start = idx
-            break
-        key, sep, value = stripped.partition(":")
-        norm = key.strip().lower().replace("-", "_")
-        if not sep or norm not in _META_KEYS:
-            raise ChartParseError(idx + 1, 1, f"expected metadata or a table row, got {stripped!r}")
-        if norm in meta:
-            raise ChartParseError(idx + 1, 1, f"duplicate metadata key {norm!r}")
-        meta[norm] = value.strip()
-    if table_start is None:
-        raise ChartParseError(len(lines), 1, "no table found")
-    header = split_row(lines[table_start].strip())
-    if len(header) < 2:
-        raise ChartParseError(table_start + 1, 1, "table header needs a label column and series")
-    names = header[1:]
-    if len(set(names)) != len(names):
-        raise ChartParseError(table_start + 1, 1, "duplicate series name in header")
-    columns: list[list[tuple[str, float]]] = [[] for _ in names]
-    labels: set[str] = set()
-    for idx in range(table_start + 1, len(lines)):
-        stripped = lines[idx].strip()
-        if not stripped:
-            continue
-        _refuse_surrogate(stripped, idx)
         if not stripped.startswith("|"):
-            raise ChartParseError(idx + 1, 1, f"unexpected text after the table: {stripped!r}")
+            if header:
+                raise ChartParseError(idx + 1, 1, f"unexpected text after the table: {stripped!r}")
+            key, sep, value = stripped.partition(":")
+            norm = key.strip().lower().replace("-", "_")
+            if not sep or norm not in _META_KEYS:
+                raise ChartParseError(
+                    idx + 1, 1, f"expected metadata or a table row, got {stripped!r}"
+                )
+            if norm in meta:
+                raise ChartParseError(idx + 1, 1, f"duplicate metadata key {norm!r}")
+            meta[norm] = value.strip()
+            continue
         cells = split_row(stripped)
+        if not header:
+            if len(cells) < 2:
+                raise ChartParseError(idx + 1, 1, "table header needs a label column and series")
+            header, names = cells, cells[1:]
+            if len(set(names)) != len(names):
+                raise ChartParseError(idx + 1, 1, "duplicate series name in header")
+            columns: list[list[tuple[str, float]]] = [[] for _ in names]
+            continue
         if all(_SEPARATOR_CELL_RE.match(c) for c in cells):
             continue
         if len(cells) != len(header):
@@ -250,6 +245,8 @@ def _parse_table_form(text: str) -> ChartStruct:
             if not math.isfinite(value := float(cell)):
                 raise ChartParseError(idx + 1, 1, _not_finite(names[col], label))
             columns[col].append((label, value))
+    if not header:
+        raise ChartParseError(len(lines), 1, "no table found")
     return ChartStruct(
         series=tuple(Series(name, tuple(col)) for name, col in zip(names, columns)), **meta
     )

@@ -9,9 +9,12 @@ All outputs are declarative; no pixels are touched here.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from ._record import Record
-from .tiling import ImageDims
+
+if TYPE_CHECKING:
+    from .tiling import ImageDims
 
 NORM_SCALE = 1000
 

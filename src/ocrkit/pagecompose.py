@@ -10,10 +10,13 @@ horizontal jitter and vertical gaps, never overlapping.
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
 from ._record import Record
 from .metrics import tokenize
-from .tiling import ImageDims
+
+if TYPE_CHECKING:
+    from .tiling import ImageDims
 
 PAGE_SEPARATOR = "<--- page break --->"
 MAX_PAGE_TOKENS = 650

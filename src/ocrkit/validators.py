@@ -56,67 +56,49 @@ _MATH_TOKEN_RE = re.compile(r"\\.|\$\$|\$")
 def validate_mathpix_markdown(text: str) -> ValidationReport:
     """Check math delimiter balance, environment pairing, table arity and
     code-fence termination."""
-    lines = _lines_of(text)
-    issues: list[Issue] = []
-
-    fenced: list[bool] = []
     fence_open: tuple[int, int] | None = None
-    for i, line in enumerate(lines):
-        is_fence = line.lstrip().startswith("```")
-        fenced.append(is_fence or fence_open is not None)
-        if is_fence:
-            fence_open = None if fence_open else (i + 1, line.index("```") + 1)
-    if fence_open is not None:
-        issues.append(Issue(*fence_open, "FENCE_UNCLOSED", "code fence never closed"))
-
+    env_issues: list[Issue] = []
+    math_issues: list[Issue] = []
+    table_issues: list[Issue] = []
     env_stack: list[tuple[str, int, int]] = []
-    for i, line in enumerate(lines):
-        if fenced[i]:
+    bracket_stack: list[tuple[str, int, int]] = []
+    dollar_open: tuple[int, int] | None = None
+    ddollar_open: tuple[int, int] | None = None
+    header_arity: int | None = None
+    for ln, line in enumerate(_lines_of(text), 1):
+        # a fence line and the lines inside a fence hold no environment, math or table
+        is_fence = line.lstrip().startswith("```")
+        if is_fence:
+            fence_open = None if fence_open else (ln, line.index("```") + 1)
+        if is_fence or fence_open:
+            header_arity = None
             continue
         for m in _ENV_RE.finditer(line):
             kind, name = m.group(1), m.group(2)
             if kind == "begin":
-                env_stack.append((name, i + 1, m.start() + 1))
+                env_stack.append((name, ln, m.start() + 1))
             elif not env_stack:
                 message = f"\\end{{{name}}} without begin"
-                issues.append(Issue(i + 1, m.start() + 1, "ENV_UNOPENED", message))
+                env_issues.append(Issue(ln, m.start() + 1, "ENV_UNOPENED", message))
             else:
                 open_name, oline, ocol = env_stack.pop()
                 if open_name != name:
                     message = f"\\end{{{name}}} closes \\begin{{{open_name}}} ({oline}:{ocol})"
-                    issues.append(Issue(i + 1, m.start() + 1, "ENV_MISMATCH", message))
-    for name, oline, ocol in env_stack:
-        issues.append(Issue(oline, ocol, "ENV_UNCLOSED", f"\\begin{{{name}}} never closed"))
-
-    bracket_stack: list[tuple[str, int, int]] = []
-    dollar_open: tuple[int, int] | None = None
-    ddollar_open: tuple[int, int] | None = None
-    for i, line in enumerate(lines):
-        if fenced[i]:
-            continue
+                    env_issues.append(Issue(ln, m.start() + 1, "ENV_MISMATCH", message))
         for m in _MATH_TOKEN_RE.finditer(line):
-            tok, at = m.group(), (i + 1, m.start() + 1)
+            tok, at = m.group(), (ln, m.start() + 1)
             if tok in ("\\(", "\\["):
                 bracket_stack.append((tok, *at))
             elif tok in _OPEN_FOR:
                 if bracket_stack and bracket_stack[-1][0] == _OPEN_FOR[tok]:
                     bracket_stack.pop()
                 else:
-                    issues.append(Issue(*at, "MATH_UNBALANCED", f"unmatched {tok}"))
+                    math_issues.append(Issue(*at, "MATH_UNBALANCED", f"unmatched {tok}"))
             elif tok == "$$":
                 ddollar_open = None if ddollar_open else at
             elif tok == "$":
                 dollar_open = None if dollar_open else at
-    for tok, line_no, col in bracket_stack:
-        issues.append(Issue(line_no, col, "MATH_UNBALANCED", f"unclosed {tok}"))
-    if ddollar_open:
-        issues.append(Issue(*ddollar_open, "MATH_UNBALANCED", "unclosed $$"))
-    if dollar_open:
-        issues.append(Issue(*dollar_open, "MATH_UNBALANCED", "unclosed $"))
-
-    header_arity: int | None = None
-    for i, line in enumerate(lines):
-        if fenced[i] or not line.strip().startswith("|"):
+        if not line.strip().startswith("|"):
             header_arity = None
             continue
         arity = len(split_row(line.strip()))
@@ -124,8 +106,17 @@ def validate_mathpix_markdown(text: str) -> ValidationReport:
             header_arity = arity
         elif arity != header_arity:
             message = f"row has {arity} cells, header has {header_arity}"
-            issues.append(Issue(i + 1, 1, "TABLE_ARITY", message))
-    return ValidationReport(issues)
+            table_issues.append(Issue(ln, 1, "TABLE_ARITY", message))
+    issues = [Issue(*fence_open, "FENCE_UNCLOSED", "code fence never closed")] if fence_open else []
+    for name, oline, ocol in env_stack:
+        env_issues.append(Issue(oline, ocol, "ENV_UNCLOSED", f"\\begin{{{name}}} never closed"))
+    for tok, line_no, col in bracket_stack:
+        math_issues.append(Issue(line_no, col, "MATH_UNBALANCED", f"unclosed {tok}"))
+    if ddollar_open:
+        math_issues.append(Issue(*ddollar_open, "MATH_UNBALANCED", "unclosed $$"))
+    if dollar_open:
+        math_issues.append(Issue(*dollar_open, "MATH_UNBALANCED", "unclosed $"))
+    return ValidationReport(issues + env_issues + math_issues + table_issues)
 
 
 # --- SMILES -----------------------------------------------------------------
@@ -135,10 +126,11 @@ _BRACKET_ATOM_RE = re.compile(
     r"\[[0-9]*(?:[A-Z][a-z]?|[bcnops]|\*)(?:@{1,2})?(?:H[0-9]*)?"
     r"(?:[+-][0-9]*|\+{2,}|-{2,})?(?::[0-9]+)?\]"
 )
-_TWO_LETTER_ATOMS = ("Cl", "Br")
-_ONE_LETTER_ATOMS = set("BCNOPSFI")
-_AROMATIC_ATOMS = set("bcnops")
-_BOND_CHARS = set("-=#$:/\\")
+# A bracket atom runs to its first "]" (or to the end of the text, unclosed);
+# a "%" without two ASCII digits is a token of its own.
+_SMILES_TOKEN_RE = re.compile(r"\[[^\]]*\]?|%[0-9]{2}|Cl|Br|.")
+# organic-subset atoms, aromatic atoms, the wildcard, bonds and the dot
+_PLAIN_TOKENS = frozenset(["Cl", "Br", *"BCNOPSFI", *"bcnops", "*", *"-=#$:/\\", "."])
 
 
 def validate_smiles(text: str) -> ValidationReport:
@@ -148,61 +140,38 @@ def validate_smiles(text: str) -> ValidationReport:
     issues: list[Issue] = []
     if len(lines) > 1:
         issues.append(Issue(1, len(lines[0]) + 1, "MULTILINE", "SMILES must be a single line"))
-    s = lines[0] if lines else ""
     paren_stack: list[int] = []
-    rings: dict[str, list[int]] = {}  # label -> positions, in order of first use
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch == "(":
-            paren_stack.append(i)
-            i += 1
-        elif ch == ")":
+    rings: dict[str, list[int]] = {}  # label -> columns, in order of first use
+    for m in _SMILES_TOKEN_RE.finditer(lines[0] if lines else ""):
+        tok, col = m.group(), m.start() + 1
+        if tok in _PLAIN_TOKENS:
+            continue
+        if tok == "(":
+            paren_stack.append(col)
+        elif tok == ")":
             if paren_stack:
                 paren_stack.pop()
             else:
-                issues.append(Issue(1, i + 1, "PAREN_UNBALANCED", "unmatched ')'"))
-            i += 1
-        elif ch == "[":
-            m = _BRACKET_ATOM_RE.match(s, i)
-            if m:
-                i = m.end()
-            else:
-                end = s.find("]", i)
-                if end < 0:
-                    issues.append(Issue(1, i + 1, "BRACKET_UNCLOSED", "unclosed bracket atom"))
-                    i = len(s)
-                else:
-                    message = f"bracket atom {s[i:end + 1]!r} does not match the bracket grammar"
-                    issues.append(Issue(1, i + 1, "BRACKET_MALFORMED", message))
-                    i = end + 1
-        elif ch == "%":
-            digits = s[i + 1 : i + 3]
-            if len(digits) == 2 and digits.isascii() and digits.isdigit():
-                rings.setdefault(s[i : i + 3], []).append(i)
-                i += 3
-            else:
-                issues.append(Issue(1, i + 1, "RING_MALFORMED", "'%' needs two digits"))
-                i += 1
-        elif "0" <= ch <= "9":  # ASCII only: str.isdigit() is also true for "²" or "٣"
-            rings.setdefault(ch, []).append(i)
-            i += 1
-        elif s.startswith(_TWO_LETTER_ATOMS, i):
-            i += 2
-        elif ch in _ONE_LETTER_ATOMS or ch in _AROMATIC_ATOMS or ch == "*":
-            i += 1
-        elif ch in _BOND_CHARS or ch == ".":
-            i += 1
+                issues.append(Issue(1, col, "PAREN_UNBALANCED", "unmatched ')'"))
+        elif tok[0] == "[":
+            if not tok.endswith("]"):
+                issues.append(Issue(1, col, "BRACKET_UNCLOSED", "unclosed bracket atom"))
+            elif not _BRACKET_ATOM_RE.fullmatch(tok):
+                message = f"bracket atom {tok!r} does not match the bracket grammar"
+                issues.append(Issue(1, col, "BRACKET_MALFORMED", message))
+        elif tok == "%":
+            issues.append(Issue(1, col, "RING_MALFORMED", "'%' needs two digits"))
+        elif "0" <= tok[-1] <= "9":  # ASCII only: str.isdigit() is also true for "²" or "٣"
+            rings.setdefault(tok, []).append(col)
         else:
-            message = f"character {ch!r} not in the SMILES subset"
-            issues.append(Issue(1, i + 1, "ATOM_ILLEGAL", message))
-            i += 1
-    for pos in paren_stack:
-        issues.append(Issue(1, pos + 1, "PAREN_UNBALANCED", "unclosed '('"))
-    for label, positions in rings.items():
-        if len(positions) != 2:
-            message = f"ring closure {label!r} appears {len(positions)} time(s), expected exactly 2"
-            issues.append(Issue(1, positions[0] + 1, "RING_UNPAIRED", message))
+            message = f"character {tok!r} not in the SMILES subset"
+            issues.append(Issue(1, col, "ATOM_ILLEGAL", message))
+    for col in paren_stack:
+        issues.append(Issue(1, col, "PAREN_UNBALANCED", "unclosed '('"))
+    for label, columns in rings.items():
+        if len(columns) != 2:
+            message = f"ring closure {label!r} appears {len(columns)} time(s), expected exactly 2"
+            issues.append(Issue(1, columns[0], "RING_UNPAIRED", message))
     return ValidationReport(issues)
 
 

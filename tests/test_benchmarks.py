@@ -1,6 +1,6 @@
 """The benchmark scripts start, their argument tables are sound, the paired
 timer of ``benchmarks/compare.py`` pairs, alternates and checks answers, and
-its ``dedup`` bench runs both trees in this process."""
+its ``dedup``, ``parse`` and ``scoring`` benches run both trees in this process."""
 
 import importlib
 import importlib.util
@@ -106,21 +106,61 @@ def test_export_src_refuses_a_member_outside_its_folder(compare, monkeypatch, tm
     assert not (tmp_path / "outside").exists()
 
 
+def _run_in_this_process(compare, monkeypatch, bench, tmp_path):
+    """``bench`` of both trees, each this checkout's ``src``, timed one call per batch."""
+    monkeypatch.setattr(compare.timeit.Timer, "autorange", lambda self: (1, 0.0))
+    monkeypatch.setattr(sys, "path", list(sys.path))  # write_corpus puts perfbench first
+    known = set(sys.modules)
+    try:
+        return bench({side: ROOT / "src" for side in compare.SIDES}, tmp_path)
+    finally:
+        for name in set(sys.modules) - known:
+            del sys.modules[name]
+
+
+_ROW_KEYS = {"name", "before", "after", "ratio", "ratio_iqr", "after_faster", "pairs"}
+
+
 def test_dedup_times_both_trees_in_this_process(compare, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(compare, "TEST", 10)
     monkeypatch.setattr(compare, "TRAIN", 30)
     monkeypatch.setattr(compare, "CHARS", (20, 60))
-    monkeypatch.setattr(sys, "path", list(sys.path))  # write_corpus puts perfbench first
-    known = set(sys.modules)
-    try:
-        result = compare.dedup({side: ROOT / "src" for side in compare.SIDES}, tmp_path)
-    finally:
-        for name in set(sys.modules) - known:
-            del sys.modules[name]
+    result = _run_in_this_process(compare, monkeypatch, compare.dedup, tmp_path)
     assert set(result) == {"workload", "unit", "rows", "kept"}
     [row] = result["rows"]
-    assert set(row) == {"name", "before", "after", "ratio", "ratio_iqr", "after_faster", "pairs"}
+    assert set(row) == _ROW_KEYS
     assert (row["name"], row["pairs"]) == ("dedup_filter", 4)
     # the one test text planted as a light edit of a training text is dropped
     assert result["kept"] == 9
     assert capsys.readouterr().out == "both trees keep the same 9 test ids\n"
+
+
+def test_parse_times_both_trees_in_this_process(compare, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(compare, "PARSE_TEXTS", 2)
+    monkeypatch.setattr(compare, "MUTATED", 6)
+    monkeypatch.setattr(compare, "GENERATED", 2)
+    result = _run_in_this_process(compare, monkeypatch, compare.parse, tmp_path)
+    assert set(result) == {"workload", "unit", "rows", "answer"}
+    assert [r["name"] for r in result["rows"]] == [
+        "dict", "table", "chart answers", "chart generated", "tikz", "tikz answers",
+        "tikz generated"]
+    assert all(set(r) == _ROW_KEYS and r["pairs"] == 4 for r in result["rows"])
+    assert set(result["answer"]) == {"chart", "tikz"}
+    for answer in result["answer"].values():
+        assert set(answer) == {"rejected", "sha256", "generated_sha256"}
+        assert 0 <= answer["rejected"] <= 6  # only mutated texts may be rejected
+    out = capsys.readouterr().out.splitlines()
+    # two valid texts per chart form and two scenes, then six mutated texts of each kind
+    assert [line.partition(":")[0] for line in out] == [
+        "same answer for all 10 chart texts", "same answer for all 8 tikz texts"]
+
+
+def test_scoring_times_both_trees_in_this_process(compare, monkeypatch, tmp_path):
+    monkeypatch.setattr(compare, "DOCS", 3)
+    monkeypatch.setattr(compare, "DOC_WORDS", 20)
+    result = _run_in_this_process(compare, monkeypatch, compare.scoring, tmp_path)
+    assert set(result) == {"workload", "unit", "rows"}
+    layers = ["tokenize", *compare.LAYERS, "score_corpus"]
+    assert [r["name"] for r in result["rows"]] == [
+        f"{granularity} {layer}" for granularity in ("word", "char") for layer in layers]
+    assert all(set(r) == _ROW_KEYS and r["pairs"] == 4 for r in result["rows"])

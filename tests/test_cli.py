@@ -1055,11 +1055,10 @@ _VALID_INPUTS = {  # file name -> a text that the subcommand reading it accepts
         (["gen-chart", "--n", "2", "--out", "o"], {"charts"}),
         (["tile-plan", "--width", "2048", "--height", "1024"], {"tiling"}),
         (["stitch", "--pages", "80x110,60x90", "--orientation", "vertical"], {"tiling"}),
-        # image sizes are tiling.ImageDims, so these runs load tiling too
+        (["compose-pages", "--pool", "pool.jsonl", "--n", "2", "--out", "o"], {"pagecompose"}),
+        # these runs read image sizes, which are tiling.ImageDims, so they load tiling too
         (["make-finegrained", "--input", "annotations.jsonl", "--out", "o"],
          {"finegrained", "tiling"}),
-        (["compose-pages", "--pool", "pool.jsonl", "--n", "2", "--out", "o"],
-         {"pagecompose", "tiling"}),
         (["paste-layout", "--slices", "600x70,500x60,400x80,300x50,200x40,100x30",
           "--canvas", "1240x1754"],
          {"pagecompose", "tiling"}),
@@ -1070,7 +1069,7 @@ _VALID_INPUTS = {  # file name -> a text that the subcommand reading it accepts
         (["validate-format", "--kind", "tikz", "valid.tikz"], {"validators", "tikz", "geometry"}),
     ],
     ids=["chart-score-charts", "gen-chart-charts", "tile-plan-tiling", "stitch-tiling",
-         "make-finegrained-finegrained", "compose-pages-pagecompose",
+         "compose-pages-pagecompose", "make-finegrained-finegrained",
          "paste-layout-pagecompose", "gen-geometry-geometry", "validate-format-kern",
          "validate-format-markdown", "validate-format-smiles", "validate-format-tikz"],
 )

@@ -56,6 +56,21 @@ def test_submodule_attribute_without_explicit_import(ocrkit_modules_after):
     assert loaded == ["ocrkit", "ocrkit._record", "ocrkit._scan", "ocrkit.charts"]
 
 
+def test_submodule_name_loads_that_submodule_only(ocrkit_modules_after):
+    # a submodule's name, unlike an exported name, is not in _EXPORTS
+    loaded = ocrkit_modules_after(
+        "import ocrkit\n"
+        "assert ocrkit.tiling.ImageDims(1, 1).width == 1\n"
+        "try:\n"
+        "    ocrkit.nosuch\n"
+        "except AttributeError as exc:\n"
+        "    assert str(exc) == \"module 'ocrkit' has no attribute 'nosuch'\", exc\n"
+        "else:\n"
+        "    raise AssertionError('ocrkit.nosuch resolved')"
+    )
+    assert loaded == ["ocrkit", "ocrkit._record", "ocrkit.tiling"]
+
+
 @pytest.mark.parametrize(
     "module",
     ["ocrkit.cli", "ocrkit.charts", "ocrkit.finegrained", "ocrkit.geometry", "ocrkit.pagecompose",

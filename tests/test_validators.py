@@ -298,6 +298,17 @@ EXACT_ISSUES = [
         [(1, 1, "MATH_UNBALANCED", "unclosed \\(")],
         id="markdown-trailing-backslash",
     ),
+    # issues after a closed fence come check by check: environments, math, then tables
+    pytest.param(
+        "markdown",
+        "```\ncode\n```\n| a | b |\n| 1 |\nx \\(y\n\\end{z}\n",
+        [
+            (7, 1, "ENV_UNOPENED", "\\end{z} without begin"),
+            (6, 3, "MATH_UNBALANCED", "unclosed \\("),
+            (5, 1, "TABLE_ARITY", "row has 1 cells, header has 2"),
+        ],
+        id="markdown-checks-after-closed-fence",
+    ),
     # the column one past the end of line 1
     pytest.param(
         "smiles",
@@ -359,6 +370,36 @@ EXACT_ISSUES = [
         "C1CC1C1",
         [(1, 2, "RING_UNPAIRED", "ring closure '1' appears 3 time(s), expected exactly 2")],
         id="smiles-ring-label-thrice",
+    ),
+    # a bracket atom runs to its first "]"; an unclosed one runs to the end of the line
+    pytest.param(
+        "smiles",
+        "C[C",
+        [(1, 2, "BRACKET_UNCLOSED", "unclosed bracket atom")],
+        id="smiles-bracket-unclosed-at-end",
+    ),
+    pytest.param(
+        "smiles",
+        "[C]]",
+        [(1, 4, "ATOM_ILLEGAL", _illegal("]"))],
+        id="smiles-bracket-stray-close",
+    ),
+    # a "%" without two ASCII digits is one RING_MALFORMED token; the scan resumes after it
+    pytest.param(
+        "smiles",
+        "C%1C1",
+        [(1, 2, "RING_MALFORMED", "'%' needs two digits")],
+        id="smiles-percent-one-digit",
+    ),
+    pytest.param(
+        "smiles",
+        "C%\u0661\u0662C",
+        [
+            (1, 2, "RING_MALFORMED", "'%' needs two digits"),
+            (1, 3, "ATOM_ILLEGAL", _illegal("\u0661")),
+            (1, 4, "ATOM_ILLEGAL", _illegal("\u0662")),
+        ],
+        id="smiles-percent-arabic-indic-digits",
     ),
     # ring labels, isotopes, charges and kern durations take ASCII digits only,
     # though str.isdigit and re's \d accept '²' and the Arabic-Indic '٣'
