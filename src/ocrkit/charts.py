@@ -187,14 +187,10 @@ def _parse_dict_form(text: str) -> ChartStruct:
 _SEPARATOR_CELL_RE = re.compile(r"^:?-+:?$")
 
 
-def _has_surrogate(text: str) -> bool:
-    return not text.isascii() and _SURROGATE_RE.search(text) is not None
-
-
-def _refuse_surrogate(line: str, idx: int) -> None:
-    # as in the dict form: UTF-8 cannot encode a lone surrogate, so no record file holds one
-    if not line.isascii() and (m := _SURROGATE_RE.search(line)):
-        raise ChartParseError(idx + 1, 1, f"lone surrogate U+{ord(m[0]):04X}")
+def _lone_surrogate(text: str) -> str | None:
+    """The first lone surrogate in text, or None."""
+    m = None if text.isascii() else _SURROGATE_RE.search(text)
+    return m[0] if m else None
 
 
 def _parse_table_form(text: str) -> ChartStruct:
@@ -206,7 +202,9 @@ def _parse_table_form(text: str) -> ChartStruct:
         stripped = line.strip()
         if not stripped:
             continue
-        _refuse_surrogate(stripped, idx)
+        # as in the dict form: UTF-8 cannot encode a lone surrogate, so no record file holds one
+        if surrogate := _lone_surrogate(stripped):
+            raise ChartParseError(idx + 1, 1, f"lone surrogate U+{ord(surrogate):04X}")
         if not stripped.startswith("|"):
             if header:
                 raise ChartParseError(idx + 1, 1, f"unexpected text after the table: {stripped!r}")
@@ -286,7 +284,7 @@ def serialize_chart_struct(struct: ChartStruct, form: str = "dict") -> str:
         if any(ll != label_lists[0] for ll in label_lists):
             raise ValueError("table form requires identical labels across series")
         for name in [s.name for s in struct.series] + list(label_lists[0]):
-            if "|" in name or "\n" in name or _has_surrogate(name):
+            if "|" in name or "\n" in name or _lone_surrogate(name):
                 raise ValueError(f"table form cannot hold {name!r}")
         lines = []
         for key in _META_KEYS:
@@ -297,7 +295,7 @@ def serialize_chart_struct(struct: ChartStruct, form: str = "dict") -> str:
                     "\n" in value
                     or value.startswith("|")
                     or value != value.strip()
-                    or _has_surrogate(value)
+                    or _lone_surrogate(value)
                 ):
                     raise ValueError(f"table form cannot hold {key}={value!r}")
                 lines.append(f"{key}: {value}")
@@ -313,7 +311,7 @@ def serialize_chart_struct(struct: ChartStruct, form: str = "dict") -> str:
 
 def _escape(text: str) -> str:
     # the subset, like Python's literals, has no way to write a NUL or a lone surrogate
-    if "\0" in text or _has_surrogate(text):
+    if "\0" in text or _lone_surrogate(text):
         raise ValueError(f"dict form cannot hold {text!r}")
     text = text.replace("\\", "\\\\").replace('"', '\\"')
     return text.replace("\r", "\\r").replace("\n", "\\n")  # the reader refuses raw line breaks

@@ -2,9 +2,8 @@
 
 Records live in line-delimited UTF-8 JSON files (one object per line, LF
 terminated) with the fields id, task_kind, image_ref, prompt, ground_truth,
-lang and a flat string-to-string meta map. A corpus whose schema_version is
-not 1 is prefixed with a single ``{"schema_version": N}`` header line;
-version-1 corpora have no header, so an empty corpus is an empty file.
+lang and a flat string-to-string meta map. Every line is one record, so an
+empty corpus is an empty file.
 """
 
 from __future__ import annotations
@@ -125,20 +124,16 @@ class Sample(Record):
 
 
 class Corpus(Record):
-    __slots__ = ("samples", "schema_version")
+    __slots__ = ("samples",)
 
-    def __init__(self, samples: tuple[Sample, ...] = (), schema_version: int = 1):
+    def __init__(self, samples: tuple[Sample, ...] = ()):
         samples = tuple(samples)
-        if type(schema_version) is not int:
-            raise ValueError("schema_version must be an integer")
-        if schema_version < 1:
-            raise ValueError("schema_version must be >= 1")
         seen = set()
         for s in samples:
             if s.id in seen:
                 raise ValueError(f"duplicate sample id {s.id!r}")
             seen.add(s.id)
-        super().__init__(samples, schema_version)
+        super().__init__(samples)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -200,14 +195,7 @@ def load_records(path: str | Path) -> Corpus:
     samples: list[Sample] = []
     seen: set[str] = set()
     shared: dict[str, str] = {}  # each such string read so far -> its first copy
-    schema_version = 1
     for lineno, obj in read_jsonl(path):
-        if lineno == 1 and set(obj) == {"schema_version"}:
-            version = obj["schema_version"]
-            if type(version) is not int or version < 1:
-                raise CorpusFormatError(lineno, "schema_version must be a positive integer")
-            schema_version = version
-            continue
         try:
             if not obj.keys() <= _FIELDS.keys():
                 unknown = obj.keys() - _FIELDS.keys()
@@ -221,7 +209,7 @@ def load_records(path: str | Path) -> Corpus:
             raise CorpusFormatError(lineno, str(exc)) from exc
         seen.add(sample.id)
         samples.append(sample)
-    return Corpus(tuple(samples), schema_version)
+    return Corpus(tuple(samples))
 
 
 def _share(obj: dict, shared: dict[str, str]) -> None:
@@ -250,8 +238,6 @@ def record_line(sample: Sample) -> str:
 
 def corpus_lines(corpus: Corpus) -> Iterator[str]:
     """The record file text, one LF-terminated line at a time (byte-stable)."""
-    if corpus.schema_version != 1:
-        yield json.dumps({"schema_version": corpus.schema_version}) + "\n"
     for s in corpus.samples:
         yield record_line(s) + "\n"
 
@@ -312,7 +298,7 @@ def dedup_filter(test: Corpus, train: Corpus, threshold: float) -> Corpus:
         if all(1.0 - edit_distance_norm(t, toks, limit(max(len(t.tokens), m))) < threshold
                for t in train_toks):
             kept.append(sample)
-    return Corpus(tuple(kept), test.schema_version)
+    return Corpus(tuple(kept))
 
 
 def mix_stages(previous: Corpus, new: Corpus, ratio: float, seed: int) -> Corpus:
@@ -329,7 +315,7 @@ def mix_stages(previous: Corpus, new: Corpus, ratio: float, seed: int) -> Corpus
     indices = list(range(len(previous.samples)))
     random.Random(seed).shuffle(indices)
     carried = tuple(previous.samples[i] for i in indices[:k])
-    return Corpus(new.samples + carried, new.schema_version)
+    return Corpus(new.samples + carried)
 
 
 def __getattr__(name: str):

@@ -585,6 +585,18 @@ def test_an_earlier_fault_is_reported_before_an_undecodable_byte(
     assert not out.exists()
 
 
+def test_a_schema_version_line_is_an_unknown_field(tmp_path, capsys):
+    # every line of a record file is one record; there is no header line
+    good, old, out = tmp_path / "good.jsonl", tmp_path / "old.jsonl", tmp_path / "out"
+    _write_corpus(good, ["text"])
+    old.write_text('{"schema_version": 2}\n' + _record_row("s1", "text") + "\n")
+    assert main(["mix", "--previous", str(old), "--new", str(good), "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {old}: line 1: unknown field(s): schema_version\n"
+    )
+    assert not out.exists()
+
+
 # Values of every JSON type, for the fields of the auxiliary inputs.
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),

@@ -37,8 +37,8 @@ def _sample(i, text="some text", kind=TaskKind.PLAIN_DOC, **kwargs):
     return Sample(id=f"s{i}", task_kind=kind, ground_truth=text, **kwargs)
 
 
-def _corpus(*samples, schema_version=1):
-    return Corpus(tuple(samples), schema_version)
+def _corpus(*samples):
+    return Corpus(tuple(samples))
 
 
 # --- model invariants ---------------------------------------------------------
@@ -58,11 +58,9 @@ def test_sample_rejects_unknown_kind_and_lang():
         Sample(id="a", task_kind=TaskKind.CHART, ground_truth="x", lang="fr")
 
 
-def test_corpus_rejects_duplicate_ids_and_bad_version():
+def test_corpus_rejects_duplicate_ids():
     with pytest.raises(ValueError, match="duplicate"):
         _corpus(_sample(1), _sample(1))
-    with pytest.raises(ValueError):
-        _corpus(schema_version=0)
 
 
 @pytest.mark.parametrize(
@@ -81,9 +79,6 @@ def test_corpus_rejects_duplicate_ids_and_bad_version():
         (lambda: Sample("a", TaskKind.CHART, "x\ud800"), "sample 'a': lone surrogate U+D800 in a string"),
         (lambda: Sample("a", TaskKind.CHART, "x", meta={"k": "\udfff"}),
          "sample 'a': lone surrogate U+DFFF in a string"),
-        (lambda: Corpus((), 2.5), "schema_version must be an integer"),
-        (lambda: Corpus((), True), "schema_version must be an integer"),
-        (lambda: Corpus((), 0), "schema_version must be >= 1"),
     ],
 )
 def test_constructors_reject_what_the_loader_rejects(make, message):
@@ -100,7 +95,6 @@ def test_empty_file_loads_empty_corpus(tmp_path):
     path.write_text("")
     corpus = load_records(path)
     assert len(corpus) == 0
-    assert corpus.schema_version == 1
 
 
 def test_empty_corpus_saves_empty_file(tmp_path):
@@ -179,7 +173,7 @@ def _line(**fields):
         (_line(meta={"k": 1}), "line 1: sample 'a': meta must map strings to strings"),
         (_line(ground_truth=""), "line 1: sample 'a': ground_truth must be non-empty"),
         (_line(task_kind="Nope"), "line 1: 'Nope' is not a valid TaskKind"),
-        ('{"schema_version": true}\n', "line 1: schema_version must be a positive integer"),
+        ('{"schema_version": 2}\n', "line 1: unknown field(s): schema_version"),
         (_line() + _line(), "line 2: duplicate sample id 'a'"),
         (_line(ground_truth="x\ud800"), "line 1: lone surrogate U+D800 in a string"),
         (_line(meta={"\udfff": "v"}), "line 1: lone surrogate U+DFFF in a string"),
@@ -473,12 +467,12 @@ def _constructed(make):
         return None
 
 
-@given(st.lists(_sample_kwargs(), max_size=6), _mostly(st.integers(1, 3), _JUNK))
+@given(st.lists(_sample_kwargs(), max_size=6))
 @settings(max_examples=150, deadline=None)
-def test_every_constructible_corpus_saves_and_loads_unchanged(tmp_path_factory, rows, version):
+def test_every_constructible_corpus_saves_and_loads_unchanged(tmp_path_factory, rows):
     """Whatever the constructors accept, the loader reads back as the same corpus."""
     samples = [s for s in (_constructed(lambda: Sample(**kwargs)) for kwargs in rows) if s]
-    corpus = _constructed(lambda: Corpus(tuple(samples), version))
+    corpus = _constructed(lambda: Corpus(tuple(samples)))
     if corpus is None:
         return
     path = tmp_path_factory.getbasetemp() / "constructible.jsonl"
@@ -497,14 +491,6 @@ def test_cjk_round_trip_byte_identical(tmp_path):
     assert load_records(path) == corpus
     save_records(load_records(path), path)
     assert path.read_bytes() == first
-
-
-def test_schema_version_header_round_trip(tmp_path):
-    corpus = _corpus(_sample(1), schema_version=3)
-    path = tmp_path / "v3.jsonl"
-    save_records(corpus, path)
-    assert path.read_text().splitlines()[0] == '{"schema_version": 3}'
-    assert load_records(path) == corpus
 
 
 def test_unknown_meta_keys_preserved(tmp_path):

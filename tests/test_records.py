@@ -44,8 +44,7 @@ CASES = [
     (Sample, ("s1", TaskKind.PLAIN_DOC, "gt", "p", "zh", "img.png", {"k": "v"}),
      "Sample(id='s1', task_kind=<TaskKind.PLAIN_DOC: 'PlainDoc'>, ground_truth='gt', "
      "prompt='p', lang='zh', image_ref='img.png', meta={'k': 'v'})"),
-    (Corpus, ((SAMPLE,), 2),
-     f"Corpus(samples=({SAMPLE!r},), schema_version=2)"),
+    (Corpus, ((SAMPLE,),), f"Corpus(samples=({SAMPLE!r},))"),
     (TokenSeq, (("a", "b"), "word"), "TokenSeq(tokens=('a', 'b'), granularity='word')"),
     (MetricReport, (0.5, 0.25, 0.125, 1.0, 0.0, 0.75, 2),
      "MetricReport(edit_distance=0.5, f1=0.25, precision=0.125, recall=1.0, bleu=0.0, "
@@ -103,7 +102,7 @@ UNHASHABLE = {Sample, Corpus}  # Sample holds its meta dict; this Corpus holds a
 # (class, the required arguments, the same record with every default spelled out)
 DEFAULTS = [
     (Sample, ("s1", TaskKind.CHART, "gt"), ("s1", TaskKind.CHART, "gt", "", "en", None, {})),
-    (Corpus, (), ((), 1)),
+    (Corpus, (), ((),)),
     (GeomScene, (), ((),)),
     (SceneConfig, (), ((1, 6), (-10, 10), ALL_KINDS)),
     (ChartStruct, (), ((), None, None, None, None)),
