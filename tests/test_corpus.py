@@ -63,6 +63,12 @@ def test_corpus_rejects_duplicate_ids():
         _corpus(_sample(1), _sample(1))
 
 
+def test_corpus_holds_only_its_samples():
+    assert Corpus.__slots__ == ("samples",)
+    with pytest.raises(TypeError):
+        Corpus((), 1)
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -79,6 +85,8 @@ def test_corpus_rejects_duplicate_ids():
         (lambda: Sample("a", TaskKind.CHART, "x\ud800"), "sample 'a': lone surrogate U+D800 in a string"),
         (lambda: Sample("a", TaskKind.CHART, "x", meta={"k": "\udfff"}),
          "sample 'a': lone surrogate U+DFFF in a string"),
+        (lambda: Corpus((Sample("a", TaskKind.CHART, "x"), Sample("a", TaskKind.CHART, "y"))),
+         "duplicate sample id 'a'"),
     ],
 )
 def test_constructors_reject_what_the_loader_rejects(make, message):
@@ -101,6 +109,16 @@ def test_empty_corpus_saves_empty_file(tmp_path):
     path = tmp_path / "out.jsonl"
     save_records(_corpus(), path)
     assert path.read_bytes() == b""
+
+
+def test_mixed_and_deduped_corpora_save_one_line_per_sample(tmp_path):
+    previous = _corpus(_sample(1, "alpha beta"), _sample(2, "gamma delta"))
+    new = _corpus(_sample(3, "epsilon zeta"))
+    for i, corpus in enumerate([mix_stages(previous, new, 1.0, 0), dedup_filter(new, previous, 0.9)]):
+        path = tmp_path / f"{i}.jsonl"
+        save_records(corpus, path)
+        assert path.read_text().splitlines() == [record_line(s) for s in corpus.samples]
+        assert load_records(path) == corpus
 
 
 def test_three_lines_in_order(tmp_path):
@@ -174,6 +192,7 @@ def _line(**fields):
         (_line(ground_truth=""), "line 1: sample 'a': ground_truth must be non-empty"),
         (_line(task_kind="Nope"), "line 1: 'Nope' is not a valid TaskKind"),
         ('{"schema_version": 2}\n', "line 1: unknown field(s): schema_version"),
+        ('{"schema_version": 1}\n' + _line(), "line 1: unknown field(s): schema_version"),
         (_line() + _line(), "line 2: duplicate sample id 'a'"),
         (_line(ground_truth="x\ud800"), "line 1: lone surrogate U+D800 in a string"),
         (_line(meta={"\udfff": "v"}), "line 1: lone surrogate U+DFFF in a string"),
