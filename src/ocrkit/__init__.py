@@ -30,9 +30,7 @@ _EXPORTS = {
     "BBox": "finegrained",
     "ColorPrompt": "finegrained",
     "CropSpec": "finegrained",
-    "FrameSpec": "finegrained",
     "NormBox": "finegrained",
-    "color_frame_spec": "finegrained",
     "crop_regions": "finegrained",
     "denormalize_box": "finegrained",
     "normalize_box": "finegrained",
@@ -59,7 +57,6 @@ _EXPORTS = {
     "StitchSpec": "tiling",
     "TilePlan": "tiling",
     "plan_tiles": "tiling",
-    "stitch_pages": "tiling",
     "TikzParseError": "tikz",
     "parse_tikz_subset": "tikz",
     "ValidationReport": "validators",

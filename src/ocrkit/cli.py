@@ -151,7 +151,7 @@ def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
         case "tile-plan":
             add("--width", type=int, required=True)
             add("--height", type=int, required=True)
-            add("--max-tiles", type=int, default=12, help="most tiles in the grid")
+            add("--max-tiles", type=_positive_int, default=12, help="most tiles in the grid")
             add("--no-thumbnail", action="store_true")
             add("--json", default=None)
         case "stitch":

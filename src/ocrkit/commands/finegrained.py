@@ -34,13 +34,11 @@ def cmd_make_finegrained(args) -> int:
             kind = TaskKind.FINE_GRAINED_BOX
         else:
             color = rng.choice(sorted(finegrained.COLOR_RGB))
-            frame = finegrained.color_frame_spec(
-                box, finegrained.ColorPrompt(color, args.thickness)
-            )
+            frame = finegrained.ColorPrompt(color, args.thickness)
             prompt = finegrained.color_guided_prompt(color)
             meta["frame_color"] = color
             meta["frame_rgb"] = ",".join(str(v) for v in frame.rgb)
-            meta["frame_thickness"] = str(frame.thickness)
+            meta["frame_thickness"] = str(frame.frame_thickness)
             kind = TaskKind.FINE_GRAINED_COLOR
         return Sample(
             id=row["id"],

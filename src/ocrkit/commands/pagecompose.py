@@ -14,6 +14,9 @@ MULTIPAGE_PROMPT = "OCR the pages in order:"
 
 def cmd_compose_pages(args) -> int:
     def page(row: dict) -> pagecompose.PageSpec:
+        if "," in row["page_id"]:
+            # the page_ids meta joins the ids with commas, so one in an id is ambiguous
+            raise ValueError(f"page_id {row['page_id']!r} must not hold a comma")
         return pagecompose.PageSpec.from_text(
             row["page_id"], row["text"], row.get("image_ref") or ""
         )

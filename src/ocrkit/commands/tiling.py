@@ -27,7 +27,7 @@ def cmd_tile_plan(args) -> int:
 
 
 def cmd_stitch(args) -> int:
-    spec = tiling.stitch_pages(args.pages, args.orientation)
+    spec = tiling.StitchSpec(args.orientation, tuple(args.pages))
     print(f"{spec.canvas.width}x{spec.canvas.height}")
     for p in spec.placements:
         print(f"{p.page_index}: x={p.x} y={p.y} {p.dims.width}x{p.dims.height}")

@@ -1,9 +1,8 @@
 """Region-guided OCR task construction.
 
-Covers bounding-box quantization to the [0, 1000] prompt grid, colored-frame
-draw instructions for color-guided tasks, and integer crop instructions for
-region slicing.
-All outputs are declarative; no pixels are touched here.
+Covers bounding-box quantization to the [0, 1000] prompt grid, the frame
+colour and thickness of color-guided tasks, and integer crop instructions for
+region slicing. All outputs are declarative; no pixels are touched here.
 """
 
 from __future__ import annotations
@@ -65,14 +64,10 @@ class ColorPrompt(Record):
             raise ValueError("frame_thickness must be positive")
         super().__init__(color, frame_thickness)
 
-
-class FrameSpec(Record):
-    """Rectangle-outline draw instruction for an external rasterizer."""
-
-    __slots__ = ("box", "rgb", "thickness")
-
-    def __init__(self, box: BBox, rgb: tuple[int, int, int], thickness: int):
-        super().__init__(box, rgb, thickness)
+    @property
+    def rgb(self) -> tuple[int, int, int]:
+        """The frame colour as the RGB triple a rasterizer draws."""
+        return COLOR_RGB[self.color]
 
 
 class CropSpec(Record):
@@ -117,11 +112,6 @@ def denormalize_box(nbox: NormBox, dims: ImageDims) -> BBox:
         nbox.x2 * dims.width / NORM_SCALE,
         nbox.y2 * dims.height / NORM_SCALE,
     )
-
-
-def color_frame_spec(box: BBox, prompt: ColorPrompt) -> FrameSpec:
-    check_box(box)
-    return FrameSpec(box, COLOR_RGB[prompt.color], prompt.frame_thickness)
 
 
 def box_guided_prompt(nbox: NormBox) -> str:

@@ -3,6 +3,7 @@
 Multi-page samples join 2-8 pages of under-650-token text with a dedicated
 separator line; at those limits the joined text always stays within 8192
 tokens.
+
 Handwriting paste-up places 6-8 line slices onto a blank canvas with seeded
 horizontal jitter and vertical gaps, never overlapping.
 """
@@ -48,12 +49,25 @@ class PageSpec(Record):
 
 
 class MultiPageSample(Record):
-    __slots__ = ("pages", "joined_text", "total_tokens")
+    """2-8 pages in order; their joined text and its token count are read from them."""
 
-    def __init__(self, pages: tuple[PageSpec, ...], joined_text: str, total_tokens: int):
+    __slots__ = ("pages",)
+
+    def __init__(self, pages: tuple[PageSpec, ...]):
         if not MIN_PAGES <= len(pages) <= MAX_PAGES:
             raise ValueError(f"page count must be in [{MIN_PAGES}, {MAX_PAGES}]")
-        super().__init__(pages, joined_text, total_tokens)
+        super().__init__(pages)
+
+    @property
+    def joined_text(self) -> str:
+        return f"\n{PAGE_SEPARATOR}\n".join(p.text for p in self.pages)
+
+    @property
+    def total_tokens(self) -> int:
+        # "\n" is whitespace that NFC never composes across, so page and separator
+        # token counts add up to the joined text's count
+        separators = len(self.pages) - 1
+        return sum(p.token_count for p in self.pages) + separators * token_count(PAGE_SEPARATOR)
 
 
 class PasteLayout(Record):
@@ -85,12 +99,7 @@ def compose_multipage(pool: list[PageSpec], n_pages: int, seed: int) -> MultiPag
             f"insufficient eligible pages: need {n_pages}, pool has {len(eligible)}"
         )
     random.Random(seed).shuffle(eligible)
-    chosen = eligible[:n_pages]
-    joined = f"\n{PAGE_SEPARATOR}\n".join(p.text for p in chosen)
-    # "\n" is whitespace that NFC never composes across, so page and separator
-    # token counts add up to the joined text's count
-    total = sum(p.token_count for p in chosen) + (n_pages - 1) * token_count(PAGE_SEPARATOR)
-    return MultiPageSample(tuple(chosen), joined, total)
+    return MultiPageSample(tuple(eligible[:n_pages]))
 
 
 def paste_handwriting_lines(slices: list[ImageDims], canvas: ImageDims, seed: int) -> PasteLayout:

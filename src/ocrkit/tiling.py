@@ -52,14 +52,38 @@ class Placement(Record):
 
 
 class StitchSpec(Record):
-    __slots__ = ("orientation", "canvas", "placements")
+    """Two or more pages laid edge to edge, in order: horizontal runs left to
+    right, top-aligned, and vertical runs top to bottom, left-aligned. The
+    placements and the canvas that just holds them are read from the pages."""
 
-    def __init__(
-        self, orientation: Orientation, canvas: ImageDims, placements: tuple[Placement, ...]
-    ):
+    __slots__ = ("orientation", "pages")
+
+    def __init__(self, orientation: Orientation, pages: tuple[ImageDims, ...]):
+        if len(pages) < 2:
+            raise ValueError("stitching needs at least 2 pages")
         if orientation not in ("horizontal", "vertical"):
             raise ValueError(f"unknown orientation {orientation!r}")
-        super().__init__(orientation, canvas, placements)
+        super().__init__(orientation, pages)
+
+    @property
+    def placements(self) -> tuple[Placement, ...]:
+        placements, offset = [], 0
+        for i, page in enumerate(self.pages):
+            if self.orientation == "horizontal":
+                placements.append(Placement(i, offset, 0, page))
+                offset += page.width
+            else:
+                placements.append(Placement(i, 0, offset, page))
+                offset += page.height
+        return tuple(placements)
+
+    @property
+    def canvas(self) -> ImageDims:
+        widths = [p.width for p in self.pages]
+        heights = [p.height for p in self.pages]
+        if self.orientation == "horizontal":
+            return ImageDims(sum(widths), max(heights))
+        return ImageDims(max(widths), sum(heights))
 
 
 def _cuts(total: int, parts: int) -> list[int]:
@@ -106,22 +130,3 @@ def plan_tiles(dims: ImageDims, max_tiles: int = 12, thumbnail: bool = True) -> 
     )
     return TilePlan(cols, rows, thumbnail and cols * rows > 1, rects)
 
-
-def stitch_pages(pages: list[ImageDims], orientation: Orientation) -> StitchSpec:
-    """Lay pages out edge to edge; horizontal is left-to-right top-aligned,
-    vertical is top-to-bottom left-aligned."""
-    if len(pages) < 2:
-        raise ValueError("stitching needs at least 2 pages")
-    placements = []
-    offset = 0
-    if orientation == "horizontal":
-        for i, page in enumerate(pages):
-            placements.append(Placement(i, offset, 0, page))
-            offset += page.width
-        canvas = ImageDims(offset, max(p.height for p in pages))
-    else:
-        for i, page in enumerate(pages):
-            placements.append(Placement(i, 0, offset, page))
-            offset += page.height
-        canvas = ImageDims(max(p.width for p in pages), offset)
-    return StitchSpec(orientation, canvas, tuple(placements))

@@ -379,13 +379,17 @@ _ANNOTATION = {"id": "a1", "width": 1000, "height": 500, "box": [10, 20, 400, 10
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["make-finegrained", "--input", "{input}", "--mode", "box"], "--thickness"),
-        (["make-finegrained", "--input", "{input}", "--mode", "color"], "--thickness"),
-        (["gen-geometry"], "--n"),
-        (["gen-chart"], "--n"),
-        (["compose-pages", "--pool", "{input}", "--n", "2"], "--count"),
+        (["make-finegrained", "--input", "{input}", "--mode", "box", "--out", "{out}"],
+         "--thickness"),
+        (["make-finegrained", "--input", "{input}", "--mode", "color", "--out", "{out}"],
+         "--thickness"),
+        (["gen-geometry", "--out", "{out}"], "--n"),
+        (["gen-chart", "--out", "{out}"], "--n"),
+        (["compose-pages", "--pool", "{input}", "--n", "2", "--out", "{out}"], "--count"),
+        (["tile-plan", "--width", "5", "--height", "5", "--json", "{out}"], "--max-tiles"),
     ],
-    ids=["thickness-box", "thickness-color", "gen-geometry-n", "gen-chart-n", "compose-count"],
+    ids=["thickness-box", "thickness-color", "gen-geometry-n", "gen-chart-n", "compose-count",
+         "tile-plan-max-tiles"],
 )
 @pytest.mark.parametrize("value", ["0", "-2", "1.5", "x"])
 def test_positive_int_flags_reject_bad_values_before_reading(tmp_path, capsys, argv, flag, value):
@@ -394,7 +398,7 @@ def test_positive_int_flags_reject_bad_values_before_reading(tmp_path, capsys, a
     source.write_text("")
     out = tmp_path / "out.jsonl"
     with pytest.raises(SystemExit) as exc:
-        main([a.format(input=source) for a in argv] + ["--out", str(out), flag, value])
+        main([a.format(input=source, out=out) for a in argv] + [flag, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()[-1]
     assert err.endswith(f"error: argument {flag}: expected a positive integer, got {value!r}")
@@ -467,6 +471,21 @@ def test_compose_pages_rejects_bad_pool_record(tmp_path, capsys, line, where):
     assert main(["compose-pages", "--pool", str(pool), "--n", "2", "--out", str(out)]) == 1
     [err] = capsys.readouterr().err.splitlines()
     assert err.startswith(f"error: {pool}: {where}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "ids, bad", [(("a,b", "c"), 1), (("a", "b,c"), 2)], ids=["first", "second"]
+)
+def test_compose_pages_refuses_a_page_id_with_a_comma(tmp_path, capsys, ids, bad):
+    # the meta joins page_ids with commas: both pools would read "a,b,c"
+    pool = tmp_path / "pool.jsonl"
+    pool.write_text("".join(_page(page_id) + "\n" for page_id in ids))
+    out = tmp_path / "mp.jsonl"
+    assert main(["compose-pages", "--pool", str(pool), "--n", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {pool}: line {bad}: page_id {ids[bad - 1]!r} must not hold a comma\n"
+    )
     assert not out.exists()
 
 
@@ -938,7 +957,20 @@ _HELP_USAGES = {
     "mix": "usage: ocrkit mix [-h] --previous PREVIOUS --new NEW [--ratio RATIO] "
            "[--seed SEED] --out OUT",
 }
-_CHOICES = ", ".join(f"'{name}'" for name in _HELP_USAGES)
+
+
+def _listed_choices(names) -> str:
+    """names as this interpreter's argparse lists the choices of an invalid-choice error:
+    3.10-3.12 and 3.13.0 quote each name, later 3.13 patch releases do not."""
+    probe = argparse.ArgumentParser(exit_on_error=False)
+    probe.add_argument("command", choices=("NAME",))
+    with pytest.raises(argparse.ArgumentError) as exc:
+        probe.parse_args(["nope"])
+    listed = str(exc.value).rpartition(" (choose from ")[2].removesuffix(")")
+    return ", ".join(listed.replace("NAME", name) for name in names)
+
+
+_CHOICES = _listed_choices(_HELP_USAGES)
 # argv, exit code, usage (whitespace folded), last stderr line (None: stderr is empty)
 _CONTRACT = [
     pytest.param([], 2, _ROOT_USAGE,

@@ -13,7 +13,6 @@ from ocrkit.finegrained import (
     CropSpec,
     NormBox,
     box_guided_prompt,
-    color_frame_spec,
     color_guided_prompt,
     crop_regions,
     denormalize_box,
@@ -89,20 +88,19 @@ def test_normbox_rejects_out_of_range():
         NormBox(10, 0, 5, 10)
 
 
-def test_color_frame_spec_rgb_mapping():
-    box = BBox(10, 10, 50, 50)
-    assert color_frame_spec(box, ColorPrompt("red")).rgb == (255, 0, 0)
-    assert color_frame_spec(box, ColorPrompt("green")).rgb == (0, 255, 0)
-    assert color_frame_spec(box, ColorPrompt("blue")).rgb == (0, 0, 255)
+def test_color_prompt_rgb_mapping():
+    assert ColorPrompt("red").rgb == (255, 0, 0)
+    assert ColorPrompt("green").rgb == (0, 255, 0)
+    assert ColorPrompt("blue").rgb == (0, 0, 255)
 
 
-def test_color_frame_spec_echoes_inputs():
-    box = BBox(10, 10, 50, 50)
-    spec = color_frame_spec(box, ColorPrompt("blue", frame_thickness=3))
-    assert spec.box == box and spec.thickness == 3
-    other = color_frame_spec(box, ColorPrompt("red", frame_thickness=3))
-    assert (other.box, other.thickness) == (spec.box, spec.thickness)
-    assert other.rgb != spec.rgb
+def test_color_prompt_rgb_follows_the_color_only():
+    assert ColorPrompt("blue", frame_thickness=7).rgb == ColorPrompt("blue").rgb
+    assert ColorPrompt("red", 3).rgb != ColorPrompt("blue", 3).rgb
+    prompt = ColorPrompt("green", 2)
+    assert prompt.as_dict() == {"color": "green", "frame_thickness": 2}
+    with pytest.raises(AttributeError):
+        prompt.rgb = (1, 2, 3)
 
 
 def test_color_prompt_validation():

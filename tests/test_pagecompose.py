@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ocrkit.pagecompose import (
     MAX_PAGE_TOKENS,
     MAX_PAGES,
+    MIN_PAGES,
     PAGE_SEPARATOR,
     TOTAL_TOKEN_BUDGET,
     MultiPageSample,
@@ -64,7 +65,7 @@ def test_compose_page_count_bounds():
 def test_multipage_sample_checks_its_page_count(n_pages):
     pages = tuple(POOL[:n_pages])
     with pytest.raises(ValueError) as exc:
-        MultiPageSample(pages, "", 0)
+        MultiPageSample(pages)
     assert str(exc.value) == "page count must be in [2, 8]"
 
 
@@ -106,6 +107,33 @@ def test_total_tokens_is_the_joined_text_count(texts, n_pages, seed):
     pool = [PageSpec.from_text(f"p{i}", t) for i, t in enumerate(texts)]
     sample = compose_multipage(pool, n_pages, seed)
     assert sample.total_tokens == token_count(sample.joined_text)
+
+
+# Page texts compose_multipage never picks as well: empty, CJK, and ones holding
+# the separator line or parts of it.
+_ANY_PAGE_TEXT = st.lists(
+    _PAGE_TEXT
+    | st.sampled_from(["", "中文页", PAGE_SEPARATOR, f"\n{PAGE_SEPARATOR}\n", "<---"]),
+    max_size=4,
+).map("".join)
+
+
+@given(st.lists(_ANY_PAGE_TEXT, min_size=MIN_PAGES, max_size=MAX_PAGES))
+@settings(max_examples=200, deadline=None)
+def test_a_hand_built_sample_counts_its_joined_text(texts):
+    pages = tuple(PageSpec.from_text(f"p{i}", t) for i, t in enumerate(texts))
+    sample = MultiPageSample(pages)
+    assert sample.joined_text == f"\n{PAGE_SEPARATOR}\n".join(texts)
+    assert sample.total_tokens == token_count(sample.joined_text)
+
+
+def test_a_sample_stores_only_its_pages():
+    assert MultiPageSample.__slots__ == ("pages",)
+    sample = compose_multipage(POOL, 3, seed=2)
+    assert sample == MultiPageSample(sample.pages)
+    for name in ("joined_text", "total_tokens"):
+        with pytest.raises(AttributeError):
+            setattr(sample, name, None)
 
 
 def test_separator_inside_page_is_ineligible():

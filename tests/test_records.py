@@ -14,7 +14,7 @@ import pytest
 from ocrkit._record import Record
 from ocrkit.charts import ApReport, ChartGenConfig, ChartStruct, DEFAULT_TEXT_POOL, Series
 from ocrkit.corpus import Corpus, Sample, TaskKind, load_records, save_records
-from ocrkit.finegrained import BBox, ColorPrompt, CropSpec, FrameSpec, NormBox
+from ocrkit.finegrained import BBox, ColorPrompt, CropSpec, NormBox
 from ocrkit.geometry import (
     ALL_KINDS,
     Circle,
@@ -27,7 +27,7 @@ from ocrkit.geometry import (
     Triangle,
 )
 from ocrkit.metrics import MetricReport, TokenSeq
-from ocrkit.pagecompose import MultiPageSample, PageSpec, PasteLayout
+from ocrkit.pagecompose import MultiPageSample, PageSpec, PasteLayout, token_count
 from ocrkit.tiling import ImageDims, Placement, Rect, StitchSpec, TilePlan
 from ocrkit.validators import Issue, ValidationReport
 
@@ -79,18 +79,16 @@ CASES = [
      "tile_rects=(Rect(x=0, y=0, w=2, h=3),))"),
     (Placement, (1, 2, 0, DIMS),
      "Placement(page_index=1, x=2, y=0, dims=ImageDims(width=2, height=3))"),
-    (StitchSpec, ("horizontal", DIMS, ()),
-     "StitchSpec(orientation='horizontal', canvas=ImageDims(width=2, height=3), placements=())"),
+    (StitchSpec, ("horizontal", (DIMS, DIMS)),
+     "StitchSpec(orientation='horizontal', pages=(ImageDims(width=2, height=3), "
+     "ImageDims(width=2, height=3)))"),
     (BBox, (1.0, 2.0, 3.5, 4.0), "BBox(x1=1.0, y1=2.0, x2=3.5, y2=4.0)"),
     (NormBox, (1, 2, 3, 4), "NormBox(x1=1, y1=2, x2=3, y2=4)"),
     (ColorPrompt, ("blue", 5), "ColorPrompt(color='blue', frame_thickness=5)"),
-    (FrameSpec, (BBox(0, 0, 1, 1), (255, 0, 0), 3),
-     "FrameSpec(box=BBox(x1=0, y1=0, x2=1, y2=1), rgb=(255, 0, 0), thickness=3)"),
     (CropSpec, (1, 2, 3, 4), "CropSpec(x1=1, y1=2, x2=3, y2=4)"),
     (PageSpec, ("p1", "one two", 2, "p1.png"),
      "PageSpec(page_id='p1', text='one two', token_count=2, image_ref='p1.png')"),
-    (MultiPageSample, ((PAGE, PAGE), "one\ntwo", 2),
-     f"MultiPageSample(pages=({PAGE!r}, {PAGE!r}), joined_text='one\\ntwo', total_tokens=2)"),
+    (MultiPageSample, ((PAGE, PAGE),), f"MultiPageSample(pages=({PAGE!r}, {PAGE!r}))"),
     (PasteLayout, (DIMS, ((0, 1, 2, 3, 4),)),
      "PasteLayout(canvas=ImageDims(width=2, height=3), placements=((0, 1, 2, 3, 4),))"),
     (Issue, (1, 2, "E1", "bad"), "Issue(line=1, column=2, code='E1', message='bad')"),
@@ -130,7 +128,14 @@ def test_the_table_covers_every_public_record_type():
                     and not issubclass(obj, (Enum, BaseException))):
                 records.add(obj)
     assert records == {cls for cls, _, _ in CASES}
-    assert len(CASES) == 31
+    assert len(CASES) == 30
+
+
+def test_the_page_rows_hold_their_texts_token_counts():
+    # a PageSpec stores the count a caller gives, so the table gives the true one
+    pages = [PAGE, *(PageSpec(*values) for cls, values, _ in CASES if cls is PageSpec)]
+    assert len(pages) == 2
+    assert all(page.token_count == token_count(page.text) for page in pages)
 
 
 @pytest.mark.parametrize("cls, values, text", CASES, ids=_ids(CASES))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocrkit.tiling import ImageDims, Rect, StitchSpec, plan_tiles, stitch_pages
+from ocrkit.tiling import ImageDims, Rect, StitchSpec, plan_tiles
 
 
 def oracle_grid(w, h, max_tiles=12):
@@ -152,43 +152,45 @@ def test_rect_positions_cover_grid():
 
 
 def test_stitch_horizontal_example():
-    spec = stitch_pages([ImageDims(800, 1100), ImageDims(800, 1100)], "horizontal")
+    spec = StitchSpec("horizontal", (ImageDims(800, 1100), ImageDims(800, 1100)))
     assert spec.canvas == ImageDims(1600, 1100)
     assert [(p.x, p.y) for p in spec.placements] == [(0, 0), (800, 0)]
 
 
 def test_stitch_vertical_example():
-    spec = stitch_pages([ImageDims(800, 1100), ImageDims(800, 1100)], "vertical")
+    spec = StitchSpec("vertical", (ImageDims(800, 1100), ImageDims(800, 1100)))
     assert spec.canvas == ImageDims(800, 2200)
     assert [(p.x, p.y) for p in spec.placements] == [(0, 0), (0, 1100)]
 
 
 def test_stitch_unequal_heights_top_aligned():
-    spec = stitch_pages([ImageDims(500, 700), ImageDims(600, 1100)], "horizontal")
+    spec = StitchSpec("horizontal", (ImageDims(500, 700), ImageDims(600, 1100)))
     assert spec.canvas == ImageDims(1100, 1100)
     assert all(p.y == 0 for p in spec.placements)
 
 
 def test_stitch_requires_two_pages():
     with pytest.raises(ValueError):
-        stitch_pages([ImageDims(10, 10)], "horizontal")
+        StitchSpec("horizontal", (ImageDims(10, 10),))
     with pytest.raises(ValueError):
-        stitch_pages([ImageDims(10, 10)] * 2, "diagonal")
+        StitchSpec("diagonal", (ImageDims(10, 10),) * 2)
 
 
 def test_stitch_fewer_than_two_pages_message():
-    for pages in ([], [ImageDims(10, 10)]):
-        with pytest.raises(ValueError) as exc:
-            stitch_pages(pages, "vertical")
-        assert str(exc.value) == "stitching needs at least 2 pages"
+    # the page count is checked first, so any orientation gets this message
+    for orientation in ("vertical", "diagonal"):
+        for pages in ((), (ImageDims(10, 10),)):
+            with pytest.raises(ValueError) as exc:
+                StitchSpec(orientation, pages)
+            assert str(exc.value) == "stitching needs at least 2 pages"
 
 
 def test_stitch_placements_recover_dims_and_disjoint():
     rng = random.Random(5)
-    pages = [ImageDims(rng.randint(100, 900), rng.randint(100, 1200)) for _ in range(5)]
+    pages = tuple(ImageDims(rng.randint(100, 900), rng.randint(100, 1200)) for _ in range(5))
     for orientation in ("horizontal", "vertical"):
-        spec = stitch_pages(pages, orientation)
-        assert [p.dims for p in spec.placements] == pages
+        spec = StitchSpec(orientation, pages)
+        assert tuple(p.dims for p in spec.placements) == pages
         spans = []
         for p in spec.placements:
             assert p.x + p.dims.width <= spec.canvas.width
@@ -199,9 +201,43 @@ def test_stitch_placements_recover_dims_and_disjoint():
             assert a1 <= b0
 
 
+_PAGE_DIMS = st.builds(ImageDims, st.integers(1, 5000), st.integers(1, 5000))
+
+
+@given(st.lists(_PAGE_DIMS, min_size=2, max_size=8), st.sampled_from(["horizontal", "vertical"]))
+@settings(max_examples=200, deadline=None)
+def test_stitch_placements_tile_the_canvas(pages, orientation):
+    spec = StitchSpec(orientation, tuple(pages))
+    placements = spec.placements
+    assert [p.page_index for p in placements] == list(range(len(pages)))
+    assert [p.dims for p in placements] == pages
+    # along the run each page starts where the last one ended and the run fills the
+    # canvas; across it every page starts at 0 and the largest fills the canvas
+    if orientation == "horizontal":
+        along = [(p.x, p.dims.width) for p in placements]
+        across = [(p.y, p.dims.height) for p in placements]
+        run, side = spec.canvas.width, spec.canvas.height
+    else:
+        along = [(p.y, p.dims.height) for p in placements]
+        across = [(p.x, p.dims.width) for p in placements]
+        run, side = spec.canvas.height, spec.canvas.width
+    ends = [0] + [start + size for start, size in along]
+    assert [start for start, _ in along] == ends[:-1]
+    assert ends[-1] == run
+    assert all(start == 0 for start, _ in across)
+    assert max(size for _, size in across) == side
+
+
 def test_stitch_spec_refuses_an_unknown_orientation():
-    for make in (lambda: StitchSpec("diagonal", ImageDims(2, 3), ()),
-                 lambda: stitch_pages([ImageDims(10, 10)] * 2, "diagonal")):
-        with pytest.raises(ValueError) as exc:
-            make()
-        assert str(exc.value) == "unknown orientation 'diagonal'"
+    with pytest.raises(ValueError) as exc:
+        StitchSpec("diagonal", (ImageDims(10, 10),) * 2)
+    assert str(exc.value) == "unknown orientation 'diagonal'"
+
+
+def test_stitch_spec_stores_only_its_orientation_and_pages():
+    assert StitchSpec.__slots__ == ("orientation", "pages")
+    spec = StitchSpec("vertical", (ImageDims(2, 3), ImageDims(4, 5)))
+    for name in ("canvas", "placements"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, None)
+    assert spec.as_dict() == {"orientation": "vertical", "pages": spec.pages}
