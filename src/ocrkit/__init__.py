@@ -51,7 +51,6 @@ _EXPORTS = {
     "PageSpec": "pagecompose",
     "PasteLayout": "pagecompose",
     "compose_multipage": "pagecompose",
-    "paste_handwriting_lines": "pagecompose",
     "token_count": "pagecompose",
     "ImageDims": "tiling",
     "StitchSpec": "tiling",

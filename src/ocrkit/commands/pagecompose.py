@@ -14,12 +14,12 @@ MULTIPAGE_PROMPT = "OCR the pages in order:"
 
 def cmd_compose_pages(args) -> int:
     def page(row: dict) -> pagecompose.PageSpec:
-        if "," in row["page_id"]:
-            # the page_ids meta joins the ids with commas, so one in an id is ambiguous
-            raise ValueError(f"page_id {row['page_id']!r} must not hold a comma")
-        return pagecompose.PageSpec.from_text(
-            row["page_id"], row["text"], row.get("image_ref") or ""
-        )
+        image_ref = row.get("image_ref") or ""
+        # the page_ids and page_image_refs metas join with commas, so one in a value is ambiguous
+        for field, value in (("page_id", row["page_id"]), ("image_ref", image_ref)):
+            if "," in value:
+                raise ValueError(f"{field} {value!r} must not hold a comma")
+        return pagecompose.PageSpec.from_text(row["page_id"], row["text"], image_ref)
 
     pool = read_aux(args.pool, {"page_id": (str,), **TEXT_KINDS}, ("page_id", "text"), page)
     samples = []
@@ -31,9 +31,8 @@ def cmd_compose_pages(args) -> int:
             "page_separator": pagecompose.PAGE_SEPARATOR,
             "total_tokens": str(sample.total_tokens),
         }
-        refs = [p.image_ref for p in sample.pages if p.image_ref]
-        if refs:
-            meta["page_image_refs"] = ",".join(refs)
+        if any(p.image_ref for p in sample.pages):
+            meta["page_image_refs"] = ",".join(p.image_ref for p in sample.pages)
         samples.append(
             Sample(
                 id=f"multipage-{seed:08d}",
@@ -49,7 +48,7 @@ def cmd_compose_pages(args) -> int:
 
 
 def cmd_paste_layout(args) -> int:
-    layout = pagecompose.paste_handwriting_lines(args.slices, args.canvas, args.seed)
+    layout = pagecompose.PasteLayout(args.canvas, tuple(args.slices), args.seed)
     obj = {
         "canvas": [layout.canvas.width, layout.canvas.height],
         "placements": [list(p) for p in layout.placements],
@@ -57,7 +56,7 @@ def cmd_paste_layout(args) -> int:
     text = json.dumps(obj, indent=2) + "\n"
     if args.out:
         write_text_atomic(args.out, (text,))
-        print(f"wrote layout of {len(layout.placements)} slices to {args.out}")
+        print(f"wrote layout of {len(layout.slices)} slices to {args.out}")
     else:
         sys.stdout.write(text)
     return 0

@@ -4,8 +4,9 @@ Multi-page samples join 2-8 pages of under-650-token text with a dedicated
 separator line; at those limits the joined text always stays within 8192
 tokens.
 
-Handwriting paste-up places 6-8 line slices onto a blank canvas with seeded
-horizontal jitter and vertical gaps, never overlapping.
+A handwriting paste-up layout holds a canvas, 6-8 line slices and a seed; its
+placements, with seeded horizontal jitter and vertical gaps that never overlap,
+are drawn from them.
 """
 
 from __future__ import annotations
@@ -71,14 +72,43 @@ class MultiPageSample(Record):
 
 
 class PasteLayout(Record):
-    __slots__ = ("canvas", "placements")
+    """6-8 line slices stacked top to bottom in input order on a blank canvas.
 
-    def __init__(
-        self,
-        canvas: ImageDims,
-        placements: tuple[tuple[int, int, int, int, int], ...],  # (slice_index, x, y, w, h)
-    ):
-        super().__init__(canvas, placements)
+    ``placements`` gives each slice's ``(index, x, y, w, h)``, drawn under the seed:
+    x uniformly within the margins, and a gap in PASTE_GAP_RANGE before every slice
+    after the first. The column must fit the canvas height, margins included.
+    """
+
+    __slots__ = ("canvas", "slices", "seed")
+
+    def __init__(self, canvas: ImageDims, slices: tuple[ImageDims, ...], seed: int):
+        if not MIN_SLICES <= len(slices) <= MAX_SLICES:
+            raise ValueError(
+                f"slice count must be in [{MIN_SLICES}, {MAX_SLICES}], got {len(slices)}"
+            )
+        for s in slices:
+            if s.width > canvas.width - 2 * PASTE_MARGIN:
+                raise ValueError(
+                    f"slice {s.width}x{s.height} exceeds canvas width {canvas.width} minus margins"
+                )
+        super().__init__(canvas, slices, seed)
+        _, _, top, _, height = self.placements[-1]
+        if top + height > canvas.height - PASTE_MARGIN:
+            raise ValueError(f"cumulative slice height {top + height} exceeds canvas height "
+                             f"{canvas.height} minus margin")
+
+    @property
+    def placements(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        rng = random.Random(self.seed)
+        placements = []
+        y = PASTE_MARGIN
+        for i, s in enumerate(self.slices):
+            if i > 0:
+                y += rng.randint(*PASTE_GAP_RANGE)
+            x = rng.randint(PASTE_MARGIN, self.canvas.width - PASTE_MARGIN - s.width)
+            placements.append((i, x, y, s.width, s.height))
+            y += s.height
+        return tuple(placements)
 
 
 def compose_multipage(pool: list[PageSpec], n_pages: int, seed: int) -> MultiPageSample:
@@ -101,34 +131,3 @@ def compose_multipage(pool: list[PageSpec], n_pages: int, seed: int) -> MultiPag
     random.Random(seed).shuffle(eligible)
     return MultiPageSample(tuple(eligible[:n_pages]))
 
-
-def paste_handwriting_lines(slices: list[ImageDims], canvas: ImageDims, seed: int) -> PasteLayout:
-    """Stack 6-8 slices top to bottom with seeded jitter, no overlaps.
-
-    Each slice keeps its input-order position; the x offset is drawn uniformly
-    within the margins and a gap in PASTE_GAP_RANGE precedes every slice after the
-    first. Fails if the column does not fit the canvas height.
-    """
-    if not MIN_SLICES <= len(slices) <= MAX_SLICES:
-        raise ValueError(
-            f"slice count must be in [{MIN_SLICES}, {MAX_SLICES}], got {len(slices)}"
-        )
-    for s in slices:
-        if s.width > canvas.width - 2 * PASTE_MARGIN:
-            raise ValueError(
-                f"slice {s.width}x{s.height} exceeds canvas width {canvas.width} minus margins"
-            )
-    rng = random.Random(seed)
-    placements = []
-    y = PASTE_MARGIN
-    for i, s in enumerate(slices):
-        if i > 0:
-            y += rng.randint(*PASTE_GAP_RANGE)
-        x = rng.randint(PASTE_MARGIN, canvas.width - PASTE_MARGIN - s.width)
-        placements.append((i, x, y, s.width, s.height))
-        y += s.height
-    if y > canvas.height - PASTE_MARGIN:
-        raise ValueError(
-            f"cumulative slice height {y} exceeds canvas height {canvas.height} minus margin"
-        )
-    return PasteLayout(canvas, tuple(placements))

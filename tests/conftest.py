@@ -39,11 +39,15 @@ def ocrkit_modules_after():
 @pytest.fixture
 def stdlib_modules_after():
     """Run statements in a fresh interpreter; return the modules outside ocrkit
-    it loaded that a bare ``python -c pass`` has not."""
+    it loaded that a bare ``python -S -c pass`` has not.
+
+    Both runs take ``-S``: a site hook may preload modules (some builds load
+    ``inspect`` at startup), which would hide the ones the statements load.
+    ocrkit itself is found through PYTHONPATH, which ``-S`` keeps."""
 
     def modules(statements: str) -> set[str]:
         done = subprocess.run(
-            [sys.executable, "-c", f"{statements}\nimport sys; print(*sys.modules)"],
+            [sys.executable, "-S", "-c", f"{statements}\nimport sys; print(*sys.modules)"],
             env=_child_env(), capture_output=True, text=True, check=True,
         )
         return {m for m in done.stdout.split() if m.partition(".")[0] != "ocrkit"}

@@ -327,15 +327,17 @@ def test_compose_pages_lists_the_page_image_refs(tmp_path, capsys):
     out = tmp_path / "mp.jsonl"
     assert main(["compose-pages", "--pool", str(pool), "--n", "2", "--seed", "0",
                  "--count", "8", "--out", str(out)]) == 0
-    listed = 0
+    listed, gaps = 0, 0
     for sample in load_records(out).samples:
-        refs = [f"img/{p}.png" for p in sample.meta["page_ids"].split(",") if p < "p3"]
-        if refs:
+        # one slot per page, in page order, empty for a page without a ref
+        refs = [f"img/{p}.png" if p < "p3" else "" for p in sample.meta["page_ids"].split(",")]
+        if any(refs):
             listed += 1
+            gaps += "" in refs
             assert sample.meta["page_image_refs"] == ",".join(refs)
         else:
             assert "page_image_refs" not in sample.meta
-    assert 0 < listed < 8
+    assert 0 < listed < 8 and gaps > 0
 
 
 def test_compose_pages_reads_a_null_image_ref_as_empty(tmp_path, capsys, monkeypatch):
@@ -487,6 +489,37 @@ def test_compose_pages_refuses_a_page_id_with_a_comma(tmp_path, capsys, ids, bad
         f"error: {pool}: line {bad}: page_id {ids[bad - 1]!r} must not hold a comma\n"
     )
     assert not out.exists()
+
+
+def _page_with_ref(page_id, image_ref):
+    return json.dumps({"page_id": page_id, "text": "one page", "image_ref": image_ref})
+
+
+@pytest.mark.parametrize(
+    "refs, bad", [(("a,b", None), 1), (("a", "b,c"), 2)], ids=["first", "second"]
+)
+def test_compose_pages_refuses_an_image_ref_with_a_comma(tmp_path, capsys, refs, bad):
+    pool = tmp_path / "pool.jsonl"
+    pool.write_text("".join(_page_with_ref(f"p{i}", ref) + "\n" for i, ref in enumerate(refs)))
+    out = tmp_path / "mp.jsonl"
+    assert main(["compose-pages", "--pool", str(pool), "--n", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {pool}: line {bad}: image_ref {refs[bad - 1]!r} must not hold a comma\n"
+    )
+    assert not out.exists()
+
+
+def test_compose_pages_tells_apart_pools_that_once_wrote_the_same_image_refs(tmp_path, capsys):
+    # p0 "a,b" with p1 bare, and p0 "a" with p1 "b", both once wrote "a,b"
+    out = tmp_path / "mp.jsonl"
+    for name, refs in (("comma", ("a,b", None)), ("two", ("a", "b"))):
+        pool = tmp_path / f"{name}.jsonl"
+        pool.write_text("".join(_page_with_ref(f"p{i}", r) + "\n" for i, r in enumerate(refs)))
+        code = main(["compose-pages", "--pool", str(pool), "--n", "2", "--out", str(out)])
+        assert code == (1 if name == "comma" else 0)
+        assert out.exists() is (name == "two")
+    [sample] = load_records(out).samples
+    assert (sample.meta["page_ids"], sample.meta["page_image_refs"]) == ("p0,p1", "a,b")
 
 
 def test_aux_texts_keep_line_separator_characters(tmp_path, capsys):

@@ -254,6 +254,34 @@ def test_domain_bounds_are_numbers_of_the_subset(bound, column):
         parse_tikz_subset(f"\\draw ({bound},0) circle (1);\n")
 
 
+_LINE = Curve("line", (Decimal(1), Decimal(2), Decimal(0), Decimal(1)))
+
+
+@pytest.mark.parametrize(
+    "source, answer",
+    [
+        ("\\draw plot[domain=0:1] (\\x, {1 * \\x + 2});", "1:32: expected '}'"),
+        ("\\draw (0,0) - - (1,1);", "1:13: expected '--', 'circle', 'rectangle' or 'ellipse'"),
+        ("\\draw plot[domain=-1:1, variable=\\t] ({0 + 1* cosh(\\t)}, {0 + 1*sinh(\\t)});",
+         "1:45: expected '*cosh(\\\\t)'"),
+        ("\\draw plot[domain=0:1] (\\x, {1*\\x + 2});", _LINE),
+        ("\\draw ( 0 , 0 )  circle  ( 1 ) ;", Circle(Point(0, 0), Decimal(1))),
+        ("\\draw plot[ domain = 0:1 ] (\\x, {1*\\x + 2});", _LINE),
+        ("\\draw(0,0)--(1,1);", Segment(Point(0, 0), Point(1, 1))),
+    ],
+    ids=["space-inside-times-x", "space-inside-dashes", "space-inside-times-cosh",
+         "spaces-around-plus", "spaces-before-every-token", "spaces-in-options", "no-spaces"],
+)
+def test_whitespace_may_stand_before_a_token_but_not_inside_one(source, answer):
+    # the rule README states; an element is a line that reads, a str the error of one that does not
+    if isinstance(answer, str):
+        with pytest.raises(TikzParseError) as exc:
+            parse_tikz_subset(source)
+        assert str(exc.value) == answer
+    else:
+        assert parse_tikz_subset(source) == GeomScene((answer,))
+
+
 def test_round_trip_examples():
     for seed in (0, 7, 123, 999):
         scene = gen_scene(seed)

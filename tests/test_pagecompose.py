@@ -11,11 +11,13 @@ from ocrkit.pagecompose import (
     MAX_PAGES,
     MIN_PAGES,
     PAGE_SEPARATOR,
+    PASTE_GAP_RANGE,
+    PASTE_MARGIN,
     TOTAL_TOKEN_BUDGET,
     MultiPageSample,
     PageSpec,
+    PasteLayout,
     compose_multipage,
-    paste_handwriting_lines,
     token_count,
 )
 from ocrkit.tiling import ImageDims
@@ -145,9 +147,7 @@ def test_separator_inside_page_is_ineligible():
 
 
 def test_paste_layout_example():
-    layout = paste_handwriting_lines(
-        [ImageDims(1000, 80)] * 6, ImageDims(1240, 1754), seed=4
-    )
+    layout = PasteLayout(ImageDims(1240, 1754), (ImageDims(1000, 80),) * 6, seed=4)
     assert len(layout.placements) == 6
     assert [p[0] for p in layout.placements] == list(range(6))
     for _, x, y, w, h in layout.placements:
@@ -158,37 +158,62 @@ def test_paste_layout_example():
         assert a1 < b0  # strictly below: gaps >= 10
 
 
+def _refusal(canvas, slices):
+    with pytest.raises(ValueError) as exc:
+        PasteLayout(canvas, slices, seed=0)
+    return str(exc.value)
+
+
 def test_paste_slice_count_bounds():
-    with pytest.raises(ValueError):
-        paste_handwriting_lines([ImageDims(100, 20)] * 5, ImageDims(1000, 1000), seed=0)
-    with pytest.raises(ValueError):
-        paste_handwriting_lines([ImageDims(100, 20)] * 9, ImageDims(1000, 1000), seed=0)
+    for n in (5, 9):
+        assert _refusal(ImageDims(1000, 1000), (ImageDims(100, 20),) * n) == (
+            f"slice count must be in [6, 8], got {n}"
+        )
 
 
 def test_paste_rejects_wide_slice_and_overflow():
-    with pytest.raises(ValueError, match="width"):
-        paste_handwriting_lines(
-            [ImageDims(1200, 20)] * 6, ImageDims(1240, 1754), seed=0
-        )
-    with pytest.raises(ValueError, match="height"):
-        paste_handwriting_lines(
-            [ImageDims(500, 300)] * 8, ImageDims(1000, 1000), seed=0
-        )
+    assert _refusal(ImageDims(1240, 1754), (ImageDims(1200, 20),) * 6) == (
+        "slice 1200x20 exceeds canvas width 1240 minus margins"
+    )
+    assert _refusal(ImageDims(1000, 1000), (ImageDims(500, 300),) * 8) == (
+        "cumulative slice height 2671 exceeds canvas height 1000 minus margin"
+    )
+
+
+def test_paste_layout_stores_only_its_canvas_slices_and_seed():
+    assert PasteLayout.__slots__ == ("canvas", "slices", "seed")
+    # a layout cannot be handed placements: a slice far outside a 1x1 canvas is no input
+    with pytest.raises(TypeError):
+        PasteLayout(ImageDims(1, 1), ((0, 999, 999, 5, 5),))
+    layout = PasteLayout(ImageDims(1240, 1754), (ImageDims(800, 60),) * 7, 3)
+    with pytest.raises(AttributeError):
+        layout.placements = ()
+    assert layout == PasteLayout(layout.canvas, layout.slices, layout.seed)
 
 
 def test_paste_deterministic():
-    slices = [ImageDims(800, 60)] * 7
+    slices = (ImageDims(800, 60),) * 7
     canvas = ImageDims(1240, 1754)
-    assert paste_handwriting_lines(slices, canvas, 3) == paste_handwriting_lines(slices, canvas, 3)
+    assert PasteLayout(canvas, slices, 3).placements == PasteLayout(canvas, slices, 3).placements
+    assert PasteLayout(canvas, slices, 3).placements != PasteLayout(canvas, slices, 4).placements
 
 
 def test_paste_never_overlaps_randomized():
     rng = random.Random(0)
+    canvas = ImageDims(1240, 1754)
     for _ in range(200):
         n = rng.randint(6, 8)
-        slices = [ImageDims(rng.randint(200, 900), rng.randint(30, 120)) for _ in range(n)]
-        layout = paste_handwriting_lines(slices, ImageDims(1240, 1754), seed=rng.randint(0, 10**6))
+        slices = tuple(ImageDims(rng.randint(200, 900), rng.randint(30, 120)) for _ in range(n))
+        layout = PasteLayout(canvas, slices, seed=rng.randint(0, 10**6))
+        assert [(i, w, h) for i, _, _, w, h in layout.placements] == [
+            (i, s.width, s.height) for i, s in enumerate(slices)
+        ]
         rects = [(x, y, x + w, y + h) for _, x, y, w, h in layout.placements]
+        for x1, y1, x2, y2 in rects:
+            assert x1 >= PASTE_MARGIN and x2 <= canvas.width - PASTE_MARGIN
+        assert rects[0][1] == PASTE_MARGIN and rects[-1][3] <= canvas.height - PASTE_MARGIN
+        for above, below in zip(rects, rects[1:]):
+            assert PASTE_GAP_RANGE[0] <= below[1] - above[3] <= PASTE_GAP_RANGE[1]
         for i in range(len(rects)):
             for j in range(i + 1, len(rects)):
                 ax1, ay1, ax2, ay2 = rects[i]

@@ -12,9 +12,28 @@ from types import SimpleNamespace
 import pytest
 
 from ocrkit._record import Record
-from ocrkit.charts import ApReport, ChartGenConfig, ChartStruct, DEFAULT_TEXT_POOL, Series
+from ocrkit import validators
+from ocrkit.charts import (
+    DEFAULT_TEXT_POOL,
+    ApReport,
+    ChartGenConfig,
+    ChartStruct,
+    Series,
+    ap_report,
+    gen_chart_struct,
+    parse_chart_output,
+    serialize_chart_struct,
+)
 from ocrkit.corpus import Corpus, Sample, TaskKind, load_records, save_records
-from ocrkit.finegrained import BBox, ColorPrompt, CropSpec, NormBox
+from ocrkit.finegrained import (
+    BBox,
+    ColorPrompt,
+    CropSpec,
+    NormBox,
+    crop_regions,
+    denormalize_box,
+    normalize_box,
+)
 from ocrkit.geometry import (
     ALL_KINDS,
     Circle,
@@ -25,10 +44,18 @@ from ocrkit.geometry import (
     SceneConfig,
     Segment,
     Triangle,
+    emit_tikz,
+    gen_scene,
 )
-from ocrkit.metrics import MetricReport, TokenSeq
-from ocrkit.pagecompose import MultiPageSample, PageSpec, PasteLayout, token_count
-from ocrkit.tiling import ImageDims, Placement, Rect, StitchSpec, TilePlan
+from ocrkit.metrics import MetricReport, TokenSeq, score_texts, tokenize
+from ocrkit.pagecompose import (
+    MultiPageSample,
+    PageSpec,
+    PasteLayout,
+    compose_multipage,
+    token_count,
+)
+from ocrkit.tiling import ImageDims, Placement, Rect, StitchSpec, TilePlan, plan_tiles
 from ocrkit.validators import Issue, ValidationReport
 
 MODULES = ("charts", "corpus", "finegrained", "geometry", "metrics", "pagecompose", "tikz",
@@ -37,6 +64,7 @@ MODULES = ("charts", "corpus", "finegrained", "geometry", "metrics", "pagecompos
 P0, P1, P2 = Point(0, 0), Point(1, 0), Point(0, 1)
 DIMS = ImageDims(2, 3)
 PAGE = PageSpec("p1", "one", 1)
+SLICE = ImageDims(100, 20)
 SAMPLE = Sample("s1", TaskKind.PLAIN_DOC, "gt", "p", "zh", "img.png", {"k": "v"})
 
 # (class, every field value in order, the exact repr); a record holding a dict is unhashable
@@ -89,8 +117,8 @@ CASES = [
     (PageSpec, ("p1", "one two", 2, "p1.png"),
      "PageSpec(page_id='p1', text='one two', token_count=2, image_ref='p1.png')"),
     (MultiPageSample, ((PAGE, PAGE),), f"MultiPageSample(pages=({PAGE!r}, {PAGE!r}))"),
-    (PasteLayout, (DIMS, ((0, 1, 2, 3, 4),)),
-     "PasteLayout(canvas=ImageDims(width=2, height=3), placements=((0, 1, 2, 3, 4),))"),
+    (PasteLayout, (ImageDims(300, 600), (SLICE,) * 6, 7),
+     f"PasteLayout(canvas=ImageDims(width=300, height=600), slices={(SLICE,) * 6!r}, seed=7)"),
     (Issue, (1, 2, "E1", "bad"), "Issue(line=1, column=2, code='E1', message='bad')"),
     (ValidationReport, ((Issue(1, 1, "E", "m"),),),
      "ValidationReport(issues=(Issue(line=1, column=1, code='E', message='m'),))"),
@@ -136,6 +164,64 @@ def test_the_page_rows_hold_their_texts_token_counts():
     pages = [PAGE, *(PageSpec(*values) for cls, values, _ in CASES if cls is PageSpec)]
     assert len(pages) == 2
     assert all(page.token_count == token_count(page.text) for page in pages)
+
+
+def _corpus_file(tmp_path):
+    path = tmp_path / "c.jsonl"
+    save_records(Corpus((SAMPLE, Sample("s2", TaskKind.CHART, "gt"))), path)
+    return path
+
+
+_CHART = gen_chart_struct(3)[0]
+_BOX = BBox(10.5, 20.0, 400.0, 100.25)
+
+# each producer that returns a record, given tmp_path
+PRODUCERS = {
+    "gen_scene": lambda _: gen_scene(11, SceneConfig((6, 8))),
+    "gen_chart_struct": lambda _: gen_chart_struct(3)[0],
+    "parse_chart_output-dict": lambda _: parse_chart_output(serialize_chart_struct(_CHART)),
+    "parse_chart_output-table": lambda _: parse_chart_output(
+        serialize_chart_struct(_CHART, "table")
+    ),
+    "plan_tiles": lambda _: plan_tiles(ImageDims(2048, 1000)),
+    "crop_regions": lambda _: crop_regions(ImageDims(1000, 500), [_BOX])[0],
+    "normalize_box": lambda _: normalize_box(_BOX, ImageDims(1000, 500)),
+    "denormalize_box": lambda _: denormalize_box(NormBox(1, 2, 300, 400), ImageDims(1000, 500)),
+    "tokenize": lambda _: tokenize("你好 world", "word"),
+    "score_texts": lambda _: score_texts("one two three", "one three", "word"),
+    "ap_report": lambda _: ap_report([(_CHART, _CHART), (_CHART, ChartStruct())]),
+    "validate_mathpix_markdown": lambda _: validators.validate_mathpix_markdown("$x\n```"),
+    "validate_smiles": lambda _: validators.validate_smiles("C(C[Xx"),
+    "validate_kern": lambda _: validators.validate_kern("**kern\nbad"),
+    "validate_tikz": lambda _: validators.validate_tikz(
+        emit_tikz(gen_scene(2)) + "\\draw (0,0) - - (1,1);"
+    ),
+    "load_records": lambda tmp_path: load_records(_corpus_file(tmp_path)),
+    "compose_multipage": lambda _: compose_multipage(
+        [PageSpec.from_text(f"p{i}", "tok " * i) for i in range(6)], 4, 1
+    ),
+    "PageSpec.from_text": lambda _: PageSpec.from_text("p1", "one 二", "p1.png"),
+    "PasteLayout": lambda _: PasteLayout(ImageDims(1240, 1754), (ImageDims(900, 70),) * 8, 5),
+}
+
+
+def _rebuilt(value):
+    """The value with every record in it built again from its own fields."""
+    if isinstance(value, Record):
+        return type(value)(*map(_rebuilt, value.as_dict().values()))
+    if isinstance(value, tuple):
+        return tuple(map(_rebuilt, value))
+    return value
+
+
+@pytest.mark.parametrize("produce", PRODUCERS.values(), ids=PRODUCERS)
+def test_a_produced_record_rebuilds_from_its_own_fields(produce, tmp_path):
+    # a record that stores a value no constructor would accept back fails here
+    record = produce(tmp_path)
+    assert isinstance(record, Record)
+    rebuilt = _rebuilt(record)
+    assert type(rebuilt) is type(record) and rebuilt == record
+    assert type(record)(*record.as_dict().values()) == record
 
 
 @pytest.mark.parametrize("cls, values, text", CASES, ids=_ids(CASES))
