@@ -375,7 +375,38 @@ def test_make_finegrained_color_mode(tmp_path, capsys):
     assert sample.meta["frame_color"] in sample.prompt
 
 
-_ANNOTATION = {"id": "a1", "width": 1000, "height": 500, "box": [10, 20, 400, 100], "text": "hi"}
+@pytest.mark.parametrize(
+    "mode, line",
+    [
+        ("box",
+         '{"id":"a1","task_kind":"FineGrainedBox","image_ref":"x.png",'
+         '"prompt":"OCR the text in region [10,41,400,199]:","ground_truth":"hello",'
+         '"lang":"en","meta":{"crop_rect":"10,20,400,100","image_height":"500",'
+         '"image_width":"1000","norm_box":"[10,41,400,199]","source_box":"10,20.5,400,99.7"}}'),
+        ("color",
+         '{"id":"a1","task_kind":"FineGrainedColor","image_ref":"x.png",'
+         '"prompt":"OCR the text in the green box:","ground_truth":"hello","lang":"en",'
+         '"meta":{"frame_color":"green","frame_rgb":"0,255,0","frame_thickness":"4",'
+         '"image_height":"500","image_width":"1000","source_box":"10,20.5,400,99.7"}}'),
+    ],
+)
+def test_make_finegrained_writes_the_pinned_record_line(tmp_path, capsys, mode, line):
+    anno = tmp_path / "anno.jsonl"
+    anno.write_text(
+        json.dumps(
+            {"id": "a1", "image_ref": "x.png", "width": 1000, "height": 500,
+             "box": [10, 20.5, 400, 99.7], "text": "hello"}
+        )
+        + "\n"
+    )
+    out = tmp_path / "fg.jsonl"
+    assert main(["make-finegrained", "--input", str(anno), "--out", str(out), "--mode", mode,
+                 "--seed", "0", "--thickness", "4"]) == 0
+    assert out.read_text(encoding="utf-8") == line + "\n"
+    assert capsys.readouterr().out == f"wrote 1 {mode}-guided records to {out}\n"
+
+
+_ANNOTATION ={"id": "a1", "width": 1000, "height": 500, "box": [10, 20, 400, 100], "text": "hi"}
 
 
 @pytest.mark.parametrize(
