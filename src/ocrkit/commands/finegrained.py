@@ -28,14 +28,14 @@ def cmd_make_finegrained(args) -> int:
         if args.mode == "box":
             nbox = finegrained.normalize_box(box, dims)
             crop = finegrained.crop_regions(dims, [box])[0]
-            prompt = finegrained.box_guided_prompt(nbox)
+            prompt = finegrained.BOX_PROMPT_TEMPLATE.format(box=nbox.prompt_text())
             meta["norm_box"] = nbox.prompt_text()
             meta["crop_rect"] = f"{crop.x1},{crop.y1},{crop.x2},{crop.y2}"
             kind = TaskKind.FINE_GRAINED_BOX
         else:
             color = rng.choice(sorted(finegrained.COLOR_RGB))
             frame = finegrained.ColorPrompt(color, args.thickness)
-            prompt = finegrained.color_guided_prompt(color)
+            prompt = finegrained.COLOR_PROMPT_TEMPLATE.format(color=frame.color)
             meta["frame_color"] = color
             meta["frame_rgb"] = ",".join(str(v) for v in frame.rgb)
             meta["frame_thickness"] = str(frame.frame_thickness)

@@ -20,7 +20,7 @@ def cmd_tile_plan(args) -> int:
             "grid_rows": plan.grid_rows,
             "tile_px": tiling.TILE_PX,
             "include_thumbnail": plan.include_thumbnail,
-            "tile_rects": [[r.x, r.y, r.w, r.h] for r in plan.tile_rects],
+            "tile_rects": [list(row) for row in plan.tile_rects],
         }
         write_text_atomic(args.json, (json.dumps(obj, indent=2), "\n"))
     return 0
@@ -29,15 +29,13 @@ def cmd_tile_plan(args) -> int:
 def cmd_stitch(args) -> int:
     spec = tiling.StitchSpec(args.orientation, tuple(args.pages))
     print(f"{spec.canvas.width}x{spec.canvas.height}")
-    for p in spec.placements:
-        print(f"{p.page_index}: x={p.x} y={p.y} {p.dims.width}x{p.dims.height}")
+    for i, x, y, w, h in spec.placements:
+        print(f"{i}: x={x} y={y} {w}x{h}")
     if args.json:
         obj = {
             "orientation": spec.orientation,
             "canvas": [spec.canvas.width, spec.canvas.height],
-            "placements": [
-                [p.page_index, p.x, p.y, p.dims.width, p.dims.height] for p in spec.placements
-            ],
+            "placements": [list(row) for row in spec.placements],
         }
         write_text_atomic(args.json, (json.dumps(obj, indent=2), "\n"))
     return 0

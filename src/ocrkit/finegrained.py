@@ -114,16 +114,6 @@ def denormalize_box(nbox: NormBox, dims: ImageDims) -> BBox:
     )
 
 
-def box_guided_prompt(nbox: NormBox) -> str:
-    return BOX_PROMPT_TEMPLATE.format(box=nbox.prompt_text())
-
-
-def color_guided_prompt(color: str) -> str:
-    if color not in COLOR_RGB:
-        raise ValueError(f"color must be one of {sorted(COLOR_RGB)}, got {color!r}")
-    return COLOR_PROMPT_TEMPLATE.format(color=color)
-
-
 def crop_regions(dims: ImageDims, boxes: list[BBox]) -> list[CropSpec]:
     """One integer crop instruction per box, input order preserved."""
     specs = []

@@ -3,7 +3,8 @@
 Oversized images are split into at most ``max_tiles`` window-sized tiles by
 picking the grid whose column/row ratio best matches the image aspect ratio;
 multi-page inputs are stitched edge to edge into one large canvas. Both plans
-are pure geometry.
+are pure geometry, given as plain int rows: a tile cell is ``(x, y, w, h)`` and
+a stitch placement ``(index, x, y, w, h)``, the shape of a paste-up placement.
 """
 
 from __future__ import annotations
@@ -28,33 +29,22 @@ class ImageDims(Record):
         super().__init__(width, height)
 
 
-class Rect(Record):
-    __slots__ = ("x", "y", "w", "h")
-
-    def __init__(self, x: int, y: int, w: int, h: int):
-        super().__init__(x, y, w, h)
-
-
 class TilePlan(Record):
+    """The chosen grid; ``tile_rects`` are its cells as ``(x, y, w, h)`` rows."""
+
     __slots__ = ("grid_cols", "grid_rows", "include_thumbnail", "tile_rects")
 
     def __init__(
-        self, grid_cols: int, grid_rows: int, include_thumbnail: bool, tile_rects: tuple[Rect, ...]
+        self, grid_cols: int, grid_rows: int, include_thumbnail: bool, tile_rects: tuple[tuple, ...]
     ):
         super().__init__(grid_cols, grid_rows, include_thumbnail, tile_rects)
-
-
-class Placement(Record):
-    __slots__ = ("page_index", "x", "y", "dims")
-
-    def __init__(self, page_index: int, x: int, y: int, dims: ImageDims):
-        super().__init__(page_index, x, y, dims)
 
 
 class StitchSpec(Record):
     """Two or more pages laid edge to edge, in order: horizontal runs left to
     right, top-aligned, and vertical runs top to bottom, left-aligned. The
-    placements and the canvas that just holds them are read from the pages."""
+    ``(index, x, y, w, h)`` placements and the canvas that just holds them are
+    read from the pages."""
 
     __slots__ = ("orientation", "pages")
 
@@ -66,14 +56,14 @@ class StitchSpec(Record):
         super().__init__(orientation, pages)
 
     @property
-    def placements(self) -> tuple[Placement, ...]:
+    def placements(self) -> tuple[tuple[int, int, int, int, int], ...]:
         placements, offset = [], 0
         for i, page in enumerate(self.pages):
             if self.orientation == "horizontal":
-                placements.append(Placement(i, offset, 0, page))
+                placements.append((i, offset, 0, page.width, page.height))
                 offset += page.width
             else:
-                placements.append(Placement(i, 0, offset, page))
+                placements.append((i, 0, offset, page.width, page.height))
                 offset += page.height
         return tuple(placements)
 
@@ -124,7 +114,7 @@ def plan_tiles(dims: ImageDims, max_tiles: int = 12, thumbnail: bool = True) -> 
     xs = _cuts(w, cols)
     ys = _cuts(h, rows)
     rects = tuple(
-        Rect(xs[i], ys[j], xs[i + 1] - xs[i], ys[j + 1] - ys[j])
+        (xs[i], ys[j], xs[i + 1] - xs[i], ys[j + 1] - ys[j])
         for j in range(rows)
         for i in range(cols)
     )

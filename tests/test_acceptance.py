@@ -153,16 +153,16 @@ def test_criterion_4_tiling_oracle():
             assert plan.grid_cols * plan.grid_rows <= 12
             rects = plan.tile_rects
             assert len(rects) == plan.grid_cols * plan.grid_rows
-            assert sum(r.w * r.h for r in rects) == dims.width * dims.height
+            assert sum(w * h for _, _, w, h in rects) == dims.width * dims.height
             assert plan.include_thumbnail == (len(rects) > 1)
-            for r in rects:
-                assert 0 <= r.x and 0 <= r.y
-                assert r.x + r.w <= dims.width and r.y + r.h <= dims.height
+            for x, y, w, h in rects:
+                assert 0 <= x and 0 <= y
+                assert x + w <= dims.width and y + h <= dims.height
             for i in range(len(rects)):
                 for j in range(i + 1, len(rects)):
-                    a, b = rects[i], rects[j]
-                    ow = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
-                    oh = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
+                    (ax, ay, aw, ah), (bx, by, bw, bh) = rects[i], rects[j]
+                    ow = min(ax + aw, bx + bw) - max(ax, bx)
+                    oh = min(ay + ah, by + bh) - max(ay, by)
                     assert ow <= 0 or oh <= 0
 
 

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocrkit.finegrained import (
+    BOX_PROMPT_TEMPLATE,
+    COLOR_PROMPT_TEMPLATE,
     BBox,
     ColorPrompt,
     CropSpec,
     NormBox,
-    box_guided_prompt,
-    color_guided_prompt,
     crop_regions,
     denormalize_box,
     normalize_box,
@@ -111,10 +111,13 @@ def test_color_prompt_validation():
 
 
 def test_prompt_templates():
-    assert "[1,2,3,4]" in box_guided_prompt(NormBox(1, 2, 3, 4))
-    assert "red" in color_guided_prompt("red")
-    with pytest.raises(ValueError):
-        color_guided_prompt("magenta")
+    # make-finegrained formats these itself; ColorPrompt is the one colour check
+    box = BOX_PROMPT_TEMPLATE.format(box=NormBox(1, 2, 3, 4).prompt_text())
+    assert box == "OCR the text in region [1,2,3,4]:"
+    assert COLOR_PROMPT_TEMPLATE.format(color="red") == "OCR the text in the red box:"
+    with pytest.raises(ValueError) as exc:
+        ColorPrompt("magenta")
+    assert str(exc.value) == "color must be one of ['blue', 'green', 'red'], got 'magenta'"
 
 
 def test_crop_regions_floor_ceil_rule():

@@ -55,7 +55,7 @@ from ocrkit.pagecompose import (
     compose_multipage,
     token_count,
 )
-from ocrkit.tiling import ImageDims, Placement, Rect, StitchSpec, TilePlan, plan_tiles
+from ocrkit.tiling import ImageDims, StitchSpec, TilePlan, plan_tiles
 from ocrkit.validators import Issue, ValidationReport
 
 MODULES = ("charts", "corpus", "finegrained", "geometry", "metrics", "pagecompose", "tikz",
@@ -101,12 +101,8 @@ CASES = [
     (ChartGenConfig, ((0.0, 10.0), 1, ("a", "b")),
      "ChartGenConfig(value_range=(0.0, 10.0), decimals=1, text_pool=('a', 'b'))"),
     (ImageDims, (2, 3), "ImageDims(width=2, height=3)"),
-    (Rect, (0, 1, 2, 3), "Rect(x=0, y=1, w=2, h=3)"),
-    (TilePlan, (1, 1, False, (Rect(0, 0, 2, 3),)),
-     "TilePlan(grid_cols=1, grid_rows=1, include_thumbnail=False, "
-     "tile_rects=(Rect(x=0, y=0, w=2, h=3),))"),
-    (Placement, (1, 2, 0, DIMS),
-     "Placement(page_index=1, x=2, y=0, dims=ImageDims(width=2, height=3))"),
+    (TilePlan, (1, 1, False, ((0, 0, 2, 3),)),
+     "TilePlan(grid_cols=1, grid_rows=1, include_thumbnail=False, tile_rects=((0, 0, 2, 3),))"),
     (StitchSpec, ("horizontal", (DIMS, DIMS)),
      "StitchSpec(orientation='horizontal', pages=(ImageDims(width=2, height=3), "
      "ImageDims(width=2, height=3)))"),
@@ -156,7 +152,7 @@ def test_the_table_covers_every_public_record_type():
                     and not issubclass(obj, (Enum, BaseException))):
                 records.add(obj)
     assert records == {cls for cls, _, _ in CASES}
-    assert len(CASES) == 30
+    assert len(CASES) == 28
 
 
 def test_the_page_rows_hold_their_texts_token_counts():
@@ -275,7 +271,7 @@ def test_records_with_the_same_fields_differ_by_class():
     for i, a in enumerate(boxes):
         for j, b in enumerate(boxes):
             assert (a == b) is (i == j)
-    assert ImageDims(2, 3) != Rect(0, 0, 2, 3)
+    assert ImageDims(2, 3) != Point(2, 3)
 
 
 def test_unequal_values_are_unequal():

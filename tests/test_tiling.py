@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocrkit.tiling import ImageDims, Rect, StitchSpec, plan_tiles
+from ocrkit.tiling import ImageDims, StitchSpec, plan_tiles
 
 
 def oracle_grid(w, h, max_tiles=12):
@@ -26,14 +26,14 @@ def oracle_grid(w, h, max_tiles=12):
 
 def _check_partition(plan, dims):
     assert len(plan.tile_rects) == plan.grid_cols * plan.grid_rows
-    assert sum(r.w * r.h for r in plan.tile_rects) == dims.width * dims.height
-    xs = sorted({r.x for r in plan.tile_rects} | {r.x + r.w for r in plan.tile_rects})
-    ys = sorted({r.y for r in plan.tile_rects} | {r.y + r.h for r in plan.tile_rects})
+    assert sum(w * h for _, _, w, h in plan.tile_rects) == dims.width * dims.height
+    xs = sorted({x for x, _, _, _ in plan.tile_rects} | {x + w for x, _, w, _ in plan.tile_rects})
+    ys = sorted({y for _, y, _, _ in plan.tile_rects} | {y + h for _, y, _, h in plan.tile_rects})
     assert xs[0] == 0 and xs[-1] == dims.width
     assert ys[0] == 0 and ys[-1] == dims.height
     covered = set()
-    for r in plan.tile_rects:
-        key = (r.x, r.y)
+    for x, y, _, _ in plan.tile_rects:
+        key = (x, y)
         assert key not in covered
         covered.add(key)
 
@@ -132,7 +132,7 @@ def test_cut_at_a_half_pixel_rounds_up():
     plan = plan_tiles(ImageDims(1025, 512))
     assert plan.as_dict() == {
         "grid_cols": 2, "grid_rows": 1, "include_thumbnail": True,
-        "tile_rects": (Rect(0, 0, 513, 512), Rect(513, 0, 512, 512)),
+        "tile_rects": ((0, 0, 513, 512), (513, 0, 512, 512)),
     }
 
 
@@ -147,26 +147,25 @@ def test_rect_positions_cover_grid():
     dims = ImageDims(2500, 1100)
     plan = plan_tiles(dims)
     _check_partition(plan, dims)
-    first = plan.tile_rects[0]
-    assert (first.x, first.y) == (0, 0)
+    assert plan.tile_rects[0][:2] == (0, 0)
 
 
 def test_stitch_horizontal_example():
     spec = StitchSpec("horizontal", (ImageDims(800, 1100), ImageDims(800, 1100)))
     assert spec.canvas == ImageDims(1600, 1100)
-    assert [(p.x, p.y) for p in spec.placements] == [(0, 0), (800, 0)]
+    assert [(x, y) for _, x, y, _, _ in spec.placements] == [(0, 0), (800, 0)]
 
 
 def test_stitch_vertical_example():
     spec = StitchSpec("vertical", (ImageDims(800, 1100), ImageDims(800, 1100)))
     assert spec.canvas == ImageDims(800, 2200)
-    assert [(p.x, p.y) for p in spec.placements] == [(0, 0), (0, 1100)]
+    assert [(x, y) for _, x, y, _, _ in spec.placements] == [(0, 0), (0, 1100)]
 
 
 def test_stitch_unequal_heights_top_aligned():
     spec = StitchSpec("horizontal", (ImageDims(500, 700), ImageDims(600, 1100)))
     assert spec.canvas == ImageDims(1100, 1100)
-    assert all(p.y == 0 for p in spec.placements)
+    assert all(y == 0 for _, _, y, _, _ in spec.placements)
 
 
 def test_stitch_requires_two_pages():
@@ -190,13 +189,12 @@ def test_stitch_placements_recover_dims_and_disjoint():
     pages = tuple(ImageDims(rng.randint(100, 900), rng.randint(100, 1200)) for _ in range(5))
     for orientation in ("horizontal", "vertical"):
         spec = StitchSpec(orientation, pages)
-        assert tuple(p.dims for p in spec.placements) == pages
+        assert tuple(ImageDims(w, h) for _, _, _, w, h in spec.placements) == pages
         spans = []
-        for p in spec.placements:
-            assert p.x + p.dims.width <= spec.canvas.width
-            assert p.y + p.dims.height <= spec.canvas.height
-            span = (p.x, p.x + p.dims.width) if orientation == "horizontal" else (p.y, p.y + p.dims.height)
-            spans.append(span)
+        for _, x, y, w, h in spec.placements:
+            assert x + w <= spec.canvas.width
+            assert y + h <= spec.canvas.height
+            spans.append((x, x + w) if orientation == "horizontal" else (y, y + h))
         for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
             assert a1 <= b0
 
@@ -209,17 +207,17 @@ _PAGE_DIMS = st.builds(ImageDims, st.integers(1, 5000), st.integers(1, 5000))
 def test_stitch_placements_tile_the_canvas(pages, orientation):
     spec = StitchSpec(orientation, tuple(pages))
     placements = spec.placements
-    assert [p.page_index for p in placements] == list(range(len(pages)))
-    assert [p.dims for p in placements] == pages
+    assert [i for i, _, _, _, _ in placements] == list(range(len(pages)))
+    assert [ImageDims(w, h) for _, _, _, w, h in placements] == pages
     # along the run each page starts where the last one ended and the run fills the
     # canvas; across it every page starts at 0 and the largest fills the canvas
     if orientation == "horizontal":
-        along = [(p.x, p.dims.width) for p in placements]
-        across = [(p.y, p.dims.height) for p in placements]
+        along = [(x, w) for _, x, _, w, _ in placements]
+        across = [(y, h) for _, _, y, _, h in placements]
         run, side = spec.canvas.width, spec.canvas.height
     else:
-        along = [(p.y, p.dims.height) for p in placements]
-        across = [(p.x, p.dims.width) for p in placements]
+        along = [(y, h) for _, _, y, _, h in placements]
+        across = [(x, w) for _, x, _, w, _ in placements]
         run, side = spec.canvas.height, spec.canvas.width
     ends = [0] + [start + size for start, size in along]
     assert [start for start, _ in along] == ends[:-1]
