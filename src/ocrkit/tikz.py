@@ -29,6 +29,7 @@ class TikzParseError(TextParseError):
 
 
 _NUMBER_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")  # ASCII digits only, as emit_tikz writes
+_UNSIGNED_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?")  # after a sign token in a plot body
 
 
 class _Cursor(Scanner):
@@ -37,8 +38,8 @@ class _Cursor(Scanner):
     whitespace = " \t"
     error_class = TikzParseError
 
-    def number(self) -> Decimal:
-        text, start = self.token(_NUMBER_RE, "a number")
+    def number(self, pattern: re.Pattern = _NUMBER_RE) -> Decimal:
+        text, start = self.token(pattern, "a number")
         try:
             return canon_decimal(text)
         except ValueError as exc:
@@ -97,7 +98,7 @@ def _parse_poly(cur: _Cursor) -> list[tuple[int, Decimal]]:
     terms: list[tuple[int, Decimal]] = []
     sign = Decimal(-1) if cur.match("-") else Decimal(1)
     while True:
-        coef = cur.number() * sign
+        coef = cur.number(_UNSIGNED_RE) * sign
         if cur.match("*\\x*\\x"):
             order = 2
         elif cur.match("*\\x"):
@@ -114,9 +115,9 @@ def _parse_poly(cur: _Cursor) -> list[tuple[int, Decimal]]:
 
 
 def _parse_hyper_part(cur: _Cursor, fn: str) -> tuple[Decimal, Decimal]:
-    center = -cur.number() if cur.match("-") else cur.number()
+    center = -cur.number(_UNSIGNED_RE) if cur.match("-") else cur.number(_UNSIGNED_RE)
     cur.expect("+", f"'+' before the {fn} term")
-    scale = cur.number()
+    scale = cur.number(_UNSIGNED_RE)
     cur.expect(f"*{fn}(\\t)")
     return center, scale
 

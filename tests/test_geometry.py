@@ -199,6 +199,18 @@ def test_parse_head_mutations_rejected():
             "\\draw plot[domain=1:0] (\\x, {1*\\x + 0});\n",
             "1:40: plot domain must be increasing, got 1:0",
         ),
+        # in a plot body the number after a sign token is unsigned
+        ("\\draw plot[domain=0:1] (\\x, {1*\\x - -2});", "1:37: expected a number"),
+        ("\\draw plot[domain=0:1] (\\x, {1*\\x + -2});", "1:37: expected a number"),
+        ("\\draw plot[domain=0:1] (\\x, {--1*\\x + 2});", "1:31: expected a number"),
+        (
+            "\\draw plot[domain=0:1, variable=\\t] ({--1 + 1*cosh(\\t)}, {0 + 1*sinh(\\t)});",
+            "1:40: expected a number",
+        ),
+        (
+            "\\draw plot[domain=0:1, variable=\\t] ({0 + -1*cosh(\\t)}, {0 + 1*sinh(\\t)});",
+            "1:43: expected a number",
+        ),
     ],
     ids=[
         "cr-after-semicolon", "number-on-line-2", "fraction-digits", "no-options",
@@ -207,6 +219,8 @@ def test_parse_head_mutations_rejected():
         "point-options", "function-options", "polynomial-terms", "hyperbola-options",
         "ellipse-axes", "unknown-shape",
         "zero-length-segment", "degenerate-rectangle", "collinear-triangle", "decreasing-domain",
+        "minus-minus-term", "plus-minus-term", "minus-minus-first-term", "minus-minus-center",
+        "plus-minus-scale",
     ],
 )
 def test_parse_error_position_and_message(source, where):
@@ -255,6 +269,7 @@ def test_domain_bounds_are_numbers_of_the_subset(bound, column):
 
 
 _LINE = Curve("line", (Decimal(1), Decimal(2), Decimal(0), Decimal(1)))
+_NEGATED_LINE = Curve("line", (Decimal(-1), Decimal(2), Decimal(0), Decimal(1)))
 
 
 @pytest.mark.parametrize(
@@ -268,9 +283,12 @@ _LINE = Curve("line", (Decimal(1), Decimal(2), Decimal(0), Decimal(1)))
         ("\\draw ( 0 , 0 )  circle  ( 1 ) ;", Circle(Point(0, 0), Decimal(1))),
         ("\\draw plot[ domain = 0:1 ] (\\x, {1*\\x + 2});", _LINE),
         ("\\draw(0,0)--(1,1);", Segment(Point(0, 0), Point(1, 1))),
+        ("\\draw plot[domain=0:1] (\\x, {-1*\\x + 2});", _NEGATED_LINE),
+        ("\\draw plot[domain=0:1] (\\x, {- 1*\\x + 2});", _NEGATED_LINE),
     ],
     ids=["space-inside-times-x", "space-inside-dashes", "space-inside-times-cosh",
-         "spaces-around-plus", "spaces-before-every-token", "spaces-in-options", "no-spaces"],
+         "spaces-around-plus", "spaces-before-every-token", "spaces-in-options", "no-spaces",
+         "sign-then-number", "space-after-sign"],
 )
 def test_whitespace_may_stand_before_a_token_but_not_inside_one(source, answer):
     # the rule README states; an element is a line that reads, a str the error of one that does not
