@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ocrkit
+from ocrkit.corpus import Corpus, Sample, TaskKind, save_records
 
 
 def test_every_export_is_its_submodule_object():
@@ -23,6 +24,20 @@ def test_readme_library_imports_are_exported():
     names = {name.strip() for name in block.split(",")} - {""}
     assert names
     assert names <= set(ocrkit.__all__)
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # a name removed from the package but left in the example fails here
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    [example] = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    for name, texts in (("gt", ("one two three", "四 五")), ("pred", ("one three", "四 五"))):
+        samples = (Sample(f"s{i}", TaskKind.PLAIN_DOC, t) for i, t in enumerate(texts))
+        save_records(Corpus(tuple(samples)), tmp_path / f"{name}.jsonl")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    assert namespace["report"].n_samples == 2
 
 
 def test_readme_lists_every_export_under_its_module():

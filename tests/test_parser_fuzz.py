@@ -10,14 +10,18 @@ mutated dict-form chart the chart reader accepts must read the same through
 ``ast.literal_eval``, and every mutated table-form chart the same when its rows
 are split on ``|``: oracles that share no code with the reader. Texts written
 by the documented grammar of either form, independently of the reader, must
-read the same through the reader and the oracle.
+read the same through the reader and the oracle. Texts of the documented TikZ
+subset, written without the reader, must read as the scene built alongside
+them, and every mutated one the reader accepts must read back from its
+emission as the same scene.
 """
 
 import ast
 import re
+from decimal import Decimal
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ocrkit.charts import (
@@ -27,7 +31,18 @@ from ocrkit.charts import (
     parse_chart_output,
     serialize_chart_struct,
 )
-from ocrkit.geometry import emit_tikz, gen_scene
+from ocrkit.geometry import (
+    ALL_KINDS,
+    Circle,
+    Curve,
+    GeomScene,
+    Point,
+    Rectangle,
+    Segment,
+    Triangle,
+    emit_tikz,
+    gen_scene,
+)
 from ocrkit.tikz import TikzParseError, parse_tikz_subset
 from ocrkit.validators import VALIDATORS, _lines_of
 
@@ -266,6 +281,126 @@ def _subset_table_texts(draw) -> str:
 @settings(max_examples=300, deadline=None)
 def test_every_text_of_the_documented_table_subset_reads_as_split_on_pipes(text):
     _assert_reads_as_table(parse_chart_output(text), text)
+
+
+# The TikZ subset as README documents it, written without the reader: every element
+# kind, a run of spaces and tabs before any token, and each number in any of its
+# forms (leading zeros, trailing fraction zeros, a minus on zero). The pieces README
+# reads whole stay whole. Alongside each text goes the scene it must read as.
+@st.composite
+def _subset_tikz_texts(draw) -> tuple[str, GeomScene]:
+    def line(*tokens: str) -> str:
+        return "".join(draw(st.text(" \t", max_size=2)) + token for token in tokens)
+
+    def hundredths(positive: bool = False) -> int:
+        # tenths and zero come often, so '1.50', '7.00', '-0' and '-0.0' turn up
+        h = draw(st.integers(-1500, 1500) | st.integers(-150, 150).map(lambda t: t * 10)
+                 | st.just(0))
+        return (abs(h) or 1) if positive else h
+
+    def digits(h: int) -> str:  # |h| hundredths: '007', '1.50', '0.0', '2.07'
+        whole, fraction = divmod(abs(h), 100)
+        fraction_digits = f"{fraction:02d}"
+        cut = draw(st.integers(len(fraction_digits.rstrip("0")), 2))
+        return "0" * draw(st.integers(0, 2)) + str(whole) + "." * (cut > 0) + fraction_digits[:cut]
+
+    def negative(h: int) -> bool:
+        return h < 0 or (h == 0 and draw(st.booleans()))
+
+    def number(h: int) -> str:  # one token, its minus included
+        return "-" * negative(h) + digits(h)
+
+    def signed(h: int, first: bool) -> tuple[str, ...]:  # a sign token, then the digits
+        if negative(h):
+            return ("-", digits(h))
+        return (digits(h),) if first else ("+", digits(h))
+
+    def point() -> tuple[Point, tuple[str, ...]]:
+        x, y = hundredths(), hundredths()
+        return Point(Decimal(x) / 100, Decimal(y) / 100), ("(", number(x), ",", number(y), ")")
+
+    def domain() -> tuple[list[Decimal], tuple[str, ...]]:
+        lo, hi = sorted((hundredths(), hundredths()))
+        if lo == hi:
+            hi += 1
+        return [Decimal(lo) / 100, Decimal(hi) / 100], ("domain", "=", number(lo), ":",
+                                                        number(hi))
+
+    def element(kind: str) -> tuple[object, str]:
+        if kind == "point":
+            p, at = point()
+            return p, line("\\draw", "plot", "[", "mark", "=", "*", "]", "coordinates", "{",
+                           *at, "}", ";")
+        if kind in ("segment", "rectangle", "triangle"):
+            points = [point() for _ in range(3 if kind == "triangle" else 2)]
+            shape = {"segment": Segment, "rectangle": Rectangle, "triangle": Triangle}[kind]
+            joint = "rectangle" if kind == "rectangle" else "--"
+            tokens = [t for i, (_, at) in enumerate(points) for t in (joint,) * (i > 0) + at]
+            tail = ("--", "cycle") if kind == "triangle" else ()
+            return shape(*(p for p, _ in points)), line("\\draw", *tokens, *tail, ";")
+        if kind in ("circle", "ellipse"):
+            center, at = point()
+            r = hundredths(positive=True)
+            if kind == "circle":
+                return Circle(center, Decimal(r) / 100), line("\\draw", *at, "circle", "(",
+                                                               digits(r), ")", ";")
+            s = hundredths(positive=True)
+            return (Curve("ellipse", (center.x, center.y, Decimal(r) / 100, Decimal(s) / 100)),
+                    line("\\draw", *at, "ellipse", "(", digits(r), "and", digits(s), ")", ";"))
+        bounds, options = domain()
+        if kind == "hyperbola":
+            cx, a = hundredths(), hundredths(positive=True)
+            cy, b = hundredths(), hundredths(positive=True)
+            params = [Decimal(v) / 100 for v in (cx, cy, a, b)] + bounds
+            return Curve("hyperbola", tuple(params)), line(
+                "\\draw", "plot", "[", *options, ",", "variable", "=", "\\t", "]", "(",
+                "{", *signed(cx, True), "+", digits(a), "*cosh(\\t)", "}", ",",
+                "{", *signed(cy, True), "+", digits(b), "*sinh(\\t)", "}", ")", ";")
+        suffixes = ("*\\x*\\x", "*\\x", "") if kind == "parabola" else ("*\\x", "")
+        coefs = [hundredths() for _ in suffixes]
+        body = [token for i, (h, suffix) in enumerate(zip(coefs, suffixes))
+                for token in (*signed(h, i == 0), suffix) if token]
+        params = [Decimal(h) / 100 for h in coefs] + bounds
+        return Curve(kind, tuple(params)), line(
+            "\\draw", "plot", "[", *options, "]", "(", "\\x", ",", "{", *body, "}", ")", ";")
+
+    elements, lines = [], []
+    for kind in draw(st.lists(st.sampled_from(ALL_KINDS), max_size=4)):
+        try:
+            el, text = element(kind)
+        except ValueError:  # equal endpoints or corners, or a collinear triangle
+            assume(False)
+        elements.append(el)
+        lines.append(text)
+    end = "\n" if lines and draw(st.booleans()) else ""
+    return "\n".join(lines) + end, GeomScene(tuple(elements))
+
+
+@given(_subset_tikz_texts())
+@settings(max_examples=200, deadline=None)
+def test_every_text_of_the_documented_tikz_subset_reads_as_its_scene(case):
+    text, scene = case
+    assert parse_tikz_subset(text) == scene
+
+
+# edits in the characters of numbers and whitespace, which leave a quarter of the texts
+# readable, where edits in any character leave one in ten
+_NUMBER_EDITS = st.lists(
+    st.tuples(st.sampled_from(["insert", "delete", "replace"]), st.integers(0, 10**6),
+              st.sampled_from(" \t0123456789-.")),
+    min_size=1, max_size=4,
+)
+
+
+@given(_subset_tikz_texts(), _NUMBER_EDITS | _EDITS)
+@settings(max_examples=200, deadline=None)
+def test_an_accepted_mutated_tikz_text_reads_back_from_its_emission(case, edits):
+    text = _mutate(case[0], edits)
+    try:
+        scene = parse_tikz_subset(text)
+    except TikzParseError:
+        return
+    assert parse_tikz_subset(emit_tikz(scene)) == scene
 
 
 # Valid documents that reach every check of their validator: math, environments,
