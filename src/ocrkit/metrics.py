@@ -13,7 +13,6 @@ import math
 import re
 import unicodedata
 from collections import Counter
-from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Literal
 
 from ._kernels import levenshtein
@@ -144,8 +143,21 @@ def edit_distance_norm(ref: TokenSeq, hyp: TokenSeq, limit: int | None = None) -
 
 
 def _clipped(hyp_counts: Counter, ref_counts: Counter) -> int:
-    """Sum over hypothesis items of min(hypothesis count, reference count)."""
-    return sum(map(min, hyp_counts.values(), map(ref_counts.get, hyp_counts, repeat(0))))
+    """Sum over hypothesis items of min(hypothesis count, reference count).
+
+    Only keys on both sides count, and each counts at least 1, so the sum is
+    the size of the key intersection plus min(h, r) - 1 for each shared key
+    that both sides count more than once.
+    """
+    common = hyp_counts.keys() & ref_counts.keys()
+    clipped = len(common)
+    for key in common:
+        h = hyp_counts[key]
+        if h > 1:
+            r = ref_counts[key]
+            if r > 1:
+                clipped += (h if h < r else r) - 1  # min() call costs more
+    return clipped
 
 
 def prf(ref: TokenSeq, hyp: TokenSeq) -> tuple[float, float, float]:
@@ -159,12 +171,12 @@ def prf(ref: TokenSeq, hyp: TokenSeq) -> tuple[float, float, float]:
     return precision, recall, 2.0 * precision * recall / (precision + recall)
 
 
-def _ngram_counts(tokens: tuple[str, ...], n: int) -> Counter:
-    # Counter and zip run in C. Unigrams are counted as bare tokens: hashing
-    # 1-tuples instead makes char-granularity BLEU ~12% slower.
+def _ngrams(tokens: tuple[str, ...], n: int) -> Iterable:
+    # zip runs in C. Unigrams are bare tokens: hashing 1-tuples instead makes
+    # char-granularity BLEU ~12% slower.
     if n == 1:
-        return Counter(tokens)
-    return Counter(zip(*[tokens[i:] for i in range(n)]))
+        return tokens
+    return zip(*[tokens[i:] for i in range(n)])
 
 
 def _sum_left_to_right(values: Iterable[float]) -> float:
@@ -182,6 +194,10 @@ def bleu(ref: TokenSeq, hyp: TokenSeq) -> float:
     longer than the hypothesis are dropped and the weights renormalized. The
     brevity penalty exp(1 - |ref|/|hyp|) applies when the hypothesis is
     shorter than the reference.
+
+    At an order where the hypothesis repeats no n-gram, every hypothesis
+    count is 1, so the clipped count is the number of hypothesis n-grams that
+    occur in the reference: one key intersection, with no reference Counter.
     """
     _check_pair(ref, hyp)
     r, h = ref.tokens, hyp.tokens
@@ -192,7 +208,11 @@ def bleu(ref: TokenSeq, hyp: TokenSeq) -> float:
         if len(h) < n:
             break
         total = len(h) - n + 1
-        clipped = _clipped(_ngram_counts(h, n), _ngram_counts(r, n))
+        hyp_counts = Counter(_ngrams(h, n))
+        if len(hyp_counts) == total:
+            clipped = len(hyp_counts.keys() & _ngrams(r, n))
+        else:
+            clipped = _clipped(hyp_counts, Counter(_ngrams(r, n)))
         p = clipped / total
         if p == 0.0:
             if n == 1:
@@ -214,9 +234,12 @@ def _align(ref: tuple[str, ...], hyp: tuple[str, ...]) -> tuple[int, int]:
     """
     positions: dict[str, list[int]] = {}
     for i, tok in enumerate(ref):
-        positions.setdefault(tok, []).append(i)
+        if tok in positions:
+            positions[tok].append(i)
+        else:
+            positions[tok] = [i]
     used = [False] * len(ref)
-    nexts: dict[str, int] = {tok: 0 for tok in positions}
+    nexts = dict.fromkeys(positions, 0)
     matches = chunks = 0
     last_ref = last_hyp = -2
     for j, tok in enumerate(hyp):

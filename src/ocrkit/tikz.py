@@ -70,7 +70,10 @@ def _parse_options(cur: _Cursor) -> dict[str, str]:
         if "=" not in item:
             raise cur.error(f"malformed option {item!r}")
         key, value = item.split("=", 1)
-        opts[key.strip(cur.whitespace)] = value.strip(cur.whitespace)
+        key = key.strip(cur.whitespace)
+        if key in opts:
+            raise cur.error(f"repeated option {key!r}")
+        opts[key] = value.strip(cur.whitespace)
         cur.pos = stop + 1
         if stop == end:
             return opts

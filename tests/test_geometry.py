@@ -165,6 +165,17 @@ def test_parse_head_mutations_rejected():
         ("\\draw plot[domain=0] (\\x, {1*\\x + 0});\n", "1:25: malformed domain '0'"),
         # inside a TikZ line only spaces and tabs are whitespace, in an option list too
         ("\\draw plot[domain=0\r:1] (\\x, {1*\\x + 2});", "1:28: not a decimal number: '0\\r'"),
+        # an option key stands once in a list; the error points at its second use
+        (
+            "\\draw plot[domain=0:1, domain=2:3] (\\x, {1*\\x + 2});",
+            "1:24: repeated option 'domain'",
+        ),
+        ("\\draw plot[mark=*, mark=*] coordinates {(0,0)};", "1:20: repeated option 'mark'"),
+        (
+            "\\draw plot[domain=0:1, variable=\\t,\t variable =\\t] "
+            "({0 + 1*cosh(\\t)}, {0 + 1*sinh(\\t)});",
+            "1:38: repeated option 'variable'",
+        ),
         (
             "\\draw plot[\x0bdomain=\u30000:1\x85] (\\x, {1*\\x + 2});",
             "1:30: plot requires a domain=lo:hi option",
@@ -215,6 +226,7 @@ def test_parse_head_mutations_rejected():
     ids=[
         "cr-after-semicolon", "number-on-line-2", "fraction-digits", "no-options",
         "unterminated-options", "malformed-option", "malformed-domain", "domain-cr",
+        "repeated-domain", "repeated-mark", "repeated-variable",
         "option-unicode-spaces", "domain-digits",
         "point-options", "function-options", "polynomial-terms", "hyperbola-options",
         "ellipse-axes", "unknown-shape",

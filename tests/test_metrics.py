@@ -341,13 +341,22 @@ def _intersection_bleu(ref, hyp):
 @st.composite
 def _clipping_pairs(draw):
     """Token pairs over a 1-4 token alphabet, so n-grams repeat and clipping
-    binds; one hypothesis in three is shorter than BLEU's top order."""
-    alphabet = draw(st.lists(st.sampled_from(["a", "b", "ab", "你", ""]), min_size=1,
-                             max_size=4, unique=True))
+    binds, or over 20-60 distinct tokens, so unigrams and bigrams repeat while
+    the hypothesis is often repeat-free at orders 3 and 4. One hypothesis in
+    three is shorter than BLEU's top order; half end in a copied run of the
+    reference, so long n-grams are shared too."""
+    alphabet = draw(st.one_of(
+        st.lists(st.sampled_from(["a", "b", "ab", "你", ""]), min_size=1, max_size=4,
+                 unique=True),
+        st.integers(20, 60).map(lambda size: [f"w{i}" for i in range(size)]),
+    ))
     tokens = st.sampled_from(alphabet)
     ref = draw(st.lists(tokens, max_size=300))
     hyp = draw(st.one_of(st.lists(tokens, max_size=3), st.lists(tokens, max_size=300),
                          st.lists(tokens, max_size=300)))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, len(ref)))
+        hyp += ref[start : start + draw(st.integers(0, 40))]
     return _seq(ref), _seq(hyp)
 
 
@@ -355,6 +364,12 @@ def _clipping_pairs(draw):
 @example((_seq([]), _seq([])))
 @example((_seq(["a", "b"]), _seq([])))
 @example((_seq([]), _seq(["a", "b", "a"])))
+# repeat-free at order 3, while the reference counts ("a", "b", "c") 3 times
+@example((_seq(["a", "b", "c"] * 3), _seq(["a", "b", "c", "d"])))
+# both sides count "a" more than once, and "b" too
+@example((_seq(["a", "b", "a", "a", "b", "a"]), _seq(["a", "a", "b", "a", "b"])))
+# the hypothesis counts "x" once and the reference 3 times; "w" repeats
+@example((_seq(["x", "y", "x", "z", "x"]), _seq(["x", "w", "w"])))
 @settings(max_examples=400, deadline=None)
 def test_clipped_counts_match_the_intersection_oracles(pair):
     ref, hyp = pair
@@ -440,6 +455,8 @@ ALIGN_SEQS = st.lists(st.sampled_from(["a", "b", "c", "ab", "你", "好", ""]), 
 def test_align_counts_chunks_like_the_two_pass_oracle(ref_tokens, hyp_tokens):
     m, chunks = _two_pass_align(ref_tokens, hyp_tokens)
     assert _align(tuple(ref_tokens), tuple(hyp_tokens)) == (m, chunks)
+    # leftmost-greedy matches every token it can
+    assert m == sum((Counter(ref_tokens) & Counter(hyp_tokens)).values())
 
     expected = 0.0
     if m:
